@@ -55,6 +55,9 @@ CORRECTION_TABLE = {
 
 BELL_MAP_PULSE_AREA = np.pi / 4
 
+# the pi/4 pair-exchange map on the 16-dim atomic space
+BELL_MAP = r_gate_atomic(BELL_MAP_PULSE_AREA).matrix
+
 
 def prepare_bell(label: BellLabel) -> StateVector:
     """The exact normalized four-atom Bell state (atomic-only, n_max=0)."""
@@ -68,12 +71,6 @@ def prepare_bell(label: BellLabel) -> StateVector:
     amps[atomic_index(first)] = 1 / np.sqrt(2)
     amps[atomic_index(second)] = sign * 1j / np.sqrt(2)
     return StateVector(amps, 0)
-
-
-def _bell_map_matrix() -> np.ndarray:
-    """The pi/4 pair-exchange map on the 16-dim atomic space (identity
-    outside the six two-excitation configurations)."""
-    return r_gate_atomic(BELL_MAP_PULSE_AREA).matrix
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,7 @@ def enumerate_bell_branches(psi: StateVector, atol: float = 1e-15) -> tuple[Bell
     """All measurement branches of the Bell-discrimination map, deterministic."""
     if psi.n_max != 0:
         raise ValueError("Bell discrimination operates on atomic-only states (n_max=0)")
-    mapped = _bell_map_matrix() @ psi.amplitudes
+    mapped = BELL_MAP @ psi.amplitudes
     probs = np.abs(mapped) ** 2
     branches = []
     for cfg in range(16):
@@ -234,15 +231,13 @@ def teleport(theta: float, delay: float = 0.0, encoding: str = "dfs",
     # bits, so rows index alice configs and columns bob's pair
     joint = np.kron(psi_in, channel).reshape(16, 4)
 
-    mapped = _bell_map_matrix() @ joint                # Bell map on alice only
+    mapped = BELL_MAP @ joint                          # Bell map on alice only
 
     target = psi_in                                    # same pair-space form on bob
     branches = []
-    total_p = 0.0
     for outcome_labels, label in BELL_OUTCOME_MAP.items():
         bob = mapped[atomic_index(outcome_labels), :].copy()
         p = float(np.vdot(bob, bob).real)
-        total_p += p
         if p == 0.0:
             branches.append(TeleportBranch(label=label, probability=0.0, fidelity=0.0))
             continue
@@ -278,6 +273,3 @@ def teleport(theta: float, delay: float = 0.0, encoding: str = "dfs",
     )
     return avg, report
 
-
-def branch_probability_total(report: TeleportReport) -> float:
-    return float(sum(b.probability for b in report.branches))

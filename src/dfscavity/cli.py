@@ -18,7 +18,9 @@ import json
 import sys
 import time
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,14 +103,6 @@ class ExperimentConfig:
                             omega_a=self.omega_a, omega=self.omega, n_max=self.n_max)
 
 
-_FLOAT_KEYS = {"G", "delta", "omega_a", "omega", "theta", "delay_T", "delay_max",
-               "atom_splitting", "t1_fraction", "pulse_area", "nbar", "nbar_max"}
-_INT_KEYS = {"n_max", "theta_points", "delay_points", "nbar_points", "seed"}
-_LIST_KEYS = {"t1_fractions", "delta_over_G"}
-_STR_KEYS = {"experiment", "out", "format"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _LIST_KEYS | _STR_KEYS
-
-
 def _parse_float(key: str, raw: str, line: int) -> float:
     try:
         value = float(raw)
@@ -117,6 +111,70 @@ def _parse_float(key: str, raw: str, line: int) -> float:
     if not np.isfinite(value):
         raise ConfigError(f"key {key!r}: value must be finite, got {raw!r}", line)
     return value
+
+
+def _parse_int(key: str, raw: str, line: int) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"key {key!r}: not an integer: {raw!r}", line) from None
+
+
+def _parse_floats(key: str, raw: str, line: int) -> tuple[float, ...]:
+    return tuple(_parse_float(key, tok.strip(), line) for tok in raw.split(",") if tok.strip())
+
+
+class _Kind(NamedTuple):
+    parse: Callable[[str, str, int], object]  # (key, raw text, line) -> value
+    render: Callable[[object], str]
+
+
+_FLOAT = _Kind(_parse_float, lambda v: repr(float(v)))
+_INT = _Kind(_parse_int, str)
+_FLOATS = _Kind(_parse_floats, lambda v: ",".join(repr(float(x)) for x in v))
+_STR = _Kind(lambda key, raw, line: raw, str)
+
+
+class _Key(NamedTuple):
+    """One ExperimentConfig key: its kind and its domain check. `ok` tests a
+    value, or each entry of a list; `problem` is the error text, formatted
+    with the failing value as {v}. Unset (None) values are not checked."""
+
+    kind: _Kind
+    ok: Callable[[object], bool] | None = None
+    problem: str = ""
+
+
+def _at_least(low):
+    return lambda v: v >= low
+
+
+# every ExperimentConfig key, in the order the domain checks run
+_SCHEMA = {
+    "experiment": _Key(_STR, EXPERIMENTS.__contains__,
+                       "unknown experiment {v!r}; choose from " + ", ".join(EXPERIMENTS)),
+    "G": _Key(_FLOAT, lambda v: v > 0, "must be > 0, got {v}"),
+    "delta": _Key(_FLOAT, lambda v: v != 0, "must be nonzero"),
+    "omega_a": _Key(_FLOAT),
+    "omega": _Key(_FLOAT),
+    "n_max": _Key(_INT, _at_least(4), "must be >= 4, got {v}"),
+    "theta": _Key(_FLOAT),
+    "delay_T": _Key(_FLOAT, _at_least(0), "must be >= 0"),
+    "delay_max": _Key(_FLOAT, _at_least(0), "must be >= 0"),
+    "theta_points": _Key(_INT, _at_least(1), "must be >= 1"),
+    "delay_points": _Key(_INT, _at_least(1), "must be >= 1"),
+    "atom_splitting": _Key(_FLOAT),
+    "t1_fraction": _Key(_FLOAT, lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    "t1_fractions": _Key(_FLOATS, lambda v: 0 <= v <= 1, "entries must lie in [0, 1], got {v}"),
+    "pulse_area": _Key(_FLOAT, _at_least(0), "must be >= 0"),
+    "nbar": _Key(_FLOAT, _at_least(0), "must be >= 0"),
+    "nbar_max": _Key(_FLOAT, _at_least(0), "must be >= 0"),
+    "nbar_points": _Key(_INT, _at_least(2), "must be >= 2"),
+    "delta_over_G": _Key(_FLOATS, lambda v: v > 0, "entries must be > 0, got {v}"),
+    "seed": _Key(_INT, _at_least(0), "must be >= 0"),
+    "out": _Key(_STR),
+    "format": _Key(_STR, ("json", "csv").__contains__, "must be 'json' or 'csv', got {v!r}"),
+}
 
 
 def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
@@ -135,72 +193,29 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
             raise ConfigError(f"expected 'key = value', got {raw_line.strip()!r}", lineno)
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _ALL_KEYS:
+        if key not in _SCHEMA:
             raise ConfigError(f"unknown key {key!r}", lineno)
         if key in values:
             raise ConfigError(f"duplicate key {key!r}", lineno)
         if not raw:
             raise ConfigError(f"key {key!r}: missing value", lineno)
-        if key in _FLOAT_KEYS:
-            values[key] = _parse_float(key, raw, lineno)
-        elif key in _INT_KEYS:
-            try:
-                values[key] = int(raw)
-            except ValueError:
-                raise ConfigError(f"key {key!r}: not an integer: {raw!r}", lineno) from None
-        elif key in _LIST_KEYS:
-            values[key] = tuple(_parse_float(key, tok.strip(), lineno)
-                                for tok in raw.split(",") if tok.strip())
-        else:
-            values[key] = raw
+        values[key] = _SCHEMA[key].kind.parse(key, raw, lineno)
     config = ExperimentConfig(**values)
     if experiment is not None:
         config = replace(config, experiment=experiment)
-    return _validate_config(config)
+    return _check_config(config)
 
 
-def _validate_config(c: ExperimentConfig) -> ExperimentConfig:
-    def bad(key, msg):
-        raise ConfigError(f"key {key!r}: {msg}")
-
+def _check_config(c: ExperimentConfig) -> ExperimentConfig:
     if c.experiment is None:
         raise ConfigError("missing experiment name (positional argument or 'experiment' key)")
-    if c.experiment not in EXPERIMENTS:
-        bad("experiment", f"unknown experiment {c.experiment!r}; choose from {', '.join(EXPERIMENTS)}")
-    if not (c.G > 0):
-        bad("G", f"must be > 0, got {c.G}")
-    if c.delta is not None and c.delta == 0:
-        bad("delta", "must be nonzero")
-    if c.n_max < 4:
-        bad("n_max", f"must be >= 4, got {c.n_max}")
-    if c.delay_T < 0:
-        bad("delay_T", "must be >= 0")
-    if c.delay_max < 0:
-        bad("delay_max", "must be >= 0")
-    if c.theta_points < 1:
-        bad("theta_points", "must be >= 1")
-    if c.delay_points < 1:
-        bad("delay_points", "must be >= 1")
-    if not 0 <= c.t1_fraction <= 1:
-        bad("t1_fraction", "must lie in [0, 1]")
-    for frac in c.t1_fractions:
-        if not 0 <= frac <= 1:
-            bad("t1_fractions", f"entries must lie in [0, 1], got {frac}")
-    if c.pulse_area < 0:
-        bad("pulse_area", "must be >= 0")
-    if c.nbar < 0:
-        bad("nbar", "must be >= 0")
-    if c.nbar_max < 0:
-        bad("nbar_max", "must be >= 0")
-    if c.nbar_points < 2:
-        bad("nbar_points", "must be >= 2")
-    for ratio in c.delta_over_G:
-        if ratio <= 0:
-            bad("delta_over_G", f"entries must be > 0, got {ratio}")
-    if c.seed < 0:
-        bad("seed", "must be >= 0")
-    if c.format not in ("json", "csv"):
-        bad("format", f"must be 'json' or 'csv', got {c.format!r}")
+    for key, spec in _SCHEMA.items():
+        value = getattr(c, key)
+        if spec.ok is None or value is None:
+            continue
+        for item in value if isinstance(value, tuple) else (value,):
+            if not spec.ok(item):
+                raise ConfigError(f"key {key!r}: " + spec.problem.format(v=item))
     return c
 
 
@@ -209,15 +224,8 @@ def serialize_config(c: ExperimentConfig) -> str:
     lines = []
     for f in fields(c):
         value = getattr(c, f.name)
-        if value is None:
-            continue
-        if f.name in _LIST_KEYS:
-            rendered = ",".join(repr(float(v)) for v in value)
-        elif f.name in _FLOAT_KEYS:
-            rendered = repr(float(value))
-        else:
-            rendered = str(value)
-        lines.append(f"{f.name} = {rendered}")
+        if value is not None:
+            lines.append(f"{f.name} = {_SCHEMA[f.name].kind.render(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -672,7 +680,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             overrides["out"] = args.out
         if overrides:
-            config = _validate_config(replace(config, **overrides))
+            config = _check_config(replace(config, **overrides))
     except (ConfigError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

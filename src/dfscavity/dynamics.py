@@ -55,29 +55,35 @@ def evolve_times(h: Operator, psi: StateVector, times: np.ndarray) -> np.ndarray
     return (phases * coeffs) @ v.T
 
 
+_ROWS = list(TWO_EXCITATION_CONFIGS)
+_PARTNERS = [pair_partner(c) for c in TWO_EXCITATION_CONFIGS]
+
+
 def _two_excitation_support_ok(psi: StateVector, atol: float = 1e-12) -> bool:
     block = np.abs(psi.amplitudes.reshape(-1, psi.n_max + 1))
     outside = np.ones(block.shape[0], dtype=bool)
-    outside[list(TWO_EXCITATION_CONFIGS)] = False
+    outside[_ROWS] = False
     return float(np.max(block[outside])) <= atol if outside.any() else True
 
 
-def dfs_propagate(psi: StateVector, pulse_area: float) -> StateVector:
-    """Closed-form evolution within the two-excitation manifold:
+def pair_exchange(block: np.ndarray, pulse_area: float) -> np.ndarray:
+    """The closed-form pair-exchange map on the rows of a (16, k) array:
 
         |c> -> cos(area) |c> - i sin(area) |c_bar>
 
-    for each of the six configurations c and its complement c_bar, applied in
-    every Fock sector. Exactly unitary; errors if psi has support outside the
-    six two-excitation configurations.
+    for each of the six two-excitation configurations c and its complement
+    c_bar; every other row passes through unchanged.
+    """
+    out = np.array(block, dtype=complex)
+    out[_ROWS] = np.cos(pulse_area) * block[_ROWS] - 1j * np.sin(pulse_area) * block[_PARTNERS]
+    return out
+
+
+def dfs_propagate(psi: StateVector, pulse_area: float) -> StateVector:
+    """`pair_exchange` applied in every Fock sector. Exactly unitary; errors
+    if psi has support outside the six two-excitation configurations.
     """
     if not _two_excitation_support_ok(psi):
         raise ValueError("state has support outside the six two-excitation configurations")
-    n_levels = psi.n_max + 1
-    block = psi.amplitudes.reshape(-1, n_levels)
-    out = np.zeros_like(block)
-    c_area, s_area = np.cos(pulse_area), np.sin(pulse_area)
-    for c in TWO_EXCITATION_CONFIGS:
-        out[c] += c_area * block[c]
-        out[pair_partner(c)] += -1j * s_area * block[c]
-    return StateVector(out.reshape(-1), psi.n_max)
+    block = psi.amplitudes.reshape(-1, psi.n_max + 1)
+    return StateVector(pair_exchange(block, pulse_area).reshape(-1), psi.n_max)

@@ -22,9 +22,9 @@ import numpy as np
 
 from .dynamics import dfs_propagate
 from .hilbert import StateVector, atomic_index
-from .model import effective_coupling
 
 DEFAULT_PULSE_AREA = 3 * np.pi / 4  # the R pulse
+MAX_THERMAL_SECTORS = 100_001
 
 
 @dataclass(frozen=True)
@@ -99,23 +99,24 @@ def sweep_to_csv(rows) -> str:
 
 def thermal_weights(nbar: float, tail: float = 1e-9) -> np.ndarray:
     """Thermal Fock distribution p_n = nbar^n/(nbar+1)^(n+1), truncated once
-    the cumulative weight exceeds 1 - tail."""
+    the cumulative weight exceeds 1 - tail. Raises ValueError when that takes
+    more than MAX_THERMAL_SECTORS sectors."""
     if nbar < 0:
         raise ValueError("mean photon number must be >= 0")
     if nbar == 0:
         return np.array([1.0])
     weights = []
     total = 0.0
-    n = 0
     ratio = nbar / (nbar + 1.0)
     w = 1.0 / (nbar + 1.0)
     while total < 1.0 - tail:
+        if len(weights) == MAX_THERMAL_SECTORS:
+            raise ValueError(
+                f"nbar={nbar}: the thermal weights need more than {MAX_THERMAL_SECTORS} "
+                f"Fock sectors to reach 1 - {tail}")
         weights.append(w)
         total += w
         w *= ratio
-        n += 1
-        if n > 100000:  # unreachable for sane nbar; guards the loop
-            break
     return np.array(weights)
 
 
@@ -136,9 +137,3 @@ def fock_averaged_fidelity(nbar: float, pulse_area_at_n0: float = DEFAULT_PULSE_
         total += p_n * target.fidelity(dfs_propagate(start, area_n))
     return float(total)
 
-
-def fock_sector_area_ratio(n: int, params=None) -> float:
-    """Omega(n)/Omega(0) = (4n+2)/2, the per-sector pulse-area stretch."""
-    if params is None:
-        return (4 * n + 2) / 2.0
-    return effective_coupling(n, params).omega / effective_coupling(0, params).omega

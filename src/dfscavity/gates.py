@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import Operator, StateVector, SystemParams
-from .logical import LOGICAL_CONFIGS
-from .model import TWO_EXCITATION_CONFIGS, effective_coupling, pair_partner
+from .dynamics import pair_exchange
+from .hilbert import Operator, SystemParams
+from .logical import LOGICAL_CONFIGS, LOGICAL_INDICES
+from .model import effective_coupling
 
 VALID_PAIRS = ((1, 2), (3, 4))
 
@@ -106,10 +107,10 @@ def p_gate(pair, sign: int = +1) -> Operator:
     return Operator(u)
 
 
-def _pair_to_logical(u4: np.ndarray) -> np.ndarray:
-    """Restrict a pair-space unitary to the code span, basis (|1~>=eg, |0~>=ge)."""
-    idx = [_PAIR_EG, _PAIR_GE]
-    return u4[np.ix_(idx, idx)]
+def r_gate_atomic(pulse_area: float = R_PULSE_AREA) -> Operator:
+    """R on the full 16-dim atomic space: pair-exchange rotation on the six
+    two-excitation configurations, identity elsewhere."""
+    return Operator(pair_exchange(np.eye(16, dtype=complex), pulse_area))
 
 
 def r_gate(pulse_area: float = R_PULSE_AREA) -> Operator:
@@ -118,19 +119,14 @@ def r_gate(pulse_area: float = R_PULSE_AREA) -> Operator:
     On the logical basis this is exp(-i * area * X(x)X): each logical state
     rotates into its all-atoms-flipped partner.
     """
-    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    xx = np.kron(x, x)
-    return Operator(np.cos(pulse_area) * np.eye(4) - 1j * np.sin(pulse_area) * xx)
+    return Operator(_logical_block(r_gate_atomic(pulse_area).matrix))
 
 
-def r_gate_atomic(pulse_area: float = R_PULSE_AREA) -> Operator:
-    """R on the full 16-dim atomic space: pair-exchange rotation on the six
-    two-excitation configurations, identity elsewhere."""
-    u = np.eye(16, dtype=complex)
-    for c in TWO_EXCITATION_CONFIGS:
-        u[c, c] = np.cos(pulse_area)
-        u[pair_partner(c), c] = -1j * np.sin(pulse_area)
-    return Operator(u)
+def _logical_block(u16: np.ndarray) -> np.ndarray:
+    """Restriction of an atomic-space unitary to the code space. Exact for
+    products of H, P and R, which are block-diagonal on code space and its
+    complement."""
+    return u16[np.ix_(LOGICAL_INDICES, LOGICAL_INDICES)]
 
 
 def cnot_gate_list() -> tuple[GateDescriptor, ...]:
@@ -144,21 +140,6 @@ def cnot_gate_list() -> tuple[GateDescriptor, ...]:
         GateDescriptor("H", (3, 4), H_PULSE_AREA),
         GateDescriptor("P_inv", (3, 4), P_PHASE),
     )
-
-
-def _gate_logical(gate: GateDescriptor, p_sign: int) -> np.ndarray:
-    if gate.kind == "R":
-        return r_gate(gate.pulse_area).matrix
-    if gate.kind == "H":
-        u2 = _pair_to_logical(h_gate(gate.target).matrix)
-    elif gate.kind == "P":
-        u2 = _pair_to_logical(p_gate(gate.target, p_sign).matrix)
-    elif gate.kind == "P_inv":
-        u2 = _pair_to_logical(p_gate(gate.target, -p_sign).matrix)
-    else:
-        raise ValueError(f"unknown gate kind {gate.kind!r}")
-    eye = np.eye(2, dtype=complex)
-    return np.kron(u2, eye) if gate.target == (1, 2) else np.kron(eye, u2)
 
 
 def _gate_atomic(gate: GateDescriptor, p_sign: int) -> np.ndarray:
@@ -176,15 +157,15 @@ def _gate_atomic(gate: GateDescriptor, p_sign: int) -> np.ndarray:
     return np.kron(u4, eye) if gate.target == (1, 2) else np.kron(eye, u4)
 
 
-def _compose(gates, convention: CnotConvention, builder) -> np.ndarray:
-    mats = [builder(g, convention.p_sign) for g in gates]
+def _compose(gates, convention: CnotConvention) -> np.ndarray:
+    mats = [_gate_atomic(g, convention.p_sign) for g in gates]
     if convention.application_order == "listed_first_applied_first":
         order = mats
     elif convention.application_order == "listed_first_applied_last":
         order = mats[::-1]
     else:
         raise ValueError(f"unknown application order {convention.application_order!r}")
-    u = np.eye(mats[0].shape[0], dtype=complex)
+    u = np.eye(16, dtype=complex)
     for m in order:
         u = m @ u
     return u
@@ -193,7 +174,7 @@ def _compose(gates, convention: CnotConvention, builder) -> np.ndarray:
 def sequence_unitary_logical(seq: PulseSequence) -> Operator:
     if seq.convention is None:
         raise ValueError("sequence has no convention record")
-    return Operator(_compose(seq.gates, seq.convention, _gate_logical))
+    return Operator(_logical_block(_compose(seq.gates, seq.convention)))
 
 
 def sequence_unitary_atomic(seq: PulseSequence) -> Operator:
@@ -201,7 +182,7 @@ def sequence_unitary_atomic(seq: PulseSequence) -> Operator:
     checks); cavity factored out as everywhere in the effective model."""
     if seq.convention is None:
         raise ValueError("sequence has no convention record")
-    return Operator(_compose(seq.gates, seq.convention, _gate_atomic))
+    return Operator(_compose(seq.gates, seq.convention))
 
 
 def verify_truth_table(u: Operator, prob_tol: float = 1e-10) -> TruthTableReport:
@@ -247,7 +228,7 @@ def convention_search() -> tuple[tuple[CnotConvention, TruthTableReport], ...]:
     gates = cnot_gate_list()
     out = []
     for conv in convention_candidates():
-        u = Operator(_compose(gates, conv, _gate_logical))
+        u = Operator(_logical_block(_compose(gates, conv)))
         out.append((conv, verify_truth_table(u)))
     return tuple(out)
 
@@ -315,10 +296,3 @@ def schedule_duration(seq: PulseSequence, params: SystemParams,
         cnot_over_lifetime=aggregate / EXCITED_STATE_LIFETIME,
     )
 
-
-def apply_sequence(seq: PulseSequence, psi: StateVector) -> StateVector:
-    """Apply the compiled sequence to a 4-atom atomic state (n_max must be 0)."""
-    if psi.n_max != 0:
-        raise ValueError("apply_sequence operates on atomic-only states (n_max=0)")
-    u = sequence_unitary_atomic(seq)
-    return StateVector(u.matrix @ psi.amplitudes, 0)

@@ -43,7 +43,6 @@ from .hilbert import (
     atomic_index,
     basis_index,
     cavity_ladder,
-    config_labels,
     excitation_number,
     single_atom_operator,
 )
@@ -195,7 +194,3 @@ def derived_coupling(params: SystemParams, n: int) -> EffectiveCoupling:
     j = TWO_EXCITATION_LABELS.index("gege")
     return EffectiveCoupling(omega=float(np.real(heff.matrix[i, j])), n=n, provenance="pt-derived")
 
-
-def manifold_labels(manifold: Manifold, n_max: int) -> tuple[str, ...]:
-    """Atomic labels of the manifold members (for reports)."""
-    return tuple(config_labels(m // (n_max + 1)) for m in manifold.members)

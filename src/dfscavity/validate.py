@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .dynamics import dfs_propagate, evolve_times, make_propagator
 from .hilbert import Operator, StateVector, SystemParams, basis_index
@@ -82,19 +81,46 @@ class ValidationRun:
     diagnostic: str | None
 
 
+def prominent_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
+    """Indices of the local maxima of x whose topographic prominence is at
+    least `prominence`, the same as scipy.signal.find_peaks(x,
+    prominence=prominence).
+
+    A flat-topped maximum is reported at its midpoint (rounded down); the
+    first and last samples are never peaks. The prominence of a peak is its
+    height above the higher of the two lowest points reached by walking left
+    and right until the series rises above the peak or ends.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size < 3:
+        return np.array([], dtype=np.intp)
+    starts = np.flatnonzero(np.diff(x, prepend=np.nan) != 0)  # runs of equal values
+    ends = np.append(starts[1:], len(x)) - 1
+    level = x[starts]
+    top = np.zeros(len(level), dtype=bool)
+    top[1:-1] = (level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])
+    peaks = []
+    for i in (starts[top] + ends[top]) // 2:
+        higher = np.flatnonzero(x > x[i])
+        k = np.searchsorted(higher, i)
+        lo = higher[k - 1] + 1 if k else 0
+        hi = higher[k] if k < len(higher) else len(x)
+        if x[i] - max(x[lo:i + 1].min(), x[i:hi].min()) >= prominence:
+            peaks.append(i)
+    return np.array(peaks, dtype=np.intp)
+
+
 def _quadratic_peak_times(times: np.ndarray, series: np.ndarray) -> list[float]:
     span = float(series.max() - series.min())
     if span == 0.0:
         return []
-    idx, _ = find_peaks(series, prominence=PEAK_PROMINENCE_FRACTION * span)
     dt = times[1] - times[0]
     out = []
-    for i in idx:
-        if 0 < i < len(times) - 1:
-            y0, y1, y2 = series[i - 1], series[i], series[i + 1]
-            denom = y0 - 2 * y1 + y2
-            offset = 0.5 * (y0 - y2) / denom if denom != 0 else 0.0
-            out.append(float(times[i] + offset * dt))
+    for i in prominent_peaks(series, PEAK_PROMINENCE_FRACTION * span):
+        y0, y1, y2 = series[i - 1], series[i], series[i + 1]
+        denom = y0 - 2 * y1 + y2
+        offset = 0.5 * (y0 - y2) / denom if denom != 0 else 0.0
+        out.append(float(times[i] + offset * dt))
     return out
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from dfscavity.cli import (
     DEFAULT_G,
     ConfigError,
+    ExperimentConfig,
     main,
     parse_config,
     run_experiment,
@@ -81,6 +83,53 @@ class TestConfigParsing:
     def test_bad_experiment_name(self):
         with pytest.raises(ConfigError, match="unknown experiment"):
             parse_config("experiment = frobnicate\n")
+
+
+# one out-of-domain value per config key; a key without a domain check gets
+# a value its parser rejects
+OUT_OF_DOMAIN = {
+    "experiment": "frobnicate",
+    "G": "0",
+    "delta": "0",
+    "omega_a": "nan",
+    "omega": "inf",
+    "n_max": "3",
+    "theta": "-inf",
+    "delay_T": "-1",
+    "delay_max": "-0.5",
+    "theta_points": "0",
+    "delay_points": "2.5",
+    "atom_splitting": "nan",
+    "t1_fraction": "1.5",
+    "t1_fractions": "0.1, 1.5",
+    "pulse_area": "-1",
+    "nbar": "-0.1",
+    "nbar_max": "-2",
+    "nbar_points": "1",
+    "delta_over_G": "10, 0",
+    "seed": "-1",
+    "out": "",
+    "format": "xml",
+}
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)])
+    def test_out_of_domain_value_names_key(self, key):
+        experiment = None if key == "experiment" else "bell"
+        with pytest.raises(ConfigError, match=f"key '{key}': "):
+            parse_config(f"{key} = {OUT_OF_DOMAIN[key]}\n", experiment=experiment)
+
+    def test_round_trip_with_every_key_off_default(self):
+        config = ExperimentConfig(
+            experiment="thermal", G=1.5e5, delta=-2.25e6, omega_a=0.5, omega=-1124999.5,
+            n_max=12, theta=0.3, delay_T=1.25, theta_points=3, delay_points=4,
+            delay_max=2.5, atom_splitting=0.7, t1_fraction=0.05, t1_fractions=(0.0, 0.5),
+            pulse_area=0.9, nbar=0.25, nbar_max=3.0, nbar_points=5, delta_over_G=(15.0,),
+            seed=11, out="report.csv", format="csv")
+        defaults = ExperimentConfig()
+        assert all(getattr(config, f.name) != getattr(defaults, f.name) for f in fields(config))
+        assert parse_config(serialize_config(config)) == config
 
 
 class TestExperiments:

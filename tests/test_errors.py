@@ -143,3 +143,11 @@ class TestThermalAveraging:
     def test_negative_nbar_rejected(self):
         with pytest.raises(ValueError):
             fock_averaged_fidelity(-0.1)
+
+    def test_nbar_beyond_sector_cap_rejected_not_truncated(self):
+        # reaching 1 - 1e-9 at nbar = 1e5 takes ~2e6 sectors; weights cut at
+        # the cap would sum to only 0.632
+        with pytest.raises(ValueError, match="nbar=100000.0"):
+            thermal_weights(1e5)
+        with pytest.raises(ValueError, match="nbar"):
+            fock_averaged_fidelity(1e5)

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.signal import find_peaks
 
+import dfscavity
 from dfscavity.hilbert import SystemParams
 from dfscavity.validate import (
     RabiFitError,
@@ -8,6 +15,7 @@ from dfscavity.validate import (
     effective_difference_entries,
     extract_rabi,
     forced_rabi_fit,
+    prominent_peaks,
 )
 
 
@@ -112,3 +120,40 @@ class TestCompareEffectiveModels:
         comp = compare_effective_models(make_params(20.0), n=0, n_points=301)
         assert np.all(comp.fidelity_pair_swap_vs_full <= 1 + 1e-12)
         assert np.all(comp.fidelity_derived_vs_full <= 1 + 1e-12)
+
+
+def _peak_cases():
+    """Series that exercise the prominence filter: seeded random noise,
+    integer-valued series with plateaus, a flat series and edge maxima."""
+    rng = np.random.default_rng(20260)
+    cases = [("flat", np.full(50, 0.3)),
+             ("edge_maxima", np.array([5.0, 1.0, 2.0, 1.0, 3.0, 0.0, 6.0])),
+             ("edge_plateaus", np.array([4.0, 4.0, 1.0, 3.0, 3.0, 3.0, 1.0, 2.0, 4.0, 4.0])),
+             ("short", np.array([1.0, 2.0]))]
+    for k in range(40):
+        cases.append((f"random{k}", rng.normal(size=int(rng.integers(3, 200)))))
+        # values 0..10 put some prominences exactly on the thresholds 1, 4 and 9
+        cases.append((f"plateaus{k}", rng.integers(0, 11 if k % 2 else 4,
+                                                   size=int(rng.integers(3, 200))).astype(float)))
+    cases.append(("sine", np.sin(np.linspace(0, 9 * np.pi, 601)) + 1e-3 * rng.normal(size=601)))
+    return cases
+
+
+class TestProminentPeaks:
+    @pytest.mark.parametrize("fraction", [0.0, 0.1, 0.4, 0.9])
+    def test_matches_scipy_find_peaks(self, fraction):
+        for name, x in _peak_cases():
+            prominence = fraction * float(np.ptp(x))
+            expected, _ = find_peaks(x, prominence=prominence)
+            np.testing.assert_array_equal(prominent_peaks(x, prominence), expected,
+                                          err_msg=f"{name} at prominence fraction {fraction}")
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(dfscavity.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, dfscavity; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
