@@ -163,7 +163,7 @@ _SCHEMA = {
     "delay_max": _Key(_FLOAT, _at_least(0), "must be >= 0"),
     "theta_points": _Key(_INT, _at_least(1), "must be >= 1"),
     "delay_points": _Key(_INT, _at_least(1), "must be >= 1"),
-    "atom_splitting": _Key(_FLOAT),
+    "atom_splitting": _Key(_FLOAT, lambda v: v > 0, "must be > 0, got {v}"),
     "t1_fraction": _Key(_FLOAT, lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
     "t1_fractions": _Key(_FLOATS, lambda v: 0 <= v <= 1, "entries must lie in [0, 1], got {v}"),
     "pulse_area": _Key(_FLOAT, _at_least(0), "must be >= 0"),

@@ -23,20 +23,23 @@ class Propagator:
     duration: float
 
 
-def make_propagator(h: Operator, t: float) -> Propagator:
-    """exp(-i h t) via eigendecomposition of the hermitian generator."""
+def _spectrum(h: Operator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a hermitian generator."""
     if not h.hermitian:
         raise ValueError("generator must be hermitian")
-    w, v = np.linalg.eigh(h.matrix)
+    return np.linalg.eigh(h.matrix)
+
+
+def make_propagator(h: Operator, t: float) -> Propagator:
+    """exp(-i h t) via eigendecomposition of the hermitian generator."""
+    w, v = _spectrum(h)
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
     return Propagator(unitary=Operator(u), generator=h, duration=t)
 
 
 def evolve_exact(h: Operator, psi: StateVector, t: float) -> StateVector:
     """exp(-i h t) |psi>; norm is preserved to the working tolerance."""
-    if not h.hermitian:
-        raise ValueError("generator must be hermitian")
-    w, v = np.linalg.eigh(h.matrix)
+    w, v = _spectrum(h)
     amps = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi.amplitudes))
     out = StateVector(amps, psi.n_max)
     drift = abs(out.norm() - psi.norm())
@@ -47,9 +50,7 @@ def evolve_exact(h: Operator, psi: StateVector, t: float) -> StateVector:
 
 def evolve_times(h: Operator, psi: StateVector, times: np.ndarray) -> np.ndarray:
     """Amplitudes at many times, shape (len(times), dim); one eigh for all."""
-    if not h.hermitian:
-        raise ValueError("generator must be hermitian")
-    w, v = np.linalg.eigh(h.matrix)
+    w, v = _spectrum(h)
     coeffs = v.conj().T @ psi.amplitudes
     phases = np.exp(-1j * np.outer(np.asarray(times), w))
     return (phases * coeffs) @ v.T

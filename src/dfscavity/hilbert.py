@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -105,30 +106,30 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class Operator:
-    """Complex square matrix with hermiticity/unitarity flags verified on construction."""
+    """Read-only complex square matrix. `hermitian` (max|M - M^H| < HERMITIAN_ATOL) and
+    `unitary` (max|M^H M - I| < UNITARY_ATOL) are checked on first access and cached."""
 
     matrix: np.ndarray
-    dim: int = 0
-    hermitian: bool = False
-    unitary: bool = False
 
     def __post_init__(self) -> None:
         m = _frozen(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dim", m.shape[0])
-        herm = float(np.max(np.abs(m - m.conj().T))) < HERMITIAN_ATOL
-        prod = m.conj().T @ m
-        unit = float(np.max(np.abs(prod - np.eye(m.shape[0])))) < UNITARY_ATOL
-        object.__setattr__(self, "hermitian", herm)
-        object.__setattr__(self, "unitary", unit)
 
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T)
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
-    def __matmul__(self, other: "Operator") -> "Operator":
-        return Operator(self.matrix @ other.matrix)
+    @cached_property
+    def hermitian(self) -> bool:
+        m = self.matrix
+        return float(np.max(np.abs(m - m.conj().T))) < HERMITIAN_ATOL
+
+    @cached_property
+    def unitary(self) -> bool:
+        m = self.matrix
+        return float(np.max(np.abs(m.conj().T @ m - np.eye(self.dim)))) < UNITARY_ATOL
 
 
 def atomic_index(config) -> int:

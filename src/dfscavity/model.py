@@ -41,10 +41,10 @@ from .hilbert import (
     Operator,
     SystemParams,
     atomic_index,
+    atomic_operator,
     basis_index,
-    cavity_ladder,
     excitation_number,
-    single_atom_operator,
+    fock_ladder,
 )
 
 # the six two-excitation atomic configurations, in a fixed label order
@@ -95,16 +95,11 @@ def build_h0(params: SystemParams) -> Operator:
 
 
 def build_hint(params: SystemParams) -> Operator:
-    """Interaction term over the six unordered atom pairs."""
-    n_max = params.n_max
-    a2 = cavity_ladder("a", 2, n_max).matrix
-    adag2 = cavity_ladder("a_dag", 2, n_max).matrix
-    h = np.zeros((params.dim, params.dim), dtype=complex)
-    for i, j in combinations(range(1, 5), 2):
-        raise_ij = single_atom_operator(i, "+", n_max).matrix @ single_atom_operator(j, "+", n_max).matrix
-        lower_ij = single_atom_operator(i, "-", n_max).matrix @ single_atom_operator(j, "-", n_max).matrix
-        h += params.G * (a2 @ raise_ij + adag2 @ lower_ij)
-    return Operator(h)
+    """Hint = G (X + X^H), X = sum_{i<j} kron(sigma_i^+ sigma_j^+, a^2) over the six
+    unordered atom pairs: 16x16 atomic pair products times the truncated ladder a^2."""
+    a2 = fock_ladder("a", 2, params.n_max)
+    x = sum(np.kron(atomic_operator({i: "+", j: "+"}), a2) for i, j in combinations(range(1, 5), 2))
+    return Operator(params.G * (x + x.conj().T))
 
 
 def build_full_hamiltonian(params: SystemParams) -> Operator:
@@ -138,13 +133,12 @@ def build_h_eff(params: SystemParams, n: int = 0, include_stark: bool = False) -
 
 
 def two_excitation_manifold(params: SystemParams, n: int) -> Manifold:
-    """The six degenerate two-excitation states at fixed Fock level n."""
+    """The six degenerate two-excitation states at fixed Fock level n; m_z = 0 for
+    all six, so their bare energy is omega*n."""
     if not 0 <= n <= params.n_max:
         raise ValueError(f"Fock level n={n} outside 0..{params.n_max}")
     members = tuple(basis_index(c, n, params.n_max) for c in TWO_EXCITATION_CONFIGS)
-    h0 = build_h0(params)
-    energies = np.real(np.diag(h0.matrix))[list(members)]
-    return Manifold(members=members, energy=float(energies[0]))
+    return Manifold(members=members, energy=float(params.omega * n))
 
 
 def derive_second_order(h0: Operator, hint: Operator, manifold: Manifold) -> Operator:

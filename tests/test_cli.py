@@ -120,6 +120,17 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match=f"key '{key}': "):
             parse_config(f"{key} = {OUT_OF_DOMAIN[key]}\n", experiment=experiment)
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_atom_splitting_rejected(self, value, tmp_path, capsys):
+        # teleport divides by atom_splitting and delays by pi/atom_splitting
+        with pytest.raises(ConfigError, match="key 'atom_splitting': must be > 0"):
+            parse_config(f"atom_splitting = {value}\n", experiment="teleport")
+        cfg = tmp_path / "split.cfg"
+        cfg.write_text(f"atom_splitting = {value}\n")
+        assert main(["teleport", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+        assert "config error: key 'atom_splitting': " in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_round_trip_with_every_key_off_default(self):
         config = ExperimentConfig(
             experiment="thermal", G=1.5e5, delta=-2.25e6, omega_a=0.5, omega=-1124999.5,

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfscavity.hilbert import (
+    HERMITIAN_ATOL,
+    UNITARY_ATOL,
     Operator,
     StateVector,
     SystemParams,
@@ -142,6 +146,25 @@ class TestOperatorFlags:
         assert unit.unitary and unit.hermitian
         neither = Operator(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
         assert not neither.hermitian and not neither.unitary
+
+    @settings(derandomize=True, deadline=None)
+    @given(dim=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+    def test_lazy_flags_equal_their_formulas(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        generic = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        herm = generic + generic.conj().T
+        unit = np.linalg.qr(generic)[0]
+        assert Operator(herm).hermitian and Operator(unit).unitary
+        for m in (herm, unit, generic):
+            op = Operator(m)
+            assert "hermitian" not in vars(op) and "unitary" not in vars(op)
+            assert op.hermitian == (float(np.max(np.abs(m - m.conj().T))) < HERMITIAN_ATOL)
+            assert op.unitary == (float(np.max(np.abs(m.conj().T @ m - np.eye(dim)))) < UNITARY_ATOL)
+            assert op.dim == dim
+            with pytest.raises(ValueError):
+                op.matrix[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            Operator(unit, unitary=True)
 
     def test_builders_are_deterministic(self):
         a = single_atom_operator(3, "+", N_MAX).matrix

@@ -1,10 +1,21 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from dfscavity.hilbert import Operator, StateVector, SystemParams, basis_index
+from dfscavity.hilbert import (
+    Operator,
+    StateVector,
+    SystemParams,
+    basis_index,
+    cavity_ladder,
+    excitation_number,
+    single_atom_operator,
+)
 from dfscavity.model import (
     TWO_EXCITATION_LABELS,
     Manifold,
+    build_full_hamiltonian,
     build_h0,
     build_h_eff,
     build_hint,
@@ -67,6 +78,28 @@ class TestInteraction:
     def test_zero_coupling_gives_zero_operator(self):
         p0 = SystemParams(G=0.0, delta=10.0, n_max=4)
         assert np.max(np.abs(build_hint(p0).matrix)) == 0.0
+
+    @pytest.mark.parametrize("n_max,G", [(4, 0.7), (8, 0.7), (16, 0.7), (32, 0.7), (8, 0.0)])
+    def test_equals_composite_space_operator_products(self, n_max, G):
+        # reference: every factor lifted to the full space, two matmuls per term
+        p = SystemParams(G=G, delta=1000.0, n_max=n_max)
+        a2 = cavity_ladder("a", 2, n_max).matrix
+        adag2 = cavity_ladder("a_dag", 2, n_max).matrix
+        ref = np.zeros((p.dim, p.dim), dtype=complex)
+        for i, j in combinations(range(1, 5), 2):
+            raise_ij = single_atom_operator(i, "+", n_max).matrix @ single_atom_operator(j, "+", n_max).matrix
+            lower_ij = single_atom_operator(i, "-", n_max).matrix @ single_atom_operator(j, "-", n_max).matrix
+            ref += G * (a2 @ raise_ij + adag2 @ lower_ij)
+        assert np.array_equal(build_hint(p).matrix, ref)
+
+    @pytest.mark.parametrize("n_max", [4, 8, 16, 32])
+    def test_full_hamiltonian_conserves_total_excitation(self, n_max):
+        # [H, n + n_e] = 0 exactly: H is block diagonal in photons plus atomic excitations
+        p = SystemParams(G=0.7, delta=1000.0, omega_a=3.0, omega=503.0, n_max=n_max)
+        h = build_full_hamiltonian(p).matrix
+        total = [excitation_number(a) + n for a in range(16) for n in range(n_max + 1)]
+        n_op = np.diag(np.array(total, dtype=complex))
+        assert np.array_equal(h @ n_op, n_op @ h)
 
     def test_grading_excitation_vs_photon_pairs(self, params, hint):
         # every nonzero element changes atomic excitation by +-2 and photon number by -+2
