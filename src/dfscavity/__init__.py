@@ -61,6 +61,7 @@ from .hilbert import (
 from .logical import (
     LogicalState,
     collective_dephase,
+    collective_phases,
     decode_logical,
     encode_logical,
     free_phase_drift,

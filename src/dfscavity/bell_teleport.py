@@ -28,7 +28,7 @@ import numpy as np
 
 from .gates import r_gate_atomic
 from .hilbert import StateVector, atomic_index, config_labels
-from .logical import free_phase_drift
+from .logical import collective_phases, free_phase_drift
 
 
 class BellLabel(Enum):
@@ -108,6 +108,14 @@ def enumerate_bell_branches(psi: StateVector, atol: float = 1e-15) -> tuple[Bell
     return tuple(branches)
 
 
+def _sample(branches, seed: int):
+    """One branch drawn with probability proportional to `probability`,
+    reproducibly for a given seed."""
+    rng = np.random.default_rng(seed)
+    weights = np.array([b.probability for b in branches])
+    return branches[rng.choice(len(branches), p=weights / weights.sum())]
+
+
 def bell_measure(psi: StateVector, seed: int | None = None) -> tuple[BellLabel | None, MeasurementRecord]:
     """Apply the pi/4 map, then projectively measure every atom.
 
@@ -122,10 +130,7 @@ def bell_measure(psi: StateVector, seed: int | None = None) -> tuple[BellLabel |
     if seed is None:
         branch = max(branches, key=lambda b: b.probability)
     else:
-        rng = np.random.default_rng(seed)
-        weights = np.array([b.probability for b in branches])
-        weights = weights / weights.sum()
-        branch = branches[rng.choice(len(branches), p=weights)]
+        branch = _sample(branches, seed)
     record = MeasurementRecord(
         outcomes=branch.outcomes,
         probability=branch.probability,
@@ -181,19 +186,6 @@ def _input_pair_state(theta: float) -> np.ndarray:
     return v
 
 
-def _pair_free_phases(splitting: float, delay: float) -> np.ndarray:
-    """Free-evolution phases of a pair under atomic splitting E_e - E_g:
-    diag over (gg, ge, eg, ee) with energies (-1, 0, 0, +1)*splitting."""
-    energies = np.array([-1.0, 0.0, 0.0, 1.0]) * splitting
-    return np.exp(-1j * energies * delay)
-
-
-def _pair_dephase_phases(phi: float) -> np.ndarray:
-    """Collective dephasing on a pair: same phi on both atoms."""
-    mz = np.array([-1.0, 0.0, 0.0, 1.0])
-    return np.exp(-1j * phi * mz)
-
-
 def teleport(theta: float, delay: float = 0.0, encoding: str = "dfs",
              seed: int | None = None, atom_splitting: float = 1.0,
              dephase_phi: float | None = None,
@@ -202,8 +194,10 @@ def teleport(theta: float, delay: float = 0.0, encoding: str = "dfs",
 
     dfs: full six-atom protocol; Bob's pair evolves freely for `delay`
     (optionally with collective dephasing `dephase_phi`) before the
-    correction selected by Alice's two classical bits is applied. All four
-    branches are enumerated; with a seed one branch is also sampled.
+    correction selected by Alice's two classical bits is applied. Both are
+    `collective_phases(phi, 2)` (phi = atom_splitting * delay, dephase_phi),
+    the identity on the code states. All four branches are enumerated; with
+    a seed one branch is also sampled, by the same draw as `bell_measure`.
 
     bare: the single-atom comparison channel; an ideally teleported bare
     superposition (|g> + e^{i theta}|e>)/sqrt2 dephases during the classical
@@ -234,6 +228,8 @@ def teleport(theta: float, delay: float = 0.0, encoding: str = "dfs",
     mapped = BELL_MAP @ joint                          # Bell map on alice only
 
     target = psi_in                                    # same pair-space form on bob
+    free = collective_phases(atom_splitting * delay, 2)
+    dephase = None if dephase_phi is None else collective_phases(dephase_phi, 2)
     branches = []
     for outcome_labels, label in BELL_OUTCOME_MAP.items():
         bob = mapped[atomic_index(outcome_labels), :].copy()
@@ -242,34 +238,24 @@ def teleport(theta: float, delay: float = 0.0, encoding: str = "dfs",
             branches.append(TeleportBranch(label=label, probability=0.0, fidelity=0.0))
             continue
         bob = bob / np.sqrt(p)
-        bob = _pair_free_phases(atom_splitting, delay) * bob
-        if dephase_phi is not None:
-            bob = _pair_dephase_phases(dephase_phi) * bob
+        bob = free * bob
+        if dephase is not None:
+            bob = dephase * bob
         if apply_corrections:
             bob = _CORRECTIONS[CORRECTION_TABLE[label]] @ bob
         fid = float(abs(np.vdot(target, bob)) ** 2)
         branches.append(TeleportBranch(label=label, probability=p, fidelity=fid))
-    # non-Bell outcomes carry no weight for code-space inputs; fold any
-    # residue into the normalization check
     branches = tuple(branches)
     avg = float(sum(b.probability * b.fidelity for b in branches))
     min_fid = float(min(b.fidelity for b in branches))
-
-    sampled_label = None
-    sampled_fid = None
-    if seed is not None:
-        rng = np.random.default_rng(seed)
-        weights = np.array([b.probability for b in branches])
-        weights = weights / weights.sum()
-        pick = branches[rng.choice(len(branches), p=weights)]
-        sampled_label = pick.label.value
-        sampled_fid = pick.fidelity
+    pick = None if seed is None else _sample(branches, seed)
 
     report = TeleportReport(
         theta=theta, delay=delay, encoding=encoding, atom_splitting=atom_splitting,
         dephase_phi=dephase_phi, corrections_applied=apply_corrections,
         branches=branches, average_fidelity=avg, min_fidelity=min_fid,
-        sampled_label=sampled_label, sampled_fidelity=sampled_fid,
+        sampled_label=None if pick is None else pick.label.value,
+        sampled_fidelity=None if pick is None else pick.fidelity,
     )
     return avg, report
 

@@ -122,18 +122,18 @@ def thermal_weights(nbar: float, tail: float = 1e-9) -> np.ndarray:
 
 def fock_averaged_fidelity(nbar: float, pulse_area_at_n0: float = DEFAULT_PULSE_AREA) -> float:
     """Pulse fidelity averaged over an incoherent thermal mixture of Fock
-    sectors.
+    sectors, in closed form for any nbar >= 0.
 
     The pulse is timed against the vacuum-sector rate Omega(0); in sector n
-    the accumulated area is (2n+1) times the intended one because
-    Omega(n)/Omega(0) = (4n+2)/2. F = sum_n p_n |<target|psi_n>|^2.
-    """
-    weights = thermal_weights(nbar)
-    start = StateVector.basis_state("egeg")
-    target = dfs_propagate(start, pulse_area_at_n0)
-    total = 0.0
-    for n, p_n in enumerate(weights):
-        area_n = pulse_area_at_n0 * (4 * n + 2) / 2.0
-        total += p_n * target.fidelity(dfs_propagate(start, area_n))
-    return float(total)
+    the accumulated area is (2n+1) A because Omega(n)/Omega(0) = (4n+2)/2,
+    so the overlap with the intended output is cos(2nA) and the sector
+    fidelity is (1 + cos(4nA))/2. Summing it against the thermal weights
+    p_n = nbar^n/(nbar+1)^(n+1) is a geometric series:
 
+        F = 1/2 + 1/2 Re[1 / ((nbar+1) - nbar e^{4iA})].
+
+    `thermal_weights` with `dfs_propagate` is the sector-by-sector oracle.
+    """
+    if nbar < 0:
+        raise ValueError("mean photon number must be >= 0")
+    return float(0.5 + 0.5 * (1.0 / ((nbar + 1.0) - nbar * np.exp(4j * pulse_area_at_n0))).real)

@@ -104,10 +104,11 @@ class SystemParams:
         return self.perturbative_ratio < PERTURBATIVE_RATIO_MAX
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operator:
-    """Read-only complex square matrix. `hermitian` (max|M - M^H| < HERMITIAN_ATOL) and
-    `unitary` (max|M^H M - I| < UNITARY_ATOL) are checked on first access and cached."""
+    """Read-only complex square matrix, compared and hashed by identity. `hermitian`
+    (max|M - M^H| < HERMITIAN_ATOL) and `unitary` (max|M^H M - I| < UNITARY_ATOL)
+    are checked on first access and cached."""
 
     matrix: np.ndarray
 
@@ -183,9 +184,10 @@ def index_to_labels(index: int, n_max: int) -> tuple[str, int]:
     return config_labels(index // (n_max + 1)), index % (n_max + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
-    """Complex amplitude vector over the composite (4 atoms x Fock) basis.
+    """Complex amplitude vector over the composite (4 atoms x Fock) basis,
+    compared and hashed by identity.
 
     Atomic-only states are represented with n_max = 0 (a single Fock level),
     so one type serves both the full model and the effective/logical level.
@@ -214,12 +216,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.amplitudes / n, self.n_max)
-
     def overlap(self, other: "StateVector") -> complex:
         """<self|other>."""
         if self.dim != other.dim:
@@ -240,11 +236,6 @@ class StateVector:
         if n is None:
             return float(np.sum(np.abs(block) ** 2))
         return float(abs(block[n]) ** 2)
-
-    def atomic_populations(self) -> np.ndarray:
-        """Length-16 array of per-configuration populations (Fock-summed)."""
-        block = self.amplitudes.reshape(N_ATOMIC_CONFIGS, self.n_max + 1)
-        return np.sum(np.abs(block) ** 2, axis=1)
 
     def fock_populations(self) -> np.ndarray:
         block = self.amplitudes.reshape(N_ATOMIC_CONFIGS, self.n_max + 1)

@@ -14,19 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import StateVector, atomic_index, excitation_number
+from .hilbert import StateVector, atomic_index
 
-# logical basis order and its atomic image
-LOGICAL_BASIS = ("11", "10", "01", "00")
+# atomic image of the logical basis (|1~1~>, |1~0~>, |0~1~>, |0~0~>)
 LOGICAL_CONFIGS = ("egeg", "egge", "geeg", "gege")
 LOGICAL_INDICES = tuple(atomic_index(c) for c in LOGICAL_CONFIGS)
 
 _PAIR_NORM_ATOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogicalState:
-    """Two logical qubits; amplitudes over (|1~1~>, |1~0~>, |0~1~>, |0~0~>)."""
+    """Two logical qubits; amplitudes over (|1~1~>, |1~0~>, |0~1~>, |0~0~>).
+    Compares and hashes by identity."""
 
     amplitudes: np.ndarray
     pair_a: tuple[int, int] = (1, 2)
@@ -76,9 +76,12 @@ def decode_logical(psi: StateVector, atol: float = 1e-10) -> LogicalState:
     return LogicalState(amps)
 
 
-def total_z_spin(config) -> float:
-    """Eigenvalue of sum_i sigma_z^(i) on an atomic configuration."""
-    return excitation_number(config) - 2.0
+def collective_phases(phi: float, n_atoms: int = 4) -> np.ndarray:
+    """Diagonal of exp(-i phi sum_i sigma_z^(i)) over the 2**n_atoms atomic
+    configurations, first atom most significant. Exactly 1 on every zero-m_z
+    configuration; free evolution under splitting E_e - E_g for t is phi = (E_e - E_g) t."""
+    mz = np.array([bin(k).count("1") for k in range(2**n_atoms)]) - n_atoms / 2
+    return np.exp(-1j * phi * mz)
 
 
 def collective_dephase(psi: StateVector, phi: float) -> StateVector:
@@ -88,8 +91,7 @@ def collective_dephase(psi: StateVector, phi: float) -> StateVector:
     come back bit-identical.
     """
     n_levels = psi.n_max + 1
-    mz = np.array([total_z_spin(a) for a in range(16)])
-    phases = np.exp(-1j * phi * mz)
+    phases = collective_phases(phi)
     return StateVector((psi.amplitudes.reshape(16, n_levels) * phases[:, None]).reshape(-1), psi.n_max)
 
 

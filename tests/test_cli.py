@@ -270,6 +270,17 @@ class TestMainEntryPoint:
         assert payload["passed"] is False
         assert payload["results"]["runs"][0]["fit_gate_fired"] is True
 
+    def test_thermal_beyond_sector_cap_exits_zero(self, tmp_path, capsys):
+        # the closed-form thermal average has no sector cap
+        cfg = tmp_path / "hot.cfg"
+        cfg.write_text("nbar = 100000\n")
+        out = tmp_path / "thermal.json"
+        assert main(["thermal", "--config", str(cfg), "--out", str(out)]) == 0
+        nbar = 1e5
+        payload = json.loads(out.read_text())
+        assert payload["results"]["nbar"] == nbar
+        assert payload["results"]["fidelity_at_nbar"] == pytest.approx((nbar + 1) / (2 * nbar + 1), abs=1e-12)
+
     def test_repeated_runs_byte_identical_on_disk(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["teleport", "--out", str(out1), "--seed", "9"]) == 0

@@ -15,6 +15,7 @@ from dfscavity.errors import (
 from dfscavity.hilbert import StateVector
 
 AREA_R = 3 * np.pi / 4
+TAIL = 1e-9
 
 
 class TestStaggeredState:
@@ -146,8 +147,18 @@ class TestThermalAveraging:
 
     def test_nbar_beyond_sector_cap_rejected_not_truncated(self):
         # reaching 1 - 1e-9 at nbar = 1e5 takes ~2e6 sectors; weights cut at
-        # the cap would sum to only 0.632
+        # the cap would sum to only 0.632. The closed form needs no sectors.
         with pytest.raises(ValueError, match="nbar=100000.0"):
             thermal_weights(1e5)
-        with pytest.raises(ValueError, match="nbar"):
-            fock_averaged_fidelity(1e5)
+        assert fock_averaged_fidelity(1e5) == pytest.approx((1e5 + 1) / (2e5 + 1), abs=1e-12)
+
+    @pytest.mark.parametrize("nbar", [0.0, 0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("area", [0.0, np.pi / 8, np.pi / 4, 0.37, 3 * np.pi / 4, 2.0])
+    def test_closed_form_equals_sector_loop(self, nbar, area):
+        # the sector loop truncates once the weights reach 1 - TAIL, so it
+        # falls short of the exact average by at most the dropped weight
+        start = StateVector.basis_state("egeg")
+        target = dfs_propagate(start, area)
+        loop = sum(p_n * target.fidelity(dfs_propagate(start, area * (4 * n + 2) / 2.0))
+                   for n, p_n in enumerate(thermal_weights(nbar, TAIL)))
+        assert -1e-12 <= fock_averaged_fidelity(nbar, area) - loop <= TAIL + 1e-12

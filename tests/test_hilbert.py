@@ -191,3 +191,12 @@ class TestStateVector:
         assert psi.probability("egeg", 1) == pytest.approx(0.5)
         assert psi.probability("egeg", 0) == 0.0
         assert psi.guard_leakage() == 0.0
+
+    def test_compare_and_hash_by_identity(self):
+        # the generated __eq__ over an ndarray field raised on ==, and frozen
+        # plus eq made __hash__ hash the array, which raised TypeError
+        for make in (lambda: Operator(np.eye(2)), lambda: StateVector.basis_state("egeg")):
+            a, b = make(), make()
+            assert a == a and a != b
+            assert hash(a) == hash(a)
+            assert len({a, b, a}) == 2

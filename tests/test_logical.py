@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dfscavity.hilbert import StateVector, atomic_index, basis_index
+from dfscavity.hilbert import StateVector, atomic_index, basis_index, excitation_number
 from dfscavity.logical import (
     LOGICAL_CONFIGS,
     LogicalState,
     collective_dephase,
+    collective_phases,
     decode_logical,
     encode_logical,
     free_phase_drift,
@@ -84,6 +87,40 @@ class TestCollectiveDephasing:
         ratio_before = 1.0
         ratio_after = out.amplitude("eggg") / out.amplitude("gggg")
         assert ratio_after == pytest.approx(ratio_before * np.exp(-1j * 0.91), abs=1e-14)
+
+
+class TestCollectivePhases:
+    def test_pair_map_equals_free_evolution_phases(self):
+        # the free-evolution form teleport used: energies (-1, 0, 0, +1)*s over
+        # (gg, ge, eg, ee), evolved for d
+        rng = np.random.default_rng(5)
+        pairs = [(1.0, d) for d in np.linspace(0.0, 2 * np.pi, 8)]
+        pairs += [(rng.uniform(0.01, 50.0), rng.uniform(0.0, 100.0)) for _ in range(200)]
+        for s, d in pairs:
+            assert np.array_equal(collective_phases(s * d, 2),
+                                  np.exp(-1j * np.array([-1.0, 0.0, 0.0, 1.0]) * s * d))
+
+    def test_four_atom_map_equals_excitation_number_form(self):
+        mz = np.array([excitation_number(a) - 2.0 for a in range(16)])
+        for phi in (0.0, 0.77, -3.1, 2 * np.pi, 1e5):
+            assert np.array_equal(collective_phases(phi, 4), np.exp(-1j * phi * mz))
+            assert np.array_equal(collective_phases(phi), collective_phases(phi, 4))
+
+    @settings(derandomize=True, deadline=None)
+    @given(phi=st.floats(-1e6, 1e6, allow_nan=False), n_atoms=st.integers(1, 6))
+    def test_unit_modulus_and_identity_on_zero_mz(self, phi, n_atoms):
+        phases = collective_phases(phi, n_atoms)
+        assert phases.shape == (2**n_atoms,)
+        assert np.all(np.abs(np.abs(phases) - 1.0) <= 1e-15)
+        for k in range(2**n_atoms):
+            if 2 * bin(k).count("1") == n_atoms:
+                assert phases[k] == 1.0
+
+    def test_logical_state_compares_by_identity(self):
+        a = LogicalState(np.array([1.0, 0.0, 0.0, 0.0]))
+        b = LogicalState(np.array([1.0, 0.0, 0.0, 0.0]))
+        assert a == a and a != b
+        assert len({a, b}) == 2
 
 
 class TestFreePhaseDrift:
