@@ -2,8 +2,10 @@
 pair-exchange map.
 
 Exact evolution goes through the eigendecomposition of the hermitian
-generator (dimensions stay <= a few hundred here, so exactness beats speed);
-the scaling-and-squaring route is kept as a cross-check in the tests.
+generator. The validation runs hand it the conserved-excitation sector of
+the full model (at most 16 states at any n_max, see model.excitation_sector);
+the dense composite-space Hamiltonian only serves the tests as the oracle.
+The scaling-and-squaring route is kept as a cross-check in the tests.
 """
 
 from __future__ import annotations
@@ -16,13 +18,6 @@ from .hilbert import NORM_ATOL, Operator, StateVector
 from .model import TWO_EXCITATION_CONFIGS, pair_partner
 
 
-@dataclass(frozen=True)
-class Propagator:
-    unitary: Operator
-    generator: Operator
-    duration: float
-
-
 def _spectrum(h: Operator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of a hermitian generator."""
     if not h.hermitian:
@@ -30,11 +25,31 @@ def _spectrum(h: Operator) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(h.matrix)
 
 
+def _series(w: np.ndarray, v: np.ndarray, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i h t) applied to `amplitudes` at each of `times`, from the spectrum (w, v) of h."""
+    return (np.exp(-1j * np.outer(np.asarray(times), w)) * (v.conj().T @ amplitudes)) @ v.T
+
+
+@dataclass(frozen=True, eq=False)
+class Propagator:
+    """exp(-i h t) for one duration, with the spectrum (w, v) of h it was built from."""
+
+    unitary: Operator
+    generator: Operator
+    duration: float
+    spectrum: tuple[np.ndarray, np.ndarray]
+
+    def series(self, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """exp(-i h t) applied to an amplitude vector at each of `times`, shape
+        (len(times), dim), with no further eigh."""
+        return _series(*self.spectrum, amplitudes, times)
+
+
 def make_propagator(h: Operator, t: float) -> Propagator:
     """exp(-i h t) via eigendecomposition of the hermitian generator."""
     w, v = _spectrum(h)
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    return Propagator(unitary=Operator(u), generator=h, duration=t)
+    return Propagator(unitary=Operator(u), generator=h, duration=t, spectrum=(w, v))
 
 
 def evolve_exact(h: Operator, psi: StateVector, t: float) -> StateVector:
@@ -50,10 +65,7 @@ def evolve_exact(h: Operator, psi: StateVector, t: float) -> StateVector:
 
 def evolve_times(h: Operator, psi: StateVector, times: np.ndarray) -> np.ndarray:
     """Amplitudes at many times, shape (len(times), dim); one eigh for all."""
-    w, v = _spectrum(h)
-    coeffs = v.conj().T @ psi.amplitudes
-    phases = np.exp(-1j * np.outer(np.asarray(times), w))
-    return (phases * coeffs) @ v.T
+    return _series(*_spectrum(h), psi.amplitudes, times)
 
 
 _ROWS = list(TWO_EXCITATION_CONFIGS)

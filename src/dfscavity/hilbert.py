@@ -10,8 +10,9 @@ Conventions used throughout the package:
   packs the four atomic levels as bits with atom 1 most significant and n is
   the Fock level;
 * the Fock ladder is truncated at n_max by silently dropping amplitude raised
-  past the top level; validated runs assert negligible occupation of the two
-  guard levels below the cut.
+  past the top level; validated runs need n <= n_max - 4, so their conserved-
+  excitation sector (model.excitation_sector) stops at n + 2 and never reaches
+  the two guard levels below the cut: guard occupation is 0 by construction.
 """
 
 from __future__ import annotations

@@ -16,6 +16,11 @@ products that exchange excitation between an atom pair and its complement
 Omega(n) = (4n+2)G^2/delta, plus an optional photon-number-dependent
 diagonal (Stark) term.
 
+H conserves n_e + n (atomic excitations plus photons), so `excitation_sector`
+gives the exact model on the at most 16 states with n_e + n = total, the same
+at every n_max; the dense `build_h0`/`build_hint`/`build_full_hamiltonian`
+remain as the reference it is tested against.
+
 `derive_second_order` is the independent oracle for all of the above: it
 sums over every intermediate outside a degenerate manifold,
 
@@ -30,6 +35,7 @@ reported, never suppressed (see validate.compare_effective_models).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -94,11 +100,19 @@ def build_h0(params: SystemParams) -> Operator:
     return Operator(np.diag(diag))
 
 
+@cache
+def _pair_raising() -> np.ndarray:
+    """sum_{i<j} sigma_i^+ sigma_j^+ over the six unordered atom pairs (16x16, entries
+    0 or 1: a configuration pair differs in exactly one atom pair or in none); read-only."""
+    x = sum(atomic_operator({i: "+", j: "+"}) for i, j in combinations(range(1, 5), 2))
+    x.setflags(write=False)
+    return x
+
+
 def build_hint(params: SystemParams) -> Operator:
-    """Hint = G (X + X^H), X = sum_{i<j} kron(sigma_i^+ sigma_j^+, a^2) over the six
-    unordered atom pairs: 16x16 atomic pair products times the truncated ladder a^2."""
-    a2 = fock_ladder("a", 2, params.n_max)
-    x = sum(np.kron(atomic_operator({i: "+", j: "+"}), a2) for i, j in combinations(range(1, 5), 2))
+    """Hint = G (X + X^H), X = sum_{i<j} kron(sigma_i^+ sigma_j^+, a^2): the 16x16
+    atomic pair products times the truncated ladder a^2."""
+    x = np.kron(_pair_raising(), fock_ladder("a", 2, params.n_max))
     return Operator(params.G * (x + x.conj().T))
 
 
@@ -139,6 +153,64 @@ def two_excitation_manifold(params: SystemParams, n: int) -> Manifold:
         raise ValueError(f"Fock level n={n} outside 0..{params.n_max}")
     members = tuple(basis_index(c, n, params.n_max) for c in TWO_EXCITATION_CONFIGS)
     return Manifold(members=members, energy=float(params.omega * n))
+
+
+@dataclass(frozen=True, eq=False)
+class ExcitationSector:
+    """The states |a, m> with n_e(a) + m = total and 0 <= m <= n_max, in ascending
+    composite index, with the H0 and Hint blocks on them. H conserves n_e + m, so
+    the exact dynamics from |egeg, total - 2> never leaves these at most 16 states,
+    whatever n_max is (Tavis & Cummings, Phys. Rev. 170, 379 (1968))."""
+
+    params: SystemParams
+    total: int
+    indices: np.ndarray  # composite basis indices
+    h0: Operator
+    hint: Operator
+
+    @property
+    def fock_levels(self) -> np.ndarray:
+        return self.indices % (self.params.n_max + 1)
+
+    @property
+    def hamiltonian(self) -> Operator:
+        return Operator(self.h0.matrix + self.hint.matrix)
+
+    def position(self, config, n: int) -> int:
+        """Local index of |config, n>; ValueError if the state is not in the sector."""
+        return self.indices.tolist().index(basis_index(config, n, self.params.n_max))
+
+    @property
+    def manifold(self) -> Manifold:
+        """`two_excitation_manifold` at n = total - 2, in local indices."""
+        m = two_excitation_manifold(self.params, self.total - 2)
+        return Manifold(tuple(self.indices.tolist().index(k) for k in m.members), m.energy)
+
+
+def excitation_sector(params: SystemParams, total: int) -> ExcitationSector:
+    """The sector n_e + m = total around the two-excitation manifold at n = total - 2,
+    built by index arithmetic from the same H0 energies, atomic pair products and
+    truncated a^2 entries as `build_h0` and `build_hint`, so its blocks equal the
+    dense slices exactly.
+
+    Raises ValueError unless 0 <= n <= n_max - 4: the sector then reaches m = n + 2
+    at most and stays clear of the two guard levels below the cut.
+    """
+    n = total - 2
+    if not 0 <= n <= params.n_max - 4:
+        raise ValueError(
+            f"validated runs need 0 <= n <= n_max - 4 (intermediates plus guard levels); "
+            f"got n={n}, n_max={params.n_max}"
+        )
+    n_e = np.array([excitation_number(a) for a in range(N_ATOMIC_CONFIGS)])
+    atoms = np.flatnonzero(n_e <= total)
+    levels = total - n_e[atoms]
+    h0 = (params.omega_a * (n_e[atoms] - 2) + params.omega * levels).astype(complex)
+    x = _pair_raising()[np.ix_(atoms, atoms)] * fock_ladder("a", 2, params.n_max)[np.ix_(levels, levels)]
+    return ExcitationSector(
+        params=params, total=total, indices=atoms * (params.n_max + 1) + levels,
+        h0=Operator(np.diag(h0)), hint=Operator(params.G * (x + x.conj().T)),
+    )
 
 
 def derive_second_order(h0: Operator, hint: Operator, manifold: Manifold) -> Operator:
@@ -182,8 +254,8 @@ def derive_second_order(h0: Operator, hint: Operator, manifold: Manifold) -> Ope
 
 def derived_coupling(params: SystemParams, n: int) -> EffectiveCoupling:
     """Omega obtained from the PT engine's egeg<->gege element (oracle route)."""
-    manifold = two_excitation_manifold(params, n)
-    heff = derive_second_order(build_h0(params), build_hint(params), manifold)
+    sector = excitation_sector(params, n + 2)
+    heff = derive_second_order(sector.h0, sector.hint, sector.manifold)
     i = TWO_EXCITATION_LABELS.index("egeg")
     j = TWO_EXCITATION_LABELS.index("gege")
     return EffectiveCoupling(omega=float(np.real(heff.matrix[i, j])), n=n, provenance="pt-derived")

@@ -15,6 +15,12 @@ model, reports the pairwise fidelity time series, and enumerates the
 operator difference (a)-vs-(b) entry by entry. Whether (b) tracks (c) better
 than (a) is measured, not assumed.
 
+Both run the exact model on the conserved-excitation sector n_e + m = n + 2
+(model.excitation_sector): at most 16 states at any n_max and one eigh per
+exact evolution; the perturbation engine gets the sector's H0/Hint blocks.
+Both need 0 <= n <= n_max - 4, so the sector stops at m = n + 2 <= n_max - 2
+and the guard occupation is 0 by construction.
+
 Model comparisons use the classical fidelity between atomic population
 distributions, (sum_i sqrt(p_i q_i))^2, with the full model's weight outside
 the Fock sector counted against it. Populations are immune to the
@@ -31,16 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import dfs_propagate, evolve_times, make_propagator
-from .hilbert import Operator, StateVector, SystemParams, basis_index
+from .hilbert import Operator, StateVector, SystemParams
 from .model import (
+    TWO_EXCITATION_CONFIGS,
     TWO_EXCITATION_LABELS,
-    build_full_hamiltonian,
-    build_h0,
     build_h_eff,
-    build_hint,
     derive_second_order,
     effective_coupling,
-    two_excitation_manifold,
+    excitation_sector,
 )
 
 GUARD_LEAKAGE_MAX = 1e-6
@@ -133,13 +137,10 @@ def extract_rabi(params: SystemParams, n: int = 0,
     The time grid covers 1.5 periods of the expected exchange rate. Raises
     RabiFitError (carrying the partial run) when the peak transfer stays
     below min_peak_population or no oscillation exists; lower the threshold
-    to force a fit of whatever oscillation is present.
+    to force a fit of whatever oscillation is present. Raises ValueError
+    unless 0 <= n <= n_max - 4.
     """
-    if n > params.n_max - 4:
-        raise ValueError(
-            f"validated runs need n <= n_max - 4 (intermediates plus guard levels); "
-            f"got n={n}, n_max={params.n_max}"
-        )
+    sector = excitation_sector(params, n + 2)
     omega_expected = effective_coupling(n, params).omega
     run_skeleton = dict(
         delta_over_g=params.delta / params.G if params.G else np.inf,
@@ -154,31 +155,29 @@ def extract_rabi(params: SystemParams, n: int = 0,
         run = ValidationRun(**{**run_skeleton, "diagnostic": "no coupling, no oscillation"})
         raise RabiFitError("no oscillation to fit (G = 0)", run)
 
-    h = build_full_hamiltonian(params)
-    psi0 = StateVector.basis_state("egeg", n, params.n_max)
+    idx = {lab: sector.position(lab, n) for lab in TWO_EXCITATION_LABELS}
+    psi0 = np.zeros(len(sector.indices), dtype=complex)
+    psi0[idx["egeg"]] = 1.0
     t_max = 1.5 * 2 * np.pi / abs(omega_expected)
     times = np.linspace(0.0, t_max, n_points)
-    amps = evolve_times(h, psi0, times)          # (n_points, dim)
+    propagator = make_propagator(sector.hamiltonian, t_max)  # the one eigh of the run
+    amps = propagator.series(psi0, times)        # (n_points, sector)
     probs = np.abs(amps) ** 2
 
-    n_levels = params.n_max + 1
-    idx = {lab: basis_index(lab, n, params.n_max) for lab in TWO_EXCITATION_LABELS}
+    levels = sector.fock_levels
     p_gege = probs[:, idx["gege"]]
     p_egeg = probs[:, idx["egeg"]]
     exchange_cols = [idx[lab] for lab in TWO_EXCITATION_LABELS if lab not in ("egeg", "gege")]
     p_exchange = probs[:, exchange_cols].sum(axis=1)
-    sector_cols = [a * n_levels + n for a in range(16)]
-    p_sector = probs[:, sector_cols].sum(axis=1)
+    p_sector = probs[:, levels == n].sum(axis=1)
     totals = probs.sum(axis=1)
-    guard_cols = [a * n_levels + m for a in range(16) for m in range(max(0, params.n_max - 1), n_levels)]
-    guard = probs[:, guard_cols].sum(axis=1)
+    guard = probs[:, levels >= params.n_max - 1].sum(axis=1)  # no such column: 0
 
     # common-phase (Stark) rate from the autocorrelation phase slope
-    autocorr = amps @ psi0.amplitudes.conj()
-    phase = np.unwrap(np.angle(autocorr))
+    phase = np.unwrap(np.angle(amps[:, idx["egeg"]]))
     stark_fit = -float(np.polyfit(times, phase, 1)[0])
 
-    u = make_propagator(h, t_max).unitary
+    u = propagator.unitary
     unde = float(np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(u.dim))))
     norm_defect = float(np.max(np.abs(np.sqrt(totals) - 1.0)))
 
@@ -249,11 +248,10 @@ def effective_difference_entries(params: SystemParams, n: int = 0,
                                  atol: float = 1e-12) -> tuple[DifferenceEntry, ...]:
     """Nonzero entries of (PT-derived second-order operator) minus (double-
     flip-only effective operator) on the two-excitation manifold."""
-    manifold = two_excitation_manifold(params, n)
-    derived = derive_second_order(build_h0(params), build_hint(params), manifold).matrix
-    pair_swap16 = build_h_eff(params, n, include_stark=False).matrix
-    cols = [m // (params.n_max + 1) for m in manifold.members]
-    pair_swap = pair_swap16[np.ix_(cols, cols)]
+    sector = excitation_sector(params, n + 2)
+    derived = derive_second_order(sector.h0, sector.hint, sector.manifold).matrix
+    cols = list(TWO_EXCITATION_CONFIGS)
+    pair_swap = build_h_eff(params, n, include_stark=False).matrix[np.ix_(cols, cols)]
     diff = derived - pair_swap
     scale = max(1.0, float(np.max(np.abs(derived))))
     entries = []
@@ -270,7 +268,8 @@ def compare_effective_models(params: SystemParams, n: int = 0,
                              n_points: int = 1201) -> EffectiveModelComparison:
     """Evolve |egeg, n> under the pair-swap effective operator, the PT-derived
     operator, and the exact full model; report fidelity time series and the
-    operator difference."""
+    operator difference. Raises ValueError unless 0 <= n <= n_max - 4."""
+    sector = excitation_sector(params, n + 2)
     omega = effective_coupling(n, params).omega
     t_max = 1.5 * 2 * np.pi / abs(omega)
     times = np.linspace(0.0, t_max, n_points)
@@ -279,20 +278,18 @@ def compare_effective_models(params: SystemParams, n: int = 0,
     h_pair_swap = build_h_eff(params, n, include_stark=False)
     amps_pair_swap = evolve_times(h_pair_swap, psi_atomic, times)  # (t, 16)
 
-    manifold = two_excitation_manifold(params, n)
-    derived6 = derive_second_order(build_h0(params), build_hint(params), manifold).matrix
+    derived6 = derive_second_order(sector.h0, sector.hint, sector.manifold).matrix
     derived16 = np.zeros((16, 16), dtype=complex)
-    cols = [m // (params.n_max + 1) for m in manifold.members]
+    cols = list(TWO_EXCITATION_CONFIGS)
     derived16[np.ix_(cols, cols)] = derived6
     amps_derived = evolve_times(Operator(derived16), psi_atomic, times)
 
-    h_full = build_full_hamiltonian(params)
-    psi_full = StateVector.basis_state("egeg", n, params.n_max)
-    amps_full = evolve_times(h_full, psi_full, times)             # (t, dim)
-    n_levels = params.n_max + 1
-    sector = amps_full.reshape(len(times), 16, n_levels)[:, :, n]  # atomic amplitudes at Fock n
-
-    pops_full = np.abs(sector) ** 2  # weight outside the sector lowers the fidelity
+    local = [sector.position(c, n) for c in cols]  # the sector's states at Fock n
+    psi_full = np.zeros(len(sector.indices), dtype=complex)
+    psi_full[local[0]] = 1.0  # egeg
+    amps_full = make_propagator(sector.hamiltonian, t_max).series(psi_full, times)  # (t, sector)
+    pops_full = np.zeros((len(times), 16))  # atomic populations at Fock n
+    pops_full[:, cols] = np.abs(amps_full[:, local]) ** 2  # weight outside lowers the fidelity
     fid_pair_swap = np.sum(np.sqrt(np.abs(amps_pair_swap) ** 2 * pops_full), axis=1) ** 2
     fid_derived = np.sum(np.sqrt(np.abs(amps_derived) ** 2 * pops_full), axis=1) ** 2
 

@@ -1,0 +1,187 @@
+"""The conserved-excitation sector engine against the dense composite-space oracle.
+
+The full H conserves n_e + n, so `model.excitation_sector` replaces the dense
+Hamiltonian in validate and in `derived_coupling`. These tests pin its blocks
+to the dense slices bit for bit, its dynamics to dense `evolve_times`, and the
+default validate-effective report to its golden copy within a stated tolerance.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dfscavity.cli import parse_config, run_experiment
+from dfscavity.dynamics import evolve_times, make_propagator
+from dfscavity.hilbert import N_ATOMIC_CONFIGS, StateVector, SystemParams, basis_index, excitation_number
+from dfscavity.model import (
+    TWO_EXCITATION_CONFIGS,
+    build_full_hamiltonian,
+    build_h0,
+    build_hint,
+    derived_coupling,
+    effective_coupling,
+    excitation_sector,
+)
+from dfscavity.validate import compare_effective_models, effective_difference_entries, extract_rabi
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "validate-effective.json"
+# the numeric tolerance of the benchmark's golden check (perfbench/checks.py)
+GOLDEN_RTOL = 1e-8
+GOLDEN_ATOL = 1e-10
+
+EPS = np.finfo(float).eps
+
+couplings = st.floats(1e-3, 1e6, allow_nan=False)
+ratios = st.floats(5.0, 50.0, allow_nan=False)
+
+
+def _sector_start(sector, n):
+    psi = np.zeros(len(sector.indices), dtype=complex)
+    psi[sector.position("egeg", n)] = 1.0
+    return psi
+
+
+class TestExcitationSector:
+    @pytest.mark.parametrize("n_max", [4, 8, 16, 32])
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(G=couplings, ratio=ratios, omega_a=st.floats(-10.0, 10.0, allow_nan=False))
+    def test_blocks_equal_dense_slices(self, n_max, G, ratio, omega_a):
+        p = SystemParams(G=G, delta=ratio * G, omega_a=omega_a, omega=omega_a + ratio * G / 2, n_max=n_max)
+        h0, hint = build_h0(p).matrix, build_hint(p).matrix
+        for n in range(n_max - 3):
+            sector = excitation_sector(p, n + 2)
+            block = np.ix_(sector.indices, sector.indices)
+            assert np.array_equal(sector.h0.matrix, h0[block])
+            assert np.array_equal(sector.hint.matrix, hint[block])
+
+    @pytest.mark.parametrize("n_max", [4, 8, 16, 32])
+    def test_members_are_the_conserved_excitation_states(self, n_max):
+        p = SystemParams(G=1.0, delta=10.0, n_max=n_max)
+        for n in range(n_max - 3):
+            sector = excitation_sector(p, n + 2)
+            expected = [basis_index(a, n + 2 - excitation_number(a), n_max)
+                        for a in range(N_ATOMIC_CONFIGS) if excitation_number(a) <= n + 2]
+            assert sector.indices.tolist() == expected
+            assert np.all(sector.fock_levels <= n_max - 2)  # clear of both guard levels
+
+    @pytest.mark.parametrize("n_max", [4, 8, 16, 32])
+    def test_dense_hamiltonian_has_no_coupling_out_of_the_sector(self, n_max):
+        p = SystemParams(G=1.3, delta=17.0, n_max=n_max)
+        h = build_full_hamiltonian(p).matrix
+        for n in range(n_max - 3):
+            inside = excitation_sector(p, n + 2).indices
+            outside = np.setdiff1d(np.arange(p.dim), inside)
+            assert not np.any(h[np.ix_(outside, inside)])
+            assert not np.any(h[np.ix_(inside, outside)])
+
+    def test_manifold_is_the_two_excitation_states_at_n(self):
+        p = SystemParams(G=1.0, delta=10.0, n_max=8)
+        sector = excitation_sector(p, 3)
+        m = sector.manifold
+        assert [int(sector.indices[k]) for k in m.members] == [basis_index(c, 1, 8) for c in TWO_EXCITATION_CONFIGS]
+        assert m.energy == p.omega * 1
+
+    def test_position_rejects_a_state_outside(self):
+        sector = excitation_sector(SystemParams(G=1.0, delta=10.0, n_max=8), 2)
+        with pytest.raises(ValueError):
+            sector.position("egeg", 1)
+
+    @pytest.mark.parametrize("n_max", [8, 16])
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(G=couplings, ratio=ratios, level=st.floats(0.0, 1.0))
+    def test_amplitudes_match_dense_evolution(self, n_max, G, ratio, level):
+        # Over 1.5 exchange periods the phase accumulated by the largest
+        # eigenvalue is ~1e4 rad at delta/G = 50, and the dense eigensolver's
+        # eigenvalue round-off eps*||H|| turns into that much amplitude error
+        # (a 40-digit reference shows the dense side off by up to 2.4e-11 there,
+        # the sector by about 1e-12). So the bound is 1e-12 plus the dense
+        # oracle's own round-off scale.
+        n = round(level * (n_max - 4))
+        p = SystemParams(G=G, delta=ratio * G, n_max=n_max)
+        sector = excitation_sector(p, n + 2)
+        t_max = 1.5 * 2 * np.pi / effective_coupling(n, p).omega
+        times = np.linspace(0.0, t_max, 41)
+        ours = make_propagator(sector.hamiltonian, t_max).series(_sector_start(sector, n), times)
+        h = build_full_hamiltonian(p)
+        dense = evolve_times(h, StateVector.basis_state("egeg", n, n_max), times)
+        atol = 1e-12 + 8 * EPS * np.linalg.norm(h.matrix, 2) * t_max
+        assert np.max(np.abs(dense[:, sector.indices] - ours)) <= atol
+        assert np.max(np.abs(np.delete(dense, sector.indices, axis=1))) <= atol
+
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(G=couplings, ratio=ratios, n=st.integers(0, 3))
+    def test_difference_entries_still_thirty(self, G, ratio, n):
+        assert len(effective_difference_entries(SystemParams(G=G, delta=ratio * G, n_max=8), n)) == 30
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n_max", [8, 16, 32])
+    def test_derived_coupling_matches_closed_form(self, n, n_max):
+        p = SystemParams(G=1.3, delta=17.0, n_max=n_max)
+        assert derived_coupling(p, n).omega == pytest.approx(effective_coupling(n, p).omega, rel=1e-12)
+
+
+class TestFockDomain:
+    @pytest.mark.parametrize("n", [-1, 5, 7, 8])
+    def test_compare_effective_models_rejects_n_outside_domain(self, n):
+        # from n = n_max - 3 up, the intermediates |gggg, n + 2> reach the guard levels or the cut
+        with pytest.raises(ValueError, match="n <= n_max - 4"):
+            compare_effective_models(SystemParams(G=1.0, delta=10.0, n_max=8), n=n, n_points=11)
+
+    @pytest.mark.parametrize("n", [-1, 5])
+    def test_extract_rabi_and_sector_reject_the_same_levels(self, n):
+        p = SystemParams(G=1.0, delta=10.0, n_max=8)
+        with pytest.raises(ValueError, match="n <= n_max - 4"):
+            extract_rabi(p, n=n)
+        with pytest.raises(ValueError, match="n <= n_max - 4"):
+            excitation_sector(p, n + 2)
+        with pytest.raises(ValueError, match="n <= n_max - 4"):
+            derived_coupling(p, n)
+
+    def test_last_level_in_domain_accepted(self):
+        comp = compare_effective_models(SystemParams(G=1.0, delta=10.0, n_max=8), n=4, n_points=101)
+        assert comp.difference_nonempty
+
+
+def test_extract_rabi_diagonalises_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    run = extract_rabi(SystemParams(G=1.0, delta=20.0, n_max=32), n=0,
+                       min_peak_population=0.0, n_points=2001)
+    assert len(calls) == 1
+    assert calls[0][0] <= 16
+    assert run.unitarity_defect < 1e-10
+    assert run.guard_leakage == 0.0
+
+
+def _leaves(value, path=""):
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, child in items:
+            yield from _leaves(child, f"{path}.{key}" if path else str(key))
+    else:
+        yield path, value
+
+
+def test_default_validate_effective_matches_golden_within_tolerance():
+    report = json.loads(run_experiment(parse_config("seed = 0\n", "validate-effective")).to_json())
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert report["flags"] == golden["flags"]
+    ours, theirs = dict(_leaves(report)), dict(_leaves(golden))
+    assert ours.keys() == theirs.keys()
+    for path, expected in theirs.items():
+        got = ours[path]
+        if isinstance(expected, (int, float)) and not isinstance(expected, bool):
+            assert math.isclose(got, expected, rel_tol=GOLDEN_RTOL, abs_tol=GOLDEN_ATOL), path
+        else:
+            assert got == expected and type(got) is type(expected), path
