@@ -4,8 +4,9 @@
 
 Exports the committed files of REV into a temporary directory with `git
 archive`, then runs each tree's own, unmodified `perfbench/run.py --workload
-NAME --seed K --seconds S --trace 0` N times (N >= 10), pair K using seed K
-on both sides and alternating which side runs first. The end-to-end metrics
+NAME --seed K --seconds S --trace 0` N times (N >= 10), with S the
+`run_seconds` of BENCHMARK.json, pair K using seed K on both sides and
+alternating which side runs first. The end-to-end metrics
 come from the JSON line each run prints; the machine facts from the result
 file it writes under its own `perfbench/out/`. The temporary tree is removed
 at the end. Nothing under `perfbench/` is changed.
@@ -85,7 +86,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
-    parser.add_argument("--seconds", type=int, default=16, help="--seconds of each run")
     parser.add_argument("--out", required=True, help="output JSON, relative to the repository root")
     args = parser.parse_args(argv)
     if args.pairs < MIN_PAIRS:
@@ -93,6 +93,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     parent_sha = git("rev-parse", args.parent)
     change_desc = f"working tree at {git('rev-parse', 'HEAD')}" + \
         (" with uncommitted changes" if git("status", "--porcelain", "--untracked-files=no") else "")
@@ -105,7 +106,7 @@ def main(argv=None) -> int:
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             pair = {"seed": k, "first": order[0]}
             for side in order:
-                pair[side] = run_once(trees[side], args.workload, k, args.seconds)
+                pair[side] = run_once(trees[side], args.workload, k, seconds)
                 print(f"pair {k} {side}: " + " ".join(f"{n}={v:.4g}" for n, v in pair[side]["metrics"].items()),
                       flush=True)
             runs.append(pair)
@@ -115,7 +116,7 @@ def main(argv=None) -> int:
         "parent": parent_sha,
         "change": change_desc,
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed <pair> "
-                   f"--seconds {args.seconds} --trace 0",
+                   f"--seconds {seconds} --trace 0",
         "pairs": args.pairs,
         "metrics": compare(runs, better),
         "ops_failed": {side: sum(r[side]["failed"] for r in runs) for side in ("parent", "change")},
