@@ -10,7 +10,7 @@ cos(lambda t1) cos(Omega t1), cross-checked against the direct inner product.
 import numpy as np
 
 from dfscavity import StaggerParams, staggered_fidelity, staggered_fidelity_closed_form, stagger_sweep
-from dfscavity.errors import sweep_to_csv
+from dfscavity.cli import parse_config, run_experiment
 
 area = 3 * np.pi / 4
 
@@ -29,4 +29,5 @@ print("  the 0.98 operating bound is met with margin; the model gives ~0.9986.")
 
 print()
 print("CSV rendering used by the stagger-sweep experiment:")
-print(sweep_to_csv(rows[:4]), end="")
+config = parse_config("t1_fractions = 0.0, 0.025, 0.05, 0.075\n", "stagger-sweep")
+print(run_experiment(config).to_csv(), end="")

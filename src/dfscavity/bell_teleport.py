@@ -55,9 +55,6 @@ CORRECTION_TABLE = {
 
 BELL_MAP_PULSE_AREA = np.pi / 4
 
-# the pi/4 pair-exchange map on the 16-dim atomic space
-BELL_MAP = r_gate_atomic(BELL_MAP_PULSE_AREA).matrix
-
 
 def prepare_bell(label: BellLabel) -> StateVector:
     """The exact normalized four-atom Bell state (atomic-only, n_max=0)."""
@@ -73,12 +70,17 @@ def prepare_bell(label: BellLabel) -> StateVector:
     return StateVector(amps, 0)
 
 
+# the pi/4 pair-exchange map on the 16-dim atomic space
+BELL_MAP = r_gate_atomic(BELL_MAP_PULSE_AREA).matrix
+# the logical Phi+ channel that teleport shares between Alice (a3, a4) and Bob (b1, b2)
+_PHI_PLUS_CHANNEL = prepare_bell(BellLabel.PHI_PLUS).amplitudes
+
+
 @dataclass(frozen=True)
 class MeasurementRecord:
     outcomes: tuple[str, ...]   # per-atom "e"/"g", atom 1 first
     probability: float
     is_bell: bool
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,6 @@ def bell_measure(psi: StateVector, seed: int | None = None) -> tuple[BellLabel |
         outcomes=branch.outcomes,
         probability=branch.probability,
         is_bell=branch.label is not None,
-        seed=seed,
     )
     return branch.label, record
 
@@ -165,15 +166,7 @@ class TeleportBranch:
 
 @dataclass(frozen=True)
 class TeleportReport:
-    theta: float
-    delay: float
-    encoding: str
-    atom_splitting: float
-    dephase_phi: float | None
-    corrections_applied: bool
     branches: tuple[TeleportBranch, ...]
-    average_fidelity: float
-    min_fidelity: float
     sampled_label: str | None = None
     sampled_fidelity: float | None = None
 
@@ -210,20 +203,14 @@ def teleport(theta: float, delay: float = 0.0, encoding: str = "dfs",
         branches = tuple(
             TeleportBranch(label=lab, probability=0.25, fidelity=fid) for lab in BellLabel
         )
-        report = TeleportReport(
-            theta=theta, delay=delay, encoding=encoding, atom_splitting=atom_splitting,
-            dephase_phi=dephase_phi, corrections_applied=apply_corrections,
-            branches=branches, average_fidelity=fid, min_fidelity=fid,
-        )
-        return fid, report
+        return fid, TeleportReport(branches=branches)
     if encoding != "dfs":
         raise ValueError(f"encoding must be 'dfs' or 'bare', got {encoding!r}")
 
     psi_in = _input_pair_state(theta)                  # atoms (a1, a2)
-    channel = prepare_bell(BellLabel.PHI_PLUS).amplitudes  # atoms (a3, a4, b1, b2)
     # composite order (a1 a2 a3 a4 b1 b2): alice's four atoms are the top
     # bits, so rows index alice configs and columns bob's pair
-    joint = np.kron(psi_in, channel).reshape(16, 4)
+    joint = np.kron(psi_in, _PHI_PLUS_CHANNEL).reshape(16, 4)
 
     mapped = BELL_MAP @ joint                          # Bell map on alice only
 
@@ -247,13 +234,10 @@ def teleport(theta: float, delay: float = 0.0, encoding: str = "dfs",
         branches.append(TeleportBranch(label=label, probability=p, fidelity=fid))
     branches = tuple(branches)
     avg = float(sum(b.probability * b.fidelity for b in branches))
-    min_fid = float(min(b.fidelity for b in branches))
     pick = None if seed is None else _sample(branches, seed)
 
     report = TeleportReport(
-        theta=theta, delay=delay, encoding=encoding, atom_splitting=atom_splitting,
-        dephase_phi=dephase_phi, corrections_applied=apply_corrections,
-        branches=branches, average_fidelity=avg, min_fidelity=min_fid,
+        branches=branches,
         sampled_label=None if pick is None else pick.label.value,
         sampled_fidelity=None if pick is None else pick.fidelity,
     )

@@ -19,7 +19,7 @@ import sys
 import time
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -531,25 +531,15 @@ def _run_validate_effective(c: ExperimentConfig) -> tuple[dict, dict, dict]:
             comparison = compare_effective_models(params, n=0)
             deviations.append(run.relative_deviation)
             derived_infidelities.append(comparison.max_infidelity_derived)
+            measured = asdict(run)
+            del measured["delta_over_g"]  # reported as the configured ratio instead
             per_ratio.append({
+                **measured,
                 "delta_over_G": float(ratio),
-                "omega_expected": run.omega_expected,
-                "omega_fit": run.omega_fit,
-                "relative_deviation": run.relative_deviation,
                 "deviation_from_3x_expected":
                     float(abs(run.omega_fit - 3 * run.omega_expected) / (3 * run.omega_expected))
                     if np.isfinite(run.omega_fit) else None,
-                "peak_population": run.peak_population,
                 "fit_gate_fired": gate_fired,
-                "diagnostic": run.diagnostic,
-                "leakage_pair": run.leakage_pair,
-                "leakage_exchange": run.leakage_exchange,
-                "leakage_photon": run.leakage_photon,
-                "guard_leakage": run.guard_leakage,
-                "stark_shift_fit": run.stark_shift_fit,
-                "unitarity_defect": run.unitarity_defect,
-                "normalization_defect": run.normalization_defect,
-                "perturbative_ok": run.perturbative_ok,
                 "comparison": {
                     "max_infidelity_pair_swap_vs_full": comparison.max_infidelity_pair_swap,
                     "max_infidelity_derived_vs_full": comparison.max_infidelity_derived,

@@ -2,10 +2,13 @@
 pair-exchange map.
 
 Exact evolution goes through the eigendecomposition of the hermitian
-generator. The validation runs hand it the conserved-excitation sector of
-the full model (at most 16 states at any n_max, see model.excitation_sector);
-the dense composite-space Hamiltonian only serves the tests as the oracle.
-The scaling-and-squaring route is kept as a cross-check in the tests.
+generator; `evolve_exact`, `evolve_times` and `Propagator.series` apply it by
+the one expression in `_series`, and a `Propagator` holds the unitary and the
+spectrum from one eigh. The validation runs hand it the conserved-excitation
+sector of the full model (at most 16 states at any n_max, see
+model.excitation_sector); the dense composite-space Hamiltonian only serves
+the tests as the oracle. The scaling-and-squaring route is kept as a
+cross-check in the tests.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ class Propagator:
     """exp(-i h t) for one duration, with the spectrum (w, v) of h it was built from."""
 
     unitary: Operator
-    generator: Operator
-    duration: float
     spectrum: tuple[np.ndarray, np.ndarray]
 
     def series(self, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -49,14 +50,12 @@ def make_propagator(h: Operator, t: float) -> Propagator:
     """exp(-i h t) via eigendecomposition of the hermitian generator."""
     w, v = _spectrum(h)
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    return Propagator(unitary=Operator(u), generator=h, duration=t, spectrum=(w, v))
+    return Propagator(unitary=Operator(u), spectrum=(w, v))
 
 
 def evolve_exact(h: Operator, psi: StateVector, t: float) -> StateVector:
     """exp(-i h t) |psi>; norm is preserved to the working tolerance."""
-    w, v = _spectrum(h)
-    amps = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi.amplitudes))
-    out = StateVector(amps, psi.n_max)
+    out = StateVector(_series(*_spectrum(h), psi.amplitudes, [t])[0], psi.n_max)
     drift = abs(out.norm() - psi.norm())
     if drift > 100 * NORM_ATOL:
         raise RuntimeError(f"norm drift {drift:.2e} in exact evolution")

@@ -89,14 +89,6 @@ def stagger_sweep(t1_fractions, pulse_area: float = DEFAULT_PULSE_AREA,
     return tuple(rows)
 
 
-def sweep_to_csv(rows) -> str:
-    """CSV rendering: header plus 15-significant-digit values, \\n endings."""
-    lines = ["t1_fraction,fidelity_amplitude,fidelity_squared"]
-    for frac, amp, sq in rows:
-        lines.append(f"{frac:.15g},{amp:.15g},{sq:.15g}")
-    return "\n".join(lines) + "\n"
-
-
 def thermal_weights(nbar: float, tail: float = 1e-9) -> np.ndarray:
     """Thermal Fock distribution p_n = nbar^n/(nbar+1)^(n+1), truncated once
     the cumulative weight exceeds 1 - tail. Raises ValueError when that takes

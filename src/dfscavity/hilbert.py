@@ -238,17 +238,6 @@ class StateVector:
             return float(np.sum(np.abs(block) ** 2))
         return float(abs(block[n]) ** 2)
 
-    def fock_populations(self) -> np.ndarray:
-        block = self.amplitudes.reshape(N_ATOMIC_CONFIGS, self.n_max + 1)
-        return np.sum(np.abs(block) ** 2, axis=0)
-
-    def guard_leakage(self) -> float:
-        """Total probability in the top two Fock levels of the truncation."""
-        if self.n_max == 0:
-            return 0.0
-        pops = self.fock_populations()
-        return float(np.sum(pops[max(0, self.n_max - 1):]))
-
 
 def _kron_all(mats) -> np.ndarray:
     out = mats[0]

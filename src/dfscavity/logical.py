@@ -29,8 +29,6 @@ class LogicalState:
     Compares and hashes by identity."""
 
     amplitudes: np.ndarray
-    pair_a: tuple[int, int] = (1, 2)
-    pair_b: tuple[int, int] = (3, 4)
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=complex)

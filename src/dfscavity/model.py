@@ -76,8 +76,6 @@ class EffectiveCoupling:
     """Pair-exchange rate Omega for a given Fock sector."""
 
     omega: float
-    n: int
-    provenance: str  # "closed-form" | "pt-derived"
 
 
 def effective_coupling(n: int, params: SystemParams) -> EffectiveCoupling:
@@ -85,7 +83,7 @@ def effective_coupling(n: int, params: SystemParams) -> EffectiveCoupling:
     if n < 0:
         raise ValueError(f"Fock sector must be >= 0, got {n}")
     omega = (4 * n + 2) * params.G**2 / params.delta
-    return EffectiveCoupling(omega=omega, n=n, provenance="closed-form")
+    return EffectiveCoupling(omega=omega)
 
 
 def build_h0(params: SystemParams) -> Operator:
@@ -258,5 +256,5 @@ def derived_coupling(params: SystemParams, n: int) -> EffectiveCoupling:
     heff = derive_second_order(sector.h0, sector.hint, sector.manifold)
     i = TWO_EXCITATION_LABELS.index("egeg")
     j = TWO_EXCITATION_LABELS.index("gege")
-    return EffectiveCoupling(omega=float(np.real(heff.matrix[i, j])), n=n, provenance="pt-derived")
+    return EffectiveCoupling(omega=float(np.real(heff.matrix[i, j])))
 

@@ -15,9 +15,11 @@ model, reports the pairwise fidelity time series, and enumerates the
 operator difference (a)-vs-(b) entry by entry. Whether (b) tracks (c) better
 than (a) is measured, not assumed.
 
-Both run the exact model on the conserved-excitation sector n_e + m = n + 2
-(model.excitation_sector): at most 16 states at any n_max and one eigh per
-exact evolution; the perturbation engine gets the sector's H0/Hint blocks.
+Both get the exact run from one helper: the conserved-excitation sector
+n_e + m = n + 2 (model.excitation_sector, at most 16 states at any n_max),
+the grid over 1.5 exchange periods and the series of |egeg, n> from one eigh.
+compare_effective_models derives the second-order operator once, from the
+sector's H0/Hint blocks, and takes the difference entries from it.
 Both need 0 <= n <= n_max - 4, so the sector stops at m = n + 2 <= n_max - 2
 and the guard occupation is 0 by construction.
 
@@ -32,7 +34,7 @@ amplitude overlaps would measure that convention, not the dynamics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,6 +52,8 @@ from .model import (
 GUARD_LEAKAGE_MAX = 1e-6
 PEAK_PROMINENCE_FRACTION = 0.4
 
+_COLS = list(TWO_EXCITATION_CONFIGS)  # the six two-excitation configurations, label order
+
 
 class RabiFitError(RuntimeError):
     """Oscillation amplitude too small (or absent) for a frequency fit; carries
@@ -64,25 +68,19 @@ class RabiFitError(RuntimeError):
 @dataclass(frozen=True)
 class ValidationRun:
     delta_over_g: float
-    fock_n: int
-    n_max: int
-    t_max: float
-    n_points: int
     omega_expected: float
-    omega_fit: float            # nan when the fit is not possible
-    relative_deviation: float   # |omega_fit - omega_expected| / omega_expected
-    peak_population: float
-    n_peaks: int
-    leakage_pair: float         # max prob outside {egeg, gege} x |n>
-    leakage_exchange: float     # max prob in the other four two-excitation configs at n
-    leakage_photon: float       # max prob in photon-changed sectors
-    guard_leakage: float
-    stark_shift_fit: float
-    unitarity_defect: float
-    normalization_defect: float
     perturbative_ok: bool
-    fit_ok: bool
-    diagnostic: str | None
+    omega_fit: float = np.nan            # nan when the fit is not possible
+    relative_deviation: float = np.nan   # |omega_fit - omega_expected| / omega_expected
+    peak_population: float = 0.0
+    leakage_pair: float = np.nan         # max prob outside {egeg, gege} x |n>
+    leakage_exchange: float = np.nan     # max prob in the other four two-excitation configs at n
+    leakage_photon: float = np.nan       # max prob in photon-changed sectors
+    guard_leakage: float = np.nan
+    stark_shift_fit: float = np.nan
+    unitarity_defect: float = np.nan
+    normalization_defect: float = np.nan
+    diagnostic: str | None = None
 
 
 def prominent_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
@@ -128,6 +126,25 @@ def _quadratic_peak_times(times: np.ndarray, series: np.ndarray) -> list[float]:
     return out
 
 
+def _exact_run(params: SystemParams, n: int, n_points: int):
+    """Evolve |egeg, n> exactly on the sector n_e + m = n + 2 over 1.5 exchange periods
+    by one eigh; returns (run inputs, sector, times, propagator, amplitudes (n_points,
+    sector)). Raises ValueError unless 0 <= n <= n_max - 4, RabiFitError when G = 0."""
+    sector = excitation_sector(params, n + 2)  # the domain check, before effective_coupling
+    run = ValidationRun(delta_over_g=params.delta / params.G if params.G else np.inf,
+                        omega_expected=effective_coupling(n, params).omega,
+                        perturbative_ok=params.perturbative_ok)
+    if run.omega_expected == 0:
+        raise RabiFitError("no oscillation to fit (G = 0)",
+                           replace(run, diagnostic="no coupling, no oscillation"))
+    t_max = 1.5 * 2 * np.pi / abs(run.omega_expected)
+    times = np.linspace(0.0, t_max, n_points)
+    psi0 = np.zeros(len(sector.indices), dtype=complex)
+    psi0[sector.position("egeg", n)] = 1.0
+    propagator = make_propagator(sector.hamiltonian, t_max)  # the one eigh of the run
+    return run, sector, times, propagator, propagator.series(psi0, times)
+
+
 def extract_rabi(params: SystemParams, n: int = 0,
                  min_peak_population: float = 0.5,
                  n_points: int = 6001) -> ValidationRun:
@@ -140,28 +157,8 @@ def extract_rabi(params: SystemParams, n: int = 0,
     to force a fit of whatever oscillation is present. Raises ValueError
     unless 0 <= n <= n_max - 4.
     """
-    sector = excitation_sector(params, n + 2)
-    omega_expected = effective_coupling(n, params).omega
-    run_skeleton = dict(
-        delta_over_g=params.delta / params.G if params.G else np.inf,
-        fock_n=n, n_max=params.n_max, t_max=np.nan, n_points=n_points,
-        omega_expected=omega_expected, omega_fit=np.nan, relative_deviation=np.nan,
-        peak_population=0.0, n_peaks=0, leakage_pair=np.nan, leakage_exchange=np.nan,
-        leakage_photon=np.nan, guard_leakage=np.nan, stark_shift_fit=np.nan,
-        unitarity_defect=np.nan, normalization_defect=np.nan,
-        perturbative_ok=params.perturbative_ok, fit_ok=False, diagnostic=None,
-    )
-    if params.G == 0 or omega_expected == 0:
-        run = ValidationRun(**{**run_skeleton, "diagnostic": "no coupling, no oscillation"})
-        raise RabiFitError("no oscillation to fit (G = 0)", run)
-
+    run, sector, times, propagator, amps = _exact_run(params, n, n_points)
     idx = {lab: sector.position(lab, n) for lab in TWO_EXCITATION_LABELS}
-    psi0 = np.zeros(len(sector.indices), dtype=complex)
-    psi0[idx["egeg"]] = 1.0
-    t_max = 1.5 * 2 * np.pi / abs(omega_expected)
-    times = np.linspace(0.0, t_max, n_points)
-    propagator = make_propagator(sector.hamiltonian, t_max)  # the one eigh of the run
-    amps = propagator.series(psi0, times)        # (n_points, sector)
     probs = np.abs(amps) ** 2
 
     levels = sector.fock_levels
@@ -190,25 +187,22 @@ def extract_rabi(params: SystemParams, n: int = 0,
         omega_fit = np.nan
 
     peak_pop = float(p_gege.max())
-    run = ValidationRun(**{
-        **run_skeleton,
-        "t_max": float(t_max),
-        "omega_fit": omega_fit,
-        "relative_deviation": float(abs(omega_fit - omega_expected) / abs(omega_expected))
+    run = replace(
+        run,
+        omega_fit=omega_fit,
+        relative_deviation=float(abs(omega_fit - run.omega_expected) / abs(run.omega_expected))
         if np.isfinite(omega_fit) else np.nan,
-        "peak_population": peak_pop,
-        "n_peaks": len(peak_times),
-        "leakage_pair": float(np.max(1.0 - (p_egeg + p_gege) / totals)),
-        "leakage_exchange": float(p_exchange.max()),
-        "leakage_photon": float(np.max(totals - p_sector)),
-        "guard_leakage": float(guard.max()),
-        "stark_shift_fit": stark_fit,
-        "unitarity_defect": unde,
-        "normalization_defect": norm_defect,
-        "fit_ok": np.isfinite(omega_fit) and peak_pop >= min_peak_population,
-        "diagnostic": None if peak_pop >= min_peak_population else
+        peak_population=peak_pop,
+        leakage_pair=float(np.max(1.0 - (p_egeg + p_gege) / totals)),
+        leakage_exchange=float(p_exchange.max()),
+        leakage_photon=float(np.max(totals - p_sector)),
+        guard_leakage=float(guard.max()),
+        stark_shift_fit=stark_fit,
+        unitarity_defect=unde,
+        normalization_defect=norm_defect,
+        diagnostic=None if peak_pop >= min_peak_population else
         f"peak transfer {peak_pop:.6f} below the fit threshold {min_peak_population}",
-    })
+    )
     if peak_pop < min_peak_population or not np.isfinite(omega_fit):
         raise RabiFitError(
             f"oscillation amplitude too small to fit: peak population {peak_pop:.6f} "
@@ -244,24 +238,24 @@ class EffectiveModelComparison:
     difference_nonempty: bool
 
 
+def _difference_entries(derived: np.ndarray, pair_swap: Operator,
+                        atol: float) -> tuple[DifferenceEntry, ...]:
+    """Entries of the 6x6 derived operator minus the pair-swap operator on the
+    two-excitation configurations, above atol * max(1, max|derived|), row by row."""
+    diff = derived - pair_swap.matrix[np.ix_(_COLS, _COLS)]
+    scale = max(1.0, float(np.max(np.abs(derived))))
+    return tuple(DifferenceEntry(row=TWO_EXCITATION_LABELS[i], col=TWO_EXCITATION_LABELS[j],
+                                 value=complex(diff[i, j]))
+                 for i, j in zip(*np.nonzero(np.abs(diff) > atol * scale)))
+
+
 def effective_difference_entries(params: SystemParams, n: int = 0,
                                  atol: float = 1e-12) -> tuple[DifferenceEntry, ...]:
     """Nonzero entries of (PT-derived second-order operator) minus (double-
     flip-only effective operator) on the two-excitation manifold."""
     sector = excitation_sector(params, n + 2)
     derived = derive_second_order(sector.h0, sector.hint, sector.manifold).matrix
-    cols = list(TWO_EXCITATION_CONFIGS)
-    pair_swap = build_h_eff(params, n, include_stark=False).matrix[np.ix_(cols, cols)]
-    diff = derived - pair_swap
-    scale = max(1.0, float(np.max(np.abs(derived))))
-    entries = []
-    for i in range(6):
-        for j in range(6):
-            if abs(diff[i, j]) > atol * scale:
-                entries.append(DifferenceEntry(
-                    row=TWO_EXCITATION_LABELS[i], col=TWO_EXCITATION_LABELS[j],
-                    value=complex(diff[i, j])))
-    return tuple(entries)
+    return _difference_entries(derived, build_h_eff(params, n, include_stark=False), atol)
 
 
 def compare_effective_models(params: SystemParams, n: int = 0,
@@ -269,10 +263,8 @@ def compare_effective_models(params: SystemParams, n: int = 0,
     """Evolve |egeg, n> under the pair-swap effective operator, the PT-derived
     operator, and the exact full model; report fidelity time series and the
     operator difference. Raises ValueError unless 0 <= n <= n_max - 4."""
-    sector = excitation_sector(params, n + 2)
-    omega = effective_coupling(n, params).omega
-    t_max = 1.5 * 2 * np.pi / abs(omega)
-    times = np.linspace(0.0, t_max, n_points)
+    run, sector, times, _, amps_full = _exact_run(params, n, n_points)  # (t, sector)
+    omega = run.omega_expected
 
     psi_atomic = StateVector.basis_state("egeg")
     h_pair_swap = build_h_eff(params, n, include_stark=False)
@@ -280,16 +272,12 @@ def compare_effective_models(params: SystemParams, n: int = 0,
 
     derived6 = derive_second_order(sector.h0, sector.hint, sector.manifold).matrix
     derived16 = np.zeros((16, 16), dtype=complex)
-    cols = list(TWO_EXCITATION_CONFIGS)
-    derived16[np.ix_(cols, cols)] = derived6
+    derived16[np.ix_(_COLS, _COLS)] = derived6
     amps_derived = evolve_times(Operator(derived16), psi_atomic, times)
 
-    local = [sector.position(c, n) for c in cols]  # the sector's states at Fock n
-    psi_full = np.zeros(len(sector.indices), dtype=complex)
-    psi_full[local[0]] = 1.0  # egeg
-    amps_full = make_propagator(sector.hamiltonian, t_max).series(psi_full, times)  # (t, sector)
+    local = [sector.position(c, n) for c in _COLS]  # the sector's states at Fock n
     pops_full = np.zeros((len(times), 16))  # atomic populations at Fock n
-    pops_full[:, cols] = np.abs(amps_full[:, local]) ** 2  # weight outside lowers the fidelity
+    pops_full[:, _COLS] = np.abs(amps_full[:, local]) ** 2  # weight outside lowers the fidelity
     fid_pair_swap = np.sum(np.sqrt(np.abs(amps_pair_swap) ** 2 * pops_full), axis=1) ** 2
     fid_derived = np.sum(np.sqrt(np.abs(amps_derived) ** 2 * pops_full), axis=1) ** 2
 
@@ -299,7 +287,7 @@ def compare_effective_models(params: SystemParams, n: int = 0,
         closed = dfs_propagate(psi_atomic, omega * times[k])
         defect = max(defect, float(np.max(np.abs(closed.amplitudes - amps_pair_swap[k]))))
 
-    entries = effective_difference_entries(params, n)
+    entries = _difference_entries(derived6, h_pair_swap, atol=1e-12)
     max_inf_pair_swap = float(np.max(1.0 - fid_pair_swap))
     max_inf_derived = float(np.max(1.0 - fid_derived))
     return EffectiveModelComparison(

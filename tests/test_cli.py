@@ -3,6 +3,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfscavity.cli import (
     DEFAULT_G,
@@ -13,6 +15,43 @@ from dfscavity.cli import (
     run_experiment,
     serialize_config,
 )
+
+# experiments that run in milliseconds at any config drawn below
+CHEAP_EXPERIMENTS = ("entangle", "bell", "cnot-verify", "stagger-sweep", "thermal",
+                     "durations", "teleport")
+
+
+def _floats(low, high):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def cheap_configs(draw):
+    """Random valid configs of the cheap experiments, teleport grids up to 6x6."""
+    fractions = st.lists(_floats(0.0, 1.0), min_size=1, max_size=8).map(tuple)
+    return ExperimentConfig(
+        experiment=draw(st.sampled_from(CHEAP_EXPERIMENTS)),
+        G=draw(_floats(1.0, 1e6)),
+        delta=draw(st.none() | _floats(-1e7, -1.0) | _floats(1.0, 1e7)),
+        omega_a=draw(st.none() | _floats(-10.0, 10.0)),
+        n_max=draw(st.integers(4, 12)),
+        theta=draw(_floats(-10.0, 10.0)),
+        delay_T=draw(_floats(0.0, 10.0)),
+        theta_points=draw(st.integers(1, 6)),
+        delay_points=draw(st.integers(1, 6)),
+        delay_max=draw(_floats(0.0, 10.0)),
+        atom_splitting=draw(_floats(0.1, 5.0)),
+        t1_fraction=draw(_floats(0.0, 1.0)),
+        t1_fractions=draw(fractions),
+        pulse_area=draw(_floats(0.0, 5.0)),
+        nbar=draw(_floats(0.0, 10.0)),
+        nbar_max=draw(_floats(0.0, 10.0)),
+        nbar_points=draw(st.integers(2, 60)),
+        delta_over_G=draw(st.lists(_floats(1.0, 100.0), min_size=1, max_size=3).map(tuple)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        out=draw(st.sampled_from([None, "report.json"])),
+        format=draw(st.sampled_from(["json", "csv"])),
+    )
 
 
 class TestConfigParsing:
@@ -294,3 +333,17 @@ class TestMainEntryPoint:
         main(["teleport", "--config", str(cfg), "--out", str(out), "--seed", "4"])
         payload = json.loads(out.read_text())
         assert payload["config"]["seed"] == 4
+
+
+class TestReportProperties:
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(config=cheap_configs())
+    def test_config_round_trips_through_serialize(self, config):
+        assert parse_config(serialize_config(config)) == config
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(config=cheap_configs())
+    def test_reports_byte_identical_across_runs(self, config):
+        first, second = run_experiment(config), run_experiment(config)
+        assert first.to_json().encode() == second.to_json().encode()
+        assert first.to_csv().encode() == second.to_csv().encode()

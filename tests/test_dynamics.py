@@ -86,7 +86,6 @@ class TestEvolveExact:
         h = build_full_hamiltonian(params)
         prop = make_propagator(h, 5.0)
         assert prop.unitary.unitary
-        assert prop.generator.hermitian
 
 
 class TestDfsPropagate:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dfscavity.cli import parse_config, run_experiment
 from dfscavity.dynamics import dfs_propagate
 from dfscavity.errors import (
     StaggerParams,
@@ -9,7 +10,6 @@ from dfscavity.errors import (
     staggered_fidelity,
     staggered_fidelity_closed_form,
     staggered_state,
-    sweep_to_csv,
     thermal_weights,
 )
 from dfscavity.hilbert import StateVector
@@ -91,7 +91,7 @@ class TestStaggerSweep:
         assert all(b - a <= 0.0 for a, b in zip(fids, fids[1:]))
 
     def test_csv_format(self):
-        text = sweep_to_csv(stagger_sweep([0.0, 0.02]))
+        text = run_experiment(parse_config("t1_fractions = 0.0, 0.02\n", "stagger-sweep")).to_csv()
         lines = text.split("\n")
         assert lines[0] == "t1_fraction,fidelity_amplitude,fidelity_squared"
         assert lines[1] == "0,1,1"

@@ -190,7 +190,6 @@ class TestStateVector:
         assert psi.probability("egeg") == pytest.approx(0.5)
         assert psi.probability("egeg", 1) == pytest.approx(0.5)
         assert psi.probability("egeg", 0) == 0.0
-        assert psi.guard_leakage() == 0.0
 
     def test_compare_and_hash_by_identity(self):
         # the generated __eq__ over an ndarray field raised on ==, and frozen

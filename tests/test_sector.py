@@ -2,8 +2,9 @@
 
 The full H conserves n_e + n, so `model.excitation_sector` replaces the dense
 Hamiltonian in validate and in `derived_coupling`. These tests pin its blocks
-to the dense slices bit for bit, its dynamics to dense `evolve_times`, and the
-default validate-effective report to its golden copy within a stated tolerance.
+to the dense slices bit for bit and its dynamics to dense `evolve_times`. The
+default report of every experiment is held to its golden copy within a stated
+tolerance, so tier-1 sees any drift of a report, not only of validate-effective.
 """
 
 import json
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfscavity.cli import parse_config, run_experiment
+from dfscavity.cli import EXPERIMENTS, parse_config, run_experiment
 from dfscavity.dynamics import evolve_times, make_propagator
 from dfscavity.hilbert import N_ATOMIC_CONFIGS, StateVector, SystemParams, basis_index, excitation_number
 from dfscavity.model import (
@@ -27,9 +28,10 @@ from dfscavity.model import (
     effective_coupling,
     excitation_sector,
 )
-from dfscavity.validate import compare_effective_models, effective_difference_entries, extract_rabi
+from dfscavity import validate
+from dfscavity.validate import RabiFitError, compare_effective_models, effective_difference_entries, extract_rabi
 
-GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "validate-effective.json"
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 # the numeric tolerance of the benchmark's golden check (perfbench/checks.py)
 GOLDEN_RTOL = 1e-8
 GOLDEN_ATOL = 1e-10
@@ -146,6 +148,28 @@ class TestFockDomain:
         comp = compare_effective_models(SystemParams(G=1.0, delta=10.0, n_max=8), n=4, n_points=101)
         assert comp.difference_nonempty
 
+    def test_zero_coupling_rejected_by_both_exact_runs(self):
+        # G = 0 leaves no exchange period for the time grid to span
+        p = SystemParams(G=0.0, delta=10.0, n_max=8)
+        for run in (extract_rabi, compare_effective_models):
+            with pytest.raises(RabiFitError, match="G = 0"):
+                run(p, n=0)
+
+
+def test_compare_effective_models_derives_second_order_once(monkeypatch):
+    calls = []
+    derive = validate.derive_second_order
+
+    def counting_derive(*args):
+        calls.append(args)
+        return derive(*args)
+
+    monkeypatch.setattr(validate, "derive_second_order", counting_derive)
+    p = SystemParams(G=1.0, delta=20.0, n_max=8)
+    comp = compare_effective_models(p, n=0, n_points=101)
+    assert len(calls) == 1
+    assert comp.difference_entries == effective_difference_entries(p)
+
 
 def test_extract_rabi_diagonalises_once(monkeypatch):
     calls = []
@@ -173,9 +197,10 @@ def _leaves(value, path=""):
         yield path, value
 
 
-def test_default_validate_effective_matches_golden_within_tolerance():
-    report = json.loads(run_experiment(parse_config("seed = 0\n", "validate-effective")).to_json())
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_default_report_matches_golden_within_tolerance(experiment):
+    report = json.loads(run_experiment(parse_config("seed = 0\n", experiment)).to_json())
+    golden = json.loads((GOLDEN_DIR / f"{experiment}.json").read_text(encoding="utf-8"))
     assert report["flags"] == golden["flags"]
     ours, theirs = dict(_leaves(report)), dict(_leaves(golden))
     assert ours.keys() == theirs.keys()
