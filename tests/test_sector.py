@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfscavity import validate
 from dfscavity.cli import EXPERIMENTS, parse_config, run_experiment
 from dfscavity.dynamics import evolve_times, make_propagator
 from dfscavity.hilbert import N_ATOMIC_CONFIGS, StateVector, SystemParams, basis_index, excitation_number
@@ -28,7 +29,6 @@ from dfscavity.model import (
     effective_coupling,
     excitation_sector,
 )
-from dfscavity import validate
 from dfscavity.validate import RabiFitError, compare_effective_models, effective_difference_entries, extract_rabi
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
