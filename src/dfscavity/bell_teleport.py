@@ -72,8 +72,9 @@ def prepare_bell(label: BellLabel) -> StateVector:
 
 # the pi/4 pair-exchange map on the 16-dim atomic space
 BELL_MAP = r_gate_atomic(BELL_MAP_PULSE_AREA).matrix
-# the logical Phi+ channel that teleport shares between Alice (a3, a4) and Bob (b1, b2)
-_PHI_PLUS_CHANNEL = prepare_bell(BellLabel.PHI_PLUS).amplitudes
+# the logical Phi+ channel that teleport shares between Alice (a3, a4) and Bob (b1, b2);
+# rows index alice's pair, columns bob's
+_PHI_PLUS_CHANNEL = prepare_bell(BellLabel.PHI_PLUS).amplitudes.reshape(4, 4)
 
 
 @dataclass(frozen=True)
@@ -160,8 +161,8 @@ _CORRECTIONS = {
 @dataclass(frozen=True)
 class TeleportBranch:
     label: BellLabel
-    probability: float
-    fidelity: float
+    probability: float | np.ndarray  # the broadcast input shape
+    fidelity: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -171,18 +172,19 @@ class TeleportReport:
     sampled_fidelity: float | None = None
 
 
-def _input_pair_state(theta: float) -> np.ndarray:
-    """(|ge> + e^{i theta} |eg>)/sqrt2 on one pair, basis (gg, ge, eg, ee)."""
-    v = np.zeros(4, dtype=complex)
-    v[1] = 1 / np.sqrt(2)                 # |ge> = |0~>
-    v[2] = np.exp(1j * theta) / np.sqrt(2)  # |eg> = |1~>
+def _input_pair_state(theta: float | np.ndarray) -> np.ndarray:
+    """(|ge> + e^{i theta} |eg>)/sqrt2 on one pair, basis (gg, ge, eg, ee);
+    shape theta.shape + (4,)."""
+    v = np.zeros(np.shape(theta) + (4,), dtype=complex)
+    v[..., 1] = 1 / np.sqrt(2)                 # |ge> = |0~>
+    v[..., 2] = np.exp(1j * theta) / np.sqrt(2)  # |eg> = |1~>
     return v
 
 
-def teleport(theta: float, delay: float = 0.0, encoding: str = "dfs",
+def teleport(theta: float | np.ndarray, delay: float | np.ndarray = 0.0, encoding: str = "dfs",
              seed: int | None = None, atom_splitting: float = 1.0,
-             dephase_phi: float | None = None,
-             apply_corrections: bool = True) -> tuple[float, TeleportReport]:
+             dephase_phi: float | np.ndarray | None = None,
+             apply_corrections: bool = True) -> tuple[float | np.ndarray, TeleportReport]:
     """Teleport (|ge> + e^{i theta}|eg>)/sqrt2 from Alice to Bob.
 
     dfs: full six-atom protocol; Bob's pair evolves freely for `delay`
@@ -192,12 +194,22 @@ def teleport(theta: float, delay: float = 0.0, encoding: str = "dfs",
     the identity on the code states. All four branches are enumerated; with
     a seed one branch is also sampled, by the same draw as `bell_measure`.
 
-    bare: the single-atom comparison channel; an ideally teleported bare
-    superposition (|g> + e^{i theta}|e>)/sqrt2 dephases during the classical
-    delay, fidelity cos^2(splitting*delay/2) per branch.
+    `theta`, `delay` and `dephase_phi` broadcast against each other, so a
+    theta x delay grid is one call with theta[:, None] and delay[None, :];
+    every branch's probability and fidelity, and the returned average, then
+    have the broadcast shape. The Bell map runs once per theta row. Each
+    temporary holds about 64 B per grid point (4 complex amplitudes), so a
+    T x D grid costs about 64 T D bytes per array. Seeded sampling needs
+    scalar inputs (ValueError otherwise).
+
+    bare: the single-atom comparison channel, scalar inputs only; an ideally
+    teleported bare superposition (|g> + e^{i theta}|e>)/sqrt2 dephases
+    during the classical delay, fidelity cos^2(splitting*delay/2) per branch.
 
     Returns (average fidelity, report).
     """
+    if (seed is not None or encoding == "bare") and any(map(np.ndim, (theta, delay, dephase_phi))):
+        raise ValueError("seeded sampling and the bare channel need scalar inputs")
     if encoding == "bare":
         fid = free_phase_drift(theta, atom_splitting, 0.0, delay, "bare")
         branches = tuple(
@@ -207,33 +219,29 @@ def teleport(theta: float, delay: float = 0.0, encoding: str = "dfs",
     if encoding != "dfs":
         raise ValueError(f"encoding must be 'dfs' or 'bare', got {encoding!r}")
 
-    psi_in = _input_pair_state(theta)                  # atoms (a1, a2)
+    psi_in = _input_pair_state(theta)                  # atoms (a1, a2), (..., 4)
     # composite order (a1 a2 a3 a4 b1 b2): alice's four atoms are the top
     # bits, so rows index alice configs and columns bob's pair
-    joint = np.kron(psi_in, _PHI_PLUS_CHANNEL).reshape(16, 4)
+    joint = (psi_in[..., :, None, None] * _PHI_PLUS_CHANNEL).reshape(psi_in.shape[:-1] + (16, 4))
+    mapped = BELL_MAP @ joint                          # Bell map on alice only, once per theta
 
-    mapped = BELL_MAP @ joint                          # Bell map on alice only
-
-    target = psi_in                                    # same pair-space form on bob
     free = collective_phases(atom_splitting * delay, 2)
     dephase = None if dephase_phi is None else collective_phases(dephase_phi, 2)
     branches = []
     for outcome_labels, label in BELL_OUTCOME_MAP.items():
-        bob = mapped[atomic_index(outcome_labels), :].copy()
-        p = float(np.vdot(bob, bob).real)
-        if p == 0.0:
-            branches.append(TeleportBranch(label=label, probability=0.0, fidelity=0.0))
-            continue
-        bob = bob / np.sqrt(p)
-        bob = free * bob
+        bob = mapped[..., atomic_index(outcome_labels), :]
+        # the input is normalised, so every branch has probability 1/4
+        p = np.vecdot(bob, bob).real
+        bob = free * (bob / np.sqrt(p)[..., None])
         if dephase is not None:
             bob = dephase * bob
         if apply_corrections:
-            bob = _CORRECTIONS[CORRECTION_TABLE[label]] @ bob
-        fid = float(abs(np.vdot(target, bob)) ** 2)
-        branches.append(TeleportBranch(label=label, probability=p, fidelity=fid))
+            bob = bob @ _CORRECTIONS[CORRECTION_TABLE[label]].T
+        fid = np.abs(np.vecdot(psi_in, bob)) ** 2       # bob's target has the input's form
+        branches.append(TeleportBranch(label=label, probability=np.broadcast_to(p, fid.shape)[()],
+                                       fidelity=fid[()]))
     branches = tuple(branches)
-    avg = float(sum(b.probability * b.fidelity for b in branches))
+    avg = sum(b.probability * b.fidelity for b in branches)
     pick = None if seed is None else _sample(branches, seed)
 
     report = TeleportReport(
@@ -242,4 +250,3 @@ def teleport(theta: float, delay: float = 0.0, encoding: str = "dfs",
         sampled_fidelity=None if pick is None else pick.fidelity,
     )
     return avg, report
-

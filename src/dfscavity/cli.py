@@ -61,6 +61,7 @@ EXPERIMENTS = (
 )
 
 DEFAULT_G = 2 * np.pi * 47e3
+MAX_GRID_POINTS = 10**6  # theta_points x delay_points of the teleport grid
 
 
 class ConfigError(ValueError):
@@ -216,6 +217,15 @@ def _check_config(c: ExperimentConfig) -> ExperimentConfig:
         for item in value if isinstance(value, tuple) else (value,):
             if not spec.ok(item):
                 raise ConfigError(f"key {key!r}: " + spec.problem.format(v=item))
+    if c.theta_points * c.delay_points > MAX_GRID_POINTS:
+        # each teleport grid temporary holds about 64 B per point
+        raise ConfigError(f"keys 'theta_points' x 'delay_points': the grid has "
+                          f"{c.theta_points * c.delay_points} points, more than {MAX_GRID_POINTS}")
+    if c.experiment == "validate-effective":
+        for key in ("delta", "omega_a", "omega"):
+            if getattr(c, key) is not None:
+                raise ConfigError(f"key {key!r}: not used by validate-effective, which sets "
+                                  "delta = delta_over_G * G, omega_a = 0 and omega = delta / 2")
     return c
 
 
@@ -423,16 +433,11 @@ def _run_teleport(c: ExperimentConfig) -> tuple[dict, dict, dict]:
     delays = np.linspace(0.0, c.delay_max, c.delay_points)
     rng = np.random.default_rng(c.seed)
     dephases = rng.uniform(0.0, 2 * np.pi, size=(len(thetas), len(delays)))
-    worst = 0.0
-    prob_defect = 0.0
-    for i, th in enumerate(thetas):
-        for j, dl in enumerate(delays):
-            for phi in (None, float(dephases[i, j])):
-                _, rep = teleport(th, dl, "dfs", atom_splitting=c.atom_splitting,
-                                  dephase_phi=phi)
-                worst = max(worst, max(abs(b.fidelity - 1.0) for b in rep.branches))
-                prob_defect = max(prob_defect,
-                                  abs(sum(b.probability for b in rep.branches) - 1.0))
+    grids = [teleport(thetas[:, None], delays[None, :], "dfs", atom_splitting=c.atom_splitting,
+                      dephase_phi=phi)[1].branches for phi in (None, dephases)]
+    worst = max(np.max(np.abs(b.fidelity - 1.0)) for branches in grids for b in branches)
+    prob_defect = max(np.max(np.abs(sum(b.probability for b in branches) - 1.0))
+                      for branches in grids)
     bare_fid, _ = teleport(np.pi / 2, np.pi / c.atom_splitting, "bare",
                            atom_splitting=c.atom_splitting)
     fid_single, rep_single = teleport(c.theta, c.delay_T, "dfs",
@@ -496,16 +501,16 @@ def _run_stagger_sweep(c: ExperimentConfig) -> tuple[dict, dict, dict]:
 
 def _run_thermal(c: ExperimentConfig) -> tuple[dict, dict, dict]:
     grid = np.linspace(0.0, c.nbar_max, c.nbar_points)
-    values = [fock_averaged_fidelity(float(nb), c.pulse_area) for nb in grid]
+    values = fock_averaged_fidelity(grid, c.pulse_area)
     diffs = np.diff(values)
     f_single = fock_averaged_fidelity(c.nbar, c.pulse_area)
+    table = np.column_stack([grid, values]).tolist()
     results = {
         "pulse_area": c.pulse_area,
         "nbar": c.nbar,
         "fidelity_at_nbar": f_single,
-        "table": [[float(nb), float(v)] for nb, v in zip(grid, values)],
-        "csv_table": (["nbar", "fidelity"],
-                      [[float(nb), float(v)] for nb, v in zip(grid, values)]),
+        "table": table,
+        "csv_table": (["nbar", "fidelity"], table),
     }
     flags = {
         "fidelity_at_zero_is_one": abs(values[0] - 1.0) < 1e-12,

@@ -112,7 +112,8 @@ def thermal_weights(nbar: float, tail: float = 1e-9) -> np.ndarray:
     return np.array(weights)
 
 
-def fock_averaged_fidelity(nbar: float, pulse_area_at_n0: float = DEFAULT_PULSE_AREA) -> float:
+def fock_averaged_fidelity(nbar: float | np.ndarray,
+                           pulse_area_at_n0: float = DEFAULT_PULSE_AREA) -> float | np.ndarray:
     """Pulse fidelity averaged over an incoherent thermal mixture of Fock
     sectors, in closed form for any nbar >= 0.
 
@@ -125,7 +126,8 @@ def fock_averaged_fidelity(nbar: float, pulse_area_at_n0: float = DEFAULT_PULSE_
         F = 1/2 + 1/2 Re[1 / ((nbar+1) - nbar e^{4iA})].
 
     `thermal_weights` with `dfs_propagate` is the sector-by-sector oracle.
+    Broadcasts over `nbar`: an array gives the array of averages.
     """
-    if nbar < 0:
+    if np.any(nbar < 0):
         raise ValueError("mean photon number must be >= 0")
-    return float(0.5 + 0.5 * (1.0 / ((nbar + 1.0) - nbar * np.exp(4j * pulse_area_at_n0))).real)
+    return 0.5 + 0.5 * (1.0 / ((nbar + 1.0) - nbar * np.exp(4j * pulse_area_at_n0))).real

@@ -87,7 +87,7 @@ class SystemParams:
             warnings.warn(
                 f"perturbative validity marginal: G*sqrt(n_max*(n_max-1))/|delta| = "
                 f"{self.perturbative_ratio:.3f} >= {PERTURBATIVE_RATIO_MAX}",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the dataclass __init__
             )
 
     @property

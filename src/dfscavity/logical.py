@@ -74,12 +74,13 @@ def decode_logical(psi: StateVector, atol: float = 1e-10) -> LogicalState:
     return LogicalState(amps)
 
 
-def collective_phases(phi: float, n_atoms: int = 4) -> np.ndarray:
+def collective_phases(phi: float | np.ndarray, n_atoms: int = 4) -> np.ndarray:
     """Diagonal of exp(-i phi sum_i sigma_z^(i)) over the 2**n_atoms atomic
     configurations, first atom most significant. Exactly 1 on every zero-m_z
-    configuration; free evolution under splitting E_e - E_g for t is phi = (E_e - E_g) t."""
+    configuration; free evolution under splitting E_e - E_g for t is phi = (E_e - E_g) t.
+    Broadcasts over `phi`: the shape is phi.shape + (2**n_atoms,)."""
     mz = np.array([bin(k).count("1") for k in range(2**n_atoms)]) - n_atoms / 2
-    return np.exp(-1j * phi * mz)
+    return np.exp(-1j * np.asarray(phi)[..., None] * mz)
 
 
 def collective_dephase(psi: StateVector, phi: float) -> StateVector:

@@ -227,7 +227,6 @@ class DifferenceEntry:
 
 @dataclass(frozen=True)
 class EffectiveModelComparison:
-    times: np.ndarray
     fidelity_pair_swap_vs_full: np.ndarray
     fidelity_derived_vs_full: np.ndarray
     max_infidelity_pair_swap: float
@@ -291,7 +290,6 @@ def compare_effective_models(params: SystemParams, n: int = 0,
     max_inf_pair_swap = float(np.max(1.0 - fid_pair_swap))
     max_inf_derived = float(np.max(1.0 - fid_derived))
     return EffectiveModelComparison(
-        times=times,
         fidelity_pair_swap_vs_full=fid_pair_swap,
         fidelity_derived_vs_full=fid_derived,
         max_infidelity_pair_swap=max_inf_pair_swap,

@@ -142,6 +142,39 @@ class TestTeleport:
         assert rep1.sampled_label == rep2.sampled_label
         assert rep1.sampled_fidelity == rep2.sampled_fidelity
 
+    @pytest.mark.parametrize("dephased", [False, True])
+    @pytest.mark.parametrize("corrections", [True, False])
+    def test_grid_call_equals_scalar_calls(self, dephased, corrections):
+        rng = np.random.default_rng(11)
+        thetas = rng.uniform(0, 2 * np.pi, 7)
+        delays = rng.uniform(0, 6, 5)
+        phis = rng.uniform(0, 2 * np.pi, (7, 5)) if dephased else None
+        avg, report = teleport(thetas[:, None], delays[None, :], "dfs", atom_splitting=1.7,
+                               dephase_phi=phis, apply_corrections=corrections)
+        assert avg.shape == (7, 5)
+        scalar_avg = np.empty((7, 5))
+        probs = np.empty((4, 7, 5))
+        fids = np.empty((4, 7, 5))
+        for i, j in np.ndindex(7, 5):
+            scalar_avg[i, j], rep = teleport(
+                thetas[i], delays[j], "dfs", atom_splitting=1.7,
+                dephase_phi=None if phis is None else float(phis[i, j]),
+                apply_corrections=corrections)
+            probs[:, i, j] = [b.probability for b in rep.branches]
+            fids[:, i, j] = [b.fidelity for b in rep.branches]
+        assert np.array_equal(avg, scalar_avg)
+        for k, branch in enumerate(report.branches):
+            assert np.array_equal(branch.probability, probs[k])
+            assert np.array_equal(branch.fidelity, fids[k])
+
+    def test_seeded_sampling_and_bare_channel_need_scalar_inputs(self):
+        with pytest.raises(ValueError, match="scalar"):
+            teleport(np.array([0.1, 0.2]), 0.0, "dfs", seed=1)
+        with pytest.raises(ValueError, match="scalar"):
+            teleport(0.1, 0.0, "dfs", seed=1, dephase_phi=np.array([0.3, 0.4]))
+        with pytest.raises(ValueError, match="scalar"):
+            teleport(0.1, np.array([0.0, 1.0]), "bare")
+
     def test_unknown_encoding_rejected(self):
         with pytest.raises(ValueError, match="encoding"):
             teleport(0.0, 0.0, "qubit")

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfscavity import cli
 from dfscavity.cli import (
     DEFAULT_G,
+    MAX_GRID_POINTS,
     ConfigError,
     ExperimentConfig,
     main,
@@ -170,6 +172,26 @@ class TestConfigSchema:
         assert "config error: key 'atom_splitting': " in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("key,value", [("delta", "3e6"), ("omega_a", "7.0"), ("omega", "1e6")])
+    def test_validate_effective_rejects_unused_frequency_keys(self, key, value, tmp_path, capsys):
+        # the experiment sets delta = delta_over_G * G itself, so these keys would be ignored
+        with pytest.raises(ConfigError, match=f"key '{key}': not used by validate-effective"):
+            parse_config(f"{key} = {value}\n", experiment="validate-effective")
+        cfg = tmp_path / "freq.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(["validate-effective", "--config", str(cfg),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert f"config error: key '{key}': " in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+        parse_config(f"{key} = {value}\n", experiment="durations")  # other experiments use them
+
+    def test_teleport_grid_size_capped(self):
+        # checked at parse time only: a grid at the cap is never allocated here
+        assert MAX_GRID_POINTS == 10**6
+        parse_config("theta_points = 1000\ndelay_points = 1000\n", experiment="teleport")
+        with pytest.raises(ConfigError, match="'theta_points' x 'delay_points'.*1001000 points"):
+            parse_config("theta_points = 1001\ndelay_points = 1000\n", experiment="teleport")
+
     def test_round_trip_with_every_key_off_default(self):
         config = ExperimentConfig(
             experiment="thermal", G=1.5e5, delta=-2.25e6, omega_a=0.5, omega=-1124999.5,
@@ -221,6 +243,19 @@ class TestExperiments:
         assert report.passed
         assert report.results["max_branch_deviation_from_1"] < 1e-10
         assert report.results["bare_comparison"]["fidelity"] < 1e-12
+
+    def test_teleport_grid_is_one_call_per_dephasing_setting(self, monkeypatch):
+        teleport = cli.teleport
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return teleport(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "teleport", counting)
+        run_experiment(parse_config("theta_points = 6\ndelay_points = 5\n", experiment="teleport"))
+        # the grid without and with dephasing, the bare channel and the single run
+        assert len(calls) == 4
 
     def test_stagger_sweep_passes_and_documents_bound(self):
         report = run_experiment(parse_config("", experiment="stagger-sweep"))

@@ -144,6 +144,15 @@ class TestThermalAveraging:
     def test_negative_nbar_rejected(self):
         with pytest.raises(ValueError):
             fock_averaged_fidelity(-0.1)
+        with pytest.raises(ValueError):
+            fock_averaged_fidelity(np.array([0.0, 1.0, -0.1]))
+
+    @pytest.mark.parametrize("area", [AREA_R, 0.37])
+    def test_array_nbar_equals_scalar_calls(self, area):
+        grid = np.linspace(0.0, 10.0, 50)
+        values = fock_averaged_fidelity(grid, area)
+        assert values.shape == grid.shape
+        assert np.array_equal(values, [fock_averaged_fidelity(float(nb), area) for nb in grid])
 
     def test_nbar_beyond_sector_cap_rejected_not_truncated(self):
         # reaching 1 - 1e-9 at nbar = 1e5 takes ~2e6 sectors; weights cut at

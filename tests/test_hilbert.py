@@ -42,8 +42,9 @@ class TestSystemParams:
             SystemParams(G=1.0, delta=10.0, n_max=3)
 
     def test_perturbative_flag_warns(self):
-        with pytest.warns(UserWarning, match="perturbative"):
+        with pytest.warns(UserWarning, match="perturbative") as record:
             p = SystemParams(G=1.0, delta=10.0, n_max=8)
+        assert record[0].filename == __file__  # reported at the caller, not the dataclass __init__
         assert not p.perturbative_ok
         q = SystemParams(G=1.0, delta=100.0, n_max=4)
         assert q.perturbative_ok

@@ -106,6 +106,14 @@ class TestCollectivePhases:
             assert np.array_equal(collective_phases(phi, 4), np.exp(-1j * phi * mz))
             assert np.array_equal(collective_phases(phi), collective_phases(phi, 4))
 
+    @pytest.mark.parametrize("n_atoms", [2, 4])
+    def test_array_phi_equals_scalar_calls(self, n_atoms):
+        phis = np.random.default_rng(3).uniform(-10.0, 10.0, (5, 3))
+        grid = collective_phases(phis, n_atoms)
+        assert grid.shape == (5, 3, 2**n_atoms)
+        for idx in np.ndindex(phis.shape):
+            assert np.array_equal(grid[idx], collective_phases(float(phis[idx]), n_atoms))
+
     @settings(derandomize=True, deadline=None)
     @given(phi=st.floats(-1e6, 1e6, allow_nan=False), n_atoms=st.integers(1, 6))
     def test_unit_modulus_and_identity_on_zero_mz(self, phi, n_atoms):
