@@ -36,4 +36,4 @@ print()
 print("states outside the Bell span are flagged, never mislabeled:")
 label, record = bell_measure(StateVector.basis_state("eegg"))
 print(f"  input |eegg> -> outcome {''.join(record.outcomes)}, "
-      f"is_bell={record.is_bell}, label={label}")
+      f"is_bell={label is not None}, label={label}")

@@ -3,13 +3,16 @@
     python3 scripts/bench_pairs.py --parent REV --workload NAME --pairs N --out BENCH_<n>.json
 
 Exports the committed files of REV into a temporary directory with `git
-archive`, then runs each tree's own, unmodified `perfbench/run.py --workload
-NAME --seed K --seconds S --trace 0` N times (N >= 10), with S the
-`run_seconds` of BENCHMARK.json, pair K using seed K on both sides and
-alternating which side runs first. The end-to-end metrics
-come from the JSON line each run prints; the machine facts from the result
-file it writes under its own `perfbench/out/`. The temporary tree is removed
-at the end. Nothing under `perfbench/` is changed.
+archive`, and copies the working tree as it is at start (uncommitted edits
+and untracked files that are not ignored included) into a second one, so an
+edit saved while the pairs run does not reach the code under test. Then runs
+each tree's own, unmodified `perfbench/run.py --workload NAME --seed K
+--seconds S --trace 0` N times (N >= 10), with S the `run_seconds` of
+BENCHMARK.json, pair K using seed K on both sides and alternating which side
+runs first. The end-to-end metrics come from the JSON line each run prints;
+the machine facts from the result file it writes under its own
+`perfbench/out/`. Both temporary trees are removed at the end. Nothing under
+`perfbench/` is changed.
 
 The output file, at the repository root unless a path says otherwise, holds
 one entry per workload (a later run for another workload is merged in): per
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -44,6 +48,18 @@ def export_tree(rev: str, dest: Path) -> None:
     with tarfile.open(archive) as tar:
         tar.extractall(dest, filter="data")
     archive.unlink()
+
+
+def snapshot_worktree(root: Path, dest: Path) -> None:
+    """The files of the working tree at `root` as they are now, copied under
+    `dest`: tracked files with their uncommitted edits and untracked files
+    that are not ignored; a tracked file deleted from the tree is left out."""
+    listing = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                             cwd=root, capture_output=True, text=True, check=True).stdout
+    for name in filter(None, listing.split("\0")):
+        if (root / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -95,13 +111,15 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     parent_sha = git("rev-parse", args.parent)
-    change_desc = f"working tree at {git('rev-parse', 'HEAD')}" + \
-        (" with uncommitted changes" if git("status", "--porcelain", "--untracked-files=no") else "")
+    change_desc = f"snapshot of the working tree at {git('rev-parse', 'HEAD')}" + \
+        (" with uncommitted changes" if git("status", "--porcelain") else "")
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent_tree = Path(tmp) / "parent"
         export_tree(parent_sha, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
+        change_tree = Path(tmp) / "change"
+        snapshot_worktree(ROOT, change_tree)
+        trees = {"parent": parent_tree, "change": change_tree}
         for k in range(args.pairs):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             pair = {"seed": k, "first": order[0]}

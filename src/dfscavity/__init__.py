@@ -64,7 +64,6 @@ from .logical import (
     collective_phases,
     decode_logical,
     encode_logical,
-    free_phase_drift,
 )
 from .model import (
     EffectiveCoupling,

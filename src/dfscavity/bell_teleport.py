@@ -28,7 +28,7 @@ import numpy as np
 
 from .gates import r_gate_atomic
 from .hilbert import StateVector, atomic_index, config_labels
-from .logical import collective_phases, free_phase_drift
+from .logical import collective_phases
 
 
 class BellLabel(Enum):
@@ -78,16 +78,9 @@ _PHI_PLUS_CHANNEL = prepare_bell(BellLabel.PHI_PLUS).amplitudes.reshape(4, 4)
 
 
 @dataclass(frozen=True)
-class MeasurementRecord:
-    outcomes: tuple[str, ...]   # per-atom "e"/"g", atom 1 first
-    probability: float
-    is_bell: bool
-
-
-@dataclass(frozen=True)
 class BellBranch:
-    label: BellLabel | None
-    outcomes: tuple[str, ...]
+    label: BellLabel | None     # None: the outcome is not one of the four Bell images
+    outcomes: tuple[str, ...]   # per-atom "e"/"g", atom 1 first
     probability: float
 
 
@@ -119,13 +112,13 @@ def _sample(branches, seed: int):
     return branches[rng.choice(len(branches), p=weights / weights.sum())]
 
 
-def bell_measure(psi: StateVector, seed: int | None = None) -> tuple[BellLabel | None, MeasurementRecord]:
+def bell_measure(psi: StateVector, seed: int | None = None) -> tuple[BellLabel | None, BellBranch]:
     """Apply the pi/4 map, then projectively measure every atom.
 
-    Outcomes outside the four Bell images are flagged (is_bell=False, label
-    None), never silently labeled. With a seed the branch is sampled
-    reproducibly; without one the most probable branch is returned (useful
-    only for deterministic inputs).
+    Outcomes outside the four Bell images are flagged (label None), never
+    silently labeled. With a seed the branch is sampled reproducibly; without
+    one the most probable branch is returned (useful only for deterministic
+    inputs).
     """
     branches = enumerate_bell_branches(psi)
     if not branches:
@@ -134,12 +127,7 @@ def bell_measure(psi: StateVector, seed: int | None = None) -> tuple[BellLabel |
         branch = max(branches, key=lambda b: b.probability)
     else:
         branch = _sample(branches, seed)
-    record = MeasurementRecord(
-        outcomes=branch.outcomes,
-        probability=branch.probability,
-        is_bell=branch.label is not None,
-    )
-    return branch.label, record
+    return branch.label, branch
 
 
 # ----------------------------------------------------------------- teleport
@@ -199,22 +187,30 @@ def teleport(theta: float | np.ndarray, delay: float | np.ndarray = 0.0, encodin
     every branch's probability and fidelity, and the returned average, then
     have the broadcast shape. The Bell map runs once per theta row. Each
     temporary holds about 64 B per grid point (4 complex amplitudes), so a
-    T x D grid costs about 64 T D bytes per array. Seeded sampling needs
-    scalar inputs (ValueError otherwise).
+    T x D grid costs about 64 T D bytes per array.
 
-    bare: the single-atom comparison channel, scalar inputs only; an ideally
-    teleported bare superposition (|g> + e^{i theta}|e>)/sqrt2 dephases
-    during the classical delay, fidelity cos^2(splitting*delay/2) per branch.
+    bare: the single-atom comparison channel. An ideally teleported
+    (|g> + e^{i theta}|e>)/sqrt2 goes through `collective_phases(., 1)` for
+    the delay and `dephase_phi`, so every branch has fidelity
+    cos^2((splitting*delay + dephase_phi)/2); broadcasts as for dfs.
+
+    Seeded sampling needs scalar inputs, and both encodings reject a
+    negative delay (ValueError otherwise).
 
     Returns (average fidelity, report).
     """
-    if (seed is not None or encoding == "bare") and any(map(np.ndim, (theta, delay, dephase_phi))):
-        raise ValueError("seeded sampling and the bare channel need scalar inputs")
+    if np.any(delay < 0):
+        raise ValueError("delay must be >= 0")
+    if seed is not None and any(map(np.ndim, (theta, delay, dephase_phi))):
+        raise ValueError("seeded sampling needs scalar inputs")
     if encoding == "bare":
-        fid = free_phase_drift(theta, atom_splitting, 0.0, delay, "bare")
-        branches = tuple(
-            TeleportBranch(label=lab, probability=0.25, fidelity=fid) for lab in BellLabel
-        )
+        psi = np.stack(np.broadcast_arrays(1.0, np.exp(1j * theta)), -1) / np.sqrt(2)  # (g, e)
+        phases = collective_phases(atom_splitting * delay, 1)
+        if dephase_phi is not None:
+            phases = collective_phases(dephase_phi, 1) * phases
+        fid = (np.abs(np.vecdot(psi, phases * psi)) ** 2)[()]
+        branches = tuple(TeleportBranch(label=lab, probability=np.full_like(fid, 0.25)[()], fidelity=fid)
+                         for lab in BellLabel)
         return fid, TeleportReport(branches=branches)
     if encoding != "dfs":
         raise ValueError(f"encoding must be 'dfs' or 'bare', got {encoding!r}")

@@ -78,13 +78,14 @@ def _two_excitation_support_ok(psi: StateVector, atol: float = 1e-12) -> bool:
     return float(np.max(block[outside])) <= atol if outside.any() else True
 
 
-def pair_exchange(block: np.ndarray, pulse_area: float) -> np.ndarray:
+def pair_exchange(block: np.ndarray, pulse_area: float | np.ndarray) -> np.ndarray:
     """The closed-form pair-exchange map on the rows of a (16, k) array:
 
         |c> -> cos(area) |c> - i sin(area) |c_bar>
 
     for each of the six two-excitation configurations c and its complement
-    c_bar; every other row passes through unchanged.
+    c_bar; every other row passes through unchanged. `pulse_area` is a scalar
+    or a length-k array (one area per column).
     """
     out = np.array(block, dtype=complex)
     out[_ROWS] = np.cos(pulse_area) * block[_ROWS] - 1j * np.sin(pulse_area) * block[_PARTNERS]

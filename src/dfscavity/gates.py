@@ -60,7 +60,7 @@ class CnotConvention:
 @dataclass(frozen=True)
 class PulseSequence:
     gates: tuple[GateDescriptor, ...]
-    convention: CnotConvention | None = None
+    convention: CnotConvention
 
 
 @dataclass(frozen=True)
@@ -172,16 +172,12 @@ def _compose(gates, convention: CnotConvention) -> np.ndarray:
 
 
 def sequence_unitary_logical(seq: PulseSequence) -> Operator:
-    if seq.convention is None:
-        raise ValueError("sequence has no convention record")
     return Operator(_logical_block(_compose(seq.gates, seq.convention)))
 
 
 def sequence_unitary_atomic(seq: PulseSequence) -> Operator:
     """The sequence on the 16-dim atomic space (for code-space-preservation
     checks); cavity factored out as everywhere in the effective model."""
-    if seq.convention is None:
-        raise ValueError("sequence has no convention record")
     return Operator(_compose(seq.gates, seq.convention))
 
 

@@ -77,7 +77,8 @@ def decode_logical(psi: StateVector, atol: float = 1e-10) -> LogicalState:
 def collective_phases(phi: float | np.ndarray, n_atoms: int = 4) -> np.ndarray:
     """Diagonal of exp(-i phi sum_i sigma_z^(i)) over the 2**n_atoms atomic
     configurations, first atom most significant. Exactly 1 on every zero-m_z
-    configuration; free evolution under splitting E_e - E_g for t is phi = (E_e - E_g) t.
+    configuration; free evolution under splitting E_e - E_g for t is phi = (E_e - E_g) t
+    (n_atoms = 1: the free drift of one bare atom, up to a global phase).
     Broadcasts over `phi`: the shape is phi.shape + (2**n_atoms,)."""
     mz = np.array([bin(k).count("1") for k in range(2**n_atoms)]) - n_atoms / 2
     return np.exp(-1j * np.asarray(phi)[..., None] * mz)
@@ -92,26 +93,3 @@ def collective_dephase(psi: StateVector, phi: float) -> StateVector:
     n_levels = psi.n_max + 1
     phases = collective_phases(phi)
     return StateVector((psi.amplitudes.reshape(16, n_levels) * phases[:, None]).reshape(-1), psi.n_max)
-
-
-def free_phase_drift(theta: float, e_excited: float, e_ground: float,
-                     delay: float, encoding: str) -> float:
-    """Fidelity of (|g> + e^{i theta} |e>)/sqrt2 (bare) or its pair-encoded
-    counterpart (dfs) after free evolution for `delay`.
-
-    dfs: the code states are degenerate, so the fidelity is exactly 1.
-    bare: the relative phase drifts by (E_e - E_g)*delay, giving
-    cos^2((E_e - E_g) delay / 2); computed here by evolving the single-atom
-    state directly rather than quoting the closed form.
-    """
-    if delay < 0:
-        raise ValueError("delay must be >= 0")
-    if encoding == "dfs":
-        # both code states have zero bare energy; nothing accumulates
-        return 1.0
-    if encoding != "bare":
-        raise ValueError(f"encoding must be 'dfs' or 'bare', got {encoding!r}")
-    target = np.array([1.0, np.exp(1j * theta)], dtype=complex) / np.sqrt(2)  # (|g>, |e>)
-    evolved = np.array([np.exp(-1j * e_ground * delay),
-                        np.exp(1j * theta) * np.exp(-1j * e_excited * delay)], dtype=complex) / np.sqrt(2)
-    return float(abs(np.vdot(target, evolved)) ** 2)

@@ -32,7 +32,7 @@ class TestBellDiscrimination:
     def test_each_bell_state_identified_deterministically(self, label):
         observed, record = bell_measure(prepare_bell(label))
         assert observed is label
-        assert record.is_bell
+        assert record.label is not None
         assert record.probability >= 1 - 1e-12
 
     def test_expected_product_outcomes(self):
@@ -77,7 +77,7 @@ class TestBellDiscrimination:
         psi = StateVector.basis_state("eegg")
         label, record = bell_measure(psi)
         assert label is None
-        assert not record.is_bell
+        assert record.label is None
 
 
 class TestTeleport:
@@ -116,11 +116,12 @@ class TestTeleport:
         assert fid == pytest.approx(0.0, abs=1e-12)
 
     def test_bare_matches_drift_oracle(self):
-        from dfscavity.logical import free_phase_drift
-
+        # closed form cos^2((s d + phi)/2) of the one-atom drift, with and without dephasing
         for delay in (0.0, 0.9, 2.2):
             fid, _ = teleport(0.4, delay, "bare", atom_splitting=1.3)
-            assert fid == pytest.approx(free_phase_drift(0.4, 1.3, 0.0, delay, "bare"), abs=1e-14)
+            assert fid == pytest.approx(np.cos(1.3 * delay / 2) ** 2, abs=1e-14)
+            fid, _ = teleport(0.4, delay, "bare", atom_splitting=1.3, dephase_phi=0.7)
+            assert fid == pytest.approx(np.cos((1.3 * delay + 0.7) / 2) ** 2, abs=1e-14)
 
     def test_correction_table_is_the_derived_one(self):
         assert CORRECTION_TABLE == {
@@ -168,12 +169,28 @@ class TestTeleport:
             assert np.array_equal(branch.fidelity, fids[k])
 
     def test_seeded_sampling_and_bare_channel_need_scalar_inputs(self):
+        # seeded sampling needs scalars; the bare channel broadcasts like the dfs one
         with pytest.raises(ValueError, match="scalar"):
             teleport(np.array([0.1, 0.2]), 0.0, "dfs", seed=1)
         with pytest.raises(ValueError, match="scalar"):
             teleport(0.1, 0.0, "dfs", seed=1, dephase_phi=np.array([0.3, 0.4]))
-        with pytest.raises(ValueError, match="scalar"):
-            teleport(0.1, np.array([0.0, 1.0]), "bare")
+        rng = np.random.default_rng(5)
+        thetas = rng.uniform(0, 2 * np.pi, 7)
+        delays = rng.uniform(0, 6, 5)
+        avg, report = teleport(thetas[:, None], delays[None, :], "bare", atom_splitting=1.7)
+        scalar = np.array([[teleport(t, d, "bare", atom_splitting=1.7)[0] for d in delays] for t in thetas])
+        assert avg.shape == (7, 5)
+        assert np.array_equal(avg, scalar)
+        for branch in report.branches:
+            assert np.array_equal(branch.fidelity, scalar)
+            assert np.array_equal(branch.probability, np.full((7, 5), 0.25))
+
+    @pytest.mark.parametrize("encoding", ["dfs", "bare"])
+    def test_negative_delay_rejected_for_both_encodings(self, encoding):
+        with pytest.raises(ValueError, match="delay"):
+            teleport(0.1, -1.0, encoding)
+        with pytest.raises(ValueError, match="delay"):
+            teleport(np.array([[0.1], [0.2]]), np.array([0.0, 1.0, -1e-3]), encoding)
 
     def test_unknown_encoding_rejected(self):
         with pytest.raises(ValueError, match="encoding"):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfscavity.bell_teleport import teleport
 from dfscavity.hilbert import StateVector, atomic_index, basis_index, excitation_number
 from dfscavity.logical import (
     LOGICAL_CONFIGS,
@@ -11,7 +12,6 @@ from dfscavity.logical import (
     collective_phases,
     decode_logical,
     encode_logical,
-    free_phase_drift,
 )
 
 
@@ -132,32 +132,40 @@ class TestCollectivePhases:
 
 
 class TestFreePhaseDrift:
+    """The bare comparison channel of `teleport`: one atom drifting freely
+    under the splitting e_e - e_g, the one-atom case of `collective_phases`."""
+
+    @staticmethod
+    def bare(theta, e_excited, e_ground, delay):
+        return teleport(theta, delay, "bare", atom_splitting=e_excited - e_ground)[0]
+
     def test_dfs_is_unity_on_grid(self):
-        for theta in np.linspace(0, 2 * np.pi, 10):
-            for delay in np.linspace(0, 50.0, 10):
-                assert free_phase_drift(theta, 5.0, 1.0, delay, "dfs") == 1.0
+        thetas = np.linspace(0, 2 * np.pi, 10)
+        delays = np.linspace(0, 50.0, 10)
+        fid, _ = teleport(thetas[:, None], delays[None, :], "dfs", atom_splitting=4.0)
+        assert np.all(np.abs(fid - 1.0) < 1e-10)
 
     def test_bare_vanishes_at_pi_drift(self):
         # (E_e - E_g) * T = pi
-        fid = free_phase_drift(np.pi / 2, 1.0, 0.0, np.pi, "bare")
+        fid = self.bare(np.pi / 2, 1.0, 0.0, np.pi)
         assert fid == pytest.approx(0.0, abs=1e-30)
 
     def test_bare_no_delay_is_unity(self):
-        assert free_phase_drift(1.234, 7.0, 2.0, 0.0, "bare") == pytest.approx(1.0)
+        assert self.bare(1.234, 7.0, 2.0, 0.0) == pytest.approx(1.0)
 
     def test_bare_matches_cosine_form(self):
         e_e, e_g = 3.0, 0.5
         for delay in np.linspace(0, 4 * np.pi / (e_e - e_g), 17):
-            fid = free_phase_drift(0.3, e_e, e_g, delay, "bare")
+            fid = self.bare(0.3, e_e, e_g, delay)
             assert fid == pytest.approx(np.cos((e_e - e_g) * delay / 2) ** 2, abs=1e-12)
 
     def test_periodicity_in_delay(self):
         e_e, e_g = 2.0, 0.0
         period = 2 * np.pi / (e_e - e_g)
         for delay in (0.3, 1.1, 2.4):
-            assert free_phase_drift(0.9, e_e, e_g, delay, "bare") == pytest.approx(
-                free_phase_drift(0.9, e_e, e_g, delay + period, "bare"), abs=1e-12)
+            assert self.bare(0.9, e_e, e_g, delay) == pytest.approx(
+                self.bare(0.9, e_e, e_g, delay + period), abs=1e-12)
 
     def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            free_phase_drift(0.0, 1.0, 0.0, -1.0, "bare")
+        with pytest.raises(ValueError, match="delay"):
+            self.bare(0.0, 1.0, 0.0, -1.0)
