@@ -179,8 +179,7 @@ def teleport(theta: float | np.ndarray, delay: float | np.ndarray = 0.0, encodin
     (optionally with collective dephasing `dephase_phi`) before the
     correction selected by Alice's two classical bits is applied. Both are
     `collective_phases(phi, 2)` (phi = atom_splitting * delay, dephase_phi),
-    the identity on the code states. All four branches are enumerated; with
-    a seed one branch is also sampled, by the same draw as `bell_measure`.
+    the identity on the code states.
 
     `theta`, `delay` and `dephase_phi` broadcast against each other, so a
     theta x delay grid is one call with theta[:, None] and delay[None, :];
@@ -192,13 +191,18 @@ def teleport(theta: float | np.ndarray, delay: float | np.ndarray = 0.0, encodin
     bare: the single-atom comparison channel. An ideally teleported
     (|g> + e^{i theta}|e>)/sqrt2 goes through `collective_phases(., 1)` for
     the delay and `dephase_phi`, so every branch has fidelity
-    cos^2((splitting*delay + dephase_phi)/2); broadcasts as for dfs.
+    cos^2((splitting*delay + dephase_phi)/2), probability 1/4, and the
+    average is that fidelity; broadcasts as for dfs.
 
-    Seeded sampling needs scalar inputs, and both encodings reject a
-    negative delay (ValueError otherwise).
+    Both encodings enumerate all four branches; with a seed one branch is
+    also sampled, by the same draw as `bell_measure`, and reported as
+    `sampled_label`/`sampled_fidelity`. Seeded sampling needs scalar inputs,
+    and both encodings reject a negative delay (ValueError otherwise).
 
     Returns (average fidelity, report).
     """
+    if encoding not in ("dfs", "bare"):
+        raise ValueError(f"encoding must be 'dfs' or 'bare', got {encoding!r}")
     if np.any(delay < 0):
         raise ValueError("delay must be >= 0")
     if seed is not None and any(map(np.ndim, (theta, delay, dephase_phi))):
@@ -208,38 +212,35 @@ def teleport(theta: float | np.ndarray, delay: float | np.ndarray = 0.0, encodin
         phases = collective_phases(atom_splitting * delay, 1)
         if dephase_phi is not None:
             phases = collective_phases(dephase_phi, 1) * phases
-        fid = (np.abs(np.vecdot(psi, phases * psi)) ** 2)[()]
-        branches = tuple(TeleportBranch(label=lab, probability=np.full_like(fid, 0.25)[()], fidelity=fid)
+        # every branch has this fidelity, so it is the average (a four-term sum could round differently)
+        avg = (np.abs(np.vecdot(psi, phases * psi)) ** 2)[()]
+        branches = tuple(TeleportBranch(label=lab, probability=np.full_like(avg, 0.25)[()], fidelity=avg)
                          for lab in BellLabel)
-        return fid, TeleportReport(branches=branches)
-    if encoding != "dfs":
-        raise ValueError(f"encoding must be 'dfs' or 'bare', got {encoding!r}")
+    else:
+        psi_in = _input_pair_state(theta)                  # atoms (a1, a2), (..., 4)
+        # composite order (a1 a2 a3 a4 b1 b2): alice's four atoms are the top
+        # bits, so rows index alice configs and columns bob's pair
+        joint = (psi_in[..., :, None, None] * _PHI_PLUS_CHANNEL).reshape(psi_in.shape[:-1] + (16, 4))
+        mapped = BELL_MAP @ joint                          # Bell map on alice only, once per theta
 
-    psi_in = _input_pair_state(theta)                  # atoms (a1, a2), (..., 4)
-    # composite order (a1 a2 a3 a4 b1 b2): alice's four atoms are the top
-    # bits, so rows index alice configs and columns bob's pair
-    joint = (psi_in[..., :, None, None] * _PHI_PLUS_CHANNEL).reshape(psi_in.shape[:-1] + (16, 4))
-    mapped = BELL_MAP @ joint                          # Bell map on alice only, once per theta
-
-    free = collective_phases(atom_splitting * delay, 2)
-    dephase = None if dephase_phi is None else collective_phases(dephase_phi, 2)
-    branches = []
-    for outcome_labels, label in BELL_OUTCOME_MAP.items():
-        bob = mapped[..., atomic_index(outcome_labels), :]
-        # the input is normalised, so every branch has probability 1/4
-        p = np.vecdot(bob, bob).real
-        bob = free * (bob / np.sqrt(p)[..., None])
-        if dephase is not None:
-            bob = dephase * bob
-        if apply_corrections:
-            bob = bob @ _CORRECTIONS[CORRECTION_TABLE[label]].T
-        fid = np.abs(np.vecdot(psi_in, bob)) ** 2       # bob's target has the input's form
-        branches.append(TeleportBranch(label=label, probability=np.broadcast_to(p, fid.shape)[()],
-                                       fidelity=fid[()]))
-    branches = tuple(branches)
-    avg = sum(b.probability * b.fidelity for b in branches)
+        free = collective_phases(atom_splitting * delay, 2)
+        dephase = None if dephase_phi is None else collective_phases(dephase_phi, 2)
+        branches = []
+        for outcome_labels, label in BELL_OUTCOME_MAP.items():
+            bob = mapped[..., atomic_index(outcome_labels), :]
+            # the input is normalised, so every branch has probability 1/4
+            p = np.vecdot(bob, bob).real
+            bob = free * (bob / np.sqrt(p)[..., None])
+            if dephase is not None:
+                bob = dephase * bob
+            if apply_corrections:
+                bob = bob @ _CORRECTIONS[CORRECTION_TABLE[label]].T
+            fid = np.abs(np.vecdot(psi_in, bob)) ** 2       # bob's target has the input's form
+            branches.append(TeleportBranch(label=label, probability=np.broadcast_to(p, fid.shape)[()],
+                                           fidelity=fid[()]))
+        branches = tuple(branches)
+        avg = sum(b.probability * b.fidelity for b in branches)
     pick = None if seed is None else _sample(branches, seed)
-
     report = TeleportReport(
         branches=branches,
         sampled_label=None if pick is None else pick.label.value,

@@ -19,7 +19,7 @@ import sys
 import time
 import warnings
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +28,7 @@ from . import __version__
 from .bell_teleport import (
     CORRECTION_TABLE,
     BellLabel,
-    enumerate_bell_branches,
+    bell_measure,
     prepare_bell,
     teleport,
 )
@@ -66,42 +66,7 @@ MAX_GRID_POINTS = 10**6  # theta_points x delay_points of the teleport grid
 
 class ConfigError(ValueError):
     def __init__(self, message: str, line: int | None = None):
-        loc = f" (line {line})" if line is not None else ""
-        super().__init__(message + loc)
-        self.line = line
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    experiment: str | None = None
-    G: float = DEFAULT_G
-    delta: float | None = None          # default 10*G, resolved post-parse
-    omega_a: float | None = None
-    omega: float | None = None
-    n_max: int = 8
-    theta: float = np.pi / 2
-    delay_T: float = np.pi
-    theta_points: int = 12
-    delay_points: int = 8
-    delay_max: float = 2 * np.pi
-    atom_splitting: float = 1.0
-    t1_fraction: float = 0.02
-    t1_fractions: tuple[float, ...] = tuple(np.linspace(0.0, 0.25, 50))
-    pulse_area: float = DEFAULT_PULSE_AREA
-    nbar: float = 0.1
-    nbar_max: float = 2.0
-    nbar_points: int = 50
-    delta_over_G: tuple[float, ...] = (10.0, 20.0, 40.0)
-    seed: int = 0
-    out: str | None = None
-    format: str = "json"
-
-    def resolved_delta(self) -> float:
-        return self.delta if self.delta is not None else 10.0 * self.G
-
-    def system_params(self) -> SystemParams:
-        return SystemParams(G=self.G, delta=self.resolved_delta(),
-                            omega_a=self.omega_a, omega=self.omega, n_max=self.n_max)
+        super().__init__(message if line is None else f"{message} (line {line})")
 
 
 def _parse_float(key: str, raw: str, line: int) -> float:
@@ -146,36 +111,55 @@ class _Key(NamedTuple):
     problem: str = ""
 
 
+def _key(default, kind: _Kind, ok=None, problem: str = ""):
+    """A config field: its default, with its `_Key` as the field's metadata."""
+    return field(default=default, metadata={"key": _Key(kind, ok, problem)})
+
+
 def _at_least(low):
     return lambda v: v >= low
 
 
-# every ExperimentConfig key, in the order the domain checks run
-_SCHEMA = {
-    "experiment": _Key(_STR, EXPERIMENTS.__contains__,
-                       "unknown experiment {v!r}; choose from " + ", ".join(EXPERIMENTS)),
-    "G": _Key(_FLOAT, lambda v: v > 0, "must be > 0, got {v}"),
-    "delta": _Key(_FLOAT, lambda v: v != 0, "must be nonzero"),
-    "omega_a": _Key(_FLOAT),
-    "omega": _Key(_FLOAT),
-    "n_max": _Key(_INT, _at_least(4), "must be >= 4, got {v}"),
-    "theta": _Key(_FLOAT),
-    "delay_T": _Key(_FLOAT, _at_least(0), "must be >= 0"),
-    "delay_max": _Key(_FLOAT, _at_least(0), "must be >= 0"),
-    "theta_points": _Key(_INT, _at_least(1), "must be >= 1"),
-    "delay_points": _Key(_INT, _at_least(1), "must be >= 1"),
-    "atom_splitting": _Key(_FLOAT, lambda v: v > 0, "must be > 0, got {v}"),
-    "t1_fraction": _Key(_FLOAT, lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
-    "t1_fractions": _Key(_FLOATS, lambda v: 0 <= v <= 1, "entries must lie in [0, 1], got {v}"),
-    "pulse_area": _Key(_FLOAT, _at_least(0), "must be >= 0"),
-    "nbar": _Key(_FLOAT, _at_least(0), "must be >= 0"),
-    "nbar_max": _Key(_FLOAT, _at_least(0), "must be >= 0"),
-    "nbar_points": _Key(_INT, _at_least(2), "must be >= 2"),
-    "delta_over_G": _Key(_FLOATS, lambda v: v > 0, "entries must be > 0, got {v}"),
-    "seed": _Key(_INT, _at_least(0), "must be >= 0"),
-    "out": _Key(_STR),
-    "format": _Key(_STR, ("json", "csv").__contains__, "must be 'json' or 'csv', got {v!r}"),
-}
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Every config key, in the order the domain checks run: its default,
+    and its `_Key` in the field metadata."""
+
+    experiment: str | None = _key(None, _STR, EXPERIMENTS.__contains__,
+                                  "unknown experiment {v!r}; choose from " + ", ".join(EXPERIMENTS))
+    G: float = _key(DEFAULT_G, _FLOAT, lambda v: v > 0, "must be > 0, got {v}")
+    delta: float | None = _key(None, _FLOAT, lambda v: v != 0, "must be nonzero")  # None: 10*G
+    omega_a: float | None = _key(None, _FLOAT)
+    omega: float | None = _key(None, _FLOAT)
+    n_max: int = _key(8, _INT, _at_least(4), "must be >= 4, got {v}")
+    theta: float = _key(np.pi / 2, _FLOAT)
+    delay_T: float = _key(np.pi, _FLOAT, _at_least(0), "must be >= 0")
+    delay_max: float = _key(2 * np.pi, _FLOAT, _at_least(0), "must be >= 0")
+    theta_points: int = _key(12, _INT, _at_least(1), "must be >= 1")
+    delay_points: int = _key(8, _INT, _at_least(1), "must be >= 1")
+    atom_splitting: float = _key(1.0, _FLOAT, lambda v: v > 0, "must be > 0, got {v}")
+    t1_fraction: float = _key(0.02, _FLOAT, lambda v: 0 <= v <= 1, "must lie in [0, 1]")
+    t1_fractions: tuple[float, ...] = _key(tuple(np.linspace(0.0, 0.25, 50)), _FLOATS,
+                                           lambda v: 0 <= v <= 1, "entries must lie in [0, 1], got {v}")
+    pulse_area: float = _key(DEFAULT_PULSE_AREA, _FLOAT, _at_least(0), "must be >= 0")
+    nbar: float = _key(0.1, _FLOAT, _at_least(0), "must be >= 0")
+    nbar_max: float = _key(2.0, _FLOAT, _at_least(0), "must be >= 0")
+    nbar_points: int = _key(50, _INT, _at_least(2), "must be >= 2")
+    delta_over_G: tuple[float, ...] = _key((10.0, 20.0, 40.0), _FLOATS,
+                                           lambda v: v > 0, "entries must be > 0, got {v}")
+    seed: int = _key(0, _INT, _at_least(0), "must be >= 0")
+    out: str | None = _key(None, _STR)
+    format: str = _key("json", _STR, ("json", "csv").__contains__, "must be 'json' or 'csv', got {v!r}")
+
+    def resolved_delta(self) -> float:
+        return self.delta if self.delta is not None else 10.0 * self.G
+
+    def system_params(self) -> SystemParams:
+        return SystemParams(G=self.G, delta=self.resolved_delta(),
+                            omega_a=self.omega_a, omega=self.omega, n_max=self.n_max)
+
+
+_SCHEMA: dict[str, _Key] = {f.name: f.metadata["key"] for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
@@ -232,10 +216,10 @@ def _check_config(c: ExperimentConfig) -> ExperimentConfig:
 def serialize_config(c: ExperimentConfig) -> str:
     """Canonical text form; parse_config(serialize_config(c)) round-trips."""
     lines = []
-    for f in fields(c):
-        value = getattr(c, f.name)
+    for key, spec in _SCHEMA.items():
+        value = getattr(c, key)
         if value is not None:
-            lines.append(f"{f.name} = {_SCHEMA[f.name].kind.render(value)}")
+            lines.append(f"{key} = {spec.kind.render(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -342,11 +326,15 @@ def _flatten(prefix: str, obj) -> dict:
 
 # ------------------------------------------------------------- experiments
 
+def _correction_table() -> dict:
+    return {label.value: op for label, op in CORRECTION_TABLE.items()}
+
+
 def _convention_dict(seq) -> dict:
     return {
         "application_order": seq.convention.application_order,
         "p_sign": seq.convention.p_sign,
-        "correction_table": {label.value: op for label, op in CORRECTION_TABLE.items()},
+        "correction_table": _correction_table(),
     }
 
 
@@ -411,12 +399,11 @@ def _run_bell(c: ExperimentConfig) -> tuple[dict, dict, dict]:
     rows = []
     all_ok = True
     for label in BellLabel:
-        branches = enumerate_bell_branches(prepare_bell(label))
-        best = max(branches, key=lambda b: b.probability)
-        ok = best.label is label and best.probability >= 1 - 1e-12
+        observed, best = bell_measure(prepare_bell(label))
+        ok = observed is label and best.probability >= 1 - 1e-12
         all_ok &= ok
         rows.append({"input": label.value,
-                     "observed": best.label.value if best.label else "non-Bell",
+                     "observed": observed.value if observed else "non-Bell",
                      "outcome": "".join(best.outcomes),
                      "probability": best.probability,
                      "correct": ok})
@@ -460,8 +447,7 @@ def _run_teleport(c: ExperimentConfig) -> tuple[dict, dict, dict]:
         "branch_probabilities_sum_to_1": prob_defect < 1e-12,
         "bare_comparison_dephased_to_zero": bare_fid < 1e-12,
     }
-    return results, flags, {"correction_table":
-                            {label.value: op for label, op in CORRECTION_TABLE.items()}}
+    return results, flags, {"correction_table": _correction_table()}
 
 
 def _run_stagger_sweep(c: ExperimentConfig) -> tuple[dict, dict, dict]:

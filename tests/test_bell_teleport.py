@@ -143,6 +143,16 @@ class TestTeleport:
         assert rep1.sampled_label == rep2.sampled_label
         assert rep1.sampled_fidelity == rep2.sampled_fidelity
 
+    def test_seeded_bare_channel_samples_a_branch(self):
+        fid, rep = teleport(1.1, 0.3, "bare", seed=42)
+        labels = {lab.value for lab in BellLabel}
+        assert rep.sampled_label in labels
+        branch = next(b for b in rep.branches if b.label.value == rep.sampled_label)
+        assert rep.sampled_fidelity == branch.fidelity == fid
+        again = teleport(1.1, 0.3, "bare", seed=42)[1]
+        assert (again.sampled_label, again.sampled_fidelity) == (rep.sampled_label, rep.sampled_fidelity)
+        assert teleport(1.1, 0.3, "bare")[1].sampled_label is None
+
     @pytest.mark.parametrize("dephased", [False, True])
     @pytest.mark.parametrize("corrections", [True, False])
     def test_grid_call_equals_scalar_calls(self, dephased, corrections):

@@ -95,6 +95,16 @@ class TestConfigParsing:
         assert config.t1_fractions == (0.0, 0.02, 0.1)
         assert config.seed == 7
 
+    @pytest.mark.parametrize("text,message", [
+        ("G = 1.0\nfrobnicate\n", "expected 'key = value', got 'frobnicate' (line 2)"),
+        ("G =\n", "key 'G': missing value (line 1)"),
+        ("n_max = 2.5\n", "key 'n_max': not an integer: '2.5' (line 1)"),
+    ])
+    def test_malformed_line_message(self, text, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text, experiment="bell")
+        assert str(err.value) == message
+
     def test_round_trip_through_serialize(self):
         config = parse_config(
             "experiment = teleport\nG = 2.5e5\ntheta = 0.7\ndelta_over_G = 10,40\nseed = 3\n")
@@ -160,6 +170,24 @@ class TestConfigSchema:
         experiment = None if key == "experiment" else "bell"
         with pytest.raises(ConfigError, match=f"key '{key}': "):
             parse_config(f"{key} = {OUT_OF_DOMAIN[key]}\n", experiment=experiment)
+
+    @pytest.mark.parametrize("text,key", [("delay_max = -1\ntheta_points = 0\n", "delay_max"),
+                                          ("G = 0\nn_max = 3\n", "G")])
+    def test_first_bad_key_in_field_order_is_named(self, text, key):
+        with pytest.raises(ConfigError, match=f"^key '{key}': "):
+            parse_config(text, experiment="teleport")
+
+    def test_every_field_carries_its_key_spec(self):
+        for f in fields(ExperimentConfig):
+            spec = f.metadata.get("key")
+            assert isinstance(spec, cli._Key), f.name
+            assert (spec.ok is None) == (spec.problem == ""), f.name
+
+    def test_serialize_writes_keys_in_field_order(self):
+        config = ExperimentConfig(experiment="teleport", delta=1e6)
+        keys = [line.split(" = ")[0] for line in serialize_config(config).splitlines()]
+        assert keys == [f.name for f in fields(config) if getattr(config, f.name) is not None]
+        assert keys.index("delay_max") == keys.index("delay_T") + 1
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_non_positive_atom_splitting_rejected(self, value, tmp_path, capsys):
