@@ -4,12 +4,14 @@
 
 Exports the committed files of REV and copies the working tree as it is at
 start, with `export_tree` and `snapshot_worktree` of scripts/bench_pairs.py.
-Then each tree produces, from its own source, 75 outputs:
+Then each tree produces, from its own source, 79 outputs:
 
 * the 64 default-config reports: 8 experiments x seeds 0, 3, 7, 11 x JSON
   and CSV (`python -m dfscavity.cli <experiment> --seed S --format F`);
-* the 60x60 teleport grid and the `nbar_max = 10` thermal report at seeds
-  0 and 3, as JSON (the scaled configs of the protocol-sweeps benchmark);
+* at seeds 0 and 3, as JSON: the 60x60 teleport grid and the
+  `nbar_max = 10` thermal report (the scaled configs of the protocol-sweeps
+  benchmark), validate-effective at `n_max = 64`, and entangle with an
+  explicit, consistent `omega_a`/`omega` pair;
 * the stdout of every script under demos/.
 
 Prints `same` or `DIFF` per output and exits 0 only if every output is
@@ -34,7 +36,9 @@ from goldens import EXPERIMENTS, describe  # noqa: E402
 SEEDS = (0, 3, 7, 11)
 SCALED_SEEDS = (0, 3)
 SCALED = {"teleport-60x60": ("teleport", "theta_points = 60\ndelay_points = 60\n"),
-          "thermal-nbar10": ("thermal", "nbar_max = 10\n")}
+          "thermal-nbar10": ("thermal", "nbar_max = 10\n"),
+          "validate-nmax64": ("validate-effective", "n_max = 64\n"),
+          "entangle-frequencies": ("entangle", "delta = 3e6\nomega_a = 7.0\nomega = 1500007.0\n")}
 
 
 def produce(tree: Path, out: Path) -> list[str]:

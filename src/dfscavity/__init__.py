@@ -53,10 +53,8 @@ from .hilbert import (
     SystemParams,
     atomic_index,
     basis_index,
-    cavity_ladder,
     config_labels,
     index_to_labels,
-    single_atom_operator,
 )
 from .logical import (
     LogicalState,

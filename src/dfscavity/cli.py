@@ -61,7 +61,7 @@ EXPERIMENTS = (
 )
 
 DEFAULT_G = 2 * np.pi * 47e3
-MAX_GRID_POINTS = 10**6  # theta_points x delay_points of the teleport grid
+MAX_GRID_POINTS = 10**6  # theta_points x delay_points of the teleport grid, and nbar_points
 
 
 class ConfigError(ValueError):
@@ -129,7 +129,7 @@ class ExperimentConfig:
                                   "unknown experiment {v!r}; choose from " + ", ".join(EXPERIMENTS))
     G: float = _key(DEFAULT_G, _FLOAT, lambda v: v > 0, "must be > 0, got {v}")
     delta: float | None = _key(None, _FLOAT, lambda v: v != 0, "must be nonzero")  # None: 10*G
-    omega_a: float | None = _key(None, _FLOAT)
+    omega_a: float | None = _key(None, _FLOAT)  # echoed and checked against delta only
     omega: float | None = _key(None, _FLOAT)
     n_max: int = _key(8, _INT, _at_least(4), "must be >= 4, got {v}")
     theta: float = _key(np.pi / 2, _FLOAT)
@@ -144,7 +144,8 @@ class ExperimentConfig:
     pulse_area: float = _key(DEFAULT_PULSE_AREA, _FLOAT, _at_least(0), "must be >= 0")
     nbar: float = _key(0.1, _FLOAT, _at_least(0), "must be >= 0")
     nbar_max: float = _key(2.0, _FLOAT, _at_least(0), "must be >= 0")
-    nbar_points: int = _key(50, _INT, _at_least(2), "must be >= 2")
+    nbar_points: int = _key(50, _INT, lambda v: 2 <= v <= MAX_GRID_POINTS,
+                            f"must lie in [2, {MAX_GRID_POINTS}], got {{v}}")
     delta_over_G: tuple[float, ...] = _key((10.0, 20.0, 40.0), _FLOATS,
                                            lambda v: v > 0, "entries must be > 0, got {v}")
     seed: int = _key(0, _INT, _at_least(0), "must be >= 0")
@@ -155,8 +156,7 @@ class ExperimentConfig:
         return self.delta if self.delta is not None else 10.0 * self.G
 
     def system_params(self) -> SystemParams:
-        return SystemParams(G=self.G, delta=self.resolved_delta(),
-                            omega_a=self.omega_a, omega=self.omega, n_max=self.n_max)
+        return SystemParams(G=self.G, delta=self.resolved_delta(), n_max=self.n_max)
 
 
 _SCHEMA: dict[str, _Key] = {f.name: f.metadata["key"] for f in fields(ExperimentConfig)}
@@ -205,11 +205,17 @@ def _check_config(c: ExperimentConfig) -> ExperimentConfig:
         # each teleport grid temporary holds about 64 B per point
         raise ConfigError(f"keys 'theta_points' x 'delay_points': the grid has "
                           f"{c.theta_points * c.delay_points} points, more than {MAX_GRID_POINTS}")
+    if c.omega_a is not None and c.omega is not None:
+        # the model reads delta only (frame rotating at omega_a); the pair must agree with it
+        delta, implied = c.resolved_delta(), 2.0 * (c.omega - c.omega_a)
+        if abs(delta - implied) > 1e-9 * max(1.0, abs(delta)):
+            raise ConfigError(f"keys 'omega_a' and 'omega': 2*(omega - omega_a) = {implied} "
+                              f"but delta = {delta}")
     if c.experiment == "validate-effective":
         for key in ("delta", "omega_a", "omega"):
             if getattr(c, key) is not None:
                 raise ConfigError(f"key {key!r}: not used by validate-effective, which sets "
-                                  "delta = delta_over_G * G, omega_a = 0 and omega = delta / 2")
+                                  "delta = delta_over_G * G")
     return c
 
 

@@ -6,6 +6,10 @@ Conventions used throughout the package:
 * sigma_z has eigenvalues -1/2 (g) and +1/2 (e), so the two-photon detuning
   delta = 2*(omega - omega_a) appears as the bare energy gap between the
   two-excitation manifold and its virtual intermediates;
+* energies are written in the frame rotating at omega_a, where
+  H0 = (delta/2) adag a: H0 = omega_a (m_z + n) + (delta/2) n and m_z + n is
+  conserved, so omega_a only adds a phase per excitation sector and the
+  model depends on G, delta and n_max alone;
 * composite basis index = atomic_index * (n_max + 1) + n, where atomic_index
   packs the four atomic levels as bits with atom 1 most significant and n is
   the Fock level;
@@ -51,16 +55,12 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class SystemParams:
     """Physical parameters of the four-atom/cavity system (hbar = 1, rad/s).
 
-    Only the detuning delta enters the scheme's dynamics; omega_a and omega
-    may be supplied explicitly, in which case delta = 2*(omega - omega_a) is
-    enforced, or left as None, in which case omega_a defaults to 0 and
-    omega to delta/2.
+    H0 is written in the frame rotating at omega_a, where H0 = (delta/2) adag a
+    with delta = 2*(omega - omega_a): every result depends on delta alone.
     """
 
     G: float
     delta: float
-    omega_a: float | None = None
-    omega: float | None = None
     n_max: int = 8
 
     def __post_init__(self) -> None:
@@ -72,17 +72,6 @@ class SystemParams:
             raise ValueError(
                 f"n_max must be >= 4 (two-photon intermediates plus two guard levels), got {self.n_max}"
             )
-        if self.omega_a is not None and self.omega is not None:
-            implied = 2.0 * (self.omega - self.omega_a)
-            if abs(self.delta - implied) > 1e-9 * max(1.0, abs(self.delta)):
-                raise ValueError(
-                    f"inconsistent frequencies: delta={self.delta} but 2*(omega-omega_a)={implied}"
-                )
-        else:
-            omega_a = 0.0 if self.omega_a is None else self.omega_a
-            object.__setattr__(self, "omega_a", omega_a)
-            if self.omega is None:
-                object.__setattr__(self, "omega", omega_a + self.delta / 2.0)
         if not self.perturbative_ok:
             warnings.warn(
                 f"perturbative validity marginal: G*sqrt(n_max*(n_max-1))/|delta| = "
@@ -262,12 +251,6 @@ def atomic_operator(kinds: dict[int, str]) -> np.ndarray:
     return _kron_all(mats)
 
 
-def single_atom_operator(atom: int, kind: str, n_max: int) -> Operator:
-    """sigma^+/sigma^-/sigma_z on one atom, identity elsewhere and on the cavity."""
-    atomic = atomic_operator({atom: kind})
-    return Operator(np.kron(atomic, np.eye(n_max + 1, dtype=complex)))
-
-
 def fock_ladder(kind: str, power: int, n_max: int) -> np.ndarray:
     """(n_max+1)-dim truncated ladder matrix a^power or (a^dag)^power."""
     if power not in (1, 2):
@@ -283,9 +266,3 @@ def fock_ladder(kind: str, power: int, n_max: int) -> np.ndarray:
     else:
         raise ValueError(f"kind must be 'a' or 'a_dag', got {kind!r}")
     return np.linalg.matrix_power(m, power)
-
-
-def cavity_ladder(kind: str, power: int, n_max: int) -> Operator:
-    """Cavity ladder operator on the composite space; amplitude raised past
-    n_max is dropped by the truncation."""
-    return Operator(np.kron(np.eye(N_ATOMIC_CONFIGS, dtype=complex), fock_ladder(kind, power, n_max)))

@@ -8,7 +8,10 @@ The full model is
 
 with the pair sum over the six unordered atom pairs: the ordered reading
 would double every matrix element and contradict the closed-form coupling
-(4n+2)G^2/delta, which the unordered form reproduces exactly.
+(4n+2)G^2/delta, which the unordered form reproduces exactly. H0 equals
+omega_a (m_z + n) + (delta/2) n with delta = 2(omega - omega_a), and m_z + n
+is conserved, so every builder works in the frame rotating at omega_a, where
+H0 = (delta/2) adag a, and takes G, delta and n_max only (hilbert.SystemParams).
 
 The effective model at fixed photon number n keeps the six double-flip
 products that exchange excitation between an atom pair and its complement
@@ -17,9 +20,10 @@ Omega(n) = (4n+2)G^2/delta, plus an optional photon-number-dependent
 diagonal (Stark) term.
 
 H conserves n_e + n (atomic excitations plus photons), so `excitation_sector`
-gives the exact model on the at most 16 states with n_e + n = total, the same
-at every n_max; the dense `build_h0`/`build_hint`/`build_full_hamiltonian`
-remain as the reference it is tested against.
+gives the exact model on the at most 16 states with n_e + n = total, built
+from closed-form entries at a cost independent of n_max; the dense
+`build_h0`/`build_hint`/`build_full_hamiltonian` remain as the reference it is
+tested against.
 
 `derive_second_order` is the independent oracle for all of the above: it
 sums over every intermediate outside a degenerate manifold,
@@ -87,15 +91,10 @@ def effective_coupling(n: int, params: SystemParams) -> EffectiveCoupling:
 
 
 def build_h0(params: SystemParams) -> Operator:
-    """Bare Hamiltonian: diagonal with E(config, n) = omega_a*m_z + omega*n,
-    m_z = (#e - #g)/2."""
-    n_levels = params.n_max + 1
-    diag = np.empty(N_ATOMIC_CONFIGS * n_levels, dtype=complex)
-    for a in range(N_ATOMIC_CONFIGS):
-        m_z = excitation_number(a) - 2  # (#e - #g)/2 with four atoms
-        for n in range(n_levels):
-            diag[a * n_levels + n] = params.omega_a * m_z + params.omega * n
-    return Operator(np.diag(diag))
+    """Bare Hamiltonian in the frame rotating at omega_a: diagonal with
+    E(config, n) = (delta/2) n."""
+    energies = params.delta / 2.0 * np.arange(params.n_max + 1)
+    return Operator(np.diag(np.tile(energies, N_ATOMIC_CONFIGS).astype(complex)))
 
 
 @cache
@@ -145,12 +144,12 @@ def build_h_eff(params: SystemParams, n: int = 0, include_stark: bool = False) -
 
 
 def two_excitation_manifold(params: SystemParams, n: int) -> Manifold:
-    """The six degenerate two-excitation states at fixed Fock level n; m_z = 0 for
-    all six, so their bare energy is omega*n."""
+    """The six degenerate two-excitation states at fixed Fock level n, at bare
+    energy (delta/2) n."""
     if not 0 <= n <= params.n_max:
         raise ValueError(f"Fock level n={n} outside 0..{params.n_max}")
     members = tuple(basis_index(c, n, params.n_max) for c in TWO_EXCITATION_CONFIGS)
-    return Manifold(members=members, energy=float(params.omega * n))
+    return Manifold(members=members, energy=float(params.delta / 2.0 * n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,9 +186,9 @@ class ExcitationSector:
 
 def excitation_sector(params: SystemParams, total: int) -> ExcitationSector:
     """The sector n_e + m = total around the two-excitation manifold at n = total - 2,
-    built by index arithmetic from the same H0 energies, atomic pair products and
-    truncated a^2 entries as `build_h0` and `build_hint`, so its blocks equal the
-    dense slices exactly.
+    built from formulas: H0 energies (delta/2) m, and the atomic pair products times
+    the a^2 entries sqrt(m-1) sqrt(m), so its blocks equal the dense slices of
+    `build_h0` and `build_hint` exactly at a cost independent of n_max.
 
     Raises ValueError unless 0 <= n <= n_max - 4: the sector then reaches m = n + 2
     at most and stays clear of the two guard levels below the cut.
@@ -203,8 +202,9 @@ def excitation_sector(params: SystemParams, total: int) -> ExcitationSector:
     n_e = np.array([excitation_number(a) for a in range(N_ATOMIC_CONFIGS)])
     atoms = np.flatnonzero(n_e <= total)
     levels = total - n_e[atoms]
-    h0 = (params.omega_a * (n_e[atoms] - 2) + params.omega * levels).astype(complex)
-    x = _pair_raising()[np.ix_(atoms, atoms)] * fock_ladder("a", 2, params.n_max)[np.ix_(levels, levels)]
+    h0 = (params.delta / 2.0 * levels).astype(complex)
+    # a^2 |m> = sqrt(m-1) sqrt(m) |m-2>; the pair pattern keeps only m-2 -> m
+    x = _pair_raising()[np.ix_(atoms, atoms)] * (np.sqrt(np.maximum(levels - 1, 0)) * np.sqrt(levels))
     return ExcitationSector(
         params=params, total=total, indices=atoms * (params.n_max + 1) + levels,
         h0=Operator(np.diag(h0)), hint=Operator(params.G * (x + x.conj().T)),

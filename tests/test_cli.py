@@ -220,6 +220,27 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match="'theta_points' x 'delay_points'.*1001000 points"):
             parse_config("theta_points = 1001\ndelay_points = 1000\n", experiment="teleport")
 
+    def test_thermal_grid_size_capped(self):
+        # checked at parse time only: no grid of that size is ever allocated here
+        parse_config(f"nbar_points = {MAX_GRID_POINTS}\n", experiment="thermal")
+        with pytest.raises(ConfigError, match=r"key 'nbar_points': must lie in \[2, 1000000\], got 1000001"):
+            parse_config(f"nbar_points = {MAX_GRID_POINTS + 1}\n", experiment="thermal")
+
+    def test_explicit_frequencies_must_match_delta(self):
+        # the model reads delta only; omega_a and omega are echoed, so they must agree with it
+        parse_config("delta = 10.0\nomega_a = 3.0\nomega = 8.0\n", experiment="durations")
+        parse_config(f"omega_a = 0.5\nomega = {0.5 + 5 * DEFAULT_G}\n", experiment="bell")  # delta = 10 G
+        with pytest.raises(ConfigError, match=r"keys 'omega_a' and 'omega': 2\*\(omega - omega_a\) = 12.0"):
+            parse_config("delta = 10.0\nomega_a = 3.0\nomega = 9.0\n", experiment="durations")
+
+    @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+    def test_inconsistent_frequencies_exit_two(self, experiment, tmp_path, capsys):
+        cfg = tmp_path / "freq.cfg"
+        cfg.write_text("omega_a = 7.0\nomega = 1.0\n")
+        assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+        assert "config error: key" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_round_trip_with_every_key_off_default(self):
         config = ExperimentConfig(
             experiment="thermal", G=1.5e5, delta=-2.25e6, omega_a=0.5, omega=-1124999.5,

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,33 +7,40 @@ from hypothesis import strategies as st
 
 from dfscavity.hilbert import (
     HERMITIAN_ATOL,
+    N_ATOMIC_CONFIGS,
     UNITARY_ATOL,
     Operator,
     StateVector,
     SystemParams,
     atomic_index,
+    atomic_operator,
     basis_index,
-    cavity_ladder,
     config_labels,
+    fock_ladder,
     index_to_labels,
-    single_atom_operator,
 )
 
 N_MAX = 4
 DIM = 16 * (N_MAX + 1)
 
 
-class TestSystemParams:
-    def test_defaults_resolve_frequencies(self):
-        p = SystemParams(G=1.0, delta=40.0, n_max=4)
-        assert p.omega_a == 0.0
-        assert p.omega == 20.0
-        assert p.dim == 80
+def single_atom_operator(atom: int, kind: str, n_max: int) -> Operator:
+    """Reference: sigma^+/sigma^-/sigma_z on one atom, identity elsewhere and on the cavity."""
+    return Operator(np.kron(atomic_operator({atom: kind}), np.eye(n_max + 1, dtype=complex)))
 
-    def test_explicit_frequencies_must_match_delta(self):
-        SystemParams(G=1.0, delta=10.0, omega_a=3.0, omega=8.0, n_max=4)
-        with pytest.raises(ValueError, match="inconsistent"):
-            SystemParams(G=1.0, delta=10.0, omega_a=3.0, omega=9.0, n_max=4)
+
+def cavity_ladder(kind: str, power: int, n_max: int) -> Operator:
+    """Reference: cavity ladder operator on the composite space; amplitude raised
+    past n_max is dropped by the truncation."""
+    return Operator(np.kron(np.eye(N_ATOMIC_CONFIGS, dtype=complex), fock_ladder(kind, power, n_max)))
+
+
+class TestSystemParams:
+    def test_fields_are_coupling_detuning_and_cutoff(self):
+        # the frame rotating at omega_a leaves G, delta and n_max as the only parameters
+        p = SystemParams(G=1.0, delta=40.0, n_max=4)
+        assert [f.name for f in fields(p)] == ["G", "delta", "n_max"]
+        assert p.dim == 80
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):

@@ -8,9 +8,7 @@ from dfscavity.hilbert import (
     StateVector,
     SystemParams,
     basis_index,
-    cavity_ladder,
     excitation_number,
-    single_atom_operator,
 )
 from dfscavity.model import (
     TWO_EXCITATION_LABELS,
@@ -26,11 +24,12 @@ from dfscavity.model import (
     stark_diagonal,
     two_excitation_manifold,
 )
+from test_hilbert import cavity_ladder, single_atom_operator
 
 
 @pytest.fixture(scope="module")
 def params():
-    return SystemParams(G=1.0, delta=10.0, omega_a=5.0, omega=10.0, n_max=6)
+    return SystemParams(G=1.0, delta=10.0, n_max=6)
 
 
 @pytest.fixture(scope="module")
@@ -45,13 +44,14 @@ def hint(params):
 
 class TestBareHamiltonian:
     def test_all_ground_energy(self, params, h0):
+        # frame rotating at omega_a: the vacuum has zero energy
         idx = basis_index("gggg", 0, params.n_max)
-        assert h0.matrix[idx, idx] == pytest.approx(-2 * params.omega_a)
+        assert h0.matrix[idx, idx] == 0.0
 
     def test_two_excitation_energy_is_photon_only(self, params, h0):
         for n in range(params.n_max + 1):
             idx = basis_index("egeg", n, params.n_max)
-            assert h0.matrix[idx, idx] == pytest.approx(n * params.omega)
+            assert h0.matrix[idx, idx] == params.delta / 2.0 * n
 
     def test_diagonal_by_construction(self, h0):
         off = h0.matrix - np.diag(np.diag(h0.matrix))
@@ -95,7 +95,7 @@ class TestInteraction:
     @pytest.mark.parametrize("n_max", [4, 8, 16, 32])
     def test_full_hamiltonian_conserves_total_excitation(self, n_max):
         # [H, n + n_e] = 0 exactly: H is block diagonal in photons plus atomic excitations
-        p = SystemParams(G=0.7, delta=1000.0, omega_a=3.0, omega=503.0, n_max=n_max)
+        p = SystemParams(G=0.7, delta=1000.0, n_max=n_max)
         h = build_full_hamiltonian(p).matrix
         total = [excitation_number(a) + n for a in range(16) for n in range(n_max + 1)]
         n_op = np.diag(np.array(total, dtype=complex))
@@ -217,9 +217,8 @@ class TestSecondOrderEngine:
         h0 = build_h0(params)
         members = (basis_index("egeg", 0, params.n_max),
                    basis_index("gggg", 2, params.n_max))
-        # same bare energy (0*omega + 0 vs -2*omega_a + 2*omega) only if tuned;
-        # build a crafted degenerate pair coupled by hint instead
-        p = SystemParams(G=1.0, delta=10.0, omega_a=5.0, omega=10.0, n_max=6)
+        # the two are detuned by delta, so build a crafted degenerate pair coupled by hint
+        p = SystemParams(G=1.0, delta=10.0, n_max=6)
         e = np.real(np.diag(build_h0(p).matrix))
         m1 = basis_index("egeg", 2, p.n_max)
         m2 = basis_index("gggg", 4, p.n_max)

@@ -9,6 +9,7 @@ tolerance, so tier-1 sees any drift of a report, not only of validate-effective.
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -51,9 +52,9 @@ def _sector_start(sector, n):
 class TestExcitationSector:
     @pytest.mark.parametrize("n_max", [4, 8, 16, 32])
     @settings(derandomize=True, deadline=None, max_examples=10)
-    @given(G=couplings, ratio=ratios, omega_a=st.floats(-10.0, 10.0, allow_nan=False))
-    def test_blocks_equal_dense_slices(self, n_max, G, ratio, omega_a):
-        p = SystemParams(G=G, delta=ratio * G, omega_a=omega_a, omega=omega_a + ratio * G / 2, n_max=n_max)
+    @given(G=couplings, ratio=ratios)
+    def test_blocks_equal_dense_slices(self, n_max, G, ratio):
+        p = SystemParams(G=G, delta=ratio * G, n_max=n_max)
         h0, hint = build_h0(p).matrix, build_hint(p).matrix
         for n in range(n_max - 3):
             sector = excitation_sector(p, n + 2)
@@ -86,7 +87,28 @@ class TestExcitationSector:
         sector = excitation_sector(p, 3)
         m = sector.manifold
         assert [int(sector.indices[k]) for k in m.members] == [basis_index(c, 1, 8) for c in TWO_EXCITATION_CONFIGS]
-        assert m.energy == p.omega * 1
+        assert m.energy == p.delta / 2.0 * 1
+
+    def test_memory_does_not_grow_with_n_max(self):
+        # built from formulas: no (n_max+1)^2 ladder behind the at most 16 states
+        tracemalloc.start()
+        try:
+            excitation_sector(SystemParams(G=1.0, delta=10.0, n_max=1000), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_validate_effective_results_do_not_depend_on_n_max(self):
+        # every number comes from the sector; only the perturbative flag reads n_max
+        results = {}
+        for n_max in (8, 1000):
+            config = parse_config(f"n_max = {n_max}\n", experiment="validate-effective")
+            results[n_max] = run_experiment(config).results
+            for run, ratio in zip(results[n_max]["runs"], config.delta_over_G):
+                params = SystemParams(G=config.G, delta=ratio * config.G, n_max=n_max)
+                assert run.pop("perturbative_ok") == params.perturbative_ok
+        assert results[1000] == results[8]
 
     def test_position_rejects_a_state_outside(self):
         sector = excitation_sector(SystemParams(G=1.0, delta=10.0, n_max=8), 2)
