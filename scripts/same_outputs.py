@@ -4,14 +4,16 @@
 
 Exports the committed files of REV and copies the working tree as it is at
 start, with `export_tree` and `snapshot_worktree` of scripts/bench_pairs.py.
-Then each tree produces, from its own source, 79 outputs:
+Then each tree produces, from its own source, 83 outputs:
 
 * the 64 default-config reports: 8 experiments x seeds 0, 3, 7, 11 x JSON
   and CSV (`python -m dfscavity.cli <experiment> --seed S --format F`);
 * at seeds 0 and 3, as JSON: the 60x60 teleport grid and the
   `nbar_max = 10` thermal report (the scaled configs of the protocol-sweeps
-  benchmark), validate-effective at `n_max = 64`, and entangle with an
-  explicit, consistent `omega_a`/`omega` pair;
+  benchmark), validate-effective at `n_max = 16` (the exact-scaled
+  benchmark's config) and `n_max = 64`, validate-effective at
+  `delta_over_G = 5, 10, 20, 40, 80` (more peak candidates for the Rabi
+  fit), and entangle with an explicit, consistent `omega_a`/`omega` pair;
 * the stdout of every script under demos/.
 
 Prints `same` or `DIFF` per output and exits 0 only if every output is
@@ -37,7 +39,9 @@ SEEDS = (0, 3, 7, 11)
 SCALED_SEEDS = (0, 3)
 SCALED = {"teleport-60x60": ("teleport", "theta_points = 60\ndelay_points = 60\n"),
           "thermal-nbar10": ("thermal", "nbar_max = 10\n"),
+          "validate-nmax16": ("validate-effective", "n_max = 16\n"),
           "validate-nmax64": ("validate-effective", "n_max = 64\n"),
+          "validate-ratios": ("validate-effective", "delta_over_G = 5, 10, 20, 40, 80\n"),
           "entangle-frequencies": ("entangle", "delta = 3e6\nomega_a = 7.0\nomega = 1500007.0\n")}
 
 

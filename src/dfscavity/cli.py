@@ -513,8 +513,6 @@ def _run_thermal(c: ExperimentConfig) -> tuple[dict, dict, dict]:
 
 def _run_validate_effective(c: ExperimentConfig) -> tuple[dict, dict, dict]:
     per_ratio = []
-    deviations = []
-    derived_infidelities = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # perturbative-ratio warnings recorded as data
         for ratio in c.delta_over_G:
@@ -526,8 +524,6 @@ def _run_validate_effective(c: ExperimentConfig) -> tuple[dict, dict, dict]:
                 run = err.run
                 gate_fired = True
             comparison = compare_effective_models(params, n=0)
-            deviations.append(run.relative_deviation)
-            derived_infidelities.append(comparison.max_infidelity_derived)
             measured = asdict(run)
             del measured["delta_over_g"]  # reported as the configured ratio instead
             per_ratio.append({
@@ -550,6 +546,9 @@ def _run_validate_effective(c: ExperimentConfig) -> tuple[dict, dict, dict]:
                 },
             })
     runs = per_ratio
+    by_ratio = [runs[k] for k in np.argsort(c.delta_over_G, kind="stable")]  # the trend flags' order
+    deviations = [r["relative_deviation"] for r in by_ratio]
+    derived_infidelities = [r["comparison"]["max_infidelity_derived_vs_full"] for r in by_ratio]
     dev_decreasing = all(np.isfinite(d) for d in deviations) and \
         all(b < a for a, b in zip(deviations, deviations[1:]))
     results = {

@@ -91,7 +91,12 @@ def prominent_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
     A flat-topped maximum is reported at its midpoint (rounded down); the
     first and last samples are never peaks. The prominence of a peak is its
     height above the higher of the two lowest points reached by walking left
-    and right until the series rises above the peak or ends.
+    and right until the series rises strictly above the peak or ends.
+
+    Linear time: runs of equal values are merged, the merged series is cut
+    down to its turning points (local maxima and minima, plus both ends, which
+    hold every boundary and every lowest point of such a walk), and one
+    monotone-stack pass from each side gives every walk's lowest point.
     """
     x = np.asarray(x, dtype=float)
     if x.size < 3:
@@ -101,15 +106,31 @@ def prominent_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
     level = x[starts]
     top = np.zeros(len(level), dtype=bool)
     top[1:-1] = (level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])
-    peaks = []
-    for i in (starts[top] + ends[top]) // 2:
-        higher = np.flatnonzero(x > x[i])
-        k = np.searchsorted(higher, i)
-        lo = higher[k - 1] + 1 if k else 0
-        hi = higher[k] if k < len(higher) else len(x)
-        if x[i] - max(x[lo:i + 1].min(), x[i:hi].min()) >= prominence:
-            peaks.append(i)
-    return np.array(peaks, dtype=np.intp)
+    turn = np.ones(len(level), dtype=bool)
+    turn[1:-1] = top[1:-1] | ((level[1:-1] < level[:-2]) & (level[1:-1] < level[2:]))
+    heights = level[turn]
+    low = np.maximum(_lowest_since_higher(heights),
+                     _lowest_since_higher(heights[::-1])[::-1])
+    keep = top[turn] & (heights - low >= prominence)
+    return ((starts[turn] + ends[turn]) // 2)[keep]
+
+
+def _lowest_since_higher(values: np.ndarray) -> np.ndarray:
+    """For each entry, the lowest value from just after the nearest strictly
+    higher entry before it (or from the start) up to the entry itself.
+
+    The stack holds (value, lowest value since the entry below it); popping
+    every entry that is not strictly higher merges their lowest values, so
+    each entry is pushed and popped once."""
+    stack: list[tuple[float, float]] = []
+    out = np.empty(len(values))
+    for k, v in enumerate(values.tolist()):
+        lowest = v
+        while stack and stack[-1][0] <= v:
+            lowest = min(lowest, stack.pop()[1])
+        stack.append((v, lowest))
+        out[k] = lowest
+    return out
 
 
 def _quadratic_peak_times(times: np.ndarray, series: np.ndarray) -> list[float]:

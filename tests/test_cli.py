@@ -336,6 +336,15 @@ class TestExperiments:
         assert not flags["pair_rabi_deviation_decreasing"]
         assert not report.passed
 
+    def test_validate_effective_flags_independent_of_ratio_order(self):
+        ascending = run_experiment(parse_config("delta_over_G = 10, 20, 40\n",
+                                                experiment="validate-effective"))
+        descending = run_experiment(parse_config("delta_over_G = 40, 20, 10\n",
+                                                 experiment="validate-effective"))
+        assert descending.flags == ascending.flags
+        # the runs stay in config order
+        assert [r["delta_over_G"] for r in descending.results["runs"]] == [40.0, 20.0, 10.0]
+
 
 class TestDeterminism:
     def test_json_reports_byte_identical(self):

@@ -5,12 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 import dfscavity
 from dfscavity.hilbert import SystemParams
 from dfscavity.validate import (
+    PEAK_PROMINENCE_FRACTION,
     RabiFitError,
+    _exact_run,
     compare_effective_models,
     effective_difference_entries,
     extract_rabi,
@@ -147,6 +151,46 @@ class TestProminentPeaks:
             expected, _ = find_peaks(x, prominence=prominence)
             np.testing.assert_array_equal(prominent_peaks(x, prominence), expected,
                                           err_msg=f"{name} at prominence fraction {fraction}")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 6), max_size=300), st.data())
+    def test_integer_series_with_plateaus_match_scipy(self, values, data):
+        x = np.array(values, dtype=float)
+        prominence = data.draw(_on_or_between_gaps(x))
+        expected, _ = find_peaks(x, prominence=prominence)
+        np.testing.assert_array_equal(prominent_peaks(x, prominence), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 10_000), st.booleans(), st.data())
+    def test_random_walks_match_scipy(self, seed, size, unit_steps, data):
+        rng = np.random.default_rng(seed)
+        # steps of -1, 0 or +1 give plateaus and repeated levels; normal steps give neither
+        steps = rng.integers(-1, 2, size=size) if unit_steps else rng.normal(size=size)
+        x = np.cumsum(steps).astype(float)
+        prominence = data.draw(_on_or_between_gaps(x))
+        expected, _ = find_peaks(x, prominence=prominence)
+        np.testing.assert_array_equal(prominent_peaks(x, prominence), expected)
+
+    @pytest.mark.parametrize("ratio", [5.0, 10.0, 20.0, 40.0, 80.0])
+    def test_gege_series_peaks_match_scipy(self, ratio):
+        # the series the Rabi fit filters, at the fit's threshold and with none
+        _, sector, _, _, amps = _exact_run(make_params(ratio), 0, 6001)
+        p_gege = np.abs(amps[:, sector.position("gege", 0)]) ** 2
+        for fraction in (PEAK_PROMINENCE_FRACTION, 0.0):
+            prominence = fraction * float(np.ptp(p_gege))
+            expected, _ = find_peaks(p_gege, prominence=prominence)
+            np.testing.assert_array_equal(prominent_peaks(p_gege, prominence), expected,
+                                          err_msg=f"delta/G {ratio}, fraction {fraction}")
+
+
+def _on_or_between_gaps(x):
+    """A prominence threshold on one of the gaps that decide the filter (the
+    prominences of the maxima of x), halfway between two neighbouring ones,
+    or below or above all of them."""
+    gaps = np.unique(find_peaks(x, prominence=0.0)[1]["prominences"])
+    candidates = np.concatenate([[0.0], gaps, (gaps[1:] + gaps[:-1]) / 2,
+                                 gaps[-1:] + 1.0])
+    return st.sampled_from(sorted(candidates.tolist()))
 
 
 def test_import_leaves_scipy_unloaded():
