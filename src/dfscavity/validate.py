@@ -150,7 +150,10 @@ def _quadratic_peak_times(times: np.ndarray, series: np.ndarray) -> list[float]:
 def _exact_run(params: SystemParams, n: int, n_points: int):
     """Evolve |egeg, n> exactly on the sector n_e + m = n + 2 over 1.5 exchange periods
     by one eigh; returns (run inputs, sector, times, propagator, amplitudes (n_points,
-    sector)). Raises ValueError unless 0 <= n <= n_max - 4, RabiFitError when G = 0."""
+    sector)). Raises ValueError unless n_points >= 3 (a peak and its two neighbours)
+    and 0 <= n <= n_max - 4, RabiFitError when G = 0."""
+    if n_points < 3:
+        raise ValueError(f"n_points must be at least 3; got {n_points}")
     sector = excitation_sector(params, n + 2)  # the domain check, before effective_coupling
     run = ValidationRun(delta_over_g=params.delta / params.G if params.G else np.inf,
                         omega_expected=effective_coupling(n, params).omega,
@@ -176,7 +179,7 @@ def extract_rabi(params: SystemParams, n: int = 0,
     RabiFitError (carrying the partial run) when the peak transfer stays
     below min_peak_population or no oscillation exists; lower the threshold
     to force a fit of whatever oscillation is present. Raises ValueError
-    unless 0 <= n <= n_max - 4.
+    unless n_points >= 3 and 0 <= n <= n_max - 4.
     """
     run, sector, times, propagator, amps = _exact_run(params, n, n_points)
     idx = {lab: sector.position(lab, n) for lab in TWO_EXCITATION_LABELS}
@@ -282,7 +285,8 @@ def compare_effective_models(params: SystemParams, n: int = 0,
                              n_points: int = 1201) -> EffectiveModelComparison:
     """Evolve |egeg, n> under the pair-swap effective operator, the PT-derived
     operator, and the exact full model; report fidelity time series and the
-    operator difference. Raises ValueError unless 0 <= n <= n_max - 4."""
+    operator difference. Raises ValueError unless n_points >= 3 and
+    0 <= n <= n_max - 4."""
     run, sector, times, _, amps_full = _exact_run(params, n, n_points)  # (t, sector)
     omega = run.omega_expected
 

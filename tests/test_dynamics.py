@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from dfscavity.dynamics import dfs_propagate, evolve_exact, evolve_times, make_propagator
+from dfscavity.dynamics import _series, dfs_propagate, evolve_exact, evolve_times, make_propagator
 from dfscavity.hilbert import Operator, StateVector, SystemParams, atomic_index, basis_index
 from dfscavity.model import (
     TWO_EXCITATION_CONFIGS,
@@ -25,6 +27,56 @@ def random_two_excitation_state(rng, n_max=0):
     for c, cfg in zip(coeffs, TWO_EXCITATION_CONFIGS):
         amps[cfg * (n_max + 1)] = c
     return StateVector(amps, n_max)
+
+
+def unfolded_series(w, v, amplitudes, times):
+    """The sum over every eigenvalue, one exponential per eigenvalue and time: the
+    reference for the folded `_series`."""
+    return (np.exp(-1j * np.outer(np.asarray(times), w)) * (v.conj().T @ amplitudes)) @ v.T
+
+
+def planted_spectrum(rng, dim, scale, split):
+    """A random hermitian matrix whose eigenvalues are small integer multiples of
+    `scale` (so degenerate ones are planted), the second one `split` above the first,
+    and its eigenvectors Q in that order."""
+    levels = scale * rng.integers(-4, 5, size=dim).astype(float)
+    levels[1:2] = levels[0] + split
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    h = (q * levels) @ q.conj().T
+    return levels, q, (h + h.conj().T) / 2
+
+
+class TestFoldedSeries:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(dim=st.integers(1, 16), seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3),
+           t_span=st.floats(0.0, 1e3), split=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3]))
+    def test_matches_unfolded_sum(self, dim, seed, scale, t_span, split):
+        rng = np.random.default_rng(seed)
+        levels, q, h = planted_spectrum(rng, dim, scale, split * scale)
+        w, v = np.linalg.eigh(h)
+        # confined to a random subset of the eigenspaces that holds the split pair,
+        # with amplitudes down to 1e-10
+        occupied = (rng.random(dim) < 0.5) | (np.arange(dim) < 2)
+        coeffs = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * 10.0 ** rng.uniform(-10, 0, size=dim)
+        psi = q @ np.where(np.isin(levels, levels[occupied]), coeffs, 0.0)
+        psi /= np.linalg.norm(psi)
+        times = rng.uniform(-t_span, t_span, size=int(rng.integers(1, 40))) / scale
+        folded = _series(w, v, psi, times)
+        reference = unfolded_series(w, v, psi, times)
+        bound = 1e-12 * (1.0 + np.max(np.abs(w)) * np.max(np.abs(times)))
+        assert folded.shape == (len(times), dim)
+        assert np.max(np.abs(folded - reference)) <= bound
+        norms = np.linalg.norm(folded, axis=1)
+        assert np.max(np.abs(norms - np.linalg.norm(psi))) <= 1e-12
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(dim=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+    def test_zero_state_gives_zeros(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        _, _, h = planted_spectrum(rng, dim, 1.0, 0.0)
+        out = _series(*np.linalg.eigh(h), np.zeros(dim, dtype=complex), np.linspace(0.0, 10.0, 7))
+        assert out.shape == (7, dim)
+        assert not np.any(out)
 
 
 class TestEvolveExact:

@@ -149,6 +149,41 @@ class TestExcitationSector:
         assert derived_coupling(p, n).omega == pytest.approx(effective_coupling(n, p).omega, rel=1e-12)
 
 
+def dicke_ladder_levels(G, delta, n):
+    """Eigenvalues of the symmetric Dicke ladder |gggg, n+2>, |D2, n>, |eeee, n-2>
+    (|D2> the normalised sum of the six two-excitation configurations), built from
+    formulas; the last state exists only for n >= 2."""
+    energies = delta / 2.0 * np.array([n + 2, n, n - 2])
+    couplings = np.sqrt(6.0) * G * np.sqrt([(n + 1) * (n + 2), n * (n - 1)])
+    size = 3 if n >= 2 else 2
+    block = np.diag(energies[:size]) + np.diag(couplings[:size - 1], 1) + np.diag(couplings[:size - 1], -1)
+    return np.linalg.eigvalsh(block)
+
+
+class TestDickeReduction:
+    """From any two-excitation start the exact dynamics occupies the Dicke ladder
+    and one dark level only, which is why the folded series evolves 3 or 4
+    frequencies instead of one per sector state."""
+
+    @pytest.mark.parametrize("ratio", [5.0, 10.0, 20.0, 40.0, 80.0])
+    @pytest.mark.parametrize("n", range(7))
+    def test_occupied_eigenspaces_are_ladder_plus_dark_level(self, n, ratio):
+        G, delta = 1.0, ratio
+        sector = excitation_sector(SystemParams(G=G, delta=delta, n_max=10), n + 2)
+        w, v = np.linalg.eigh(sector.hamiltonian.matrix)
+        # eigenspaces: eigenvalues closer than 1e-9 delta are one level
+        starts = np.flatnonzero(np.r_[True, np.diff(w) > 1e-9 * delta])
+        expected = np.sort(np.r_[dicke_ladder_levels(G, delta, n), delta / 2.0 * n])
+        for config in TWO_EXCITATION_CONFIGS:
+            psi = np.zeros(len(w), dtype=complex)
+            psi[sector.position(config, n)] = 1.0
+            weights = np.add.reduceat(np.abs(v.conj().T @ psi) ** 2, starts)
+            occupied = w[starts][weights > 1e-12]
+            assert len(occupied) == (3 if n < 2 else 4)
+            assert np.sum(np.abs(occupied - delta / 2.0 * n) < 1e-9 * delta) == 1
+            np.testing.assert_allclose(occupied, expected, rtol=0, atol=1e-9 * delta)
+
+
 class TestFockDomain:
     @pytest.mark.parametrize("n", [-1, 5, 7, 8])
     def test_compare_effective_models_rejects_n_outside_domain(self, n):

@@ -126,6 +126,22 @@ class TestCompareEffectiveModels:
         assert np.all(comp.fidelity_derived_vs_full <= 1 + 1e-12)
 
 
+class TestPointCount:
+    @pytest.mark.parametrize("run", [extract_rabi, forced_rabi_fit, compare_effective_models])
+    @pytest.mark.parametrize("n_points", [0, 1, 2])
+    def test_fewer_than_three_points_rejected(self, run, n_points, capfd):
+        # a peak needs both neighbours; the rejection comes before any LAPACK call
+        with pytest.raises(ValueError, match="n_points must be at least 3; got"):
+            run(make_params(10.0), n=0, n_points=n_points)
+        assert capfd.readouterr().err == ""
+
+    def test_three_points_accepted(self):
+        run = forced_rabi_fit(make_params(10.0), n=0, n_points=3)
+        assert 0.0 < run.peak_population < 1.0
+        comp = compare_effective_models(make_params(10.0), n=0, n_points=3)
+        assert comp.fidelity_derived_vs_full.shape == (3,)
+
+
 def _peak_cases():
     """Series that exercise the prominence filter: seeded random noise,
     integer-valued series with plateaus, a flat series and edge maxima."""
