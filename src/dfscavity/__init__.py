@@ -2,7 +2,7 @@
 
 Library layers:
 
-* hilbert  -- composite basis, states, operator builders
+* hilbert  -- composite basis, parameters, states and read-only operators
 * model    -- full and effective Hamiltonians, second-order PT engine
 * dynamics -- exact propagators and the closed-form pair-exchange map
 * logical  -- pair-encoded logical qubits and collective dephasing
@@ -54,7 +54,6 @@ from .hilbert import (
     atomic_index,
     basis_index,
     config_labels,
-    index_to_labels,
 )
 from .logical import (
     LogicalState,

@@ -1,4 +1,4 @@
-"""Composite Hilbert-space algebra: four two-level atoms and one truncated cavity mode.
+"""Composite basis, states and read-only operators: four two-level atoms and one cavity mode.
 
 Conventions used throughout the package:
 
@@ -33,14 +33,6 @@ NORM_ATOL = 1e-12
 
 PERTURBATIVE_RATIO_MAX = 0.25
 
-# single-atom operators in the (|g>, |e>) basis
-SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)   # |e><g|
-SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
-SIGMA_Z = np.diag([-0.5, 0.5]).astype(complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
-
-_ATOM_OPS = {"+": SIGMA_PLUS, "-": SIGMA_MINUS, "z": SIGMA_Z}
-
 N_ATOMS = 4
 N_ATOMIC_CONFIGS = 2**N_ATOMS
 
@@ -64,6 +56,9 @@ class SystemParams:
     n_max: int = 8
 
     def __post_init__(self) -> None:
+        for name in ("G", "delta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.G < 0:
             raise ValueError(f"coupling G must be >= 0, got {self.G}")
         if self.delta == 0:
@@ -166,14 +161,6 @@ def basis_index(config, n: int, n_max: int) -> int:
     return atomic_index(config) * (n_max + 1) + n
 
 
-def index_to_labels(index: int, n_max: int) -> tuple[str, int]:
-    """Composite index -> (atomic label string, Fock level)."""
-    dim = N_ATOMIC_CONFIGS * (n_max + 1)
-    if not 0 <= index < dim:
-        raise ValueError(f"composite index out of range: {index}")
-    return config_labels(index // (n_max + 1)), index % (n_max + 1)
-
-
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Complex amplitude vector over the composite (4 atoms x Fock) basis,
@@ -226,43 +213,3 @@ class StateVector:
         if n is None:
             return float(np.sum(np.abs(block) ** 2))
         return float(abs(block[n]) ** 2)
-
-
-def _kron_all(mats) -> np.ndarray:
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
-def atomic_operator(kinds: dict[int, str]) -> np.ndarray:
-    """16x16 product operator on the four atoms, identity where unspecified.
-
-    `kinds` maps atom index (1..4) to "+", "-" or "z".
-    """
-    mats = [IDENTITY_2] * N_ATOMS
-    for atom, kind in kinds.items():
-        if not 1 <= atom <= N_ATOMS:
-            raise ValueError(f"atom index must be 1..{N_ATOMS}, got {atom}")
-        try:
-            mats[atom - 1] = _ATOM_OPS[kind]
-        except KeyError:
-            raise ValueError(f"unknown atomic operator kind {kind!r}") from None
-    return _kron_all(mats)
-
-
-def fock_ladder(kind: str, power: int, n_max: int) -> np.ndarray:
-    """(n_max+1)-dim truncated ladder matrix a^power or (a^dag)^power."""
-    if power not in (1, 2):
-        raise ValueError(f"power must be 1 or 2, got {power}")
-    d = n_max + 1
-    a = np.zeros((d, d), dtype=complex)
-    for n in range(1, d):
-        a[n - 1, n] = np.sqrt(n)
-    if kind == "a":
-        m = a
-    elif kind == "a_dag":
-        m = a.conj().T
-    else:
-        raise ValueError(f"kind must be 'a' or 'a_dag', got {kind!r}")
-    return np.linalg.matrix_power(m, power)

@@ -21,9 +21,10 @@ diagonal (Stark) term.
 
 H conserves n_e + n (atomic excitations plus photons), so `excitation_sector`
 gives the exact model on the at most 16 states with n_e + n = total, built
-from closed-form entries at a cost independent of n_max; the dense
-`build_h0`/`build_hint`/`build_full_hamiltonian` remain as the reference it is
-tested against.
+from closed-form entries at a cost independent of n_max. The dense
+`build_h0`/`build_hint`/`build_full_hamiltonian` use the same formulas on the
+whole space (the pair pattern from bits of the configuration index, the a^2
+entries sqrt(m-1) sqrt(m)); the tests check both against Kronecker products.
 
 `derive_second_order` is the independent oracle for all of the above: it
 sums over every intermediate outside a degenerate manifold,
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -51,10 +51,8 @@ from .hilbert import (
     Operator,
     SystemParams,
     atomic_index,
-    atomic_operator,
     basis_index,
     excitation_number,
-    fock_ladder,
 )
 
 # the six two-excitation atomic configurations, in a fixed label order
@@ -99,17 +97,20 @@ def build_h0(params: SystemParams) -> Operator:
 
 @cache
 def _pair_raising() -> np.ndarray:
-    """sum_{i<j} sigma_i^+ sigma_j^+ over the six unordered atom pairs (16x16, entries
-    0 or 1: a configuration pair differs in exactly one atom pair or in none); read-only."""
-    x = sum(atomic_operator({i: "+", j: "+"}) for i, j in combinations(range(1, 5), 2))
+    """sum_{i<j} sigma_i^+ sigma_j^+ over the six unordered atom pairs (16x16, read-only):
+    entry [a, b] is 1 when configuration a excites exactly two atoms that are ground in
+    b, else 0, since each such pair of configurations is joined by exactly one term."""
+    a, b = np.indices((N_ATOMIC_CONFIGS, N_ATOMIC_CONFIGS))
+    x = (((a & b) == b) & (np.bitwise_count(a ^ b) == 2)).astype(complex)
     x.setflags(write=False)
     return x
 
 
 def build_hint(params: SystemParams) -> Operator:
-    """Hint = G (X + X^H), X = sum_{i<j} kron(sigma_i^+ sigma_j^+, a^2): the 16x16
-    atomic pair products times the truncated ladder a^2."""
-    x = np.kron(_pair_raising(), fock_ladder("a", 2, params.n_max))
+    """Hint = G (X + X^H), X = kron(P, a^2): P the atomic pair pattern of `_pair_raising`,
+    a^2 the truncated ladder with entries <m-2|a^2|m> = sqrt(m-1) sqrt(m)."""
+    m = np.arange(2, params.n_max + 1)
+    x = np.kron(_pair_raising(), np.diag(np.sqrt(m - 1) * np.sqrt(m), k=2))
     return Operator(params.G * (x + x.conj().T))
 
 

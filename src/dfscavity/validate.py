@@ -176,9 +176,10 @@ def extract_rabi(params: SystemParams, n: int = 0,
     exact full model.
 
     The time grid covers 1.5 periods of the expected exchange rate. Raises
-    RabiFitError (carrying the partial run) when the peak transfer stays
-    below min_peak_population or no oscillation exists; lower the threshold
-    to force a fit of whatever oscillation is present. Raises ValueError
+    RabiFitError (carrying the partial run and its diagnostic) when the peak
+    transfer stays below min_peak_population, when the |gege> population has
+    no prominent peak, or when no oscillation exists; lower the threshold to
+    force a fit of whatever oscillation is present. Raises ValueError
     unless n_points >= 3 and 0 <= n <= n_max - 4.
     """
     run, sector, times, propagator, amps = _exact_run(params, n, n_points)
@@ -211,6 +212,9 @@ def extract_rabi(params: SystemParams, n: int = 0,
         omega_fit = np.nan
 
     peak_pop = float(p_gege.max())
+    too_small = peak_pop < min_peak_population  # its diagnostic takes precedence
+    diagnostic = (f"peak transfer {peak_pop:.6f} below the fit threshold {min_peak_population}" if too_small
+                  else None if np.isfinite(omega_fit) else "no prominent peak in the |gege> population")
     run = replace(
         run,
         omega_fit=omega_fit,
@@ -224,13 +228,14 @@ def extract_rabi(params: SystemParams, n: int = 0,
         stark_shift_fit=stark_fit,
         unitarity_defect=unde,
         normalization_defect=norm_defect,
-        diagnostic=None if peak_pop >= min_peak_population else
-        f"peak transfer {peak_pop:.6f} below the fit threshold {min_peak_population}",
+        diagnostic=diagnostic,
     )
-    if peak_pop < min_peak_population or not np.isfinite(omega_fit):
+    if too_small:
         raise RabiFitError(
             f"oscillation amplitude too small to fit: peak population {peak_pop:.6f} "
             f"< {min_peak_population}", run)
+    if diagnostic is not None:
+        raise RabiFitError(diagnostic, run)
     return run
 
 
@@ -238,7 +243,7 @@ def forced_rabi_fit(params: SystemParams, n: int = 0, n_points: int = 6001) -> V
     """extract_rabi with the amplitude gate disabled (fit whatever is there)."""
     try:
         return extract_rabi(params, n, min_peak_population=0.0, n_points=n_points)
-    except RabiFitError as err:  # only when no peaks exist at all
+    except RabiFitError as err:  # no coupling, or no prominent peak
         return err.run
 
 

@@ -1,4 +1,5 @@
 from dataclasses import fields
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,15 +14,55 @@ from dfscavity.hilbert import (
     StateVector,
     SystemParams,
     atomic_index,
-    atomic_operator,
     basis_index,
     config_labels,
-    fock_ladder,
-    index_to_labels,
 )
 
 N_MAX = 4
 DIM = 16 * (N_MAX + 1)
+
+# The Kronecker-product operator algebra, the reference the formula-built
+# Hamiltonians of `model` are checked against: single-atom operators in the
+# (|g>, |e>) basis, lifted to the four atoms and the cavity by kron.
+SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)   # |e><g|
+SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
+SIGMA_Z = np.diag([-0.5, 0.5]).astype(complex)
+IDENTITY_2 = np.eye(2, dtype=complex)
+ATOM_OPS = {"+": SIGMA_PLUS, "-": SIGMA_MINUS, "z": SIGMA_Z}
+
+
+def kron_all(mats) -> np.ndarray:
+    out = mats[0]
+    for m in mats[1:]:
+        out = np.kron(out, m)
+    return out
+
+
+def atomic_operator(kinds: dict[int, str]) -> np.ndarray:
+    """16x16 product operator on the four atoms, identity where unspecified;
+    `kinds` maps atom index (1..4) to "+", "-" or "z"."""
+    mats = [IDENTITY_2] * 4
+    for atom, kind in kinds.items():
+        mats[atom - 1] = ATOM_OPS[kind]
+    return kron_all(mats)
+
+
+def fock_ladder(kind: str, power: int, n_max: int) -> np.ndarray:
+    """(n_max+1)-dim truncated ladder matrix a^power ("a") or (a^dag)^power ("a_dag")."""
+    a = np.diag(np.sqrt(np.arange(1, n_max + 1)), k=1).astype(complex)
+    return np.linalg.matrix_power({"a": a, "a_dag": a.conj().T}[kind], power)
+
+
+def kron_hint(G: float, n_max: int) -> np.ndarray:
+    """Reference Hint = G sum_{i<j} (kron(sigma_i^+ sigma_j^+, a^2) + h.c.), one kron per pair."""
+    x = sum(np.kron(atomic_operator({i: "+", j: "+"}), fock_ladder("a", 2, n_max))
+            for i, j in combinations(range(1, 5), 2))
+    return G * (x + x.conj().T)
+
+
+def index_to_labels(index: int, n_max: int) -> tuple[str, int]:
+    """Composite index -> (atomic label string, Fock level)."""
+    return config_labels(index // (n_max + 1)), index % (n_max + 1)
 
 
 def single_atom_operator(atom: int, kind: str, n_max: int) -> Operator:
@@ -49,6 +90,15 @@ class TestSystemParams:
             SystemParams(G=1.0, delta=0.0)
         with pytest.raises(ValueError):
             SystemParams(G=1.0, delta=10.0, n_max=3)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["G", "delta"])
+    def test_non_finite_coupling_or_detuning_rejected(self, field, value):
+        # a nan G made every Omega nan; an infinite delta made Omega 0 and the
+        # Rabi fit report "no oscillation (G = 0)"
+        values = {"G": 1.0, "delta": 10.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SystemParams(**values)
 
     def test_perturbative_flag_warns(self):
         with pytest.warns(UserWarning, match="perturbative") as record:

@@ -31,6 +31,7 @@ from dfscavity.model import (
     excitation_sector,
 )
 from dfscavity.validate import RabiFitError, compare_effective_models, effective_difference_entries, extract_rabi
+from test_hilbert import kron_hint
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 # the numeric tolerance of the benchmark's golden check (perfbench/checks.py)
@@ -55,12 +56,13 @@ class TestExcitationSector:
     @given(G=couplings, ratio=ratios)
     def test_blocks_equal_dense_slices(self, n_max, G, ratio):
         p = SystemParams(G=G, delta=ratio * G, n_max=n_max)
-        h0, hint = build_h0(p).matrix, build_hint(p).matrix
+        h0, hint, reference = build_h0(p).matrix, build_hint(p).matrix, kron_hint(G, n_max)
         for n in range(n_max - 3):
             sector = excitation_sector(p, n + 2)
             block = np.ix_(sector.indices, sector.indices)
             assert np.array_equal(sector.h0.matrix, h0[block])
             assert np.array_equal(sector.hint.matrix, hint[block])
+            assert np.array_equal(sector.hint.matrix, reference[block])
 
     @pytest.mark.parametrize("n_max", [4, 8, 16, 32])
     def test_members_are_the_conserved_excitation_states(self, n_max):

@@ -82,6 +82,21 @@ class TestExtractRabi:
         # second-order virtual-excitation scale: ~ 48 (G/delta)^2 / 6 per state
         assert leak40 < (np.sqrt(2.0) / 40.0) ** 2 * 4 * 6
 
+    def test_no_prominent_peak_is_diagnosed(self):
+        # the population clears a zero threshold, but a 3-point grid has no
+        # interior maximum: the run says so instead of carrying a bare nan
+        params = make_params(10.0)
+        with pytest.raises(RabiFitError, match="^no prominent peak") as excinfo:
+            extract_rabi(params, n=0, min_peak_population=0.0, n_points=3)
+        run = excinfo.value.run
+        assert np.isnan(run.omega_fit) and run.peak_population > 0.0
+        assert run.diagnostic == str(excinfo.value)
+        assert forced_rabi_fit(params, n=0, n_points=3).diagnostic == run.diagnostic
+        # below the threshold, the threshold text takes precedence
+        with pytest.raises(RabiFitError, match="too small") as excinfo:
+            extract_rabi(params, n=0, n_points=3)
+        assert excinfo.value.run.diagnostic.startswith("peak transfer")
+
     def test_fock_sector_above_guard_rejected(self):
         with pytest.raises(ValueError, match="n_max - 4"):
             extract_rabi(make_params(10.0), n=5)
