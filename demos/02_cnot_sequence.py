@@ -17,6 +17,7 @@ from dfscavity import (
     sequence_unitary_logical,
     verify_truth_table,
 )
+from dfscavity.gates import P_GATE_DURATION
 
 print("convention search (2 temporal orders x 2 P signs):")
 for conv, report in convention_search():
@@ -43,7 +44,7 @@ timing = schedule_duration(seq, params)
 print()
 print(f"aggregate CNOT duration : {timing.cnot_time_aggregate:.4e} s")
 print(f"bottom-up per-gate sum  : {timing.bottom_up_total:.4e} s "
-      f"(P gates booked at {timing.p_gate_duration} s)")
+      f"(P gates booked at {P_GATE_DURATION} s)")
 print(f"unreconciled difference : {timing.discrepancy:.4e} s "
       "(reported, never silently absorbed)")
 print(f"CNOT time / excited-state lifetime: {timing.cnot_over_lifetime:.2e}")

@@ -37,8 +37,8 @@ print(f"{'delta/G':>8s} {'peak P(gege)':>13s} {'fit/Omega':>10s} {'fit/3Omega':>
       f"{'pop-infid pair-swap':>20s} {'pop-infid PT':>13s}")
 for ratio in ratios:
     params = SystemParams(G=G, delta=ratio * G, n_max=8)
-    run = forced_rabi_fit(params, n=0, n_points=4001)
-    comp = compare_effective_models(params, n=0, n_points=601)
+    run = forced_rabi_fit(params, n=0)
+    comp = compare_effective_models(params, n=0)
     print(f"{ratio:8.0f} {run.peak_population:13.6f} "
           f"{run.omega_fit / run.omega_expected:10.4f} "
           f"{run.omega_fit / (3 * run.omega_expected):11.6f} "

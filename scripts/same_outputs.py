@@ -4,7 +4,7 @@
 
 Exports the committed files of REV and copies the working tree as it is at
 start, with `export_tree` and `snapshot_worktree` of scripts/bench_pairs.py.
-Then each tree produces, from its own source, 83 outputs:
+Then each tree produces, from its own source, 84 outputs:
 
 * the 64 default-config reports: 8 experiments x seeds 0, 3, 7, 11 x JSON
   and CSV (`python -m dfscavity.cli <experiment> --seed S --format F`);
@@ -14,7 +14,10 @@ Then each tree produces, from its own source, 83 outputs:
   benchmark's config) and `n_max = 64`, validate-effective at
   `delta_over_G = 5, 10, 20, 40, 80` (more peak candidates for the Rabi
   fit), and entangle with an explicit, consistent `omega_a`/`omega` pair;
-* the stdout of every script under demos/.
+* the stdout of every script under demos/;
+* `exit-codes.txt`: the exit code of each CLI run and each demo, one line
+  per run, so a change to the CLI's exit path shows even when the report
+  bytes match.
 
 Prints `same` or `DIFF` per output and exits 0 only if every output is
 byte-identical. A JSON DIFF also names its largest numeric deviation and
@@ -49,14 +52,17 @@ def produce(tree: Path, out: Path) -> list[str]:
     """Write every output of `tree`, run from its own src/, as a file under
     `out`, and return the file names expected there. A report is whatever
     the CLI wrote (validate-effective exits 1 by design); a demo's stdout is
-    written only when the demo exits 0."""
+    written only when the demo exits 0. Every run's exit code goes to
+    `exit-codes.txt`."""
     out.mkdir(parents=True)
-    names = []
+    names, codes = [], []
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(tree / "src"), env.get("PYTHONPATH")) if p)
 
     def run(*args: str) -> subprocess.CompletedProcess:
-        return subprocess.run([sys.executable, *args], cwd=tree, env=env, capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, *args], cwd=tree, env=env, capture_output=True, text=True)
+        codes.append(f"{names[-1]} {proc.returncode}\n")
+        return proc
 
     for exp in EXPERIMENTS:
         for seed in SEEDS:
@@ -77,6 +83,8 @@ def produce(tree: Path, out: Path) -> list[str]:
         proc = run(str(demo.relative_to(tree)))
         if proc.returncode == 0:
             (out / names[-1]).write_text(proc.stdout, encoding="utf-8")
+    names.append("exit-codes.txt")
+    (out / names[-1]).write_text("".join(codes), encoding="utf-8")
     return names
 
 

@@ -54,6 +54,7 @@ CORRECTION_TABLE = {
 }
 
 BELL_MAP_PULSE_AREA = np.pi / 4
+_BRANCH_ATOL = 1e-15  # branches at or below this probability are not enumerated
 
 
 def prepare_bell(label: BellLabel) -> StateVector:
@@ -84,8 +85,9 @@ class BellBranch:
     probability: float
 
 
-def enumerate_bell_branches(psi: StateVector, atol: float = 1e-15) -> tuple[BellBranch, ...]:
-    """All measurement branches of the Bell-discrimination map, deterministic."""
+def enumerate_bell_branches(psi: StateVector) -> tuple[BellBranch, ...]:
+    """All measurement branches of the Bell-discrimination map with probability
+    above _BRANCH_ATOL, deterministic."""
     if psi.n_max != 0:
         raise ValueError("Bell discrimination operates on atomic-only states (n_max=0)")
     mapped = BELL_MAP @ psi.amplitudes
@@ -93,7 +95,7 @@ def enumerate_bell_branches(psi: StateVector, atol: float = 1e-15) -> tuple[Bell
     branches = []
     for cfg in range(16):
         p = float(probs[cfg])
-        if p <= atol:
+        if p <= _BRANCH_ATOL:
             continue
         labels = config_labels(cfg)
         branches.append(BellBranch(

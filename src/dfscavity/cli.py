@@ -4,11 +4,12 @@ JSON/CSV reports.
 Usage:
     dfscavity <experiment> [--config PATH] [--out PATH] [--format json|csv] [--seed N]
 
-Experiments: entangle, cnot-verify, bell, teleport, stagger-sweep, thermal,
-validate-effective, durations. Exit codes: 0 all embedded PASS flags true,
-1 experiment failure (report still written), 2 config error. No environment
-variables are consulted; identical config + seed produce byte-identical
-reports.
+Experiments: entangle, cnot-verify, bell, teleport, stagger-sweep (in units
+of 1/Omega: pulse_area is the duration), thermal, validate-effective,
+durations. Exit codes: 0 all embedded PASS flags true, 1 experiment failure
+(report still written), 2 config error or unwritable --out path (no report
+written). Without --out the report goes to stdout. No environment variables
+are consulted; identical config + seed produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .errors import (
     staggered_fidelity_closed_form,
 )
 from .gates import (
+    P_GATE_DURATION,
     compile_cnot,
     convention_search,
     entangle_duration,
@@ -149,7 +151,6 @@ class ExperimentConfig:
     delta_over_G: tuple[float, ...] = _key((10.0, 20.0, 40.0), _FLOATS,
                                            lambda v: v > 0, "entries must be > 0, got {v}")
     seed: int = _key(0, _INT, _at_least(0), "must be >= 0")
-    out: str | None = _key(None, _STR)
     format: str = _key("json", _STR, ("json", "csv").__contains__, "must be 'json' or 'csv', got {v!r}")
 
     def resolved_delta(self) -> float:
@@ -196,6 +197,8 @@ def _check_config(c: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("missing experiment name (positional argument or 'experiment' key)")
     for key, spec in _SCHEMA.items():
         value = getattr(c, key)
+        if isinstance(value, tuple) and not value:
+            raise ConfigError(f"key {key!r}: needs at least one entry")
         if spec.ok is None or value is None:
             continue
         for item in value if isinstance(value, tuple) else (value,):
@@ -232,8 +235,6 @@ def serialize_config(c: ExperimentConfig) -> str:
 def _config_echo(c: ExperimentConfig) -> dict:
     echo = {}
     for f in fields(c):
-        if f.name == "out":  # delivery path, not an input; keeps reports byte-stable
-            continue
         value = getattr(c, f.name)
         if isinstance(value, tuple):
             value = [float(v) for v in value]
@@ -458,7 +459,7 @@ def _run_teleport(c: ExperimentConfig) -> tuple[dict, dict, dict]:
 
 def _run_stagger_sweep(c: ExperimentConfig) -> tuple[dict, dict, dict]:
     rows = stagger_sweep(c.t1_fractions, pulse_area=c.pulse_area)
-    t = c.pulse_area  # omega = 1 units
+    t = c.pulse_area  # in units of 1/Omega
     closed_defect = 0.0
     for frac, amp, _sq in rows:
         p = StaggerParams(t=t, t1=frac * t)
@@ -596,7 +597,7 @@ def _run_durations(c: ExperimentConfig) -> tuple[dict, dict, dict]:
         "per_gate_s": list(report.per_gate),
         "bottom_up_total_s": report.bottom_up_total,
         "aggregate_minus_bottom_up_s": report.discrepancy,
-        "p_gate_duration_s": report.p_gate_duration,
+        "p_gate_duration_s": P_GATE_DURATION,
         "lifetime_s": report.lifetime,
         "cnot_over_lifetime": report.cnot_over_lifetime,
         "csv_table": (["quantity", "seconds"],
@@ -663,8 +664,6 @@ def main(argv=None) -> int:
             overrides["seed"] = args.seed
         if args.format is not None:
             overrides["format"] = args.format
-        if args.out is not None:
-            overrides["out"] = args.out
         if overrides:
             config = _check_config(replace(config, **overrides))
     except (ConfigError, OSError) as err:
@@ -676,9 +675,13 @@ def main(argv=None) -> int:
     elapsed = time.monotonic() - started
 
     payload = report.to_json() if config.format == "json" else report.to_csv()
-    if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(payload)
+        except OSError as err:
+            print(f"output error: cannot write {args.out!r}: {err.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     status = "PASS" if report.passed else "FAIL"

@@ -98,13 +98,14 @@ def evolve_times(h: Operator, psi: StateVector, times: np.ndarray) -> np.ndarray
 
 _ROWS = list(TWO_EXCITATION_CONFIGS)
 _PARTNERS = [pair_partner(c) for c in TWO_EXCITATION_CONFIGS]
+_SUPPORT_ATOL = 1e-12  # largest amplitude dfs_propagate accepts off the six configurations
 
 
-def _two_excitation_support_ok(psi: StateVector, atol: float = 1e-12) -> bool:
+def _two_excitation_support_ok(psi: StateVector) -> bool:
     block = np.abs(psi.amplitudes.reshape(-1, psi.n_max + 1))
     outside = np.ones(block.shape[0], dtype=bool)
     outside[_ROWS] = False
-    return float(np.max(block[outside])) <= atol if outside.any() else True
+    return float(np.max(block[outside])) <= _SUPPORT_ATOL if outside.any() else True
 
 
 def pair_exchange(block: np.ndarray, pulse_area: float | np.ndarray) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Staggered insertion: atoms 1 and 2 sit alone in the cavity for a lead time
 t1 (two-atom coupling lambda = Omega/2) before atoms 3 and 4 arrive; the
-remaining t - t1 runs the intended four-atom evolution. Starting from
-|egeg>, the resulting state is
+remaining t - t1 runs the intended four-atom evolution. Times are in units
+of 1/Omega (every result depends on Omega t and Omega t1 only), so Omega = 1
+and lambda = 1/2 below. Starting from |egeg>, the resulting state is
 
     Psi = cos(lambda t1) [cos(Om (t-t1)) |egeg> - i sin(Om (t-t1)) |gege>]
         - i sin(lambda t1) [cos(Om (t-t1)) |geeg> - i sin(Om (t-t1)) |egge>]
@@ -25,32 +26,26 @@ from .hilbert import StateVector, atomic_index
 
 DEFAULT_PULSE_AREA = 3 * np.pi / 4  # the R pulse
 MAX_THERMAL_SECTORS = 100_001
+THERMAL_TAIL = 1e-9  # thermal_weights stops once the cumulative weight exceeds 1 - THERMAL_TAIL
 
 
 @dataclass(frozen=True)
 class StaggerParams:
-    """Total intended duration t, lead time t1, and the pair-exchange rate
-    omega; the two-atom rate is fixed at lambda = omega/2."""
+    """Total intended duration t and lead time t1, in units of 1/Omega (the
+    four-atom pair-exchange rate); the two-atom rate is lambda = 1/2."""
 
     t: float
     t1: float
-    omega: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0 <= self.t1 <= self.t:
             raise ValueError(f"need 0 <= t1 <= t, got t1={self.t1}, t={self.t}")
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
-
-    @property
-    def lam(self) -> float:
-        return self.omega / 2.0
 
 
 def staggered_state(p: StaggerParams) -> StateVector:
     """The lead-time-perturbed state from initial |egeg> (already normalized)."""
-    tail = p.omega * (p.t - p.t1)
-    lead = p.lam * p.t1
+    tail = p.t - p.t1
+    lead = 0.5 * p.t1
     amps = np.zeros(16, dtype=complex)
     amps[atomic_index("egeg")] = np.cos(lead) * np.cos(tail)
     amps[atomic_index("gege")] = np.cos(lead) * (-1j) * np.sin(tail)
@@ -61,8 +56,8 @@ def staggered_state(p: StaggerParams) -> StateVector:
 
 def ideal_pulse_state(p: StaggerParams) -> StateVector:
     """What the pulse should have produced from |egeg> (pair-exchange at
-    area omega*t)."""
-    return dfs_propagate(StateVector.basis_state("egeg"), p.omega * p.t)
+    area Omega t = t)."""
+    return dfs_propagate(StateVector.basis_state("egeg"), p.t)
 
 
 def staggered_fidelity(p: StaggerParams) -> float:
@@ -71,28 +66,27 @@ def staggered_fidelity(p: StaggerParams) -> float:
 
 
 def staggered_fidelity_closed_form(p: StaggerParams) -> float:
-    """cos(lambda t1) cos(Omega t1); must match the inner-product route."""
-    return float(np.cos(p.lam * p.t1) * np.cos(p.omega * p.t1))
+    """cos(lambda t1) cos(Omega t1) = cos(t1/2) cos(t1); must match the inner-product route."""
+    return float(np.cos(0.5 * p.t1) * np.cos(p.t1))
 
 
-def stagger_sweep(t1_fractions, pulse_area: float = DEFAULT_PULSE_AREA,
-                  omega: float = 1.0) -> tuple[tuple[float, float, float], ...]:
+def stagger_sweep(t1_fractions,
+                  pulse_area: float = DEFAULT_PULSE_AREA) -> tuple[tuple[float, float, float], ...]:
     """Rows of (t1/t, amplitude fidelity, squared fidelity) for a pulse of
-    the given area."""
-    t = pulse_area / omega
+    the given area, which is its duration t in units of 1/Omega."""
     rows = []
     for frac in t1_fractions:
         if not 0 <= frac <= 1:
             raise ValueError(f"t1 fraction must lie in [0, 1], got {frac}")
-        f = staggered_fidelity(StaggerParams(t=t, t1=frac * t, omega=omega))
+        f = staggered_fidelity(StaggerParams(t=pulse_area, t1=frac * pulse_area))
         rows.append((float(frac), f, f * f))
     return tuple(rows)
 
 
-def thermal_weights(nbar: float, tail: float = 1e-9) -> np.ndarray:
+def thermal_weights(nbar: float) -> np.ndarray:
     """Thermal Fock distribution p_n = nbar^n/(nbar+1)^(n+1), truncated once
-    the cumulative weight exceeds 1 - tail. Raises ValueError when that takes
-    more than MAX_THERMAL_SECTORS sectors."""
+    the cumulative weight exceeds 1 - THERMAL_TAIL. Raises ValueError when that
+    takes more than MAX_THERMAL_SECTORS sectors."""
     if nbar < 0:
         raise ValueError("mean photon number must be >= 0")
     if nbar == 0:
@@ -101,11 +95,11 @@ def thermal_weights(nbar: float, tail: float = 1e-9) -> np.ndarray:
     total = 0.0
     ratio = nbar / (nbar + 1.0)
     w = 1.0 / (nbar + 1.0)
-    while total < 1.0 - tail:
+    while total < 1.0 - THERMAL_TAIL:
         if len(weights) == MAX_THERMAL_SECTORS:
             raise ValueError(
                 f"nbar={nbar}: the thermal weights need more than {MAX_THERMAL_SECTORS} "
-                f"Fock sectors to reach 1 - {tail}")
+                f"Fock sectors to reach 1 - {THERMAL_TAIL}")
         weights.append(w)
         total += w
         w *= ratio

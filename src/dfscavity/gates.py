@@ -33,6 +33,7 @@ VALID_PAIRS = ((1, 2), (3, 4))
 H_PULSE_AREA = np.pi / 4        # lambda * t for an H session
 R_PULSE_AREA = 3 * np.pi / 4    # Omega * t for the R session
 P_PHASE = np.pi / 2
+P_GATE_DURATION = 0.0           # s, a P gate is booked as instantaneous
 
 EXCITED_STATE_LIFETIME = 3e-2   # s, Rydberg excited-state lifetime scale
 
@@ -248,11 +249,11 @@ def compile_cnot() -> PulseSequence:
 class DurationReport:
     """Closed-form aggregate durations versus the per-gate bottom-up sum.
 
-    The two closed forms are pi*delta/(8 G^2) for one maximal-entanglement
-    pulse and 7*pi*delta/(8 G^2) for the whole CNOT. The bottom-up sum books
-    each stated pulse area at the vacuum-sector rate Omega(0) and a caller
-    supplied per-P-gate duration (default 0); the mismatch against the
-    aggregate form is reported, never reconciled.
+    The two closed forms are pi*|delta|/(8 G^2) for one maximal-entanglement
+    pulse and 7*pi*|delta|/(8 G^2) for the whole CNOT. The bottom-up sum books
+    each stated pulse area at the vacuum-sector rate |Omega(0)| and each P gate
+    at P_GATE_DURATION; the mismatch against the aggregate form is reported,
+    never reconciled.
     """
 
     entangle_time: float
@@ -260,34 +261,31 @@ class DurationReport:
     per_gate: tuple[float, ...]
     bottom_up_total: float
     discrepancy: float
-    p_gate_duration: float
     lifetime: float
     cnot_over_lifetime: float
 
 
 def entangle_duration(params: SystemParams) -> float:
-    """Time to a maximal two-pair entangled state: pi*delta/(8 G^2)."""
-    return np.pi * params.delta / (8 * params.G**2)
+    """Time to a maximal two-pair entangled state: pi*|delta|/(8 G^2)."""
+    return np.pi * abs(params.delta) / (8 * params.G**2)
 
 
-def schedule_duration(seq: PulseSequence, params: SystemParams,
-                      p_gate_duration: float = 0.0) -> DurationReport:
-    omega0 = effective_coupling(0, params).omega
+def schedule_duration(seq: PulseSequence, params: SystemParams) -> DurationReport:
+    omega0 = abs(effective_coupling(0, params).omega)
     per_gate = []
     for gate in seq.gates:
         if gate.kind in ("P", "P_inv"):
-            per_gate.append(p_gate_duration)
+            per_gate.append(P_GATE_DURATION)
         else:
             per_gate.append(gate.pulse_area / omega0)
     bottom_up = float(sum(per_gate))
-    aggregate = 7 * np.pi * params.delta / (8 * params.G**2)
+    aggregate = 7 * np.pi * abs(params.delta) / (8 * params.G**2)
     return DurationReport(
         entangle_time=entangle_duration(params),
         cnot_time_aggregate=aggregate,
         per_gate=tuple(per_gate),
         bottom_up_total=bottom_up,
         discrepancy=aggregate - bottom_up,
-        p_gate_duration=p_gate_duration,
         lifetime=EXCITED_STATE_LIFETIME,
         cnot_over_lifetime=aggregate / EXCITED_STATE_LIFETIME,
     )

@@ -63,6 +63,8 @@ class SystemParams:
             raise ValueError(f"coupling G must be >= 0, got {self.G}")
         if self.delta == 0:
             raise ValueError("detuning delta must be nonzero")
+        if not isinstance(self.n_max, (int, np.integer)):
+            raise ValueError(f"n_max must be an integer, got {self.n_max!r}")
         if self.n_max < 4:
             raise ValueError(
                 f"n_max must be >= 4 (two-photon intermediates plus two guard levels), got {self.n_max}"

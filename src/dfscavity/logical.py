@@ -21,6 +21,7 @@ LOGICAL_CONFIGS = ("egeg", "egge", "geeg", "gege")
 LOGICAL_INDICES = tuple(atomic_index(c) for c in LOGICAL_CONFIGS)
 
 _PAIR_NORM_ATOL = 1e-9
+_CODE_SPACE_ATOL = 1e-10  # weight outside the code space that decode_logical tolerates
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,14 +63,14 @@ def encode_logical(alpha_a: complex, beta_a: complex,
     return LogicalState(np.kron(a, b))
 
 
-def decode_logical(psi: StateVector, atol: float = 1e-10) -> LogicalState:
+def decode_logical(psi: StateVector) -> LogicalState:
     """Inverse of LogicalState.to_state_vector; errors when psi leaves the
     code space (any amplitude off the four code configurations, or any
     photon excitation)."""
     block = psi.amplitudes.reshape(16, psi.n_max + 1)
     amps = np.array([block[c, 0] for c in LOGICAL_INDICES], dtype=complex)
     outside = np.linalg.norm(psi.amplitudes) ** 2 - np.linalg.norm(amps) ** 2
-    if outside > atol:
+    if outside > _CODE_SPACE_ATOL:
         raise ValueError(f"state has weight {outside:.3e} outside the logical code space")
     return LogicalState(amps)
 

@@ -17,7 +17,8 @@ than (a) is measured, not assumed.
 
 Both get the exact run from one helper: the conserved-excitation sector
 n_e + m = n + 2 (model.excitation_sector, at most 16 states at any n_max),
-the grid over 1.5 exchange periods and the series of |egeg, n> from one eigh.
+the grid over 1.5 exchange periods (RABI_FIT_POINTS or COMPARISON_POINTS
+times) and the series of |egeg, n> from one eigh.
 compare_effective_models derives the second-order operator once, from the
 sector's H0/Hint blocks, and takes the difference entries from it.
 Both need 0 <= n <= n_max - 4, so the sector stops at m = n + 2 <= n_max - 2
@@ -51,6 +52,9 @@ from .model import (
 
 GUARD_LEAKAGE_MAX = 1e-6
 PEAK_PROMINENCE_FRACTION = 0.4
+RABI_FIT_POINTS = 6001     # time samples of extract_rabi's grid
+COMPARISON_POINTS = 1201   # time samples of compare_effective_models' grid
+DIFFERENCE_ATOL = 1e-12    # difference entries below this, relative to max(1, max|derived|), are 0
 
 _COLS = list(TWO_EXCITATION_CONFIGS)  # the six two-excitation configurations, label order
 
@@ -147,13 +151,11 @@ def _quadratic_peak_times(times: np.ndarray, series: np.ndarray) -> list[float]:
     return out
 
 
-def _exact_run(params: SystemParams, n: int, n_points: int):
+def _exact_run(params: SystemParams, n: int, points: int):
     """Evolve |egeg, n> exactly on the sector n_e + m = n + 2 over 1.5 exchange periods
-    by one eigh; returns (run inputs, sector, times, propagator, amplitudes (n_points,
-    sector)). Raises ValueError unless n_points >= 3 (a peak and its two neighbours)
-    and 0 <= n <= n_max - 4, RabiFitError when G = 0."""
-    if n_points < 3:
-        raise ValueError(f"n_points must be at least 3; got {n_points}")
+    (`points` times) by one eigh; returns (run inputs, sector, times, propagator,
+    amplitudes (points, sector)). Raises ValueError unless 0 <= n <= n_max - 4,
+    RabiFitError when G = 0."""
     sector = excitation_sector(params, n + 2)  # the domain check, before effective_coupling
     run = ValidationRun(delta_over_g=params.delta / params.G if params.G else np.inf,
                         omega_expected=effective_coupling(n, params).omega,
@@ -162,7 +164,7 @@ def _exact_run(params: SystemParams, n: int, n_points: int):
         raise RabiFitError("no oscillation to fit (G = 0)",
                            replace(run, diagnostic="no coupling, no oscillation"))
     t_max = 1.5 * 2 * np.pi / abs(run.omega_expected)
-    times = np.linspace(0.0, t_max, n_points)
+    times = np.linspace(0.0, t_max, points)
     psi0 = np.zeros(len(sector.indices), dtype=complex)
     psi0[sector.position("egeg", n)] = 1.0
     propagator = make_propagator(sector.hamiltonian, t_max)  # the one eigh of the run
@@ -170,19 +172,18 @@ def _exact_run(params: SystemParams, n: int, n_points: int):
 
 
 def extract_rabi(params: SystemParams, n: int = 0,
-                 min_peak_population: float = 0.5,
-                 n_points: int = 6001) -> ValidationRun:
+                 min_peak_population: float = 0.5) -> ValidationRun:
     """Fit the |egeg,n> -> |gege,n> population-transfer frequency under the
     exact full model.
 
-    The time grid covers 1.5 periods of the expected exchange rate. Raises
-    RabiFitError (carrying the partial run and its diagnostic) when the peak
-    transfer stays below min_peak_population, when the |gege> population has
-    no prominent peak, or when no oscillation exists; lower the threshold to
-    force a fit of whatever oscillation is present. Raises ValueError
-    unless n_points >= 3 and 0 <= n <= n_max - 4.
+    The time grid covers 1.5 periods of the expected exchange rate in
+    RABI_FIT_POINTS samples. Raises RabiFitError (carrying the partial run and
+    its diagnostic) when the peak transfer stays below min_peak_population,
+    when the |gege> population has no prominent peak, or when no oscillation
+    exists; lower the threshold to force a fit of whatever oscillation is
+    present. Raises ValueError unless 0 <= n <= n_max - 4.
     """
-    run, sector, times, propagator, amps = _exact_run(params, n, n_points)
+    run, sector, times, propagator, amps = _exact_run(params, n, RABI_FIT_POINTS)
     idx = {lab: sector.position(lab, n) for lab in TWO_EXCITATION_LABELS}
     probs = np.abs(amps) ** 2
 
@@ -239,10 +240,10 @@ def extract_rabi(params: SystemParams, n: int = 0,
     return run
 
 
-def forced_rabi_fit(params: SystemParams, n: int = 0, n_points: int = 6001) -> ValidationRun:
+def forced_rabi_fit(params: SystemParams, n: int = 0) -> ValidationRun:
     """extract_rabi with the amplitude gate disabled (fit whatever is there)."""
     try:
-        return extract_rabi(params, n, min_peak_population=0.0, n_points=n_points)
+        return extract_rabi(params, n, min_peak_population=0.0)
     except RabiFitError as err:  # no coupling, or no prominent peak
         return err.run
 
@@ -266,33 +267,30 @@ class EffectiveModelComparison:
     difference_nonempty: bool
 
 
-def _difference_entries(derived: np.ndarray, pair_swap: Operator,
-                        atol: float) -> tuple[DifferenceEntry, ...]:
+def _difference_entries(derived: np.ndarray, pair_swap: Operator) -> tuple[DifferenceEntry, ...]:
     """Entries of the 6x6 derived operator minus the pair-swap operator on the
-    two-excitation configurations, above atol * max(1, max|derived|), row by row."""
+    two-excitation configurations, above DIFFERENCE_ATOL * max(1, max|derived|), row by row."""
     diff = derived - pair_swap.matrix[np.ix_(_COLS, _COLS)]
     scale = max(1.0, float(np.max(np.abs(derived))))
     return tuple(DifferenceEntry(row=TWO_EXCITATION_LABELS[i], col=TWO_EXCITATION_LABELS[j],
                                  value=complex(diff[i, j]))
-                 for i, j in zip(*np.nonzero(np.abs(diff) > atol * scale)))
+                 for i, j in zip(*np.nonzero(np.abs(diff) > DIFFERENCE_ATOL * scale)))
 
 
-def effective_difference_entries(params: SystemParams, n: int = 0,
-                                 atol: float = 1e-12) -> tuple[DifferenceEntry, ...]:
+def effective_difference_entries(params: SystemParams, n: int = 0) -> tuple[DifferenceEntry, ...]:
     """Nonzero entries of (PT-derived second-order operator) minus (double-
     flip-only effective operator) on the two-excitation manifold."""
     sector = excitation_sector(params, n + 2)
     derived = derive_second_order(sector.h0, sector.hint, sector.manifold).matrix
-    return _difference_entries(derived, build_h_eff(params, n, include_stark=False), atol)
+    return _difference_entries(derived, build_h_eff(params, n, include_stark=False))
 
 
-def compare_effective_models(params: SystemParams, n: int = 0,
-                             n_points: int = 1201) -> EffectiveModelComparison:
+def compare_effective_models(params: SystemParams, n: int = 0) -> EffectiveModelComparison:
     """Evolve |egeg, n> under the pair-swap effective operator, the PT-derived
-    operator, and the exact full model; report fidelity time series and the
-    operator difference. Raises ValueError unless n_points >= 3 and
-    0 <= n <= n_max - 4."""
-    run, sector, times, _, amps_full = _exact_run(params, n, n_points)  # (t, sector)
+    operator, and the exact full model on COMPARISON_POINTS times; report
+    fidelity time series and the operator difference. Raises ValueError
+    unless 0 <= n <= n_max - 4."""
+    run, sector, times, _, amps_full = _exact_run(params, n, COMPARISON_POINTS)  # (t, sector)
     omega = run.omega_expected
 
     psi_atomic = StateVector.basis_state("egeg")
@@ -311,12 +309,12 @@ def compare_effective_models(params: SystemParams, n: int = 0,
     fid_derived = np.sum(np.sqrt(np.abs(amps_derived) ** 2 * pops_full), axis=1) ** 2
 
     # internal consistency of the pair-swap route against the closed-form map
-    sampled = slice(0, n_points, max(1, n_points // 25))
+    sampled = slice(0, COMPARISON_POINTS, COMPARISON_POINTS // 25)
     areas = omega * times[sampled]
     closed = pair_exchange(np.broadcast_to(psi_atomic.amplitudes[:, None], (16, len(areas))), areas)
     defect = float(np.max(np.abs(closed.T - amps_pair_swap[sampled])))
 
-    entries = _difference_entries(derived6, h_pair_swap, atol=1e-12)
+    entries = _difference_entries(derived6, h_pair_swap)
     max_inf_pair_swap = float(np.max(1.0 - fid_pair_swap))
     max_inf_derived = float(np.max(1.0 - fid_derived))
     return EffectiveModelComparison(

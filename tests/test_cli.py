@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -51,7 +51,6 @@ def cheap_configs(draw):
         nbar_points=draw(st.integers(2, 60)),
         delta_over_G=draw(st.lists(_floats(1.0, 100.0), min_size=1, max_size=3).map(tuple)),
         seed=draw(st.integers(0, 2**32 - 1)),
-        out=draw(st.sampled_from([None, "report.json"])),
         format=draw(st.sampled_from(["json", "csv"])),
     )
 
@@ -159,7 +158,6 @@ OUT_OF_DOMAIN = {
     "nbar_points": "1",
     "delta_over_G": "10, 0",
     "seed": "-1",
-    "out": "",
     "format": "xml",
 }
 
@@ -213,6 +211,31 @@ class TestConfigSchema:
         assert not (tmp_path / "r.json").exists()
         parse_config(f"{key} = {value}\n", experiment="durations")  # other experiments use them
 
+    @pytest.mark.parametrize("key", ["t1_fractions", "delta_over_G"])
+    @pytest.mark.parametrize("value", [",", ", ,"])
+    def test_empty_list_rejected(self, key, value, tmp_path, capsys):
+        # an empty list used to pass every entry check: a validate-effective
+        # report with no runs and every flag true, or a stagger PASS with no rows
+        experiment = "stagger-sweep" if key == "t1_fractions" else "validate-effective"
+        with pytest.raises(ConfigError, match=f"^key '{key}': needs at least one entry"):
+            parse_config(f"{key} = {value}\n", experiment=experiment)
+        with pytest.raises(ConfigError, match=f"^key '{key}': needs at least one entry"):
+            cli._check_config(replace(parse_config("", experiment=experiment), **{key: ()}))
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+        assert f"config error: key '{key}': needs at least one entry" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_out_key_rejected_as_unknown(self, tmp_path, capsys):
+        # the report path is the --out flag's alone
+        with pytest.raises(ConfigError, match=r"^unknown key 'out' \(line 1\)"):
+            parse_config("out = report.json\n", experiment="bell")
+        cfg = tmp_path / "out.cfg"
+        cfg.write_text("out = report.json\n")
+        assert main(["bell", "--config", str(cfg)]) == 2
+        assert "config error: unknown key 'out'" in capsys.readouterr().err
+
     def test_teleport_grid_size_capped(self):
         # checked at parse time only: a grid at the cap is never allocated here
         assert MAX_GRID_POINTS == 10**6
@@ -247,7 +270,7 @@ class TestConfigSchema:
             n_max=12, theta=0.3, delay_T=1.25, theta_points=3, delay_points=4,
             delay_max=2.5, atom_splitting=0.7, t1_fraction=0.05, t1_fractions=(0.0, 0.5),
             pulse_area=0.9, nbar=0.25, nbar_max=3.0, nbar_points=5, delta_over_G=(15.0,),
-            seed=11, out="report.csv", format="csv")
+            seed=11, format="csv")
         defaults = ExperimentConfig()
         assert all(getattr(config, f.name) != getattr(defaults, f.name) for f in fields(config))
         assert parse_config(serialize_config(config)) == config
@@ -393,6 +416,24 @@ class TestMainEntryPoint:
 
     def test_missing_config_file_exit_two(self, capsys):
         assert main(["bell", "--config", "/nonexistent/path.cfg"]) == 2
+
+    def test_unwritable_out_path_exit_two(self, tmp_path, capsys):
+        # exit 1 means "report still written"; here nothing could be written
+        out = tmp_path / "missing" / "r.json"
+        assert main(["bell", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"output error: cannot write {str(out)!r}: "
+                                             "No such file or directory"]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_out_file_holds_the_stdout_bytes(self, fmt, tmp_path, capsys):
+        assert main(["stagger-sweep", "--format", fmt]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "r.txt"
+        assert main(["stagger-sweep", "--format", fmt, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode("utf-8")
 
     def test_experiment_failure_exit_one_report_still_written(self, tmp_path, capsys):
         out = tmp_path / "validate.json"

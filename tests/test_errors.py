@@ -4,6 +4,7 @@ import pytest
 from dfscavity.cli import parse_config, run_experiment
 from dfscavity.dynamics import dfs_propagate
 from dfscavity.errors import (
+    THERMAL_TAIL,
     StaggerParams,
     fock_averaged_fidelity,
     stagger_sweep,
@@ -15,7 +16,6 @@ from dfscavity.errors import (
 from dfscavity.hilbert import StateVector
 
 AREA_R = 3 * np.pi / 4
-TAIL = 1e-9
 
 
 class TestStaggeredState:
@@ -28,7 +28,7 @@ class TestStaggeredState:
         t = 1.3
         p = StaggerParams(t=t, t1=t)
         psi = staggered_state(p)
-        lam = p.lam
+        lam = 0.5  # the two-atom rate, in units of the four-atom rate Omega
         assert psi.amplitude("egeg") == pytest.approx(np.cos(lam * t), abs=1e-14)
         assert psi.amplitude("geeg") == pytest.approx(-1j * np.sin(lam * t), abs=1e-14)
         assert psi.amplitude("gege") == 0.0
@@ -36,8 +36,8 @@ class TestStaggeredState:
     def test_normalized_for_random_parameters(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
-            t = rng.uniform(0.1, 6.0)
-            p = StaggerParams(t=t, t1=rng.uniform(0, t), omega=rng.uniform(0.2, 3.0))
+            t = rng.uniform(0.1, 18.0)  # Omega t, in units of 1/Omega
+            p = StaggerParams(t=t, t1=rng.uniform(0, t))
             assert staggered_state(p).norm() == pytest.approx(1.0, abs=1e-14)
 
     def test_lead_exceeding_total_rejected(self):
@@ -45,8 +45,12 @@ class TestStaggeredState:
             StaggerParams(t=1.0, t1=1.5)
 
     def test_lambda_is_half_omega(self):
-        p = StaggerParams(t=1.0, t1=0.2, omega=1.8)
-        assert p.lam == pytest.approx(0.9)
+        # times are in units of 1/Omega: a lead of pi swaps the lone pair fully
+        # (lambda t1 = pi/2), and the closed form is cos(t1/2) cos(t1)
+        psi = staggered_state(StaggerParams(t=np.pi, t1=np.pi))
+        assert abs(psi.amplitude("geeg")) == pytest.approx(1.0, abs=1e-14)
+        p = StaggerParams(t=1.0, t1=0.2)
+        assert staggered_fidelity_closed_form(p) == pytest.approx(np.cos(0.1) * np.cos(0.2), abs=1e-15)
 
 
 class TestStaggeredFidelity:
@@ -68,8 +72,8 @@ class TestStaggeredFidelity:
     def test_closed_form_matches_inner_product_on_random_draws(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
-            t = rng.uniform(0.1, 5.0)
-            p = StaggerParams(t=t, t1=rng.uniform(0, t), omega=rng.uniform(0.3, 2.5))
+            t = rng.uniform(0.1, 12.5)  # Omega t, in units of 1/Omega
+            p = StaggerParams(t=t, t1=rng.uniform(0, t))
             assert staggered_fidelity(p) == pytest.approx(
                 abs(staggered_fidelity_closed_form(p)), abs=1e-12)
 
@@ -164,10 +168,10 @@ class TestThermalAveraging:
     @pytest.mark.parametrize("nbar", [0.0, 0.1, 1.0, 10.0])
     @pytest.mark.parametrize("area", [0.0, np.pi / 8, np.pi / 4, 0.37, 3 * np.pi / 4, 2.0])
     def test_closed_form_equals_sector_loop(self, nbar, area):
-        # the sector loop truncates once the weights reach 1 - TAIL, so it
-        # falls short of the exact average by at most the dropped weight
+        # the sector loop truncates once the weights reach 1 - THERMAL_TAIL, so
+        # it falls short of the exact average by at most the dropped weight
         start = StateVector.basis_state("egeg")
         target = dfs_propagate(start, area)
         loop = sum(p_n * target.fidelity(dfs_propagate(start, area * (4 * n + 2) / 2.0))
-                   for n, p_n in enumerate(thermal_weights(nbar, TAIL)))
-        assert -1e-12 <= fock_averaged_fidelity(nbar, area) - loop <= TAIL + 1e-12
+                   for n, p_n in enumerate(thermal_weights(nbar)))
+        assert -1e-12 <= fock_averaged_fidelity(nbar, area) - loop <= THERMAL_TAIL + 1e-12

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dfscavity.cli import parse_config, run_experiment
 from dfscavity.dynamics import evolve_exact
 from dfscavity.gates import (
     CnotConvention,
@@ -188,7 +189,11 @@ class TestDurations:
         assert report.bottom_up_total == pytest.approx(6 * tau, rel=1e-12)
         assert report.discrepancy == pytest.approx(tau, rel=1e-9)
 
-    def test_p_gate_duration_parameter(self, params):
-        report = schedule_duration(compile_cnot(), params, p_gate_duration=1e-6)
-        assert report.bottom_up_total == pytest.approx(
-            6 * entangle_duration(params) + 3e-6, rel=1e-12)
+    def test_negative_detuning_gives_the_same_durations(self, params):
+        # a negative delta used to give negative times, and the durations
+        # experiment crashed taking log10 of the negative aggregate
+        flipped = SystemParams(G=params.G, delta=-params.delta, n_max=params.n_max)
+        assert schedule_duration(compile_cnot(), flipped) == schedule_duration(compile_cnot(), params)
+        report = run_experiment(parse_config(f"delta = {-params.delta!r}\n", experiment="durations"))
+        assert report.passed
+        assert report.results["entangle_time_s"] == entangle_duration(params)

@@ -100,6 +100,16 @@ class TestSystemParams:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             SystemParams(**values)
 
+    @pytest.mark.parametrize("value", [6.5, 8.0, "8"])
+    def test_non_integer_cutoff_rejected(self, value):
+        # a float n_max used to construct, with dim 120.0 at 6.5 and float composite indices
+        with pytest.raises(ValueError, match="^n_max must be an integer"):
+            SystemParams(G=1.0, delta=100.0, n_max=value)
+
+    @pytest.mark.parametrize("value", [8, np.int64(8), np.int32(8)])
+    def test_integer_cutoff_accepted(self, value):
+        assert SystemParams(G=1.0, delta=100.0, n_max=value).dim == 16 * 9
+
     def test_perturbative_flag_warns(self):
         with pytest.warns(UserWarning, match="perturbative") as record:
             p = SystemParams(G=1.0, delta=10.0, n_max=8)

@@ -38,3 +38,24 @@ def test_compare_names_each_kind_of_difference(tmp_path):
     assert rows["demo-01.txt"] == (False, "first difference at line 2")
     assert rows["gone.csv"] == (False, "missing in change")
     assert rows["crashed.json"] == (False, "missing in parent and change")
+
+
+def test_produce_records_every_exit_code(tmp_path, monkeypatch):
+    # a change to the CLI's exit path must show even when the report bytes match
+    module = _load()
+    tree = tmp_path / "tree"
+    (tree / "demos").mkdir(parents=True)
+    (tree / "demos" / "01_demo.py").write_text("print('demo')\n")
+
+    def fake_run(cmd, **kwargs):
+        code = 1 if "validate-effective" in cmd else 0
+        return module.subprocess.CompletedProcess(cmd, code, stdout="demo\n", stderr="")
+
+    monkeypatch.setattr(module.subprocess, "run", fake_run)
+    names = module.produce(tree, tmp_path / "out")
+    assert names[-1] == "exit-codes.txt"
+    lines = (tmp_path / "out" / "exit-codes.txt").read_text().splitlines()
+    assert len(lines) == len(names) - 1 == 64 + 12 + 1
+    assert lines[0] == "entangle-seed0.json 0"
+    assert "validate-effective-seed0.json 1" in lines
+    assert lines[-1] == "demo-01_demo.txt 0"

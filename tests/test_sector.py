@@ -191,7 +191,7 @@ class TestFockDomain:
     def test_compare_effective_models_rejects_n_outside_domain(self, n):
         # from n = n_max - 3 up, the intermediates |gggg, n + 2> reach the guard levels or the cut
         with pytest.raises(ValueError, match="n <= n_max - 4"):
-            compare_effective_models(SystemParams(G=1.0, delta=10.0, n_max=8), n=n, n_points=11)
+            compare_effective_models(SystemParams(G=1.0, delta=10.0, n_max=8), n=n)
 
     @pytest.mark.parametrize("n", [-1, 5])
     def test_extract_rabi_and_sector_reject_the_same_levels(self, n):
@@ -204,7 +204,7 @@ class TestFockDomain:
             derived_coupling(p, n)
 
     def test_last_level_in_domain_accepted(self):
-        comp = compare_effective_models(SystemParams(G=1.0, delta=10.0, n_max=8), n=4, n_points=101)
+        comp = compare_effective_models(SystemParams(G=1.0, delta=10.0, n_max=8), n=4)
         assert comp.difference_nonempty
 
     def test_zero_coupling_rejected_by_both_exact_runs(self):
@@ -225,7 +225,7 @@ def test_compare_effective_models_derives_second_order_once(monkeypatch):
 
     monkeypatch.setattr(validate, "derive_second_order", counting_derive)
     p = SystemParams(G=1.0, delta=20.0, n_max=8)
-    comp = compare_effective_models(p, n=0, n_points=101)
+    comp = compare_effective_models(p, n=0)
     assert len(calls) == 1
     assert comp.difference_entries == effective_difference_entries(p)
 
@@ -239,8 +239,7 @@ def test_extract_rabi_diagonalises_once(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    run = extract_rabi(SystemParams(G=1.0, delta=20.0, n_max=32), n=0,
-                       min_peak_population=0.0, n_points=2001)
+    run = extract_rabi(SystemParams(G=1.0, delta=20.0, n_max=32), n=0, min_peak_population=0.0)
     assert len(calls) == 1
     assert calls[0][0] <= 16
     assert run.unitarity_defect < 1e-10
