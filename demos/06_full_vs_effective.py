@@ -28,9 +28,9 @@ ratios = (10.0, 20.0, 40.0)
 print("difference between the PT-derived and pair-swap operators (n = 0):")
 entries = effective_difference_entries(SystemParams(G=G, delta=10.0, n_max=8), n=0)
 print(f"  {len(entries)} nonzero entries; examples:")
-for e in entries[:4]:
-    print(f"    <{e.row}|.|{e.col}> = {e.value.real:+.4f}  (in units of G^2/delta: "
-          f"{e.value.real / (2 * G**2 / 10.0) * 2:.1f}/2)")
+for row, col, value in entries[:4]:
+    print(f"    <{row}|.|{col}> = {value.real:+.4f}  (in units of G^2/delta: "
+          f"{value.real / (2 * G**2 / 10.0) * 2:.1f}/2)")
 
 print()
 print(f"{'delta/G':>8s} {'peak P(gege)':>13s} {'fit/Omega':>10s} {'fit/3Omega':>11s} "

@@ -64,7 +64,6 @@ from .logical import (
 )
 from .model import (
     EffectiveCoupling,
-    Manifold,
     build_full_hamiltonian,
     build_h0,
     build_h_eff,

@@ -214,11 +214,20 @@ def _check_config(c: ExperimentConfig) -> ExperimentConfig:
         if abs(delta - implied) > 1e-9 * max(1.0, abs(delta)):
             raise ConfigError(f"keys 'omega_a' and 'omega': 2*(omega - omega_a) = {implied} "
                               f"but delta = {delta}")
+    deltas, keys = [c.resolved_delta()], "'G' and 'delta'"
     if c.experiment == "validate-effective":
         for key in ("delta", "omega_a", "omega"):
             if getattr(c, key) is not None:
                 raise ConfigError(f"key {key!r}: not used by validate-effective, which sets "
                                   "delta = delta_over_G * G")
+        deltas, keys = [r * c.G for r in c.delta_over_G], "'G' and 'delta_over_G'"
+    if c.experiment in ("entangle", "durations", "validate-effective"):  # the ones that read G
+        with np.errstate(all="ignore"):  # an extreme G or delta overflows or underflows Omega(0)
+            rates = 2.0 * np.float64(c.G) ** 2 / np.abs(deltas)
+        for delta, rate in zip(deltas, rates.tolist()):
+            if not 0 < rate < np.inf:
+                raise ConfigError(f"keys {keys}: the pair rate 2 G^2/|delta| at G = {c.G}, "
+                                  f"delta = {delta} is {rate}, not a finite positive number")
     return c
 
 
@@ -465,8 +474,8 @@ def _run_stagger_sweep(c: ExperimentConfig) -> tuple[dict, dict, dict]:
         p = StaggerParams(t=t, t1=frac * t)
         # the closed form is signed; the reported fidelity is its magnitude
         closed_defect = max(closed_defect, abs(amp - abs(staggered_fidelity_closed_form(p))))
-    small = [r for r in rows if r[0] <= 0.25]
-    diffs = np.diff([r[1] for r in small])
+    by_fraction = [rows[k] for k in np.argsort([r[0] for r in rows], kind="stable")]
+    diffs = np.diff([r[1] for r in by_fraction if r[0] <= 0.25])
     monotone = bool(np.all(diffs <= 1e-12))
     p_ref = StaggerParams(t=t, t1=c.t1_fraction * t)
     f_ref = staggered_fidelity(p_ref)
@@ -540,8 +549,8 @@ def _run_validate_effective(c: ExperimentConfig) -> tuple[dict, dict, dict]:
                     "derived_tracks_full_better": comparison.derived_tracks_full_better,
                     "internal_consistency_defect": comparison.internal_consistency_defect,
                     "difference_entries": [
-                        {"row": e.row, "col": e.col, "value": _c2l(e.value)}
-                        for e in comparison.difference_entries
+                        {"row": row, "col": col, "value": _c2l(value)}
+                        for row, col, value in comparison.difference_entries
                     ],
                     "difference_nonempty": comparison.difference_nonempty,
                 },

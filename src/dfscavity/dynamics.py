@@ -11,8 +11,8 @@ occupied frequency remains. So a series costs len(times) x that number of
 frequencies, not len(times) x dim: 3 or 4 frequencies of the 11 or 16 sector
 states from a two-excitation start (the symmetric Dicke ladder plus one dark
 level), 2 for the 16-state effective generators. The validation runs hand it
-the conserved-excitation sector of the full model (at most 16 states at any
-n_max, see model.excitation_sector); the dense composite-space Hamiltonian
+H0 + Hint of the full model's conserved-excitation sector (at most 16 states
+at any n_max, see model.excitation_sector); the dense composite Hamiltonian
 only serves the tests as the oracle. The scaling-and-squaring route and the
 unfolded sum over every eigenvalue are kept as cross-checks in the tests.
 """

@@ -38,9 +38,6 @@ class LogicalState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def to_state_vector(self, n_max: int = 0) -> StateVector:
         """Embed into the composite space (vacuum Fock sector)."""
         out = np.zeros(16 * (n_max + 1), dtype=complex)

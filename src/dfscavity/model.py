@@ -20,14 +20,17 @@ Omega(n) = (4n+2)G^2/delta, plus an optional photon-number-dependent
 diagonal (Stark) term.
 
 H conserves n_e + n (atomic excitations plus photons), so `excitation_sector`
-gives the exact model on the at most 16 states with n_e + n = total, built
-from closed-form entries at a cost independent of n_max. The dense
+gives the exact model on the at most 16 states with n_e + n = total (their
+indices and Fock levels, the H0/Hint blocks and the local indices of the six
+two-excitation states), built from closed-form entries at a cost independent
+of n_max. The dense
 `build_h0`/`build_hint`/`build_full_hamiltonian` use the same formulas on the
 whole space (the pair pattern from bits of the configuration index, the a^2
 entries sqrt(m-1) sqrt(m)); the tests check both against Kronecker products.
 
-`derive_second_order` is the independent oracle for all of the above: it
-sums over every intermediate outside a degenerate manifold,
+`derive_second_order` is the independent oracle for all of the above: given
+the basis indices of a degenerate manifold, it reads their energy off H0 and
+sums over every intermediate outside the manifold,
 
     Heff[m, m'] = sum_{k not in M} <m|Hint|k><k|Hint|m'> / (E_k - E_m),
 
@@ -63,14 +66,6 @@ TWO_EXCITATION_CONFIGS = tuple(atomic_index(s) for s in TWO_EXCITATION_LABELS)
 def pair_partner(config) -> int:
     """Complementary configuration: every atom flipped (egeg <-> gege etc.)."""
     return (~atomic_index(config)) & (N_ATOMIC_CONFIGS - 1)
-
-
-@dataclass(frozen=True)
-class Manifold:
-    """A degenerate set of composite basis indices with its reference energy."""
-
-    members: tuple[int, ...]
-    energy: float
 
 
 @dataclass(frozen=True)
@@ -144,13 +139,12 @@ def build_h_eff(params: SystemParams, n: int = 0, include_stark: bool = False) -
     return Operator(h)
 
 
-def two_excitation_manifold(params: SystemParams, n: int) -> Manifold:
-    """The six degenerate two-excitation states at fixed Fock level n, at bare
-    energy (delta/2) n."""
+def two_excitation_manifold(params: SystemParams, n: int) -> tuple[int, ...]:
+    """Composite indices of the six degenerate two-excitation states at Fock level n
+    (bare energy (delta/2) n), in TWO_EXCITATION_LABELS order."""
     if not 0 <= n <= params.n_max:
         raise ValueError(f"Fock level n={n} outside 0..{params.n_max}")
-    members = tuple(basis_index(c, n, params.n_max) for c in TWO_EXCITATION_CONFIGS)
-    return Manifold(members=members, energy=float(params.delta / 2.0 * n))
+    return tuple(basis_index(c, n, params.n_max) for c in TWO_EXCITATION_CONFIGS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,29 +154,11 @@ class ExcitationSector:
     the exact dynamics from |egeg, total - 2> never leaves these at most 16 states,
     whatever n_max is (Tavis & Cummings, Phys. Rev. 170, 379 (1968))."""
 
-    params: SystemParams
-    total: int
     indices: np.ndarray  # composite basis indices
+    levels: np.ndarray   # Fock level m of each state
     h0: Operator
     hint: Operator
-
-    @property
-    def fock_levels(self) -> np.ndarray:
-        return self.indices % (self.params.n_max + 1)
-
-    @property
-    def hamiltonian(self) -> Operator:
-        return Operator(self.h0.matrix + self.hint.matrix)
-
-    def position(self, config, n: int) -> int:
-        """Local index of |config, n>; ValueError if the state is not in the sector."""
-        return self.indices.tolist().index(basis_index(config, n, self.params.n_max))
-
-    @property
-    def manifold(self) -> Manifold:
-        """`two_excitation_manifold` at n = total - 2, in local indices."""
-        m = two_excitation_manifold(self.params, self.total - 2)
-        return Manifold(tuple(self.indices.tolist().index(k) for k in m.members), m.energy)
+    manifold: tuple[int, ...]  # local indices of `two_excitation_manifold` at n = total - 2
 
 
 def excitation_sector(params: SystemParams, total: int) -> ExcitationSector:
@@ -206,20 +182,22 @@ def excitation_sector(params: SystemParams, total: int) -> ExcitationSector:
     h0 = (params.delta / 2.0 * levels).astype(complex)
     # a^2 |m> = sqrt(m-1) sqrt(m) |m-2>; the pair pattern keeps only m-2 -> m
     x = _pair_raising()[np.ix_(atoms, atoms)] * (np.sqrt(np.maximum(levels - 1, 0)) * np.sqrt(levels))
+    indices = atoms * (params.n_max + 1) + levels
     return ExcitationSector(
-        params=params, total=total, indices=atoms * (params.n_max + 1) + levels,
+        indices=indices, levels=levels,
         h0=Operator(np.diag(h0)), hint=Operator(params.G * (x + x.conj().T)),
+        manifold=tuple(np.searchsorted(indices, two_excitation_manifold(params, n)).tolist()),
     )
 
 
-def derive_second_order(h0: Operator, hint: Operator, manifold: Manifold) -> Operator:
-    """Second-order effective operator on a degenerate manifold.
+def derive_second_order(h0: Operator, hint: Operator, members: tuple[int, ...]) -> Operator:
+    """Second-order effective operator on the degenerate manifold `members` (basis indices).
 
     Sums over ALL intermediates outside the manifold (it is the independent
     oracle; cherry-picking intermediates would make validation circular).
     Diagonal (Stark) entries are included.
 
-    Raises ValueError if h0 is not diagonal, the manifold is not degenerate,
+    Raises ValueError if h0 is not diagonal, the members differ in energy,
     or hint has matrix elements inside the manifold.
     """
     h0m = h0.matrix
@@ -227,13 +205,10 @@ def derive_second_order(h0: Operator, hint: Operator, manifold: Manifold) -> Ope
     if np.max(np.abs(offdiag)) > HERMITIAN_ATOL * max(1.0, np.max(np.abs(h0m))):
         raise ValueError("h0 must be diagonal in the computational basis")
     energies = np.real(np.diag(h0m))
-    members = list(manifold.members)
-    e_m = energies[members]
-    tol = 1e-9 * max(1.0, abs(manifold.energy))
-    if np.max(np.abs(e_m - manifold.energy)) > tol:
-        raise ValueError(
-            f"manifold is not degenerate: energies {e_m} vs reference {manifold.energy}"
-        )
+    e_m = energies[list(members)]
+    energy = e_m[0]
+    if np.max(np.abs(e_m - energy)) > 1e-9 * max(1.0, abs(energy)):
+        raise ValueError(f"manifold is not degenerate: energies {e_m}")
     v = hint.matrix
     intra = v[np.ix_(members, members)]
     if np.max(np.abs(intra)) > HERMITIAN_ATOL * max(1.0, np.max(np.abs(v))):
@@ -241,7 +216,7 @@ def derive_second_order(h0: Operator, hint: Operator, manifold: Manifold) -> Ope
     outside = np.setdiff1d(np.arange(h0.dim), members)
     v_mo = v[np.ix_(members, outside)]
     v_om = v[np.ix_(outside, members)]
-    denom = energies[outside] - manifold.energy
+    denom = energies[outside] - energy
     coupled = np.abs(v_om).max(axis=1) > 0
     if np.any(np.abs(denom[coupled]) == 0):
         raise ValueError("intermediate state degenerate with the manifold")

@@ -18,9 +18,10 @@ than (a) is measured, not assumed.
 Both get the exact run from one helper: the conserved-excitation sector
 n_e + m = n + 2 (model.excitation_sector, at most 16 states at any n_max),
 the grid over 1.5 exchange periods (RABI_FIT_POINTS or COMPARISON_POINTS
-times) and the series of |egeg, n> from one eigh.
+times) and the series of |egeg, n> = manifold[0] from one eigh of H0 + Hint.
 compare_effective_models derives the second-order operator once, from the
-sector's H0/Hint blocks, and takes the difference entries from it.
+sector's h0, hint and manifold, and takes its (row, col, value) difference
+entries from it.
 Both need 0 <= n <= n_max - 4, so the sector stops at m = n + 2 <= n_max - 2
 and the guard occupation is 0 by construction.
 
@@ -166,8 +167,8 @@ def _exact_run(params: SystemParams, n: int, points: int):
     t_max = 1.5 * 2 * np.pi / abs(run.omega_expected)
     times = np.linspace(0.0, t_max, points)
     psi0 = np.zeros(len(sector.indices), dtype=complex)
-    psi0[sector.position("egeg", n)] = 1.0
-    propagator = make_propagator(sector.hamiltonian, t_max)  # the one eigh of the run
+    psi0[sector.manifold[0]] = 1.0  # |egeg, n>
+    propagator = make_propagator(Operator(sector.h0.matrix + sector.hint.matrix), t_max)  # one eigh
     return run, sector, times, propagator, propagator.series(psi0, times)
 
 
@@ -184,10 +185,10 @@ def extract_rabi(params: SystemParams, n: int = 0,
     present. Raises ValueError unless 0 <= n <= n_max - 4.
     """
     run, sector, times, propagator, amps = _exact_run(params, n, RABI_FIT_POINTS)
-    idx = {lab: sector.position(lab, n) for lab in TWO_EXCITATION_LABELS}
+    idx = dict(zip(TWO_EXCITATION_LABELS, sector.manifold))
     probs = np.abs(amps) ** 2
 
-    levels = sector.fock_levels
+    levels = sector.levels
     p_gege = probs[:, idx["gege"]]
     p_egeg = probs[:, idx["egeg"]]
     exchange_cols = [idx[lab] for lab in TWO_EXCITATION_LABELS if lab not in ("egeg", "gege")]
@@ -249,13 +250,6 @@ def forced_rabi_fit(params: SystemParams, n: int = 0) -> ValidationRun:
 
 
 @dataclass(frozen=True)
-class DifferenceEntry:
-    row: str
-    col: str
-    value: complex
-
-
-@dataclass(frozen=True)
 class EffectiveModelComparison:
     fidelity_pair_swap_vs_full: np.ndarray
     fidelity_derived_vs_full: np.ndarray
@@ -263,23 +257,25 @@ class EffectiveModelComparison:
     max_infidelity_derived: float
     derived_tracks_full_better: bool
     internal_consistency_defect: float   # pair-swap generator vs closed-form map
-    difference_entries: tuple[DifferenceEntry, ...]
+    difference_entries: tuple[tuple[str, str, complex], ...]  # (row, col, value)
     difference_nonempty: bool
 
 
-def _difference_entries(derived: np.ndarray, pair_swap: Operator) -> tuple[DifferenceEntry, ...]:
-    """Entries of the 6x6 derived operator minus the pair-swap operator on the
-    two-excitation configurations, above DIFFERENCE_ATOL * max(1, max|derived|), row by row."""
+def _difference_entries(derived: np.ndarray,
+                        pair_swap: Operator) -> tuple[tuple[str, str, complex], ...]:
+    """(row label, column label, value) of each entry of the 6x6 derived operator minus the
+    pair-swap operator on the two-excitation configurations, above DIFFERENCE_ATOL *
+    max(1, max|derived|), row by row."""
     diff = derived - pair_swap.matrix[np.ix_(_COLS, _COLS)]
     scale = max(1.0, float(np.max(np.abs(derived))))
-    return tuple(DifferenceEntry(row=TWO_EXCITATION_LABELS[i], col=TWO_EXCITATION_LABELS[j],
-                                 value=complex(diff[i, j]))
+    return tuple((TWO_EXCITATION_LABELS[i], TWO_EXCITATION_LABELS[j], complex(diff[i, j]))
                  for i, j in zip(*np.nonzero(np.abs(diff) > DIFFERENCE_ATOL * scale)))
 
 
-def effective_difference_entries(params: SystemParams, n: int = 0) -> tuple[DifferenceEntry, ...]:
-    """Nonzero entries of (PT-derived second-order operator) minus (double-
-    flip-only effective operator) on the two-excitation manifold."""
+def effective_difference_entries(params: SystemParams,
+                                 n: int = 0) -> tuple[tuple[str, str, complex], ...]:
+    """Nonzero entries, as (row, col, value), of (PT-derived second-order operator)
+    minus (double-flip-only effective operator) on the two-excitation manifold."""
     sector = excitation_sector(params, n + 2)
     derived = derive_second_order(sector.h0, sector.hint, sector.manifold).matrix
     return _difference_entries(derived, build_h_eff(params, n, include_stark=False))
@@ -302,9 +298,9 @@ def compare_effective_models(params: SystemParams, n: int = 0) -> EffectiveModel
     derived16[np.ix_(_COLS, _COLS)] = derived6
     amps_derived = evolve_times(Operator(derived16), psi_atomic, times)
 
-    local = [sector.position(c, n) for c in _COLS]  # the sector's states at Fock n
     pops_full = np.zeros((len(times), 16))  # atomic populations at Fock n
-    pops_full[:, _COLS] = np.abs(amps_full[:, local]) ** 2  # weight outside lowers the fidelity
+    # weight outside the sector's six states at Fock n lowers the fidelity
+    pops_full[:, _COLS] = np.abs(amps_full[:, list(sector.manifold)]) ** 2
     fid_pair_swap = np.sum(np.sqrt(np.abs(amps_pair_swap) ** 2 * pops_full), axis=1) ** 2
     fid_derived = np.sum(np.sqrt(np.abs(amps_derived) ** 2 * pops_full), axis=1) ** 2
 

@@ -337,6 +337,14 @@ class TestExperiments:
         assert ref["fidelity_amplitude"] == pytest.approx(0.99861, abs=1e-5)
         assert report.results["closed_form_max_defect"] < 1e-12
 
+    def test_stagger_sweep_flag_reads_along_increasing_fraction(self):
+        # the same fractions in descending order: same flag, rows in config order
+        report = run_experiment(parse_config("t1_fractions = 0.2, 0.1, 0.0\n", "stagger-sweep"))
+        ascending = run_experiment(parse_config("t1_fractions = 0.0, 0.1, 0.2\n", "stagger-sweep"))
+        assert report.flags["monotone_nonincreasing"] is True
+        assert report.passed
+        assert report.results["rows"] == ascending.results["rows"][::-1]
+
     def test_thermal_monotone(self):
         config = parse_config("nbar_points = 20\n", experiment="thermal")
         report = run_experiment(config)
@@ -413,6 +421,24 @@ class TestMainEntryPoint:
         code = main(["bell", "--config", str(bad)])
         assert code == 2
         assert "G" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,experiment", [
+        ("G = 1e200", "entangle"),             # G**2 overflows
+        ("G = 1e200", "durations"),
+        ("G = 1e200", "validate-effective"),
+        ("G = 1e-200", "entangle"),            # G**2 underflows to 0
+        ("G = 1e-200", "durations"),
+        ("G = 1e-200", "validate-effective"),
+        ("delta = 1e-300", "entangle"),        # G**2/delta overflows
+    ])
+    def test_pair_rate_out_of_float_range_exit_two(self, line, experiment, tmp_path, capsys):
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text(line + "\n")
+        assert main([experiment, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        keys = "'G' and 'delta_over_G'" if experiment == "validate-effective" else "'G' and 'delta'"
+        assert captured.err.startswith(f"config error: keys {keys}: the pair rate")
+        assert captured.out == ""
 
     def test_missing_config_file_exit_two(self, capsys):
         assert main(["bell", "--config", "/nonexistent/path.cfg"]) == 2

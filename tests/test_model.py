@@ -12,7 +12,6 @@ from dfscavity.hilbert import (
 )
 from dfscavity.model import (
     TWO_EXCITATION_LABELS,
-    Manifold,
     build_full_hamiltonian,
     build_h0,
     build_h_eff,
@@ -153,8 +152,7 @@ class TestEffectiveHamiltonian:
         shifts = stark_diagonal(params, n)
         for cfg in range(16):
             m = basis_index(cfg, n, params.n_max)
-            manifold = Manifold(members=(m,), energy=float(np.real(h0.matrix[m, m])))
-            val = derive_second_order(h0, hint, manifold).matrix[0, 0]
+            val = derive_second_order(h0, hint, (m,)).matrix[0, 0]
             assert np.real(val) == pytest.approx(shifts[cfg], rel=1e-12, abs=1e-12)
 
     def test_pair_subspaces_invariant_without_stark(self, params):
@@ -207,9 +205,7 @@ class TestSecondOrderEngine:
 
     def test_non_degenerate_manifold_rejected(self, params):
         h0 = build_h0(params)
-        bad = Manifold(members=(basis_index("egeg", 0, params.n_max),
-                                basis_index("egeg", 1, params.n_max)),
-                       energy=0.0)
+        bad = (basis_index("egeg", 0, params.n_max), basis_index("egeg", 1, params.n_max))
         with pytest.raises(ValueError, match="degenerate"):
             derive_second_order(h0, build_hint(params), bad)
 
@@ -225,14 +221,14 @@ class TestSecondOrderEngine:
         assert e[m1] == pytest.approx(e[m2] - p.delta)  # not degenerate: detuned by delta
         h0_crafted = Operator(np.diag(np.where(np.arange(p.dim) == m2, e[m1], e)))
         with pytest.raises(ValueError, match="inside the manifold"):
-            derive_second_order(h0_crafted, build_hint(p), Manifold((m1, m2), float(e[m1])))
+            derive_second_order(h0_crafted, build_hint(p), (m1, m2))
 
 
 class TestManifold:
     def test_members_share_energy(self, params):
-        manifold = two_excitation_manifold(params, 3)
+        members = two_excitation_manifold(params, 3)
         e = np.real(np.diag(build_h0(params).matrix))
-        np.testing.assert_allclose(e[list(manifold.members)], manifold.energy, rtol=1e-12)
+        np.testing.assert_allclose(e[list(members)], params.delta / 2.0 * 3, rtol=1e-12)
 
     def test_pair_partner_is_involution(self):
         for c in range(16):

@@ -2,7 +2,7 @@
 
 The full H conserves n_e + n, so `model.excitation_sector` replaces the dense
 Hamiltonian in validate and in `derived_coupling`. These tests pin its blocks
-to the dense slices bit for bit and its dynamics to dense `evolve_times`. The
+to the dense slices bit for bit and its dynamics to the dense evolution. The
 default report of every experiment is held to its golden copy within a stated
 tolerance, so tier-1 sees any drift of a report, not only of validate-effective.
 """
@@ -19,16 +19,23 @@ from hypothesis import strategies as st
 
 from dfscavity import validate
 from dfscavity.cli import EXPERIMENTS, parse_config, run_experiment
-from dfscavity.dynamics import evolve_times, make_propagator
-from dfscavity.hilbert import N_ATOMIC_CONFIGS, StateVector, SystemParams, basis_index, excitation_number
+from dfscavity.dynamics import make_propagator
+from dfscavity.hilbert import (
+    N_ATOMIC_CONFIGS,
+    Operator,
+    StateVector,
+    SystemParams,
+    basis_index,
+    excitation_number,
+)
 from dfscavity.model import (
-    TWO_EXCITATION_CONFIGS,
     build_full_hamiltonian,
     build_h0,
     build_hint,
     derived_coupling,
     effective_coupling,
     excitation_sector,
+    two_excitation_manifold,
 )
 from dfscavity.validate import RabiFitError, compare_effective_models, effective_difference_entries, extract_rabi
 from test_hilbert import kron_hint
@@ -44,9 +51,9 @@ couplings = st.floats(1e-3, 1e6, allow_nan=False)
 ratios = st.floats(5.0, 50.0, allow_nan=False)
 
 
-def _sector_start(sector, n):
+def _sector_start(sector):
     psi = np.zeros(len(sector.indices), dtype=complex)
-    psi[sector.position("egeg", n)] = 1.0
+    psi[sector.manifold[0]] = 1.0  # |egeg, n>
     return psi
 
 
@@ -72,7 +79,7 @@ class TestExcitationSector:
             expected = [basis_index(a, n + 2 - excitation_number(a), n_max)
                         for a in range(N_ATOMIC_CONFIGS) if excitation_number(a) <= n + 2]
             assert sector.indices.tolist() == expected
-            assert np.all(sector.fock_levels <= n_max - 2)  # clear of both guard levels
+            assert np.all(sector.levels <= n_max - 2)  # clear of both guard levels
 
     @pytest.mark.parametrize("n_max", [4, 8, 16, 32])
     def test_dense_hamiltonian_has_no_coupling_out_of_the_sector(self, n_max):
@@ -85,11 +92,13 @@ class TestExcitationSector:
             assert not np.any(h[np.ix_(inside, outside)])
 
     def test_manifold_is_the_two_excitation_states_at_n(self):
-        p = SystemParams(G=1.0, delta=10.0, n_max=8)
-        sector = excitation_sector(p, 3)
-        m = sector.manifold
-        assert [int(sector.indices[k]) for k in m.members] == [basis_index(c, 1, 8) for c in TWO_EXCITATION_CONFIGS]
-        assert m.energy == p.delta / 2.0 * 1
+        for n_max in (4, 8, 16, 32):
+            p = SystemParams(G=1.0, delta=10.0, n_max=n_max)
+            for n in range(n_max - 3):
+                sector = excitation_sector(p, n + 2)
+                members = sector.indices[list(sector.manifold)]
+                assert members.tolist() == list(two_excitation_manifold(p, n))
+                assert np.array_equal(sector.levels, sector.indices % (n_max + 1))
 
     def test_memory_does_not_grow_with_n_max(self):
         # built from formulas: no (n_max+1)^2 ladder behind the at most 16 states
@@ -112,11 +121,6 @@ class TestExcitationSector:
                 assert run.pop("perturbative_ok") == params.perturbative_ok
         assert results[1000] == results[8]
 
-    def test_position_rejects_a_state_outside(self):
-        sector = excitation_sector(SystemParams(G=1.0, delta=10.0, n_max=8), 2)
-        with pytest.raises(ValueError):
-            sector.position("egeg", 1)
-
     @pytest.mark.parametrize("n_max", [8, 16])
     @settings(derandomize=True, deadline=None, max_examples=25)
     @given(G=couplings, ratio=ratios, level=st.floats(0.0, 1.0))
@@ -132,10 +136,12 @@ class TestExcitationSector:
         sector = excitation_sector(p, n + 2)
         t_max = 1.5 * 2 * np.pi / effective_coupling(n, p).omega
         times = np.linspace(0.0, t_max, 41)
-        ours = make_propagator(sector.hamiltonian, t_max).series(_sector_start(sector, n), times)
-        h = build_full_hamiltonian(p)
-        dense = evolve_times(h, StateVector.basis_state("egeg", n, n_max), times)
-        atol = 1e-12 + 8 * EPS * np.linalg.norm(h.matrix, 2) * t_max
+        h = Operator(sector.h0.matrix + sector.hint.matrix)
+        ours = make_propagator(h, t_max).series(_sector_start(sector), times)
+        # one dense spectrum gives the series and max|w|, the 2-norm of the hermitian H
+        dense_propagator = make_propagator(build_full_hamiltonian(p), t_max)
+        dense = dense_propagator.series(StateVector.basis_state("egeg", n, n_max).amplitudes, times)
+        atol = 1e-12 + 8 * EPS * np.max(np.abs(dense_propagator.spectrum[0])) * t_max
         assert np.max(np.abs(dense[:, sector.indices] - ours)) <= atol
         assert np.max(np.abs(np.delete(dense, sector.indices, axis=1))) <= atol
 
@@ -172,13 +178,13 @@ class TestDickeReduction:
     def test_occupied_eigenspaces_are_ladder_plus_dark_level(self, n, ratio):
         G, delta = 1.0, ratio
         sector = excitation_sector(SystemParams(G=G, delta=delta, n_max=10), n + 2)
-        w, v = np.linalg.eigh(sector.hamiltonian.matrix)
+        w, v = np.linalg.eigh(sector.h0.matrix + sector.hint.matrix)
         # eigenspaces: eigenvalues closer than 1e-9 delta are one level
         starts = np.flatnonzero(np.r_[True, np.diff(w) > 1e-9 * delta])
         expected = np.sort(np.r_[dicke_ladder_levels(G, delta, n), delta / 2.0 * n])
-        for config in TWO_EXCITATION_CONFIGS:
+        for k in sector.manifold:  # each two-excitation configuration at n
             psi = np.zeros(len(w), dtype=complex)
-            psi[sector.position(config, n)] = 1.0
+            psi[k] = 1.0
             weights = np.add.reduceat(np.abs(v.conj().T @ psi) ** 2, starts)
             occupied = w[starts][weights > 1e-12]
             assert len(occupied) == (3 if n < 2 else 4)

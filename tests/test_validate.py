@@ -11,6 +11,7 @@ from scipy.signal import find_peaks
 
 import dfscavity
 from dfscavity.hilbert import SystemParams
+from dfscavity.model import TWO_EXCITATION_LABELS
 from dfscavity.validate import (
     PEAK_PROMINENCE_FRACTION,
     RABI_FIT_POINTS,
@@ -124,7 +125,7 @@ class TestCompareEffectiveModels:
         # frozen oracle count: 30 nonzero entries at n=0 (24 exchange + 6 diagonal)
         entries = effective_difference_entries(make_params(10.0), n=0)
         assert len(entries) == 30
-        pairs = {(e.row, e.col) for e in entries}
+        pairs = {(row, col) for row, col, _ in entries}
         assert ("egeg", "eegg") in pairs          # exchange term
         assert ("egeg", "egeg") in pairs          # diagonal (Stark) term
         assert ("egeg", "gege") not in pairs      # the double-flip term agrees
@@ -135,8 +136,8 @@ class TestCompareEffectiveModels:
         from dfscavity.model import effective_coupling
 
         omega = effective_coupling(0, params).omega
-        for e in entries:
-            assert e.value == pytest.approx(omega, rel=1e-12)
+        for _, _, value in entries:
+            assert value == pytest.approx(omega, rel=1e-12)
 
     def test_probabilities_conserved_along_comparison(self):
         comp = compare_effective_models(make_params(20.0), n=0)
@@ -193,7 +194,7 @@ class TestProminentPeaks:
     def test_gege_series_peaks_match_scipy(self, ratio):
         # the series the Rabi fit filters, at the fit's threshold and with none
         _, sector, _, _, amps = _exact_run(make_params(ratio), 0, RABI_FIT_POINTS)
-        p_gege = np.abs(amps[:, sector.position("gege", 0)]) ** 2
+        p_gege = np.abs(amps[:, sector.manifold[TWO_EXCITATION_LABELS.index("gege")]]) ** 2
         for fraction in (PEAK_PROMINENCE_FRACTION, 0.0):
             prominence = fraction * float(np.ptp(p_gege))
             expected, _ = find_peaks(p_gege, prominence=prominence)
