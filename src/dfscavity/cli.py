@@ -44,15 +44,15 @@ from .errors import (
 )
 from .gates import (
     P_GATE_DURATION,
+    _first_passing,
     compile_cnot,
     convention_search,
     entangle_duration,
     schedule_duration,
     sequence_unitary_atomic,
-    sequence_unitary_logical,
     verify_truth_table,
 )
-from .hilbert import StateVector, SystemParams
+from .hilbert import Operator, StateVector, SystemParams
 from .logical import LOGICAL_INDICES
 from .model import build_h_eff, effective_coupling
 from .validate import GUARD_LEAKAGE_MAX, RabiFitError, compare_effective_models, extract_rabi
@@ -64,6 +64,9 @@ EXPERIMENTS = (
 
 DEFAULT_G = 2 * np.pi * 47e3
 MAX_GRID_POINTS = 10**6  # theta_points x delay_points of the teleport grid, and nbar_points
+# validate-effective fits on times up to 1.5 exchange periods, 3 pi/Omega(0); the Stark-phase
+# np.polyfit sums their squares, which leave the float range for a span (s) outside this range
+FIT_SPAN_RANGE = (1e-150, 1e150)
 
 
 class ConfigError(ValueError):
@@ -224,10 +227,18 @@ def _check_config(c: ExperimentConfig) -> ExperimentConfig:
     if c.experiment in ("entangle", "durations", "validate-effective"):  # the ones that read G
         with np.errstate(all="ignore"):  # an extreme G or delta overflows or underflows Omega(0)
             rates = 2.0 * np.float64(c.G) ** 2 / np.abs(deltas)
-        for delta, rate in zip(deltas, rates.tolist()):
+            cnot_times = 7 * np.pi * np.abs(deltas) / (8 * np.float64(c.G) ** 2)  # as schedule_duration
+            spans = 1.5 * 2 * np.pi / rates  # validate's fit grid: 1.5 exchange periods
+        for delta, rate, cnot_time, span in zip(deltas, rates.tolist(), cnot_times.tolist(), spans.tolist()):
             if not 0 < rate < np.inf:
                 raise ConfigError(f"keys {keys}: the pair rate 2 G^2/|delta| at G = {c.G}, "
                                   f"delta = {delta} is {rate}, not a finite positive number")
+            if c.experiment == "durations" and not cnot_time < np.inf:
+                raise ConfigError(f"keys {keys}: the CNOT time 7 pi |delta|/(8 G^2) at G = {c.G}, "
+                                  f"delta = {delta} is {cnot_time}, not finite")
+            if c.experiment == "validate-effective" and not FIT_SPAN_RANGE[0] <= span <= FIT_SPAN_RANGE[1]:
+                raise ConfigError(f"keys {keys}: the fit spans 3 pi/Omega(0) = {span} s at G = {c.G}, "
+                                  f"delta = {delta}, outside [{FIT_SPAN_RANGE[0]}, {FIT_SPAN_RANGE[1]}] s")
     return c
 
 
@@ -377,11 +388,11 @@ def _run_entangle(c: ExperimentConfig) -> tuple[dict, dict, dict]:
 
 def _run_cnot_verify(c: ExperimentConfig) -> tuple[dict, dict, dict]:
     search = convention_search()
-    seq = compile_cnot()
-    u_logical = sequence_unitary_logical(seq)
-    report = verify_truth_table(u_logical)
+    seq = _first_passing(search)
     u_atomic = sequence_unitary_atomic(seq)
     code_cols = u_atomic.matrix[:, list(LOGICAL_INDICES)]
+    u_logical = Operator(code_cols[list(LOGICAL_INDICES)])  # the code-space block
+    report = verify_truth_table(u_logical)
     outside = np.delete(code_cols, list(LOGICAL_INDICES), axis=0)
     code_leak = float(np.max(np.abs(outside)))
     uu = u_logical.matrix @ u_logical.matrix
@@ -469,11 +480,10 @@ def _run_teleport(c: ExperimentConfig) -> tuple[dict, dict, dict]:
 def _run_stagger_sweep(c: ExperimentConfig) -> tuple[dict, dict, dict]:
     rows = stagger_sweep(c.t1_fractions, pulse_area=c.pulse_area)
     t = c.pulse_area  # in units of 1/Omega
-    closed_defect = 0.0
-    for frac, amp, _sq in rows:
-        p = StaggerParams(t=t, t1=frac * t)
-        # the closed form is signed; the reported fidelity is its magnitude
-        closed_defect = max(closed_defect, abs(amp - abs(staggered_fidelity_closed_form(p))))
+    fractions, amps, _ = np.array(rows).T
+    t1 = fractions * t
+    # staggered_fidelity_closed_form at every row: signed, and the reported fidelity is its magnitude
+    closed_defect = float(np.max(np.abs(amps - np.abs(np.cos(0.5 * t1) * np.cos(t1)))))
     by_fraction = [rows[k] for k in np.argsort([r[0] for r in rows], kind="stable")]
     diffs = np.diff([r[1] for r in by_fraction if r[0] <= 0.25])
     monotone = bool(np.all(diffs <= 1e-12))

@@ -15,6 +15,11 @@ both by exhaustive search against the truth table (4 candidates: 2 orders x
 sign passes in both orders and "-" in neither, with all four truth-table
 output phases exactly -1 (the compiled unitary is -CNOT, so it squares to
 the identity).
+
+A composition builds each distinct gate once (the search: once per P sign,
+for both orders) and lifts a pair gate to the atomic space as one broadcast
+product, np.kron with the identity on the other pair. cnot-verify searches
+once: `_first_passing`, shared with `compile_cnot`, picks from that search.
 """
 
 from __future__ import annotations
@@ -155,21 +160,31 @@ def _gate_atomic(gate: GateDescriptor, p_sign: int) -> np.ndarray:
     else:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
     eye = np.eye(4, dtype=complex)
-    return np.kron(u4, eye) if gate.target == (1, 2) else np.kron(eye, u4)
+    a, b = (u4, eye) if gate.target == (1, 2) else (eye, u4)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)  # np.kron(a, b)
+
+
+def _gate_matrices(gates, p_sign: int) -> dict[GateDescriptor, np.ndarray]:
+    """Each distinct gate of `gates` on the atomic space, built once."""
+    return {g: _gate_atomic(g, p_sign) for g in dict.fromkeys(gates)}
+
+
+def _product(gates, application_order: str, mats: dict[GateDescriptor, np.ndarray]) -> np.ndarray:
+    """The atomic unitary of `gates` applied in `application_order`, from their matrices."""
+    if application_order == "listed_first_applied_first":
+        order = gates
+    elif application_order == "listed_first_applied_last":
+        order = gates[::-1]
+    else:
+        raise ValueError(f"unknown application order {application_order!r}")
+    u = np.eye(16, dtype=complex)
+    for g in order:
+        u = mats[g] @ u
+    return u
 
 
 def _compose(gates, convention: CnotConvention) -> np.ndarray:
-    mats = [_gate_atomic(g, convention.p_sign) for g in gates]
-    if convention.application_order == "listed_first_applied_first":
-        order = mats
-    elif convention.application_order == "listed_first_applied_last":
-        order = mats[::-1]
-    else:
-        raise ValueError(f"unknown application order {convention.application_order!r}")
-    u = np.eye(16, dtype=complex)
-    for m in order:
-        u = m @ u
-    return u
+    return _product(gates, convention.application_order, _gate_matrices(gates, convention.p_sign))
 
 
 def sequence_unitary_logical(seq: PulseSequence) -> Operator:
@@ -193,23 +208,17 @@ def verify_truth_table(u: Operator, prob_tol: float = 1e-10) -> TruthTableReport
         raise ValueError("truth-table verification expects a 4-dim logical operator")
     if not u.unitary:
         raise ValueError("operator is not unitary")
-    rows = []
-    passed = True
-    for col, expected in CNOT_TRUTH_TABLE.items():
-        amps = u.matrix[:, col]
-        probs = np.abs(amps) ** 2
-        observed = int(np.argmax(probs))
-        prob = float(probs[expected])
-        if prob < 1 - prob_tol:
-            passed = False
-        rows.append(TruthTableRow(
-            input_state=LOGICAL_CONFIGS[col],
-            expected=LOGICAL_CONFIGS[expected],
-            observed=LOGICAL_CONFIGS[observed],
-            probability=prob,
-            phase=complex(amps[expected]),
-        ))
-    return TruthTableReport(rows=tuple(rows), passed=passed)
+    amps = u.matrix
+    probs = np.abs(amps) ** 2
+    observed = np.argmax(probs, axis=0).tolist()
+    rows = tuple(TruthTableRow(
+        input_state=LOGICAL_CONFIGS[col],
+        expected=LOGICAL_CONFIGS[expected],
+        observed=LOGICAL_CONFIGS[observed[col]],
+        probability=float(probs[expected, col]),
+        phase=complex(amps[expected, col]),
+    ) for col, expected in CNOT_TRUTH_TABLE.items())
+    return TruthTableReport(rows=rows, passed=not any(r.probability < 1 - prob_tol for r in rows))
 
 
 def convention_candidates() -> tuple[CnotConvention, ...]:
@@ -223,18 +232,18 @@ def convention_candidates() -> tuple[CnotConvention, ...]:
 def convention_search() -> tuple[tuple[CnotConvention, TruthTableReport], ...]:
     """Run the truth table for all four conventions, in deterministic order."""
     gates = cnot_gate_list()
+    mats = {sign: _gate_matrices(gates, sign) for sign in (+1, -1)}  # both orders share them
     out = []
     for conv in convention_candidates():
-        u = Operator(_logical_block(_compose(gates, conv)))
+        u = Operator(_logical_block(_product(gates, conv.application_order, mats[conv.p_sign])))
         out.append((conv, verify_truth_table(u)))
     return tuple(out)
 
 
-def compile_cnot() -> PulseSequence:
-    """The seven-gate sequence with the convention selected by exhaustive
-    search; hard error (with the best-achieved probabilities) if nothing
-    passes."""
-    results = convention_search()
+def _first_passing(results) -> PulseSequence:
+    """The seven-gate sequence under the first convention of a `convention_search`
+    result that passes; hard error (with the best-achieved probabilities) if
+    none does."""
     for conv, report in results:
         if report.passed:
             return PulseSequence(gates=cnot_gate_list(), convention=conv)
@@ -243,6 +252,13 @@ def compile_cnot() -> PulseSequence:
         worst = min(r.probability for r in report.rows)
         lines.append(f"  {conv}: worst-case probability {worst:.6f}")
     raise RuntimeError("no convention reproduces the CNOT truth table:\n" + "\n".join(lines))
+
+
+def compile_cnot() -> PulseSequence:
+    """The seven-gate sequence with the convention selected by exhaustive
+    search; hard error (with the best-achieved probabilities) if nothing
+    passes."""
+    return _first_passing(convention_search())
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfscavity import cli
+from dfscavity import cli, gates
 from dfscavity.cli import (
     DEFAULT_G,
     MAX_GRID_POINTS,
@@ -294,6 +294,21 @@ class TestExperiments:
         assert len(report.results["candidates"]) == 4
         assert sum(c["passed"] for c in report.results["candidates"]) == 2
 
+    def test_cnot_verify_searches_the_conventions_once(self, monkeypatch):
+        search = gates.convention_search
+        calls = []
+
+        def counting():
+            calls.append(1)
+            return search()
+
+        # every namespace a caller looks the search up in
+        monkeypatch.setattr(gates, "convention_search", counting)
+        monkeypatch.setattr(cli, "convention_search", counting)
+        report = run_experiment(parse_config("", experiment="cnot-verify"))
+        assert report.passed
+        assert len(calls) == 1
+
     def test_bell_maps_each_label_to_itself(self):
         report = run_experiment(parse_config("", experiment="bell"))
         assert report.passed
@@ -438,6 +453,30 @@ class TestMainEntryPoint:
         captured = capsys.readouterr()
         keys = "'G' and 'delta_over_G'" if experiment == "validate-effective" else "'G' and 'delta'"
         assert captured.err.startswith(f"config error: keys {keys}: the pair rate")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text,span", [
+        ("G = 1e-100\ndelta_over_G = 1e210\n", "inf"),         # Omega(0) = 2e-310 is subnormal
+        ("G = 1e100\ndelta_over_G = 1e-150\n", "4.712"),       # the squared times underflow
+    ])
+    def test_validate_effective_fit_span_out_of_float_range_exit_two(self, text, span, tmp_path, capsys):
+        # the pair rate is finite and positive, but the Stark-phase fit cannot run on the grid
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text(text)
+        assert main(["validate-effective", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: keys 'G' and 'delta_over_G': "
+                                       f"the fit spans 3 pi/Omega(0) = {span}")
+        assert captured.out == ""
+
+    def test_durations_cnot_time_out_of_float_range_exit_two(self, tmp_path, capsys):
+        # Omega(0) = 2e-310 is finite and positive, but 7 pi |delta|/(8 G^2) overflows
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text("G = 1e-100\ndelta = 1e110\n")
+        assert main(["durations", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: keys 'G' and 'delta': the CNOT time "
+                                "7 pi |delta|/(8 G^2) at G = 1e-100, delta = 1e+110 is inf, not finite\n")
         assert captured.out == ""
 
     def test_missing_config_file_exit_two(self, capsys):

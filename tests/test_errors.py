@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfscavity.cli import parse_config, run_experiment
 from dfscavity.dynamics import dfs_propagate
@@ -105,6 +107,34 @@ class TestStaggerSweep:
     def test_fraction_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             stagger_sweep([1.2])
+
+    def test_empty_sweep(self):
+        assert stagger_sweep([]) == ()
+
+    @pytest.mark.parametrize("fractions,named", [
+        ([0.1, 1.2, -0.5], "1.2"),
+        ([0.1, -0.5, 1.2], "-0.5"),
+        ([0.0, float("nan"), 2.0], "nan"),
+    ])
+    def test_first_bad_fraction_is_named(self, fractions, named):
+        with pytest.raises(ValueError, match=rf"t1 fraction must lie in \[0, 1\], got {named}$"):
+            stagger_sweep(fractions)
+
+    def test_negative_pulse_area_rejected_by_stagger_params(self):
+        with pytest.raises(ValueError, match="need 0 <= t1 <= t"):
+            stagger_sweep([0.0, 0.5], pulse_area=-1.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.lists(st.floats(0.0, 1.0), max_size=12)
+           .flatmap(lambda xs: st.permutations(xs + xs[:2] + [0.0, 1.0])),
+           st.floats(0.0, 20.0) | st.just(AREA_R))
+    def test_array_pass_equals_one_state_at_a_time(self, fractions, t):
+        # unsorted, with duplicates and the endpoints: the same rows, bit for bit
+        expected = []
+        for frac in fractions:
+            f = staggered_fidelity(StaggerParams(t=t, t1=frac * t))
+            expected.append((frac, f, f * f))
+        assert stagger_sweep(fractions, pulse_area=t) == tuple(expected)
 
 
 class TestThermalAveraging:

@@ -4,14 +4,21 @@ import pytest
 from dfscavity.cli import parse_config, run_experiment
 from dfscavity.dynamics import evolve_exact
 from dfscavity.gates import (
+    H_PULSE_AREA,
+    P_PHASE,
+    VALID_PAIRS,
     CnotConvention,
+    GateDescriptor,
+    PulseSequence,
     cnot_gate_list,
     compile_cnot,
+    convention_candidates,
     convention_search,
     entangle_duration,
     h_gate,
     p_gate,
     r_gate,
+    r_gate_atomic,
     schedule_duration,
     sequence_unitary_atomic,
     sequence_unitary_logical,
@@ -162,6 +169,36 @@ class TestCnotCompilation:
         cols = u.matrix[:, list(LOGICAL_INDICES)]
         outside = np.delete(cols, list(LOGICAL_INDICES), axis=0)
         assert np.max(np.abs(outside)) == 0.0
+
+
+def _kron_gate(gate: GateDescriptor, sign: int) -> np.ndarray:
+    """Oracle: a gate on the atomic space, a pair gate as np.kron with the
+    identity on the other pair."""
+    if gate.kind == "R":
+        return r_gate_atomic(gate.pulse_area).matrix
+    u4 = (h_gate(gate.target) if gate.kind == "H"
+          else p_gate(gate.target, sign if gate.kind == "P" else -sign)).matrix
+    eye = np.eye(4, dtype=complex)
+    return np.kron(u4, eye) if gate.target == (1, 2) else np.kron(eye, u4)
+
+
+class TestAtomicLift:
+    @pytest.mark.parametrize("pair", VALID_PAIRS)
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("kind", ["H", "P", "P_inv"])
+    def test_pair_gate_equals_kronecker_product(self, kind, pair, sign):
+        gate = GateDescriptor(kind, pair, H_PULSE_AREA if kind == "H" else P_PHASE)
+        seq = PulseSequence((gate,), CnotConvention("listed_first_applied_first", sign))
+        assert np.array_equal(sequence_unitary_atomic(seq).matrix, _kron_gate(gate, sign))
+
+    @pytest.mark.parametrize("conv", convention_candidates())
+    def test_sequence_equals_product_of_kronecker_gates(self, conv):
+        gates = cnot_gate_list()
+        order = gates if conv.application_order == "listed_first_applied_first" else gates[::-1]
+        expected = np.eye(16, dtype=complex)
+        for g in order:
+            expected = _kron_gate(g, conv.p_sign) @ expected
+        assert np.array_equal(sequence_unitary_atomic(PulseSequence(gates, conv)).matrix, expected)
 
 
 @pytest.fixture(scope="module")
