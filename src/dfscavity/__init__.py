@@ -5,7 +5,7 @@ Library layers:
 * hilbert  -- composite basis, parameters, states and read-only operators
 * model    -- full and effective Hamiltonians, second-order PT engine
 * dynamics -- exact propagators and the closed-form pair-exchange map
-* logical  -- pair-encoded logical qubits and collective dephasing
+* logical  -- the pair encoding of logical qubits and collective dephasing
 * gates    -- H/P/R pulses, CNOT compiler, duration accounting
 * bell_teleport -- Bell discrimination and the teleportation protocol
 * errors   -- staggered-insertion and thermal-sector error models
@@ -30,7 +30,6 @@ from .errors import (
     stagger_sweep,
     staggered_fidelity,
     staggered_fidelity_closed_form,
-    staggered_state,
 )
 from .gates import (
     CnotConvention,
@@ -41,7 +40,6 @@ from .gates import (
     entangle_duration,
     h_gate,
     p_gate,
-    r_gate,
     schedule_duration,
     sequence_unitary_atomic,
     sequence_unitary_logical,
@@ -55,13 +53,7 @@ from .hilbert import (
     basis_index,
     config_labels,
 )
-from .logical import (
-    LogicalState,
-    collective_dephase,
-    collective_phases,
-    decode_logical,
-    encode_logical,
-)
+from .logical import LogicalState, collective_dephase, collective_phases
 from .model import (
     EffectiveCoupling,
     build_full_hamiltonian,

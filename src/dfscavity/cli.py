@@ -37,6 +37,7 @@ from .dynamics import dfs_propagate, evolve_exact
 from .errors import (
     DEFAULT_PULSE_AREA,
     StaggerParams,
+    _closed_form,
     fock_averaged_fidelity,
     stagger_sweep,
     staggered_fidelity,
@@ -50,7 +51,6 @@ from .gates import (
     entangle_duration,
     schedule_duration,
     sequence_unitary_atomic,
-    verify_truth_table,
 )
 from .hilbert import Operator, StateVector, SystemParams
 from .logical import LOGICAL_INDICES
@@ -392,7 +392,7 @@ def _run_cnot_verify(c: ExperimentConfig) -> tuple[dict, dict, dict]:
     u_atomic = sequence_unitary_atomic(seq)
     code_cols = u_atomic.matrix[:, list(LOGICAL_INDICES)]
     u_logical = Operator(code_cols[list(LOGICAL_INDICES)])  # the code-space block
-    report = verify_truth_table(u_logical)
+    report = dict(search)[seq.convention]
     outside = np.delete(code_cols, list(LOGICAL_INDICES), axis=0)
     code_leak = float(np.max(np.abs(outside)))
     uu = u_logical.matrix @ u_logical.matrix
@@ -482,8 +482,8 @@ def _run_stagger_sweep(c: ExperimentConfig) -> tuple[dict, dict, dict]:
     t = c.pulse_area  # in units of 1/Omega
     fractions, amps, _ = np.array(rows).T
     t1 = fractions * t
-    # staggered_fidelity_closed_form at every row: signed, and the reported fidelity is its magnitude
-    closed_defect = float(np.max(np.abs(amps - np.abs(np.cos(0.5 * t1) * np.cos(t1)))))
+    # the closed form is signed, and the reported fidelity is its magnitude
+    closed_defect = float(np.max(np.abs(amps - np.abs(_closed_form(t1)))))
     by_fraction = [rows[k] for k in np.argsort([r[0] for r in rows], kind="stable")]
     diffs = np.diff([r[1] for r in by_fraction if r[0] <= 0.25])
     monotone = bool(np.all(diffs <= 1e-12))
@@ -537,12 +537,10 @@ def _run_validate_effective(c: ExperimentConfig) -> tuple[dict, dict, dict]:
         warnings.simplefilter("ignore")  # perturbative-ratio warnings recorded as data
         for ratio in c.delta_over_G:
             params = SystemParams(G=c.G, delta=ratio * c.G, n_max=c.n_max)
-            gate_fired = False
             try:
                 run = extract_rabi(params, n=0)
             except RabiFitError as err:
                 run = err.run
-                gate_fired = True
             comparison = compare_effective_models(params, n=0)
             measured = asdict(run)
             del measured["delta_over_g"]  # reported as the configured ratio instead
@@ -552,7 +550,7 @@ def _run_validate_effective(c: ExperimentConfig) -> tuple[dict, dict, dict]:
                 "deviation_from_3x_expected":
                     float(abs(run.omega_fit - 3 * run.omega_expected) / (3 * run.omega_expected))
                     if np.isfinite(run.omega_fit) else None,
-                "fit_gate_fired": gate_fired,
+                "fit_gate_fired": run.diagnostic is not None,
                 "comparison": {
                     "max_infidelity_pair_swap_vs_full": comparison.max_infidelity_pair_swap,
                     "max_infidelity_derived_vs_full": comparison.max_infidelity_derived,
@@ -685,7 +683,7 @@ def main(argv=None) -> int:
             overrides["format"] = args.format
         if overrides:
             config = _check_config(replace(config, **overrides))
-    except (ConfigError, OSError) as err:
+    except (ConfigError, OSError, UnicodeDecodeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 

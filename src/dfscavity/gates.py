@@ -119,19 +119,11 @@ def r_gate_atomic(pulse_area: float = R_PULSE_AREA) -> Operator:
     return Operator(pair_exchange(np.eye(16, dtype=complex), pulse_area))
 
 
-def r_gate(pulse_area: float = R_PULSE_AREA) -> Operator:
-    """Pair-exchange evolution on the 4-dim logical space.
-
-    On the logical basis this is exp(-i * area * X(x)X): each logical state
-    rotates into its all-atoms-flipped partner.
-    """
-    return Operator(_logical_block(r_gate_atomic(pulse_area).matrix))
-
-
 def _logical_block(u16: np.ndarray) -> np.ndarray:
     """Restriction of an atomic-space unitary to the code space. Exact for
     products of H, P and R, which are block-diagonal on code space and its
-    complement."""
+    complement; on it R is exp(-i * area * X(x)X), each logical state
+    rotating into its all-atoms-flipped partner."""
     return u16[np.ix_(LOGICAL_INDICES, LOGICAL_INDICES)]
 
 

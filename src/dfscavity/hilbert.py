@@ -188,22 +188,8 @@ class StateVector:
         amps[basis_index(config, n, n_max)] = 1.0
         return cls(amps, n_max)
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other: "StateVector") -> complex:
-        """<self|other>."""
-        if self.dim != other.dim:
-            raise ValueError("state dimensions differ")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def fidelity(self, other: "StateVector") -> float:
-        """|<self|other>|^2."""
-        return float(abs(self.overlap(other)) ** 2)
 
     def amplitude(self, config, n: int = 0) -> complex:
         return complex(self.amplitudes[basis_index(config, n, self.n_max)])

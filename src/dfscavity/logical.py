@@ -1,7 +1,8 @@
-"""Logical-qubit codec over atom pairs and the collective-dephasing channel.
+"""The pair encoding of logical qubits and the collective-dephasing channel.
 
 One logical qubit lives on one atom pair: |1~> = |eg>, |0~> = |ge>. Logical
-qubit A is atoms (1,2), logical qubit B is atoms (3,4). Both code states have
+qubit A is atoms (1,2), logical qubit B is atoms (3,4); `LogicalState`
+embeds two of them into the 16 atomic amplitudes. Both code states have
 zero total z-spin, so the collective dephasing unitary exp(-i phi sum_i
 sigma_z^(i)) acts as the identity on the code space, and the bare free
 evolution that dephases a single-atom superposition leaves encoded states
@@ -20,9 +21,6 @@ from .hilbert import StateVector, atomic_index
 LOGICAL_CONFIGS = ("egeg", "egge", "geeg", "gege")
 LOGICAL_INDICES = tuple(atomic_index(c) for c in LOGICAL_CONFIGS)
 
-_PAIR_NORM_ATOL = 1e-9
-_CODE_SPACE_ATOL = 1e-10  # weight outside the code space that decode_logical tolerates
-
 
 @dataclass(frozen=True, eq=False)
 class LogicalState:
@@ -38,38 +36,11 @@ class LogicalState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    def to_state_vector(self, n_max: int = 0) -> StateVector:
-        """Embed into the composite space (vacuum Fock sector)."""
-        out = np.zeros(16 * (n_max + 1), dtype=complex)
-        for amp, cfg in zip(self.amplitudes, LOGICAL_INDICES):
-            out[cfg * (n_max + 1)] = amp
-        return StateVector(out, n_max)
-
-
-def encode_logical(alpha_a: complex, beta_a: complex,
-                   alpha_b: complex, beta_b: complex) -> LogicalState:
-    """Product state (alpha_a |1~> + beta_a |0~>) x (alpha_b |1~> + beta_b |0~>).
-
-    Each pair of coefficients must be normalized.
-    """
-    for name, (x, y) in (("A", (alpha_a, beta_a)), ("B", (alpha_b, beta_b))):
-        if abs(abs(x) ** 2 + abs(y) ** 2 - 1.0) > _PAIR_NORM_ATOL:
-            raise ValueError(f"logical qubit {name} coefficients are not normalized")
-    a = np.array([alpha_a, beta_a], dtype=complex)
-    b = np.array([alpha_b, beta_b], dtype=complex)
-    return LogicalState(np.kron(a, b))
-
-
-def decode_logical(psi: StateVector) -> LogicalState:
-    """Inverse of LogicalState.to_state_vector; errors when psi leaves the
-    code space (any amplitude off the four code configurations, or any
-    photon excitation)."""
-    block = psi.amplitudes.reshape(16, psi.n_max + 1)
-    amps = np.array([block[c, 0] for c in LOGICAL_INDICES], dtype=complex)
-    outside = np.linalg.norm(psi.amplitudes) ** 2 - np.linalg.norm(amps) ** 2
-    if outside > _CODE_SPACE_ATOL:
-        raise ValueError(f"state has weight {outside:.3e} outside the logical code space")
-    return LogicalState(amps)
+    def to_state_vector(self) -> StateVector:
+        """Embed into the 16 atomic amplitudes (cavity factored out)."""
+        out = np.zeros(16, dtype=complex)
+        out[list(LOGICAL_INDICES)] = self.amplitudes
+        return StateVector(out)
 
 
 def collective_phases(phi: float | np.ndarray, n_atoms: int = 4) -> np.ndarray:

@@ -23,7 +23,7 @@ class TestBellStates:
         labels = list(BellLabel)
         for i, a in enumerate(labels):
             for b in labels[i + 1:]:
-                overlap = prepare_bell(a).overlap(prepare_bell(b))
+                overlap = np.vdot(prepare_bell(a).amplitudes, prepare_bell(b).amplitudes)
                 assert abs(overlap) < 1e-14
 
 

@@ -309,6 +309,21 @@ class TestExperiments:
         assert report.passed
         assert len(calls) == 1
 
+    def test_cnot_verify_checks_each_truth_table_once(self, monkeypatch):
+        # the chosen convention's report comes from the search, not from a second check
+        check = gates.verify_truth_table
+        calls = []
+
+        def counting(u):
+            calls.append(1)
+            return check(u)
+
+        monkeypatch.setattr(gates, "verify_truth_table", counting)
+        monkeypatch.setattr(cli, "verify_truth_table", counting, raising=False)
+        report = run_experiment(parse_config("", experiment="cnot-verify"))
+        assert report.passed
+        assert len(calls) == len(gates.convention_candidates())
+
     def test_bell_maps_each_label_to_itself(self):
         report = run_experiment(parse_config("", experiment="bell"))
         assert report.passed
@@ -481,6 +496,16 @@ class TestMainEntryPoint:
 
     def test_missing_config_file_exit_two(self, capsys):
         assert main(["bell", "--config", "/nonexistent/path.cfg"]) == 2
+
+    def test_config_not_utf8_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"G = 1\xff\n")
+        out = tmp_path / "r.json"
+        assert main(["entangle", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: 'utf-8' codec can't decode byte 0xff")
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_unwritable_out_path_exit_two(self, tmp_path, capsys):
         # exit 1 means "report still written"; here nothing could be written

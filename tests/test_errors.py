@@ -8,39 +8,43 @@ from dfscavity.dynamics import dfs_propagate
 from dfscavity.errors import (
     THERMAL_TAIL,
     StaggerParams,
+    _closed_form,
+    _staggered_amplitudes,
     fock_averaged_fidelity,
     stagger_sweep,
     staggered_fidelity,
     staggered_fidelity_closed_form,
-    staggered_state,
     thermal_weights,
 )
-from dfscavity.hilbert import StateVector
+from dfscavity.hilbert import StateVector, atomic_index
 
 AREA_R = 3 * np.pi / 4
 
 
+def ideal_output(t: float) -> np.ndarray:
+    """The intended pulse output from |egeg>: pair exchange at area Omega t = t."""
+    return dfs_propagate(StateVector.basis_state("egeg"), t).amplitudes
+
+
 class TestStaggeredState:
     def test_no_lead_reduces_to_ideal_map(self):
-        p = StaggerParams(t=AREA_R, t1=0.0)
-        ideal = dfs_propagate(StateVector.basis_state("egeg"), AREA_R)
-        np.testing.assert_allclose(staggered_state(p).amplitudes, ideal.amplitudes, atol=1e-14)
+        np.testing.assert_allclose(_staggered_amplitudes(AREA_R, 0.0), ideal_output(AREA_R), atol=1e-14)
 
     def test_full_lead_is_pure_two_atom_evolution(self):
         t = 1.3
-        p = StaggerParams(t=t, t1=t)
-        psi = staggered_state(p)
+        amps = _staggered_amplitudes(t, t)
         lam = 0.5  # the two-atom rate, in units of the four-atom rate Omega
-        assert psi.amplitude("egeg") == pytest.approx(np.cos(lam * t), abs=1e-14)
-        assert psi.amplitude("geeg") == pytest.approx(-1j * np.sin(lam * t), abs=1e-14)
-        assert psi.amplitude("gege") == 0.0
+        assert amps[atomic_index("egeg")] == pytest.approx(np.cos(lam * t), abs=1e-14)
+        assert amps[atomic_index("geeg")] == pytest.approx(-1j * np.sin(lam * t), abs=1e-14)
+        assert amps[atomic_index("gege")] == 0.0
 
     def test_normalized_for_random_parameters(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
             t = rng.uniform(0.1, 18.0)  # Omega t, in units of 1/Omega
-            p = StaggerParams(t=t, t1=rng.uniform(0, t))
-            assert staggered_state(p).norm() == pytest.approx(1.0, abs=1e-14)
+            amps = _staggered_amplitudes(t, rng.uniform(0, t, size=3))
+            assert amps.shape == (3, 16)
+            np.testing.assert_allclose(np.linalg.norm(amps, axis=1), 1.0, atol=1e-14)
 
     def test_lead_exceeding_total_rejected(self):
         with pytest.raises(ValueError):
@@ -49,8 +53,8 @@ class TestStaggeredState:
     def test_lambda_is_half_omega(self):
         # times are in units of 1/Omega: a lead of pi swaps the lone pair fully
         # (lambda t1 = pi/2), and the closed form is cos(t1/2) cos(t1)
-        psi = staggered_state(StaggerParams(t=np.pi, t1=np.pi))
-        assert abs(psi.amplitude("geeg")) == pytest.approx(1.0, abs=1e-14)
+        amps = _staggered_amplitudes(np.pi, np.pi)
+        assert abs(amps[atomic_index("geeg")]) == pytest.approx(1.0, abs=1e-14)
         p = StaggerParams(t=1.0, t1=0.2)
         assert staggered_fidelity_closed_form(p) == pytest.approx(np.cos(0.1) * np.cos(0.2), abs=1e-15)
 
@@ -78,6 +82,11 @@ class TestStaggeredFidelity:
             p = StaggerParams(t=t, t1=rng.uniform(0, t))
             assert staggered_fidelity(p) == pytest.approx(
                 abs(staggered_fidelity_closed_form(p)), abs=1e-12)
+
+    def test_closed_form_broadcasts_over_lead_times(self):
+        t1 = np.linspace(0.0, 12.5, 40)
+        assert np.array_equal(_closed_form(t1),
+                              [staggered_fidelity_closed_form(StaggerParams(t=12.5, t1=x)) for x in t1])
 
 
 class TestStaggerSweep:
@@ -129,10 +138,13 @@ class TestStaggerSweep:
            .flatmap(lambda xs: st.permutations(xs + xs[:2] + [0.0, 1.0])),
            st.floats(0.0, 20.0) | st.just(AREA_R))
     def test_array_pass_equals_one_state_at_a_time(self, fractions, t):
-        # unsorted, with duplicates and the endpoints: the same rows, bit for bit
+        # unsorted, with duplicates and the endpoints: the same rows, bit for bit, as
+        # one np.vdot per fraction; staggered_fidelity shares the sweep's kernel
+        ideal = ideal_output(t)
         expected = []
         for frac in fractions:
-            f = staggered_fidelity(StaggerParams(t=t, t1=frac * t))
+            f = float(abs(np.vdot(ideal, _staggered_amplitudes(t, frac * t))))
+            assert staggered_fidelity(StaggerParams(t=t, t1=frac * t)) == f
             expected.append((frac, f, f * f))
         assert stagger_sweep(fractions, pulse_area=t) == tuple(expected)
 
@@ -202,6 +214,7 @@ class TestThermalAveraging:
         # it falls short of the exact average by at most the dropped weight
         start = StateVector.basis_state("egeg")
         target = dfs_propagate(start, area)
-        loop = sum(p_n * target.fidelity(dfs_propagate(start, area * (4 * n + 2) / 2.0))
+        loop = sum(p_n * abs(np.vdot(target.amplitudes,
+                                     dfs_propagate(start, area * (4 * n + 2) / 2.0).amplitudes)) ** 2
                    for n, p_n in enumerate(thermal_weights(nbar)))
         assert -1e-12 <= fock_averaged_fidelity(nbar, area) - loop <= THERMAL_TAIL + 1e-12

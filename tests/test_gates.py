@@ -10,6 +10,7 @@ from dfscavity.gates import (
     CnotConvention,
     GateDescriptor,
     PulseSequence,
+    _logical_block,
     cnot_gate_list,
     compile_cnot,
     convention_candidates,
@@ -17,7 +18,6 @@ from dfscavity.gates import (
     entangle_duration,
     h_gate,
     p_gate,
-    r_gate,
     r_gate_atomic,
     schedule_duration,
     sequence_unitary_atomic,
@@ -77,12 +77,25 @@ class TestPGate:
         np.testing.assert_allclose(u, np.eye(4), atol=1e-14)
 
 
+def logical_r(area: float = 3 * np.pi / 4) -> np.ndarray:
+    """R on the code space: the logical block of the atomic R pulse."""
+    return _logical_block(r_gate_atomic(area).matrix)
+
+
 class TestRGate:
     def test_action_on_egeg(self):
-        u = r_gate().matrix
+        u = logical_r()
         col = u[:, 0]  # |1~1~> = egeg
         assert col[0] == pytest.approx(-1 / np.sqrt(2))
         assert col[3] == pytest.approx(-1j / np.sqrt(2))
+
+    @pytest.mark.parametrize("area", [0.0, 0.37, np.pi / 4, 3 * np.pi / 4, 2.0])
+    def test_equals_exponential_of_xx(self, area):
+        # (X (x) X)^2 = 1, so exp(-i area X(x)X) = cos(area) 1 - i sin(area) X(x)X; on the
+        # logical basis X(x)X swaps 1~1~ <-> 0~0~ and 1~0~ <-> 0~1~
+        xx = np.eye(4)[::-1]
+        expected = np.cos(area) * np.eye(4) - 1j * np.sin(area) * xx
+        np.testing.assert_allclose(logical_r(area), expected, atol=1e-15)
 
     def test_matches_effective_model_exponential(self):
         params = SystemParams(G=1.0, delta=20.0, n_max=4)
@@ -95,11 +108,11 @@ class TestRGate:
             amps = np.zeros(16, dtype=complex)
             amps[list(LOGICAL_INDICES)] = coeffs
             exact = evolve_exact(h, StateVector(amps, 0), (3 * np.pi / 4) / omega)
-            via_gate = r_gate().matrix @ coeffs
+            via_gate = logical_r() @ coeffs
             np.testing.assert_allclose(via_gate, exact.amplitudes[list(LOGICAL_INDICES)], atol=1e-10)
 
     def test_unitarity_defect(self):
-        u = r_gate().matrix
+        u = logical_r()
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
 
 
@@ -161,7 +174,7 @@ class TestCnotCompilation:
     def test_all_gates_unitary(self):
         assert h_gate((1, 2)).unitary
         assert p_gate((3, 4)).unitary
-        assert r_gate().unitary
+        assert Operator(logical_r()).unitary
         assert sequence_unitary_logical(compile_cnot()).unitary
 
     def test_code_space_preserved_exactly(self):

@@ -10,55 +10,29 @@ from dfscavity.logical import (
     LogicalState,
     collective_dephase,
     collective_phases,
-    decode_logical,
-    encode_logical,
 )
 
 
-def random_pair(rng):
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    return v / np.linalg.norm(v)
-
-
 class TestCodec:
+    """The embedding of two logical qubits into the 16 atomic amplitudes."""
+
     def test_basis_product_state(self):
-        ls = encode_logical(1, 0, 1, 0)
-        psi = ls.to_state_vector()
+        psi = LogicalState(np.kron([1, 0], [1, 0])).to_state_vector()
         assert psi.amplitude("egeg") == 1.0
         assert psi.norm() == pytest.approx(1.0)
 
     def test_encoded_superposition_matches_stated_form(self):
         theta = 0.0
-        ls = encode_logical(1 / np.sqrt(2), np.exp(1j * theta) / np.sqrt(2), 1, 0)
-        psi = ls.to_state_vector()
+        qubit_a = [1 / np.sqrt(2), np.exp(1j * theta) / np.sqrt(2)]
+        psi = LogicalState(np.kron(qubit_a, [1, 0])).to_state_vector()
         assert psi.amplitude("egeg") == pytest.approx(1 / np.sqrt(2))
         assert psi.amplitude("geeg") == pytest.approx(1 / np.sqrt(2))
 
-    def test_round_trip_random_states(self):
-        rng = np.random.default_rng(23)
-        for _ in range(20):
-            a, b = random_pair(rng), random_pair(rng)
-            ls = encode_logical(a[0], a[1], b[0], b[1])
-            back = decode_logical(ls.to_state_vector(n_max=2))
-            np.testing.assert_allclose(back.amplitudes, ls.amplitudes, atol=1e-14)
-
-    def test_unnormalized_input_rejected(self):
-        with pytest.raises(ValueError, match="normalized"):
-            encode_logical(1.0, 1.0, 1.0, 0.0)
-
-    def test_decode_rejects_leakage(self):
-        amps = np.zeros(16, dtype=complex)
-        amps[atomic_index("egeg")] = np.sqrt(0.9)
-        amps[atomic_index("eegg")] = np.sqrt(0.1)
-        with pytest.raises(ValueError, match="code space"):
-            decode_logical(StateVector(amps, 0))
-
     def test_embedding_lands_exactly_on_named_states(self):
-        ls = LogicalState(np.array([0.5, 0.5, 0.5, 0.5]))
-        psi = ls.to_state_vector(n_max=1)
+        psi = LogicalState(np.array([0.5, 0.5, 0.5, 0.5])).to_state_vector()
+        assert psi.n_max == 0
         populated = {i for i, a in enumerate(psi.amplitudes) if a != 0}
-        expected = {basis_index(c, 0, 1) for c in LOGICAL_CONFIGS}
-        assert populated == expected
+        assert populated == {basis_index(c, 0, 0) for c in LOGICAL_CONFIGS}
 
 
 class TestCollectiveDephasing:
