@@ -21,11 +21,15 @@ is imported, so module-level lines count. A line is executable when the
 compiled code has an instruction on it; a function's or class's own header
 line counts under the code that defines it.
 
-Prints each run with its exit status, then per module the executable lines
-that no run reached, as line ranges with the first line's source, and a
-total. Exits 0 when every selected run ran (a run's own failure, such as
-validate-effective's exit 1 or the acceptance suite's criterion 8, is
-reported, not fatal) and 2 when `--only` selects nothing.
+Prints each run with its exit status; then, from the call events of the same
+trace, each parameter with a default of a public function or method of the
+package (no part of its qualified name starts with an underscore) that every
+traced call of it left at one value, with that value and the number of
+calls; then per module the executable lines that no run reached, as line
+ranges with the first line's source, and a total. Exits 0 when every
+selected run ran (a run's own failure, such as validate-effective's exit 1
+or the acceptance suite's criterion 8, is reported, not fatal) and 2 when
+`--only` selects nothing.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib.util
+import inspect
 import io
 import os
 import runpy
@@ -132,12 +137,64 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
+def defaulted_parameters(code, namespace) -> tuple[str, tuple[str, ...]] | None:
+    """("module.qualname", names of its parameters with a default) for the public
+    function or method that `code` is the body of, looked up by its qualified name
+    in the module namespace `namespace`; None for any other code."""
+    parts = code.co_qualname.split(".")
+    if any(part.startswith(("_", "<")) for part in parts):
+        return None
+    obj = namespace.get(parts[0])
+    for part in parts[1:]:
+        obj = getattr(obj, part, None)
+    if getattr(getattr(obj, "__func__", obj), "__code__", None) is not code:
+        return None
+    names = tuple(name for name, parameter in inspect.signature(obj).parameters.items()
+                  if parameter.default is not parameter.empty)
+    return (f"{Path(code.co_filename).stem}.{code.co_qualname}", names) if names else None
+
+
+def is_array(value) -> bool:
+    return hasattr(value, "tobytes") and hasattr(value, "shape")
+
+
+def value_key(value) -> tuple:
+    """Equal for equal parameter values: arrays by shape, dtype and bytes, hashable
+    values by type and value, anything else by type and repr."""
+    if is_array(value):
+        return ("array", value.shape, str(value.dtype), value.tobytes())
+    try:
+        hash(value)
+    except TypeError:
+        return (type(value), repr(value))
+    return (type(value), value)
+
+
 class LineTrace:
-    """Records (file, line) of every line event in files under `directory`."""
+    """Records (file, line) of every line event in files under `directory` and, for
+    each call of a public function or method there, the values of its parameters
+    with a default."""
 
     def __init__(self, directory: Path):
         self.prefix = str(directory) + os.sep
         self.hits: dict[str, set[int]] = defaultdict(set)
+        self.signatures: dict = {}  # code object -> defaulted_parameters
+        self.calls: dict[str, int] = defaultdict(int)  # "module.qualname" -> calls
+        # "module.qualname" -> parameter -> value_key -> one value with that key
+        self.values: dict[str, dict[str, dict]] = defaultdict(lambda: defaultdict(dict))
+
+    def _record_call(self, frame) -> None:
+        code = frame.f_code
+        if code not in self.signatures:
+            self.signatures[code] = defaulted_parameters(code, frame.f_globals)
+        if self.signatures[code] is None:
+            return
+        name, parameters = self.signatures[code]
+        self.calls[name] += 1
+        arguments = frame.f_locals
+        for parameter in parameters:
+            value = arguments[parameter]
+            self.values[name][parameter].setdefault(value_key(value), value)
 
     def _global(self, frame, event, arg):
         filename = frame.f_code.co_filename
@@ -145,6 +202,7 @@ class LineTrace:
             return None
         hits = self.hits[filename]
         hits.add(frame.f_lineno)
+        self._record_call(frame)
 
         def local(frame, event, arg):
             if event == "line":
@@ -172,6 +230,20 @@ def ranges(lines) -> list[tuple[int, int]]:
         else:
             out.append((line, line))
     return out
+
+
+def single_valued(trace: LineTrace) -> list[str]:
+    """The parameters with a default that every traced call left at one value."""
+    rows = []
+    for name in sorted(trace.values):
+        for parameter, seen in trace.values[name].items():
+            if len(seen) == 1:
+                (value,) = seen.values()
+                text = f"array of shape {value.shape}" if is_array(value) else repr(value)
+                text = text if len(text) <= 60 else text[:57] + "..."
+                calls = trace.calls[name]
+                rows.append(f"  {name}({parameter}) = {text} in {calls} call{'s' * (calls != 1)}")
+    return [f"parameters with a default that every traced call left at one value: {len(rows)}"] + rows
 
 
 def report(trace: LineTrace) -> list[str]:
@@ -213,7 +285,7 @@ def main(argv=None) -> int:
                 with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                     status = run()
                 statuses.append(f"run {name}: exit {status}")
-    print("\n".join(statuses + report(trace)))
+    print("\n".join(statuses + single_valued(trace) + report(trace)))
     return 0
 
 

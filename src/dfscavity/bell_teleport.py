@@ -88,8 +88,6 @@ class BellBranch:
 def enumerate_bell_branches(psi: StateVector) -> tuple[BellBranch, ...]:
     """All measurement branches of the Bell-discrimination map with probability
     above _BRANCH_ATOL, deterministic."""
-    if psi.n_max != 0:
-        raise ValueError("Bell discrimination operates on atomic-only states (n_max=0)")
     mapped = BELL_MAP @ psi.amplitudes
     probs = np.abs(mapped) ** 2
     branches = []
@@ -199,14 +197,14 @@ def teleport(theta: float | np.ndarray, delay: float | np.ndarray = 0.0, encodin
     Both encodings enumerate all four branches; with a seed one branch is
     also sampled, by the same draw as `bell_measure`, and reported as
     `sampled_label`/`sampled_fidelity`. Seeded sampling needs scalar inputs,
-    and both encodings reject a negative delay (ValueError otherwise).
+    and both encodings reject a negative or non-finite delay (ValueError).
 
     Returns (average fidelity, report).
     """
     if encoding not in ("dfs", "bare"):
         raise ValueError(f"encoding must be 'dfs' or 'bare', got {encoding!r}")
-    if np.any(delay < 0):
-        raise ValueError("delay must be >= 0")
+    if not np.all(np.isfinite(delay) & (delay >= 0)):
+        raise ValueError("delay must be finite and >= 0")
     if seed is not None and any(map(np.ndim, (theta, delay, dephase_phi))):
         raise ValueError("seeded sampling needs scalar inputs")
     if encoding == "bare":

@@ -35,7 +35,6 @@ from .bell_teleport import (
 )
 from .dynamics import dfs_propagate, evolve_exact
 from .errors import (
-    DEFAULT_PULSE_AREA,
     StaggerParams,
     _closed_form,
     fock_averaged_fidelity,
@@ -45,6 +44,7 @@ from .errors import (
 )
 from .gates import (
     P_GATE_DURATION,
+    R_PULSE_AREA,
     _first_passing,
     compile_cnot,
     convention_search,
@@ -146,7 +146,7 @@ class ExperimentConfig:
     t1_fraction: float = _key(0.02, _FLOAT, lambda v: 0 <= v <= 1, "must lie in [0, 1]")
     t1_fractions: tuple[float, ...] = _key(tuple(np.linspace(0.0, 0.25, 50)), _FLOATS,
                                            lambda v: 0 <= v <= 1, "entries must lie in [0, 1], got {v}")
-    pulse_area: float = _key(DEFAULT_PULSE_AREA, _FLOAT, _at_least(0), "must be >= 0")
+    pulse_area: float = _key(R_PULSE_AREA, _FLOAT, _at_least(0), "must be >= 0")
     nbar: float = _key(0.1, _FLOAT, _at_least(0), "must be >= 0")
     nbar_max: float = _key(2.0, _FLOAT, _at_least(0), "must be >= 0")
     nbar_points: int = _key(50, _INT, lambda v: 2 <= v <= MAX_GRID_POINTS,
@@ -268,21 +268,15 @@ def _c2l(z: complex) -> list[float]:
 
 
 def _native(obj):
-    """Recursively convert numpy scalars/arrays for JSON emission."""
+    """Recursively convert numpy floats and bools for JSON emission."""
     if isinstance(obj, dict):
         return {k: _native(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_native(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_native(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating,)):
         return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
-    if isinstance(obj, complex):
-        return _c2l(obj)
     return obj
 
 

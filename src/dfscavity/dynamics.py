@@ -10,11 +10,12 @@ state does not occupy are dropped, and one exponential per time and distinct
 occupied frequency remains. So a series costs len(times) x that number of
 frequencies, not len(times) x dim: 3 or 4 frequencies of the 11 or 16 sector
 states from a two-excitation start (the symmetric Dicke ladder plus one dark
-level), 2 for the 16-state effective generators. The validation runs hand it
+level), 2 for the 16-state effective generators that `evolve_exact` and
+`evolve_times` apply to a `StateVector`. The validation runs hand the series
 H0 + Hint of the full model's conserved-excitation sector (at most 16 states
 at any n_max, see model.excitation_sector); the dense composite Hamiltonian
-only serves the tests as the oracle. The scaling-and-squaring route and the
-unfolded sum over every eigenvalue are kept as cross-checks in the tests.
+only serves the tests as the oracle, with the scaling-and-squaring route and
+the unfolded sum over every eigenvalue as cross-checks.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def make_propagator(h: Operator, t: float) -> Propagator:
 
 def evolve_exact(h: Operator, psi: StateVector, t: float) -> StateVector:
     """exp(-i h t) |psi>; norm is preserved to the working tolerance."""
-    out = StateVector(_series(*_spectrum(h), psi.amplitudes, [t])[0], psi.n_max)
+    out = StateVector(_series(*_spectrum(h), psi.amplitudes, [t])[0])
     drift = abs(out.norm() - psi.norm())
     if drift > 100 * NORM_ATOL:
         raise RuntimeError(f"norm drift {drift:.2e} in exact evolution")
@@ -102,20 +103,17 @@ _SUPPORT_ATOL = 1e-12  # largest amplitude dfs_propagate accepts off the six con
 
 
 def _two_excitation_support_ok(psi: StateVector) -> bool:
-    block = np.abs(psi.amplitudes.reshape(-1, psi.n_max + 1))
-    outside = np.ones(block.shape[0], dtype=bool)
-    outside[_ROWS] = False
-    return float(np.max(block[outside])) <= _SUPPORT_ATOL if outside.any() else True
+    return float(np.max(np.abs(np.delete(psi.amplitudes, _ROWS)))) <= _SUPPORT_ATOL
 
 
 def pair_exchange(block: np.ndarray, pulse_area: float | np.ndarray) -> np.ndarray:
-    """The closed-form pair-exchange map on the rows of a (16, k) array:
+    """The closed-form pair-exchange map on the rows of a (16,) or (16, k) array:
 
         |c> -> cos(area) |c> - i sin(area) |c_bar>
 
     for each of the six two-excitation configurations c and its complement
     c_bar; every other row passes through unchanged. `pulse_area` is a scalar
-    or a length-k array (one area per column).
+    or, for a (16, k) block, a length-k array (one area per column).
     """
     out = np.array(block, dtype=complex)
     out[_ROWS] = np.cos(pulse_area) * block[_ROWS] - 1j * np.sin(pulse_area) * block[_PARTNERS]
@@ -123,10 +121,9 @@ def pair_exchange(block: np.ndarray, pulse_area: float | np.ndarray) -> np.ndarr
 
 
 def dfs_propagate(psi: StateVector, pulse_area: float) -> StateVector:
-    """`pair_exchange` applied in every Fock sector. Exactly unitary; errors
+    """`pair_exchange` on the 16 atomic amplitudes. Exactly unitary; errors
     if psi has support outside the six two-excitation configurations.
     """
     if not _two_excitation_support_ok(psi):
         raise ValueError("state has support outside the six two-excitation configurations")
-    block = psi.amplitudes.reshape(-1, psi.n_max + 1)
-    return StateVector(pair_exchange(block, pulse_area).reshape(-1), psi.n_max)
+    return StateVector(pair_exchange(psi.amplitudes, pulse_area))

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import dfs_propagate
+from .gates import R_PULSE_AREA
 from .hilbert import StateVector, atomic_index
 
-DEFAULT_PULSE_AREA = 3 * np.pi / 4  # the R pulse
 MAX_THERMAL_SECTORS = 100_001
 THERMAL_TAIL = 1e-9  # thermal_weights stops once the cumulative weight exceeds 1 - THERMAL_TAIL
 
@@ -84,7 +84,7 @@ def staggered_fidelity_closed_form(p: StaggerParams) -> float:
 
 
 def stagger_sweep(t1_fractions,
-                  pulse_area: float = DEFAULT_PULSE_AREA) -> tuple[tuple[float, float, float], ...]:
+                  pulse_area: float = R_PULSE_AREA) -> tuple[tuple[float, float, float], ...]:
     """Rows of (t1/t, amplitude fidelity, squared fidelity) for a pulse of
     the given area, which is its duration t in units of 1/Omega, in the
     order of `t1_fractions`. Raises ValueError at the first fraction outside
@@ -125,9 +125,9 @@ def thermal_weights(nbar: float) -> np.ndarray:
 
 
 def fock_averaged_fidelity(nbar: float | np.ndarray,
-                           pulse_area_at_n0: float = DEFAULT_PULSE_AREA) -> float | np.ndarray:
+                           pulse_area_at_n0: float = R_PULSE_AREA) -> float | np.ndarray:
     """Pulse fidelity averaged over an incoherent thermal mixture of Fock
-    sectors, in closed form for any nbar >= 0.
+    sectors, in closed form for any finite nbar >= 0.
 
     The pulse is timed against the vacuum-sector rate Omega(0); in sector n
     the accumulated area is (2n+1) A because Omega(n)/Omega(0) = (4n+2)/2,
@@ -140,6 +140,6 @@ def fock_averaged_fidelity(nbar: float | np.ndarray,
     `thermal_weights` with `dfs_propagate` is the sector-by-sector oracle.
     Broadcasts over `nbar`: an array gives the array of averages.
     """
-    if np.any(nbar < 0):
-        raise ValueError("mean photon number must be >= 0")
+    if not np.all(np.isfinite(nbar) & (nbar >= 0)):
+        raise ValueError("mean photon number must be finite and >= 0")
     return 0.5 + 0.5 * (1.0 / ((nbar + 1.0) - nbar * np.exp(4j * pulse_area_at_n0))).real

@@ -1,4 +1,4 @@
-"""Composite basis, states and read-only operators: four two-level atoms and one cavity mode.
+"""Atomic states, composite index and read-only operators: four two-level atoms and one cavity mode.
 
 Conventions used throughout the package:
 
@@ -10,13 +10,16 @@ Conventions used throughout the package:
   H0 = (delta/2) adag a: H0 = omega_a (m_z + n) + (delta/2) n and m_z + n is
   conserved, so omega_a only adds a phase per excitation sector and the
   model depends on G, delta and n_max alone;
-* composite basis index = atomic_index * (n_max + 1) + n, where atomic_index
-  packs the four atomic levels as bits with atom 1 most significant and n is
-  the Fock level;
+* atomic_index packs the four atomic levels as bits, atom 1 most significant;
+  a `StateVector` holds the 16 atomic amplitudes in that order (the gates and
+  the Bell and teleport maps act on the atoms; the cavity is only virtual);
+* composite basis index = atomic_index * (n_max + 1) + n, with n the Fock
+  level, used only by the exact conserved-excitation sector
+  (model.excitation_sector) and the dense builders that the tests check;
 * the Fock ladder is truncated at n_max by silently dropping amplitude raised
   past the top level; validated runs need n <= n_max - 4, so their conserved-
-  excitation sector (model.excitation_sector) stops at n + 2 and never reaches
-  the two guard levels below the cut: guard occupation is 0 by construction.
+  excitation sector stops at n + 2 and never reaches the two guard levels
+  below the cut: guard occupation is 0 by construction.
 """
 
 from __future__ import annotations
@@ -165,39 +168,33 @@ def basis_index(config, n: int, n_max: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Complex amplitude vector over the composite (4 atoms x Fock) basis,
-    compared and hashed by identity.
-
-    Atomic-only states are represented with n_max = 0 (a single Fock level),
-    so one type serves both the full model and the effective/logical level.
+    """The 16 atomic amplitudes, in atomic_index order, compared and hashed by
+    identity. The cavity is factored out, so `n_max` is always 0: the composite
+    atoms x Fock basis belongs to the exact sector and the dense oracles.
     """
 
     amplitudes: np.ndarray
     n_max: int = 0
 
     def __post_init__(self) -> None:
+        if self.n_max != 0:
+            raise ValueError(f"n_max must be 0 (atomic amplitudes only), got {self.n_max!r}")
         amps = _frozen(self.amplitudes)
-        expected = N_ATOMIC_CONFIGS * (self.n_max + 1)
-        if amps.shape != (expected,):
-            raise ValueError(f"expected amplitude vector of length {expected}, got {amps.shape}")
+        if amps.shape != (N_ATOMIC_CONFIGS,):
+            raise ValueError(f"expected amplitude vector of length {N_ATOMIC_CONFIGS}, got {amps.shape}")
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
-    def basis_state(cls, config, n: int = 0, n_max: int = 0) -> "StateVector":
-        amps = np.zeros(N_ATOMIC_CONFIGS * (n_max + 1), dtype=complex)
-        amps[basis_index(config, n, n_max)] = 1.0
-        return cls(amps, n_max)
+    def basis_state(cls, config) -> "StateVector":
+        amps = np.zeros(N_ATOMIC_CONFIGS, dtype=complex)
+        amps[atomic_index(config)] = 1.0
+        return cls(amps)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def amplitude(self, config, n: int = 0) -> complex:
-        return complex(self.amplitudes[basis_index(config, n, self.n_max)])
+    def amplitude(self, config) -> complex:
+        return complex(self.amplitudes[atomic_index(config)])
 
-    def probability(self, config, n: int | None = None) -> float:
-        """Population of |config, n>, summed over Fock levels when n is None."""
-        a = atomic_index(config)
-        block = self.amplitudes[a * (self.n_max + 1):(a + 1) * (self.n_max + 1)]
-        if n is None:
-            return float(np.sum(np.abs(block) ** 2))
-        return float(abs(block[n]) ** 2)
+    def probability(self, config) -> float:
+        return float(abs(self.amplitudes[atomic_index(config)]) ** 2)

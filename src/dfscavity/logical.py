@@ -59,6 +59,4 @@ def collective_dephase(psi: StateVector, phi: float) -> StateVector:
     Diagonal in the computational basis, so code states (zero total z-spin)
     come back bit-identical.
     """
-    n_levels = psi.n_max + 1
-    phases = collective_phases(phi)
-    return StateVector((psi.amplitudes.reshape(16, n_levels) * phases[:, None]).reshape(-1), psi.n_max)
+    return StateVector(psi.amplitudes * collective_phases(phi))

@@ -76,9 +76,9 @@ class EffectiveCoupling:
 
 
 def effective_coupling(n: int, params: SystemParams) -> EffectiveCoupling:
-    """Closed-form Omega(n) = (4n+2) G^2 / delta."""
-    if n < 0:
-        raise ValueError(f"Fock sector must be >= 0, got {n}")
+    """Closed-form Omega(n) = (4n+2) G^2 / delta, for an integer n >= 0."""
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"Fock sector must be an integer >= 0, got {n}")
     omega = (4 * n + 2) * params.G**2 / params.delta
     return EffectiveCoupling(omega=omega)
 
@@ -167,13 +167,13 @@ def excitation_sector(params: SystemParams, total: int) -> ExcitationSector:
     the a^2 entries sqrt(m-1) sqrt(m), so its blocks equal the dense slices of
     `build_h0` and `build_hint` exactly at a cost independent of n_max.
 
-    Raises ValueError unless 0 <= n <= n_max - 4: the sector then reaches m = n + 2
-    at most and stays clear of the two guard levels below the cut.
+    Raises ValueError unless n is an integer with 0 <= n <= n_max - 4: the sector then
+    reaches m = n + 2 at most and stays clear of the two guard levels below the cut.
     """
     n = total - 2
-    if not 0 <= n <= params.n_max - 4:
+    if not isinstance(total, (int, np.integer)) or not 0 <= n <= params.n_max - 4:
         raise ValueError(
-            f"validated runs need 0 <= n <= n_max - 4 (intermediates plus guard levels); "
+            f"validated runs need an integer 0 <= n <= n_max - 4 (intermediates plus guard levels); "
             f"got n={n}, n_max={params.n_max}"
         )
     n_e = np.array([excitation_number(a) for a in range(N_ATOMIC_CONFIGS)])

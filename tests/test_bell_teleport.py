@@ -202,6 +202,15 @@ class TestTeleport:
         with pytest.raises(ValueError, match="delay"):
             teleport(np.array([[0.1], [0.2]]), np.array([0.0, 1.0, -1e-3]), encoding)
 
+    @pytest.mark.parametrize("delay", [np.nan, np.inf])
+    @pytest.mark.parametrize("encoding", ["dfs", "bare"])
+    def test_non_finite_delay_rejected_for_both_encodings(self, encoding, delay):
+        # both used to return a NaN average fidelity
+        with pytest.raises(ValueError, match="delay must be finite"):
+            teleport(0.3, delay, encoding)
+        with pytest.raises(ValueError, match="delay must be finite"):
+            teleport(np.array([[0.1], [0.2]]), np.array([0.0, 1.0, delay]), encoding)
+
     def test_unknown_encoding_rejected(self):
         with pytest.raises(ValueError, match="encoding"):
             teleport(0.0, 0.0, "qubit")

@@ -1,3 +1,4 @@
+import inspect
 import json
 from dataclasses import fields, replace
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfscavity import cli, gates
+from dfscavity import cli, errors, gates
 from dfscavity.cli import (
     DEFAULT_G,
     MAX_GRID_POINTS,
@@ -571,3 +572,33 @@ class TestReportProperties:
         first, second = run_experiment(config), run_experiment(config)
         assert first.to_json().encode() == second.to_json().encode()
         assert first.to_csv().encode() == second.to_csv().encode()
+
+    @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+    def test_default_report_holds_plain_json_types_only(self, experiment):
+        # the runners hand `_native` numpy floats and bools at most, and it leaves
+        # every other leaf as it is, so no array, numpy integer or complex arrives
+        leaves = []
+
+        def walk(path, obj):
+            if type(obj) is dict:
+                assert all(type(k) is str for k in obj), path
+                for k, v in obj.items():
+                    walk(f"{path}.{k}", v)
+            elif type(obj) is list:
+                for k, v in enumerate(obj):
+                    walk(f"{path}.{k}", v)
+            else:
+                leaves.append((path, type(obj)))
+
+        walk("", run_experiment(parse_config("", experiment=experiment)).to_dict())
+        assert leaves
+        assert [(path, t) for path, t in leaves if t not in (str, bool, int, float, type(None))] == []
+
+
+def test_pulse_area_defaults_are_the_r_pulse():
+    assert gates.R_PULSE_AREA == 3 * np.pi / 4
+    assert ExperimentConfig().pulse_area is gates.R_PULSE_AREA
+    for fn, name in ((errors.stagger_sweep, "pulse_area"),
+                     (errors.fock_averaged_fidelity, "pulse_area_at_n0")):
+        assert inspect.signature(fn).parameters[name].default is gates.R_PULSE_AREA
+    assert not hasattr(errors, "DEFAULT_PULSE_AREA")

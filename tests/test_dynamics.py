@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from dfscavity.dynamics import _series, dfs_propagate, evolve_exact, evolve_times, make_propagator
+from dfscavity.dynamics import (
+    _series,
+    dfs_propagate,
+    evolve_exact,
+    evolve_times,
+    make_propagator,
+    pair_exchange,
+)
 from dfscavity.hilbert import Operator, StateVector, SystemParams, atomic_index, basis_index
 from dfscavity.model import (
     TWO_EXCITATION_CONFIGS,
@@ -12,6 +19,7 @@ from dfscavity.model import (
     build_h0,
     build_h_eff,
     effective_coupling,
+    stark_diagonal,
 )
 
 
@@ -20,13 +28,18 @@ def params():
     return SystemParams(G=1.0, delta=10.0, n_max=6)
 
 
-def random_two_excitation_state(rng, n_max=0):
-    amps = np.zeros(16 * (n_max + 1), dtype=complex)
+def random_two_excitation_state(rng):
+    amps = np.zeros(16, dtype=complex)
     coeffs = rng.normal(size=6) + 1j * rng.normal(size=6)
-    coeffs /= np.linalg.norm(coeffs)
-    for c, cfg in zip(coeffs, TWO_EXCITATION_CONFIGS):
-        amps[cfg * (n_max + 1)] = c
-    return StateVector(amps, n_max)
+    amps[list(TWO_EXCITATION_CONFIGS)] = coeffs / np.linalg.norm(coeffs)
+    return StateVector(amps)
+
+
+def one_hot(config, n: int, n_max: int) -> np.ndarray:
+    """|config, n> as amplitudes over the composite (atoms x Fock) basis of the dense oracles."""
+    amps = np.zeros(16 * (n_max + 1), dtype=complex)
+    amps[basis_index(config, n, n_max)] = 1.0
+    return amps
 
 
 def unfolded_series(w, v, amplitudes, times):
@@ -80,19 +93,36 @@ class TestFoldedSeries:
 
 
 class TestEvolveExact:
+    """`evolve_exact` and `evolve_times` on 16-state generators; the dense composite
+    Hamiltonian goes through `make_propagator(h, t).series` on one-hot amplitudes."""
+
     def test_zero_time_is_identity(self, params):
-        h = build_full_hamiltonian(params)
-        psi = StateVector.basis_state("egeg", 1, params.n_max)
+        h = build_h_eff(params, 1, include_stark=True)
+        psi = StateVector.basis_state("egeg")
         out = evolve_exact(h, psi, 0.0)
         np.testing.assert_allclose(out.amplitudes, psi.amplitudes, atol=1e-14)
+        amps = one_hot("egeg", 1, params.n_max)
+        dense = make_propagator(build_full_hamiltonian(params), 0.0).series(amps, [0.0])
+        np.testing.assert_allclose(dense[0], amps, atol=1e-14)
 
     def test_diagonal_evolution_phase(self, params):
-        h0 = build_h0(params)
-        psi = StateVector.basis_state("egeg", 1, params.n_max)
+        shifts = stark_diagonal(params, 1)
+        psi = StateVector.basis_state("egeg")
         t = 0.83
-        out = evolve_exact(h0, psi, t)
-        expected = np.exp(-1j * params.delta / 2.0 * t) * psi.amplitudes
+        out = evolve_exact(Operator(np.diag(shifts)), psi, t)
+        expected = np.exp(-1j * shifts[atomic_index("egeg")] * t) * psi.amplitudes
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-12)
+        # the bare energy of |egeg, 1> under the dense H0 is delta/2
+        amps = one_hot("egeg", 1, params.n_max)
+        dense = make_propagator(build_h0(params), t).series(amps, [t])[0]
+        np.testing.assert_allclose(dense, np.exp(-1j * params.delta / 2.0 * t) * amps, atol=1e-12)
+
+    def test_norm_drift_raises(self, params, monkeypatch):
+        # evolve_exact checks the norm of what the series returns
+        h = build_h_eff(params, 0)
+        monkeypatch.setattr("dfscavity.dynamics._series", lambda w, v, amps, times: 1.01 * amps[None, :])
+        with pytest.raises(RuntimeError, match="norm drift"):
+            evolve_exact(h, StateVector.basis_state("egeg"), 1.0)
 
     def test_effective_half_period_transfer(self, params):
         omega = effective_coupling(0, params).omega
@@ -109,16 +139,30 @@ class TestEvolveExact:
             evolve_exact(bad, StateVector(np.array([1.0] + [0.0] * 15, dtype=complex), 0), 1.0)
 
     def test_matches_scaling_and_squaring(self, params):
-        h = build_full_hamiltonian(params)
-        psi = StateVector.basis_state("egeg", 0, params.n_max)
         t = 2.17
+        h = build_h_eff(params, 1, include_stark=True)
+        psi = StateVector.basis_state("egeg")
         ours = evolve_exact(h, psi, t).amplitudes
-        reference = expm(-1j * h.matrix * t) @ psi.amplitudes
-        np.testing.assert_allclose(ours, reference, atol=1e-10)
+        np.testing.assert_allclose(ours, expm(-1j * h.matrix * t) @ psi.amplitudes, atol=1e-10)
+        h_full = build_full_hamiltonian(params)
+        amps = one_hot("egeg", 0, params.n_max)
+        dense = make_propagator(h_full, t).series(amps, [t])[0]
+        np.testing.assert_allclose(dense, expm(-1j * h_full.matrix * t) @ amps, atol=1e-10)
 
     def test_conserves_norm_and_energy_over_chained_steps(self, params):
         h = build_full_hamiltonian(params)
-        psi = StateVector.basis_state("egeg", 0, params.n_max)
+        amps = one_hot("egeg", 0, params.n_max)
+        e0 = np.real(np.vdot(amps, h.matrix @ amps))
+        step = make_propagator(h, 0.31)
+        for _ in range(20):
+            amps = step.series(amps, [0.31])[0]
+        assert abs(np.linalg.norm(amps) - 1.0) < 1e-10
+        e1 = np.real(np.vdot(amps, h.matrix @ amps))
+        assert abs(e1 - e0) < 1e-10 * max(1.0, abs(e0))
+
+    def test_chained_steps_conserve_norm_and_energy_on_sixteen_states(self, params):
+        h = build_h_eff(params, 1, include_stark=True)
+        psi = StateVector.basis_state("egeg")
         e0 = np.real(np.vdot(psi.amplitudes, h.matrix @ psi.amplitudes))
         for _ in range(20):
             psi = evolve_exact(h, psi, 0.31)
@@ -127,12 +171,17 @@ class TestEvolveExact:
         assert abs(e1 - e0) < 1e-10 * max(1.0, abs(e0))
 
     def test_evolve_times_matches_single_steps(self, params):
-        h = build_full_hamiltonian(params)
-        psi = StateVector.basis_state("gege", 1, params.n_max)
         times = np.array([0.0, 0.4, 1.1])
+        h = build_h_eff(params, 1, include_stark=True)
+        psi = StateVector.basis_state("gege")
         series = evolve_times(h, psi, times)
         for k, t in enumerate(times):
             np.testing.assert_allclose(series[k], evolve_exact(h, psi, t).amplitudes, atol=1e-12)
+        h_full = build_full_hamiltonian(params)
+        amps = one_hot("gege", 1, params.n_max)
+        dense = make_propagator(h_full, times[-1]).series(amps, times)
+        for k, t in enumerate(times):
+            np.testing.assert_allclose(dense[k], make_propagator(h_full, t).unitary.matrix @ amps, atol=1e-12)
 
     def test_propagator_unitarity(self, params):
         h = build_full_hamiltonian(params)
@@ -191,12 +240,22 @@ class TestDfsPropagate:
             worst = max(worst, float(np.max(np.abs(closed.amplitudes - exact.amplitudes))))
         assert worst < 1e-10
 
-    def test_acts_per_fock_sector(self, params):
-        # a state spread over Fock levels gets the same atomic map in each sector
-        n_max = 3
-        amps = np.zeros(16 * (n_max + 1), dtype=complex)
-        amps[basis_index("egeg", 0, n_max)] = 1 / np.sqrt(2)
-        amps[basis_index("egge", 2, n_max)] = 1 / np.sqrt(2)
-        out = dfs_propagate(StateVector(amps, n_max), np.pi / 2)
-        assert out.amplitude("gege", 0) == pytest.approx(-1j / np.sqrt(2), abs=1e-14)
-        assert out.amplitude("geeg", 2) == pytest.approx(-1j / np.sqrt(2), abs=1e-14)
+    def test_acts_per_fock_sector(self):
+        # a (16, k) block holds one Fock sector per column, each with its own pulse
+        # area (the sector-by-sector thermal oracle), and gets that area's atomic map
+        areas = np.array([np.pi / 2, 0.3, np.pi / 2])
+        block = np.zeros((16, 3), dtype=complex)
+        block[atomic_index("egeg"), 0] = 1.0
+        block[atomic_index("eegg"), 1] = 1.0
+        block[atomic_index("egge"), 2] = 1 / np.sqrt(2)
+        block[atomic_index("gggg"), 2] = 1 / np.sqrt(2)
+        out = pair_exchange(block, areas)
+        assert out.shape == (16, 3)
+        assert out[atomic_index("gege"), 0] == pytest.approx(-1j, abs=1e-14)
+        assert out[atomic_index("egeg"), 0] == pytest.approx(0.0, abs=1e-14)
+        assert out[atomic_index("eegg"), 1] == pytest.approx(np.cos(0.3), abs=1e-14)
+        assert out[atomic_index("ggee"), 1] == pytest.approx(-1j * np.sin(0.3), abs=1e-14)
+        assert out[atomic_index("geeg"), 2] == pytest.approx(-1j / np.sqrt(2), abs=1e-14)
+        assert out[atomic_index("gggg"), 2] == 1 / np.sqrt(2)  # off the six configurations: untouched
+        for k, area in enumerate(areas):
+            assert np.array_equal(out[:, k], pair_exchange(block[:, k], area))

@@ -193,6 +193,14 @@ class TestThermalAveraging:
         with pytest.raises(ValueError):
             fock_averaged_fidelity(np.array([0.0, 1.0, -0.1]))
 
+    @pytest.mark.parametrize("nbar", [np.nan, np.inf])
+    def test_non_finite_nbar_rejected(self, nbar):
+        # both used to return NaN
+        with pytest.raises(ValueError, match="finite"):
+            fock_averaged_fidelity(nbar)
+        with pytest.raises(ValueError, match="finite"):
+            fock_averaged_fidelity(np.array([0.0, 1.0, nbar]))
+
     @pytest.mark.parametrize("area", [AREA_R, 0.37])
     def test_array_nbar_equals_scalar_calls(self, area):
         grid = np.linspace(0.0, 10.0, 50)

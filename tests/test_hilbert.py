@@ -60,6 +60,13 @@ def kron_hint(G: float, n_max: int) -> np.ndarray:
     return G * (x + x.conj().T)
 
 
+def one_hot(config, n: int, n_max: int = N_MAX) -> np.ndarray:
+    """|config, n> as amplitudes over the composite (atoms x Fock) basis."""
+    amps = np.zeros(N_ATOMIC_CONFIGS * (n_max + 1), dtype=complex)
+    amps[basis_index(config, n, n_max)] = 1.0
+    return amps
+
+
 def index_to_labels(index: int, n_max: int) -> tuple[str, int]:
     """Composite index -> (atomic label string, Fock level)."""
     return config_labels(index // (n_max + 1)), index % (n_max + 1)
@@ -145,10 +152,8 @@ class TestBasisIndexing:
 
 class TestSingleAtomOperators:
     def test_sigma_plus_raises_one_atom(self):
-        psi = StateVector.basis_state("gggg", 0, N_MAX)
-        raised = single_atom_operator(1, "+", N_MAX).matrix @ psi.amplitudes
-        expected = StateVector.basis_state("eggg", 0, N_MAX)
-        np.testing.assert_allclose(raised, expected.amplitudes, atol=1e-15)
+        raised = single_atom_operator(1, "+", N_MAX).matrix @ one_hot("gggg", 0)
+        np.testing.assert_allclose(raised, one_hot("eggg", 0), atol=1e-15)
 
     @pytest.mark.parametrize("atom", [1, 2, 3, 4])
     def test_sigma_plus_squared_is_zero(self, atom):
@@ -169,8 +174,8 @@ class TestSingleAtomOperators:
 
     def test_sigma_z_halves(self):
         sz = single_atom_operator(2, "z", N_MAX).matrix
-        psi_e = StateVector.basis_state("gegg", 0, N_MAX).amplitudes
-        psi_g = StateVector.basis_state("gggg", 0, N_MAX).amplitudes
+        psi_e = one_hot("gegg", 0)
+        psi_g = one_hot("gggg", 0)
         np.testing.assert_allclose(sz @ psi_e, 0.5 * psi_e)
         np.testing.assert_allclose(sz @ psi_g, -0.5 * psi_g)
 
@@ -178,23 +183,18 @@ class TestSingleAtomOperators:
 class TestCavityLadder:
     def test_a_squared_on_two_photons(self):
         a2 = cavity_ladder("a", 2, N_MAX).matrix
-        psi = StateVector.basis_state("gggg", 2, N_MAX)
-        out = a2 @ psi.amplitudes
-        expected = np.sqrt(2.0) * StateVector.basis_state("gggg", 0, N_MAX).amplitudes
-        np.testing.assert_allclose(out, expected, atol=1e-15)
+        out = a2 @ one_hot("gggg", 2)
+        np.testing.assert_allclose(out, np.sqrt(2.0) * one_hot("gggg", 0), atol=1e-15)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_a_squared_annihilates_low_levels(self, n):
         a2 = cavity_ladder("a", 2, N_MAX).matrix
-        psi = StateVector.basis_state("gggg", n, N_MAX)
-        assert np.max(np.abs(a2 @ psi.amplitudes)) == 0.0
+        assert np.max(np.abs(a2 @ one_hot("gggg", n))) == 0.0
 
     def test_adag_squared_matrix_elements(self):
         adag2 = cavity_ladder("a_dag", 2, N_MAX).matrix
         for n in range(N_MAX - 1):
-            bra = StateVector.basis_state("gggg", n + 2, N_MAX).amplitudes
-            ket = StateVector.basis_state("gggg", n, N_MAX).amplitudes
-            elem = np.vdot(bra, adag2 @ ket)
+            elem = np.vdot(one_hot("gggg", n + 2), adag2 @ one_hot("gggg", n))
             assert elem == pytest.approx(np.sqrt((n + 1) * (n + 2)), abs=1e-14)
 
     def test_adjointness_on_truncated_space(self):
@@ -204,8 +204,7 @@ class TestCavityLadder:
 
     def test_truncation_drops_top_amplitude(self):
         adag2 = cavity_ladder("a_dag", 2, N_MAX).matrix
-        psi = StateVector.basis_state("gggg", N_MAX - 1, N_MAX)
-        assert np.max(np.abs(adag2 @ psi.amplitudes)) == 0.0
+        assert np.max(np.abs(adag2 @ one_hot("gggg", N_MAX - 1))) == 0.0
 
 
 class TestOperatorFlags:
@@ -247,19 +246,35 @@ class TestOperatorFlags:
 
 class TestStateVector:
     def test_immutability(self):
-        psi = StateVector.basis_state("egeg", 0, N_MAX)
+        psi = StateVector.basis_state("egeg")
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 1.0
 
     def test_probability_and_norm(self):
-        amps = np.zeros(DIM, dtype=complex)
-        amps[basis_index("egeg", 1, N_MAX)] = 1 / np.sqrt(2)
-        amps[basis_index("gege", 0, N_MAX)] = 1j / np.sqrt(2)
-        psi = StateVector(amps, N_MAX)
+        amps = np.zeros(N_ATOMIC_CONFIGS, dtype=complex)
+        amps[atomic_index("egeg")] = 1 / np.sqrt(2)
+        amps[atomic_index("gege")] = 1j / np.sqrt(2)
+        psi = StateVector(amps)
         assert psi.norm() == pytest.approx(1.0, abs=1e-15)
         assert psi.probability("egeg") == pytest.approx(0.5)
-        assert psi.probability("egeg", 1) == pytest.approx(0.5)
-        assert psi.probability("egeg", 0) == 0.0
+        assert psi.probability("gege") == pytest.approx(0.5)
+        assert psi.probability("gggg") == 0.0
+        assert psi.amplitude("gege") == 1j / np.sqrt(2)
+        assert StateVector.basis_state("geeg").amplitude((0, 1, 1, 0)) == 1.0
+
+    def test_holds_the_sixteen_atomic_amplitudes_only(self):
+        assert StateVector(np.eye(N_ATOMIC_CONFIGS)[3], 0).n_max == 0
+        with pytest.raises(ValueError, match="n_max must be 0"):
+            StateVector(np.zeros(N_ATOMIC_CONFIGS * (N_MAX + 1)), N_MAX)
+        with pytest.raises(ValueError, match="n_max must be 0"):
+            StateVector(np.zeros(N_ATOMIC_CONFIGS), 1)
+        for length in (0, 15, 17, DIM):
+            with pytest.raises(ValueError, match="length 16"):
+                StateVector(np.zeros(length))
+        with pytest.raises(ValueError, match="length 16"):
+            StateVector(np.zeros((4, 4)))
+        with pytest.raises(TypeError):
+            StateVector.basis_state("egeg", 1)  # no Fock level: the cavity is factored out
 
     def test_compare_and_hash_by_identity(self):
         # the generated __eq__ over an ndarray field raised on ==, and frozen

@@ -47,10 +47,10 @@ class TestCollectiveDephasing:
             assert np.max(np.abs(out.amplitudes - psi.amplitudes)) < 1e-14
 
     def test_all_excited_picks_up_double_phase(self):
-        psi = StateVector.basis_state("eeee", 1, 2)
+        psi = StateVector.basis_state("eeee")
         phi = 0.77
         out = collective_dephase(psi, phi)
-        assert out.amplitude("eeee", 1) == pytest.approx(np.exp(-2j * phi), abs=1e-14)
+        assert out.amplitude("eeee") == pytest.approx(np.exp(-2j * phi), abs=1e-14)
 
     def test_bare_superposition_acquires_relative_phase(self):
         # one atom in (|g>+|e>)/sqrt2, rest ground: relative phase e^{-i phi}

@@ -45,3 +45,21 @@ def test_unknown_run_name_exits_two():
     done = _traffic("no-such-run")
     assert done.returncode == 2
     assert "no run matches" in done.stderr
+
+
+def test_single_valued_defaults_follow_the_run_statuses():
+    done = _traffic("cli:bell:json")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "run cli:bell:json: exit 0"
+    title, _, count = lines[1].rpartition(": ")
+    assert title == "parameters with a default that every traced call left at one value"
+    section = lines[2:2 + int(count)]
+    assert section and all(line.startswith("  ") for line in section)
+    assert lines[2 + int(count)] == "dfscavity/__init__.py: 0 executable lines never run"
+    assert any(line.startswith("  bell_teleport.bell_measure(seed) = None in ") for line in section)
+    assert "  cli.parse_config(experiment) = 'bell' in 1 call" in section
+
+    # a second experiment gives parse_config a second value, so it leaves the list
+    wider = _traffic("cli:bell:json", "cli:teleport:json").stdout
+    assert "cli.parse_config(experiment)" not in wider

@@ -11,7 +11,7 @@ from scipy.signal import find_peaks
 
 import dfscavity
 from dfscavity.hilbert import SystemParams
-from dfscavity.model import TWO_EXCITATION_LABELS
+from dfscavity.model import TWO_EXCITATION_LABELS, derived_coupling, effective_coupling, excitation_sector
 from dfscavity.validate import (
     PEAK_PROMINENCE_FRACTION,
     RABI_FIT_POINTS,
@@ -104,6 +104,35 @@ class TestExtractRabi:
     def test_fock_sector_above_guard_rejected(self):
         with pytest.raises(ValueError, match="n_max - 4"):
             extract_rabi(make_params(10.0), n=5)
+
+
+# every function that takes a Fock level n, called with a non-integer one; each used
+# to return plausible numbers (derived_coupling 0.1875 against effective_coupling's
+# 0.2 at n = 0.5, a fit with no diagnostic, 36 difference entries instead of 30)
+NON_INTEGER_LEVEL_CALLS = {
+    "effective_coupling": lambda p: effective_coupling(0.5, p),
+    "derived_coupling": lambda p: derived_coupling(p, 0.5),
+    "excitation_sector": lambda p: excitation_sector(p, 2.5),
+    "extract_rabi": lambda p: extract_rabi(p, 0.5),
+    "forced_rabi_fit": lambda p: forced_rabi_fit(p, 1.5),
+    "compare_effective_models": lambda p: compare_effective_models(p, 0.5),
+    "effective_difference_entries": lambda p: effective_difference_entries(p, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_LEVEL_CALLS))
+def test_non_integer_fock_level_rejected(name):
+    with pytest.raises(ValueError, match="integer"):
+        NON_INTEGER_LEVEL_CALLS[name](make_params(20.0))
+
+
+@pytest.mark.parametrize("level", [1, np.int64(1), np.int32(1)])
+def test_integer_fock_level_accepted(level):
+    p = make_params(20.0)
+    assert effective_coupling(level, p).omega == effective_coupling(1, p).omega == 0.3
+    assert derived_coupling(p, level).omega == pytest.approx(0.3, rel=1e-12)
+    with pytest.raises(ValueError, match="integer"):
+        effective_coupling(1.0, p)  # the test SystemParams applies to n_max
 
 
 class TestCompareEffectiveModels:
