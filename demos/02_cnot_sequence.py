@@ -20,7 +20,7 @@ from dfscavity import (
 from dfscavity.gates import P_GATE_DURATION
 
 print("convention search (2 temporal orders x 2 P signs):")
-for conv, report in convention_search():
+for conv, report, _ in convention_search():
     worst = min(r.probability for r in report.rows)
     print(f"  order={conv.application_order:27s} sign={conv.p_sign:+d} "
           f"-> {'PASS' if report.passed else 'FAIL'} (worst prob {worst:.3f})")

@@ -197,7 +197,8 @@ def teleport(theta: float | np.ndarray, delay: float | np.ndarray = 0.0, encodin
     Both encodings enumerate all four branches; with a seed one branch is
     also sampled, by the same draw as `bell_measure`, and reported as
     `sampled_label`/`sampled_fidelity`. Seeded sampling needs scalar inputs,
-    and both encodings reject a negative or non-finite delay (ValueError).
+    and both encodings reject a negative or non-finite delay and a non-finite
+    theta, atom_splitting or dephase_phi (ValueError).
 
     Returns (average fidelity, report).
     """
@@ -205,6 +206,9 @@ def teleport(theta: float | np.ndarray, delay: float | np.ndarray = 0.0, encodin
         raise ValueError(f"encoding must be 'dfs' or 'bare', got {encoding!r}")
     if not np.all(np.isfinite(delay) & (delay >= 0)):
         raise ValueError("delay must be finite and >= 0")
+    for name, value in (("theta", theta), ("atom_splitting", atom_splitting), ("dephase_phi", dephase_phi)):
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
     if seed is not None and any(map(np.ndim, (theta, delay, dephase_phi))):
         raise ValueError("seeded sampling needs scalar inputs")
     if encoding == "bare":

@@ -50,7 +50,6 @@ from .gates import (
     convention_search,
     entangle_duration,
     schedule_duration,
-    sequence_unitary_atomic,
 )
 from .hilbert import Operator, StateVector, SystemParams
 from .logical import LOGICAL_INDICES
@@ -253,14 +252,8 @@ def serialize_config(c: ExperimentConfig) -> str:
 
 
 def _config_echo(c: ExperimentConfig) -> dict:
-    echo = {}
-    for f in fields(c):
-        value = getattr(c, f.name)
-        if isinstance(value, tuple):
-            value = [float(v) for v in value]
-        echo[f.name] = value
-    echo["delta_resolved"] = c.resolved_delta()
-    return echo
+    """Every field and the resolved delta, as they are; `_native` converts them for JSON."""
+    return {f.name: getattr(c, f.name) for f in fields(c)} | {"delta_resolved": c.resolved_delta()}
 
 
 def _c2l(z: complex) -> list[float]:
@@ -268,7 +261,7 @@ def _c2l(z: complex) -> list[float]:
 
 
 def _native(obj):
-    """Recursively convert numpy floats and bools for JSON emission."""
+    """Recursively convert tuples, numpy floats and numpy bools for JSON emission."""
     if isinstance(obj, dict):
         return {k: _native(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -382,11 +375,9 @@ def _run_entangle(c: ExperimentConfig) -> tuple[dict, dict, dict]:
 
 def _run_cnot_verify(c: ExperimentConfig) -> tuple[dict, dict, dict]:
     search = convention_search()
-    seq = _first_passing(search)
-    u_atomic = sequence_unitary_atomic(seq)
-    code_cols = u_atomic.matrix[:, list(LOGICAL_INDICES)]
+    seq, report, u_atomic = _first_passing(search)
+    code_cols = u_atomic[:, list(LOGICAL_INDICES)]
     u_logical = Operator(code_cols[list(LOGICAL_INDICES)])  # the code-space block
-    report = dict(search)[seq.convention]
     outside = np.delete(code_cols, list(LOGICAL_INDICES), axis=0)
     code_leak = float(np.max(np.abs(outside)))
     uu = u_logical.matrix @ u_logical.matrix
@@ -396,7 +387,7 @@ def _run_cnot_verify(c: ExperimentConfig) -> tuple[dict, dict, dict]:
             {"application_order": conv.application_order, "p_sign": conv.p_sign,
              "passed": rep.passed,
              "worst_probability": min(r.probability for r in rep.rows)}
-            for conv, rep in search
+            for conv, rep, _ in search
         ],
         "truth_table": [
             {"input": r.input_state, "expected": r.expected, "observed": r.observed,

@@ -103,10 +103,10 @@ def stagger_sweep(t1_fractions,
 
 def thermal_weights(nbar: float) -> np.ndarray:
     """Thermal Fock distribution p_n = nbar^n/(nbar+1)^(n+1), truncated once
-    the cumulative weight exceeds 1 - THERMAL_TAIL. Raises ValueError when that
-    takes more than MAX_THERMAL_SECTORS sectors."""
-    if nbar < 0:
-        raise ValueError("mean photon number must be >= 0")
+    the cumulative weight exceeds 1 - THERMAL_TAIL. Raises ValueError for a NaN,
+    infinite or negative nbar, and when the cut takes over MAX_THERMAL_SECTORS sectors."""
+    if not (np.isfinite(nbar) and nbar >= 0):
+        raise ValueError("mean photon number must be finite and >= 0")
     if nbar == 0:
         return np.array([1.0])
     weights = []
@@ -138,8 +138,11 @@ def fock_averaged_fidelity(nbar: float | np.ndarray,
         F = 1/2 + 1/2 Re[1 / ((nbar+1) - nbar e^{4iA})].
 
     `thermal_weights` with `dfs_propagate` is the sector-by-sector oracle.
-    Broadcasts over `nbar`: an array gives the array of averages.
+    Broadcasts over `nbar`: an array gives the array of averages. Rejects a
+    NaN, infinite or negative `nbar` and a non-finite area (ValueError).
     """
     if not np.all(np.isfinite(nbar) & (nbar >= 0)):
         raise ValueError("mean photon number must be finite and >= 0")
+    if not np.all(np.isfinite(pulse_area_at_n0)):
+        raise ValueError("pulse area must be finite")
     return 0.5 + 0.5 * (1.0 / ((nbar + 1.0) - nbar * np.exp(4j * pulse_area_at_n0))).real

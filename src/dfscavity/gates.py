@@ -18,8 +18,9 @@ the identity).
 
 A composition builds each distinct gate once (the search: once per P sign,
 for both orders) and lifts a pair gate to the atomic space as one broadcast
-product, np.kron with the identity on the other pair. cnot-verify searches
-once: `_first_passing`, shared with `compile_cnot`, picks from that search.
+product, np.kron with the identity on the other pair. The search keeps each
+candidate's atomic product; cnot-verify searches once and `_first_passing`,
+shared with `compile_cnot`, picks the convention, report and product from it.
 """
 
 from __future__ import annotations
@@ -175,18 +176,16 @@ def _product(gates, application_order: str, mats: dict[GateDescriptor, np.ndarra
     return u
 
 
-def _compose(gates, convention: CnotConvention) -> np.ndarray:
-    return _product(gates, convention.application_order, _gate_matrices(gates, convention.p_sign))
-
-
-def sequence_unitary_logical(seq: PulseSequence) -> Operator:
-    return Operator(_logical_block(_compose(seq.gates, seq.convention)))
-
-
 def sequence_unitary_atomic(seq: PulseSequence) -> Operator:
     """The sequence on the 16-dim atomic space (for code-space-preservation
     checks); cavity factored out as everywhere in the effective model."""
-    return Operator(_compose(seq.gates, seq.convention))
+    conv = seq.convention
+    return Operator(_product(seq.gates, conv.application_order, _gate_matrices(seq.gates, conv.p_sign)))
+
+
+def sequence_unitary_logical(seq: PulseSequence) -> Operator:
+    """The code-space block of `sequence_unitary_atomic`."""
+    return Operator(_logical_block(sequence_unitary_atomic(seq).matrix))
 
 
 def verify_truth_table(u: Operator, prob_tol: float = 1e-10) -> TruthTableReport:
@@ -221,26 +220,27 @@ def convention_candidates() -> tuple[CnotConvention, ...]:
     )
 
 
-def convention_search() -> tuple[tuple[CnotConvention, TruthTableReport], ...]:
-    """Run the truth table for all four conventions, in deterministic order."""
+def convention_search() -> tuple[tuple[CnotConvention, TruthTableReport, np.ndarray], ...]:
+    """Run the truth table for all four conventions, in deterministic order;
+    each entry keeps the candidate's 16x16 atomic product next to its report."""
     gates = cnot_gate_list()
     mats = {sign: _gate_matrices(gates, sign) for sign in (+1, -1)}  # both orders share them
     out = []
     for conv in convention_candidates():
-        u = Operator(_logical_block(_product(gates, conv.application_order, mats[conv.p_sign])))
-        out.append((conv, verify_truth_table(u)))
+        u = _product(gates, conv.application_order, mats[conv.p_sign])
+        out.append((conv, verify_truth_table(Operator(_logical_block(u))), u))
     return tuple(out)
 
 
-def _first_passing(results) -> PulseSequence:
+def _first_passing(results) -> tuple[PulseSequence, TruthTableReport, np.ndarray]:
     """The seven-gate sequence under the first convention of a `convention_search`
-    result that passes; hard error (with the best-achieved probabilities) if
-    none does."""
-    for conv, report in results:
+    result that passes, with that convention's report and atomic product; hard
+    error (with the best-achieved probabilities) if none passes."""
+    for conv, report, u in results:
         if report.passed:
-            return PulseSequence(gates=cnot_gate_list(), convention=conv)
+            return PulseSequence(gates=cnot_gate_list(), convention=conv), report, u
     lines = []
-    for conv, report in results:
+    for conv, report, _ in results:
         worst = min(r.probability for r in report.rows)
         lines.append(f"  {conv}: worst-case probability {worst:.6f}")
     raise RuntimeError("no convention reproduces the CNOT truth table:\n" + "\n".join(lines))
@@ -250,7 +250,7 @@ def compile_cnot() -> PulseSequence:
     """The seven-gate sequence with the convention selected by exhaustive
     search; hard error (with the best-achieved probabilities) if nothing
     passes."""
-    return _first_passing(convention_search())
+    return _first_passing(convention_search())[0]
 
 
 @dataclass(frozen=True)

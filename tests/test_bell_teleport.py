@@ -211,6 +211,21 @@ class TestTeleport:
         with pytest.raises(ValueError, match="delay must be finite"):
             teleport(np.array([[0.1], [0.2]]), np.array([0.0, 1.0, delay]), encoding)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("encoding", ["dfs", "bare"])
+    def test_non_finite_theta_dephasing_and_splitting_rejected(self, encoding, value):
+        # each used to return a NaN average fidelity
+        with pytest.raises(ValueError, match="theta must be finite"):
+            teleport(value, 0.0, encoding)
+        with pytest.raises(ValueError, match="theta must be finite"):
+            teleport(np.array([0.1, value]), 0.0, encoding)
+        with pytest.raises(ValueError, match="dephase_phi must be finite"):
+            teleport(0.3, 0.0, encoding, dephase_phi=value)
+        with pytest.raises(ValueError, match="dephase_phi must be finite"):
+            teleport(0.3, np.array([0.0, 1.0]), encoding, dephase_phi=np.array([[0.0], [value]]))
+        with pytest.raises(ValueError, match="atom_splitting must be finite"):
+            teleport(0.3, encoding=encoding, atom_splitting=value)
+
     def test_unknown_encoding_rejected(self):
         with pytest.raises(ValueError, match="encoding"):
             teleport(0.0, 0.0, "qubit")

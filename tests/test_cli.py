@@ -310,6 +310,25 @@ class TestExperiments:
         assert report.passed
         assert len(calls) == 1
 
+    def test_cnot_verify_builds_each_product_once(self, monkeypatch):
+        # the chosen convention's atomic product comes from the search, which multiplies
+        # out the four candidates from one set of gate matrices per P sign
+        calls = {"_product": 0, "_gate_matrices": 0}
+
+        def counting(name):
+            original = getattr(gates, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(gates, name, counting(name))
+        report = run_experiment(parse_config("", experiment="cnot-verify"))
+        assert report.passed
+        assert calls == {"_product": 4, "_gate_matrices": 2}
+
     def test_cnot_verify_checks_each_truth_table_once(self, monkeypatch):
         # the chosen convention's report comes from the search, not from a second check
         check = gates.verify_truth_table

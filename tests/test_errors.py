@@ -201,6 +201,20 @@ class TestThermalAveraging:
         with pytest.raises(ValueError, match="finite"):
             fock_averaged_fidelity(np.array([0.0, 1.0, nbar]))
 
+    @pytest.mark.parametrize("nbar", [np.nan, np.inf])
+    def test_thermal_weights_reject_non_finite_nbar(self, nbar):
+        # used to return array([nan]) and array([0., nan])
+        with pytest.raises(ValueError, match="finite"):
+            thermal_weights(nbar)
+
+    @pytest.mark.parametrize("area", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pulse_area_rejected(self, area):
+        # used to return NaN with a RuntimeWarning
+        with pytest.raises(ValueError, match="pulse area must be finite"):
+            fock_averaged_fidelity(0.5, area)
+        with pytest.raises(ValueError, match="pulse area must be finite"):
+            fock_averaged_fidelity(np.array([0.0, 1.0]), area)
+
     @pytest.mark.parametrize("area", [AREA_R, 0.37])
     def test_array_nbar_equals_scalar_calls(self, area):
         grid = np.linspace(0.0, 10.0, 50)

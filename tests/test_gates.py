@@ -10,6 +10,7 @@ from dfscavity.gates import (
     CnotConvention,
     GateDescriptor,
     PulseSequence,
+    _first_passing,
     _logical_block,
     cnot_gate_list,
     compile_cnot,
@@ -126,7 +127,7 @@ class TestCnotCompilation:
     def test_convention_search_recorded_outcome(self):
         # frozen oracle outcome: sign +1 passes in both orders, -1 in neither
         results = {(conv.application_order, conv.p_sign): rep.passed
-                   for conv, rep in convention_search()}
+                   for conv, rep, _ in convention_search()}
         assert len(results) == 4
         assert results[("listed_first_applied_first", 1)] is True
         assert results[("listed_first_applied_last", 1)] is True
@@ -136,6 +137,30 @@ class TestCnotCompilation:
     def test_compiled_convention_is_first_passing(self):
         seq = compile_cnot()
         assert seq.convention == CnotConvention("listed_first_applied_first", 1)
+
+    def test_search_keeps_each_candidates_atomic_product(self):
+        for conv, report, u in convention_search():
+            seq = PulseSequence(cnot_gate_list(), conv)
+            assert np.array_equal(u, sequence_unitary_atomic(seq).matrix)
+            assert report == verify_truth_table(Operator(_logical_block(u)))
+
+    def test_first_passing_returns_the_chosen_entry(self):
+        search = convention_search()
+        seq, report, u = _first_passing(search)
+        assert seq == compile_cnot()
+        chosen = [entry for entry in search if entry[0] == seq.convention]
+        assert len(chosen) == 1 and chosen[0][1] is report and chosen[0][2] is u
+
+    def test_no_passing_convention_is_a_hard_error(self):
+        failing = [entry for entry in convention_search() if not entry[1].passed]
+        with pytest.raises(RuntimeError, match="worst-case probability"):
+            _first_passing(failing)
+
+    def test_logical_unitary_is_the_code_space_block(self):
+        for conv in convention_candidates():
+            seq = PulseSequence(cnot_gate_list(), conv)
+            assert np.array_equal(sequence_unitary_logical(seq).matrix,
+                                  _logical_block(sequence_unitary_atomic(seq).matrix))
 
     def test_truth_table_passes_with_phase_minus_one(self):
         seq = compile_cnot()
