@@ -4,7 +4,7 @@
 
 Exports the committed files of REV and copies the working tree as it is at
 start, with `export_tree` and `snapshot_worktree` of scripts/bench_pairs.py.
-Then each tree produces, from its own source, 84 outputs:
+Then each tree produces, from its own source, 94 outputs:
 
 * the 64 default-config reports: 8 experiments x seeds 0, 3, 7, 11 x JSON
   and CSV (`python -m dfscavity.cli <experiment> --seed S --format F`);
@@ -14,6 +14,9 @@ Then each tree produces, from its own source, 84 outputs:
   benchmark's config) and `n_max = 64`, validate-effective at
   `delta_over_G = 5, 10, 20, 40, 80` (more peak candidates for the Rabi
   fit), and entangle with an explicit, consistent `omega_a`/`omega` pair;
+* the stderr of the ten out-of-range configs of tests/test_cli.py (seven
+  pair rates, two fit spans and one CNOT time), each of which exits 2, so a
+  refactor of a domain check shows any change of its message;
 * the stdout of every script under demos/;
 * `exit-codes.txt`: the exit code of each CLI run and each demo, one line
   per run, so a change to the CLI's exit path shows even when the report
@@ -46,14 +49,22 @@ SCALED = {"teleport-60x60": ("teleport", "theta_points = 60\ndelay_points = 60\n
           "validate-nmax64": ("validate-effective", "n_max = 64\n"),
           "validate-ratios": ("validate-effective", "delta_over_G = 5, 10, 20, 40, 80\n"),
           "entangle-frequencies": ("entangle", "delta = 3e6\nomega_a = 7.0\nomega = 1500007.0\n")}
+OUT_OF_RANGE = {  # the configs of tests/test_cli.py's out-of-float-range tests
+    **{f"pair-rate-G{g}-{exp}": (exp, f"G = {g}\n")
+       for g in ("1e200", "1e-200") for exp in ("entangle", "durations", "validate-effective")},
+    "pair-rate-delta1e-300-entangle": ("entangle", "delta = 1e-300\n"),
+    "fit-span-subnormal-rate": ("validate-effective", "G = 1e-100\ndelta_over_G = 1e210\n"),
+    "fit-span-underflow": ("validate-effective", "G = 1e100\ndelta_over_G = 1e-150\n"),
+    "cnot-time-overflow": ("durations", "G = 1e-100\ndelta = 1e110\n"),
+}
 
 
 def produce(tree: Path, out: Path) -> list[str]:
     """Write every output of `tree`, run from its own src/, as a file under
     `out`, and return the file names expected there. A report is whatever
-    the CLI wrote (validate-effective exits 1 by design); a demo's stdout is
-    written only when the demo exits 0. Every run's exit code goes to
-    `exit-codes.txt`."""
+    the CLI wrote (validate-effective exits 1 by design); an out-of-range
+    config's output is the CLI's stderr; a demo's stdout is written only when
+    the demo exits 0. Every run's exit code goes to `exit-codes.txt`."""
     out.mkdir(parents=True)
     names, codes = [], []
     env = dict(os.environ)
@@ -77,6 +88,13 @@ def produce(tree: Path, out: Path) -> list[str]:
             names.append(f"{name}-seed{seed}.json")
             run("-m", "dfscavity.cli", exp, "--config", str(config), "--seed", str(seed),
                 "--out", str(out / names[-1]))
+        config.unlink()
+    for name, (exp, text) in OUT_OF_RANGE.items():
+        config = out / f"{name}.cfg"
+        config.write_text(text, encoding="utf-8")
+        names.append(f"config-error-{name}.txt")
+        proc = run("-m", "dfscavity.cli", exp, "--config", str(config))
+        (out / names[-1]).write_text(proc.stderr, encoding="utf-8")
         config.unlink()
     for demo in sorted((tree / "demos").glob("*.py")):
         names.append(f"demo-{demo.stem}.txt")

@@ -35,6 +35,7 @@ from .gates import (
     CnotConvention,
     GateDescriptor,
     PulseSequence,
+    cnot_duration,
     compile_cnot,
     convention_search,
     entangle_duration,
@@ -70,6 +71,7 @@ from .validate import (
     ValidationRun,
     compare_effective_models,
     extract_rabi,
+    fit_span,
     forced_rabi_fit,
 )
 

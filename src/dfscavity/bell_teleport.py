@@ -169,6 +169,15 @@ def _input_pair_state(theta: float | np.ndarray) -> np.ndarray:
     return v
 
 
+def _check_phase(atom_splitting: float, delay: float | np.ndarray) -> None:
+    """Raise ValueError unless the free-evolution phase atom_splitting * delay is finite;
+    one scalar check, at the longest delay (delays are >= 0)."""
+    longest = float(np.max(delay, initial=0.0))
+    if not np.isfinite(abs(float(atom_splitting)) * longest):
+        raise ValueError(f"the phase atom_splitting * delay at atom_splitting = {atom_splitting}, "
+                         f"delay = {longest} is not finite")
+
+
 def teleport(theta: float | np.ndarray, delay: float | np.ndarray = 0.0, encoding: str = "dfs",
              seed: int | None = None, atom_splitting: float = 1.0,
              dephase_phi: float | np.ndarray | None = None,
@@ -197,8 +206,9 @@ def teleport(theta: float | np.ndarray, delay: float | np.ndarray = 0.0, encodin
     Both encodings enumerate all four branches; with a seed one branch is
     also sampled, by the same draw as `bell_measure`, and reported as
     `sampled_label`/`sampled_fidelity`. Seeded sampling needs scalar inputs,
-    and both encodings reject a negative or non-finite delay and a non-finite
-    theta, atom_splitting or dephase_phi (ValueError).
+    and both encodings reject a negative or non-finite delay, a non-finite
+    theta, atom_splitting or dephase_phi, and a delay whose phase
+    atom_splitting * delay overflows (ValueError).
 
     Returns (average fidelity, report).
     """
@@ -209,6 +219,7 @@ def teleport(theta: float | np.ndarray, delay: float | np.ndarray = 0.0, encodin
     for name, value in (("theta", theta), ("atom_splitting", atom_splitting), ("dephase_phi", dephase_phi)):
         if value is not None and not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite")
+    _check_phase(atom_splitting, delay)
     if seed is not None and any(map(np.ndim, (theta, delay, dephase_phi))):
         raise ValueError("seeded sampling needs scalar inputs")
     if encoding == "bare":

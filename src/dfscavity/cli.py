@@ -8,8 +8,9 @@ Experiments: entangle, cnot-verify, bell, teleport, stagger-sweep (in units
 of 1/Omega: pulse_area is the duration), thermal, validate-effective,
 durations. Exit codes: 0 all embedded PASS flags true, 1 experiment failure
 (report still written), 2 config error or unwritable --out path (no report
-written). Without --out the report goes to stdout. No environment variables
-are consulted; identical config + seed produce byte-identical reports.
+written). The numeric-domain rules are the library's; `_check_config` asks them
+and names the keys. Without --out the report goes to stdout. No environment
+variables are consulted; identical config + seed produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from . import __version__
 from .bell_teleport import (
     CORRECTION_TABLE,
     BellLabel,
+    _check_phase,
     bell_measure,
     prepare_bell,
     teleport,
@@ -46,6 +48,7 @@ from .gates import (
     P_GATE_DURATION,
     R_PULSE_AREA,
     _first_passing,
+    cnot_duration,
     compile_cnot,
     convention_search,
     entangle_duration,
@@ -54,7 +57,7 @@ from .gates import (
 from .hilbert import Operator, StateVector, SystemParams
 from .logical import LOGICAL_INDICES
 from .model import build_h_eff, effective_coupling
-from .validate import GUARD_LEAKAGE_MAX, RabiFitError, compare_effective_models, extract_rabi
+from .validate import GUARD_LEAKAGE_MAX, RabiFitError, compare_effective_models, extract_rabi, fit_span
 
 EXPERIMENTS = (
     "entangle", "cnot-verify", "bell", "teleport",
@@ -63,9 +66,8 @@ EXPERIMENTS = (
 
 DEFAULT_G = 2 * np.pi * 47e3
 MAX_GRID_POINTS = 10**6  # theta_points x delay_points of the teleport grid, and nbar_points
-# validate-effective fits on times up to 1.5 exchange periods, 3 pi/Omega(0); the Stark-phase
-# np.polyfit sums their squares, which leave the float range for a span (s) outside this range
-FIT_SPAN_RANGE = (1e-150, 1e150)
+_DOMAIN_RULES = {"entangle": entangle_duration, "durations": cnot_duration,  # each checks the pair rate first
+                 "validate-effective": lambda params: fit_span(params, 0)}
 
 
 class ConfigError(ValueError):
@@ -216,6 +218,11 @@ def _check_config(c: ExperimentConfig) -> ExperimentConfig:
         if abs(delta - implied) > 1e-9 * max(1.0, abs(delta)):
             raise ConfigError(f"keys 'omega_a' and 'omega': 2*(omega - omega_a) = {implied} "
                               f"but delta = {delta}")
+    if c.experiment == "teleport":
+        try:  # the grid's longest delay, the single run's, and the bare comparison's pi/atom_splitting
+            _check_phase(c.atom_splitting, (c.delay_max, c.delay_T, np.pi / c.atom_splitting))
+        except ValueError as err:
+            raise ConfigError(f"key 'atom_splitting': {err}") from None
     deltas, keys = [c.resolved_delta()], "'G' and 'delta'"
     if c.experiment == "validate-effective":
         for key in ("delta", "omega_a", "omega"):
@@ -223,21 +230,14 @@ def _check_config(c: ExperimentConfig) -> ExperimentConfig:
                 raise ConfigError(f"key {key!r}: not used by validate-effective, which sets "
                                   "delta = delta_over_G * G")
         deltas, keys = [r * c.G for r in c.delta_over_G], "'G' and 'delta_over_G'"
-    if c.experiment in ("entangle", "durations", "validate-effective"):  # the ones that read G
-        with np.errstate(all="ignore"):  # an extreme G or delta overflows or underflows Omega(0)
-            rates = 2.0 * np.float64(c.G) ** 2 / np.abs(deltas)
-            cnot_times = 7 * np.pi * np.abs(deltas) / (8 * np.float64(c.G) ** 2)  # as schedule_duration
-            spans = 1.5 * 2 * np.pi / rates  # validate's fit grid: 1.5 exchange periods
-        for delta, rate, cnot_time, span in zip(deltas, rates.tolist(), cnot_times.tolist(), spans.tolist()):
-            if not 0 < rate < np.inf:
-                raise ConfigError(f"keys {keys}: the pair rate 2 G^2/|delta| at G = {c.G}, "
-                                  f"delta = {delta} is {rate}, not a finite positive number")
-            if c.experiment == "durations" and not cnot_time < np.inf:
-                raise ConfigError(f"keys {keys}: the CNOT time 7 pi |delta|/(8 G^2) at G = {c.G}, "
-                                  f"delta = {delta} is {cnot_time}, not finite")
-            if c.experiment == "validate-effective" and not FIT_SPAN_RANGE[0] <= span <= FIT_SPAN_RANGE[1]:
-                raise ConfigError(f"keys {keys}: the fit spans 3 pi/Omega(0) = {span} s at G = {c.G}, "
-                                  f"delta = {delta}, outside [{FIT_SPAN_RANGE[0]}, {FIT_SPAN_RANGE[1]}] s")
+    if c.experiment in _DOMAIN_RULES:  # the ones that read G
+        try:
+            with warnings.catch_warnings():  # a marginal perturbative ratio is not an error
+                warnings.simplefilter("ignore")
+                for delta in deltas:
+                    _DOMAIN_RULES[c.experiment](SystemParams(G=c.G, delta=delta, n_max=c.n_max))
+        except ValueError as err:
+            raise ConfigError(f"keys {keys}: {err}") from None
     return c
 
 
@@ -517,7 +517,7 @@ def _run_thermal(c: ExperimentConfig) -> tuple[dict, dict, dict]:
 
 
 def _run_validate_effective(c: ExperimentConfig) -> tuple[dict, dict, dict]:
-    per_ratio = []
+    runs = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # perturbative-ratio warnings recorded as data
         for ratio in c.delta_over_G:
@@ -529,7 +529,7 @@ def _run_validate_effective(c: ExperimentConfig) -> tuple[dict, dict, dict]:
             comparison = compare_effective_models(params, n=0)
             measured = asdict(run)
             del measured["delta_over_g"]  # reported as the configured ratio instead
-            per_ratio.append({
+            runs.append({
                 **measured,
                 "delta_over_G": float(ratio),
                 "deviation_from_3x_expected":
@@ -548,7 +548,6 @@ def _run_validate_effective(c: ExperimentConfig) -> tuple[dict, dict, dict]:
                     "difference_nonempty": comparison.difference_nonempty,
                 },
             })
-    runs = per_ratio
     by_ratio = [runs[k] for k in np.argsort(c.delta_over_G, kind="stable")]  # the trend flags' order
     deviations = [r["relative_deviation"] for r in by_ratio]
     derived_infidelities = [r["comparison"]["max_infidelity_derived_vs_full"] for r in by_ratio]

@@ -103,8 +103,10 @@ def stagger_sweep(t1_fractions,
 
 def thermal_weights(nbar: float) -> np.ndarray:
     """Thermal Fock distribution p_n = nbar^n/(nbar+1)^(n+1), truncated once
-    the cumulative weight exceeds 1 - THERMAL_TAIL. Raises ValueError for a NaN,
-    infinite or negative nbar, and when the cut takes over MAX_THERMAL_SECTORS sectors."""
+    the cumulative weight exceeds 1 - THERMAL_TAIL. Raises ValueError for a non-scalar,
+    NaN, infinite or negative nbar, and when the cut takes over MAX_THERMAL_SECTORS sectors."""
+    if np.ndim(nbar):
+        raise ValueError(f"mean photon number must be a scalar, got shape {np.shape(nbar)}")
     if not (np.isfinite(nbar) and nbar >= 0):
         raise ValueError("mean photon number must be finite and >= 0")
     if nbar == 0:

@@ -273,12 +273,33 @@ class DurationReport:
     cnot_over_lifetime: float
 
 
+def _pulses_time(pulses: int, name: str, params: SystemParams) -> float:
+    """pulses * pi*|delta|/(8 G^2), that many maximal-entanglement pulses at the pair rate
+    |Omega(0)| = 2 G^2/|delta|. Raises ValueError when that rate is out of range
+    (model.effective_coupling), or unless the time is finite and positive."""
+    effective_coupling(0, params)  # 0 at G = 0, else positive with G**2 in the float range
+    time = pulses * np.pi * abs(params.delta) / (8 * params.G**2) if params.G else np.inf
+    if not 0 < time < np.inf:
+        form = ("" if pulses == 1 else f"{pulses} ") + "pi |delta|/(8 G^2)"
+        raise ValueError(f"the {name} {form} at G = {params.G}, delta = {params.delta} is {time}, "
+                         f"not {'positive' if time == 0 else 'finite'}")
+    return time
+
+
 def entangle_duration(params: SystemParams) -> float:
-    """Time to a maximal two-pair entangled state: pi*|delta|/(8 G^2)."""
-    return np.pi * abs(params.delta) / (8 * params.G**2)
+    """Time to a maximal two-pair entangled state: pi*|delta|/(8 G^2). Raises
+    ValueError when the pair rate or the time is out of range."""
+    return _pulses_time(1, "entangling time", params)
+
+
+def cnot_duration(params: SystemParams) -> float:
+    """Closed-form time of the whole CNOT: 7*pi*|delta|/(8 G^2). Raises
+    ValueError when the pair rate or the time is out of range."""
+    return _pulses_time(7, "CNOT time", params)
 
 
 def schedule_duration(seq: PulseSequence, params: SystemParams) -> DurationReport:
+    aggregate = cnot_duration(params)  # first: it rejects G = 0, where Omega(0) = 0
     omega0 = abs(effective_coupling(0, params).omega)
     per_gate = []
     for gate in seq.gates:
@@ -287,7 +308,6 @@ def schedule_duration(seq: PulseSequence, params: SystemParams) -> DurationRepor
         else:
             per_gate.append(gate.pulse_area / omega0)
     bottom_up = float(sum(per_gate))
-    aggregate = 7 * np.pi * abs(params.delta) / (8 * params.G**2)
     return DurationReport(
         entangle_time=entangle_duration(params),
         cnot_time_aggregate=aggregate,

@@ -76,10 +76,19 @@ class EffectiveCoupling:
 
 
 def effective_coupling(n: int, params: SystemParams) -> EffectiveCoupling:
-    """Closed-form Omega(n) = (4n+2) G^2 / delta, for an integer n >= 0."""
+    """Closed-form Omega(n) = (4n+2) G^2 / delta, for an integer n >= 0.
+
+    0 at G = 0. Raises ValueError when G > 0 and the rate leaves the float range
+    (G^2 or the quotient overflows to inf or underflows to 0)."""
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"Fock sector must be an integer >= 0, got {n}")
-    omega = (4 * n + 2) * params.G**2 / params.delta
+    try:
+        omega = (4 * n + 2) * params.G**2 / params.delta
+    except OverflowError:  # a Python float G**2 beyond the float range
+        omega = np.inf
+    if params.G > 0 and not 0 < abs(omega) < np.inf:
+        raise ValueError(f"the pair rate {4 * n + 2} G^2/|delta| at G = {params.G}, "
+                         f"delta = {params.delta} is {abs(omega)}, not a finite positive number")
     return EffectiveCoupling(omega=omega)
 
 

@@ -56,6 +56,9 @@ PEAK_PROMINENCE_FRACTION = 0.4
 RABI_FIT_POINTS = 6001     # time samples of extract_rabi's grid
 COMPARISON_POINTS = 1201   # time samples of compare_effective_models' grid
 DIFFERENCE_ATOL = 1e-12    # difference entries below this, relative to max(1, max|derived|), are 0
+# the Stark-phase np.polyfit of extract_rabi sums the squared times of the grid, which
+# leave the float range for a fit span (s) outside this range
+FIT_SPAN_RANGE = (1e-150, 1e150)
 
 _COLS = list(TWO_EXCITATION_CONFIGS)  # the six two-excitation configurations, label order
 
@@ -152,11 +155,29 @@ def _quadratic_peak_times(times: np.ndarray, series: np.ndarray) -> list[float]:
     return out
 
 
+def fit_span(params: SystemParams, n: int) -> float:
+    """The span of the exact runs' time grid, 1.5 exchange periods 3 pi/|Omega(n)|.
+    Raises ValueError when the pair rate is out of range (model.effective_coupling),
+    when the span lies outside FIT_SPAN_RANGE (G = 0 gives an infinite span), or when
+    the sector's largest bare phase (n+2) |delta|/2 x span is not finite (the
+    propagator's exp(-iEt) would read NaN)."""
+    omega = abs(effective_coupling(n, params).omega)
+    span = 1.5 * 2 * np.pi / omega if omega else np.inf
+    if not FIT_SPAN_RANGE[0] <= span <= FIT_SPAN_RANGE[1]:
+        raise ValueError(f"the fit spans 3 pi/Omega({n}) = {span} s at G = {params.G}, "
+                         f"delta = {params.delta}, outside [{FIT_SPAN_RANGE[0]}, {FIT_SPAN_RANGE[1]}] s")
+    phase = abs(params.delta) / 2 * (n + 2) * span
+    if not phase < np.inf:
+        raise ValueError(f"the largest bare phase {n + 2} |delta|/2 x 3 pi/Omega({n}) = {phase} "
+                         f"at G = {params.G}, delta = {params.delta} is not finite")
+    return span
+
+
 def _exact_run(params: SystemParams, n: int, points: int):
     """Evolve |egeg, n> exactly on the sector n_e + m = n + 2 over 1.5 exchange periods
     (`points` times) by one eigh; returns (run inputs, sector, times, propagator,
-    amplitudes (points, sector)). Raises ValueError unless 0 <= n <= n_max - 4,
-    RabiFitError when G = 0."""
+    amplitudes (points, sector)). Raises ValueError unless 0 <= n <= n_max - 4 and the
+    rate and span pass `fit_span`, RabiFitError when G = 0."""
     sector = excitation_sector(params, n + 2)  # the domain check, before effective_coupling
     run = ValidationRun(delta_over_g=params.delta / params.G if params.G else np.inf,
                         omega_expected=effective_coupling(n, params).omega,
@@ -164,7 +185,7 @@ def _exact_run(params: SystemParams, n: int, points: int):
     if run.omega_expected == 0:
         raise RabiFitError("no oscillation to fit (G = 0)",
                            replace(run, diagnostic="no coupling, no oscillation"))
-    t_max = 1.5 * 2 * np.pi / abs(run.omega_expected)
+    t_max = fit_span(params, n)
     times = np.linspace(0.0, t_max, points)
     psi0 = np.zeros(len(sector.indices), dtype=complex)
     psi0[sector.manifold[0]] = 1.0  # |egeg, n>

@@ -226,6 +226,14 @@ class TestTeleport:
         with pytest.raises(ValueError, match="atom_splitting must be finite"):
             teleport(0.3, encoding=encoding, atom_splitting=value)
 
+    @pytest.mark.parametrize("encoding", ["dfs", "bare"])
+    def test_overflowing_phase_rejected_for_both_encodings(self, encoding):
+        # atom_splitting * delay = 1e310 overflows; both used to return a NaN average
+        with pytest.raises(ValueError, match="atom_splitting \\* delay .* is not finite"):
+            teleport(0.3, 1e300, encoding, atom_splitting=1e10)
+        with pytest.raises(ValueError, match="atom_splitting \\* delay .* is not finite"):
+            teleport(np.array([[0.1], [0.2]]), np.array([0.0, 1e300]), encoding, atom_splitting=1e10)
+
     def test_unknown_encoding_rejected(self):
         with pytest.raises(ValueError, match="encoding"):
             teleport(0.0, 0.0, "qubit")

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dfscavity import cli, errors, gates
@@ -26,6 +26,11 @@ CHEAP_EXPERIMENTS = ("entangle", "bell", "cnot-verify", "stagger-sweep", "therma
 
 def _floats(low, high):
     return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+def _log_uniform():
+    """Positive floats with a uniform decimal exponent, from the subnormal 1e-323 to 1e308."""
+    return st.floats(-323.0, 308.0).map(lambda e: 10.0**e)
 
 
 @st.composite
@@ -513,6 +518,44 @@ class TestMainEntryPoint:
         assert captured.err == ("config error: keys 'G' and 'delta': the CNOT time "
                                 "7 pi |delta|/(8 G^2) at G = 1e-100, delta = 1e+110 is inf, not finite\n")
         assert captured.out == ""
+
+    def test_entangle_time_out_of_float_range_exit_two(self, tmp_path, capsys):
+        # Omega(0) = 2e-310 is finite and positive, but pi |delta|/(8 G^2) overflows; the
+        # report used to carry "duration_s": Infinity and a NaN defect (exit 1)
+        cfg, out = tmp_path / "extreme.cfg", tmp_path / "r.json"
+        cfg.write_text("G = 1e-100\ndelta = 1e110\n")
+        assert main(["entangle", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: keys 'G' and 'delta': the entangling time pi |delta|/(8 G^2) "
+            "at G = 1e-100, delta = 1e+110 is inf, not finite\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "delay_max = 1e300\natom_splitting = 1e10\n",  # the grid's phase: used to write NaN
+        "atom_splitting = 1e-310\n",  # the bare comparison's delay pi/atom_splitting: a traceback
+    ])
+    def test_teleport_phase_out_of_float_range_exit_two(self, text, tmp_path, capsys):
+        cfg, out = tmp_path / "extreme.cfg", tmp_path / "r.json"
+        cfg.write_text(text)
+        assert main(["teleport", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: key 'atom_splitting': the phase "
+                                       "atom_splitting * delay at atom_splitting = ")
+        assert captured.err.endswith(" is not finite\n")
+        assert not out.exists()
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(G=_log_uniform(), delta=_log_uniform(), sign=st.sampled_from((1.0, -1.0)),
+           experiment=st.sampled_from(("entangle", "durations")))
+    @example(G=1e-100, delta=1e110, sign=1.0, experiment="entangle")  # a subnormal Omega(0)
+    def test_any_coupling_gives_a_finite_report_or_a_keyed_error(self, G, delta, sign, experiment):
+        try:
+            config = parse_config(f"G = {G!r}\ndelta = {sign * delta!r}\n", experiment=experiment)
+        except ConfigError as err:
+            assert str(err).startswith("keys 'G' and 'delta':")
+            return
+        text = run_experiment(config).to_json()
+        assert "NaN" not in text and "Infinity" not in text
 
     def test_missing_config_file_exit_two(self, capsys):
         assert main(["bell", "--config", "/nonexistent/path.cfg"]) == 2

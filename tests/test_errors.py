@@ -207,6 +207,12 @@ class TestThermalAveraging:
         with pytest.raises(ValueError, match="finite"):
             thermal_weights(nbar)
 
+    def test_thermal_weights_reject_array_nbar(self):
+        # a one-element array used to give nine equal weights summing to 3.5e-9
+        with pytest.raises(ValueError, match="scalar"):
+            thermal_weights(np.array([0.1]))
+        assert np.array_equal(thermal_weights(np.float64(0.1)), thermal_weights(0.1))
+
     @pytest.mark.parametrize("area", [np.nan, np.inf, -np.inf])
     def test_non_finite_pulse_area_rejected(self, area):
         # used to return NaN with a RuntimeWarning

@@ -15,6 +15,7 @@ from dfscavity.gates import (
     cnot_gate_list,
     compile_cnot,
     convention_candidates,
+    cnot_duration,
     convention_search,
     entangle_duration,
     h_gate,
@@ -272,3 +273,17 @@ class TestDurations:
         report = run_experiment(parse_config(f"delta = {-params.delta!r}\n", experiment="durations"))
         assert report.passed
         assert report.results["entangle_time_s"] == entangle_duration(params)
+
+    def test_cnot_duration_is_the_schedule_aggregate(self, params):
+        assert cnot_duration(params) == schedule_duration(compile_cnot(), params).cnot_time_aggregate
+
+    @pytest.mark.parametrize("G,message", [
+        (0.0, r"time .* at G = 0.0, delta = 1.0 is inf, not finite"),  # used to divide by zero
+        (1e-200, "the pair rate"),                                   # G**2 underflows to 0
+    ])
+    def test_durations_without_a_finite_positive_time_rejected(self, G, message):
+        params = SystemParams(G=G, delta=1.0, n_max=8)
+        for duration in (entangle_duration, cnot_duration,
+                         lambda p: schedule_duration(compile_cnot(), p)):
+            with pytest.raises(ValueError, match=message):
+                duration(params)

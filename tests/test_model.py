@@ -125,6 +125,19 @@ class TestEffectiveCoupling:
         with pytest.raises(ValueError):
             effective_coupling(-1, params)
 
+    @pytest.mark.parametrize("G,delta,rate", [
+        (1e200, 1e201, "inf"),    # G**2 overflows: used to raise OverflowError
+        (1e-200, 1e-199, "0.0"),  # G**2 underflows: used to return 0.0
+        (1e100, 1e-300, "inf"),   # the quotient overflows: used to return inf
+    ])
+    def test_rate_out_of_float_range_rejected(self, G, delta, rate):
+        with np.errstate(over="ignore"):  # SystemParams' perturbative ratio overflows at 1e100/1e-300
+            params = SystemParams(G=G, delta=delta, n_max=4)
+        with pytest.raises(ValueError) as err:
+            effective_coupling(0, params)
+        assert str(err.value) == (f"the pair rate 2 G^2/|delta| at G = {G}, delta = {delta} "
+                                  f"is {rate}, not a finite positive number")
+
 
 class TestEffectiveHamiltonian:
     def test_double_flip_element(self, params):

@@ -20,6 +20,7 @@ from dfscavity.validate import (
     compare_effective_models,
     effective_difference_entries,
     extract_rabi,
+    fit_span,
     forced_rabi_fit,
     prominent_peaks,
 )
@@ -172,6 +173,26 @@ class TestCompareEffectiveModels:
         comp = compare_effective_models(make_params(20.0), n=0)
         assert np.all(comp.fidelity_pair_swap_vs_full <= 1 + 1e-12)
         assert np.all(comp.fidelity_derived_vs_full <= 1 + 1e-12)
+
+
+@pytest.mark.parametrize("G,ratio,message", [
+    # Omega(0) = 2e-310 is subnormal: the fit raised LinAlgError, the comparison read NaN
+    (1e-100, 1e210, r"the fit spans 3 pi/Omega\(0\) = inf"),
+    # the squared times underflow: the Stark-phase polyfit raised LinAlgError
+    (1e100, 1e-150, r"the fit spans 3 pi/Omega\(0\) = 4.712"),
+    # (delta/2) 2 x 3 pi/Omega(0) overflows: the unitarity defect read NaN
+    (1e100, 1e154, r"the largest bare phase 2 \|delta\|/2 x 3 pi/Omega\(0\) = inf"),
+])
+def test_exact_run_grid_out_of_float_range_rejected(G, ratio, message):
+    params = SystemParams(G=G, delta=G * ratio, n_max=8)
+    for call in (fit_span, forced_rabi_fit, compare_effective_models):
+        with pytest.raises(ValueError, match=message):
+            call(params, 0)
+
+
+def test_fit_span_is_the_exact_run_grid():
+    params = make_params(20.0)
+    assert _exact_run(params, 0, 5)[2][-1] == fit_span(params, 0) == 3 * np.pi / 0.1
 
 
 def _peak_cases():
