@@ -4,7 +4,7 @@
 
 Exports the committed files of REV and copies the working tree as it is at
 start, with `export_tree` and `snapshot_worktree` of scripts/bench_pairs.py.
-Then each tree produces, from its own source, 94 outputs:
+Then each tree produces, from its own source, 95 outputs:
 
 * the 64 default-config reports: 8 experiments x seeds 0, 3, 7, 11 x JSON
   and CSV (`python -m dfscavity.cli <experiment> --seed S --format F`);
@@ -14,9 +14,10 @@ Then each tree produces, from its own source, 94 outputs:
   benchmark's config) and `n_max = 64`, validate-effective at
   `delta_over_G = 5, 10, 20, 40, 80` (more peak candidates for the Rabi
   fit), and entangle with an explicit, consistent `omega_a`/`omega` pair;
-* the stderr of the ten out-of-range configs of tests/test_cli.py (seven
-  pair rates, two fit spans and one CNOT time), each of which exits 2, so a
-  refactor of a domain check shows any change of its message;
+* the stderr of the eleven out-of-range configs of tests/test_cli.py (seven
+  pair rates, two fit spans, one pair splitting that eigh cannot resolve and
+  one CNOT time), each of which exits 2, so a refactor of a domain check
+  shows any change of its message;
 * the stdout of every script under demos/;
 * `exit-codes.txt`: the exit code of each CLI run and each demo, one line
   per run, so a change to the CLI's exit path shows even when the report
@@ -49,12 +50,13 @@ SCALED = {"teleport-60x60": ("teleport", "theta_points = 60\ndelay_points = 60\n
           "validate-nmax64": ("validate-effective", "n_max = 64\n"),
           "validate-ratios": ("validate-effective", "delta_over_G = 5, 10, 20, 40, 80\n"),
           "entangle-frequencies": ("entangle", "delta = 3e6\nomega_a = 7.0\nomega = 1500007.0\n")}
-OUT_OF_RANGE = {  # the configs of tests/test_cli.py's out-of-float-range tests
+OUT_OF_RANGE = {  # the configs of tests/test_cli.py's out-of-range tests
     **{f"pair-rate-G{g}-{exp}": (exp, f"G = {g}\n")
        for g in ("1e200", "1e-200") for exp in ("entangle", "durations", "validate-effective")},
     "pair-rate-delta1e-300-entangle": ("entangle", "delta = 1e-300\n"),
     "fit-span-subnormal-rate": ("validate-effective", "G = 1e-100\ndelta_over_G = 1e210\n"),
     "fit-span-underflow": ("validate-effective", "G = 1e100\ndelta_over_G = 1e-150\n"),
+    "pair-splitting-unresolved": ("validate-effective", "delta_over_G = 1e8\n"),
     "cnot-time-overflow": ("durations", "G = 1e-100\ndelta = 1e110\n"),
 }
 

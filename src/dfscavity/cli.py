@@ -527,10 +527,8 @@ def _run_validate_effective(c: ExperimentConfig) -> tuple[dict, dict, dict]:
             except RabiFitError as err:
                 run = err.run
             comparison = compare_effective_models(params, n=0)
-            measured = asdict(run)
-            del measured["delta_over_g"]  # reported as the configured ratio instead
             runs.append({
-                **measured,
+                **asdict(run),
                 "delta_over_G": float(ratio),
                 "deviation_from_3x_expected":
                     float(abs(run.omega_fit - 3 * run.omega_expected) / (3 * run.omega_expected))

@@ -97,8 +97,8 @@ def evolve_times(h: Operator, psi: StateVector, times: np.ndarray) -> np.ndarray
     return _series(*_spectrum(h), psi.amplitudes, times)
 
 
-_ROWS = list(TWO_EXCITATION_CONFIGS)
-_PARTNERS = [pair_partner(c) for c in TWO_EXCITATION_CONFIGS]
+_ROWS = np.array(TWO_EXCITATION_CONFIGS)  # index arrays: a list is converted on every use
+_PARTNERS = np.array([pair_partner(c) for c in TWO_EXCITATION_CONFIGS])
 _SUPPORT_ATOL = 1e-12  # largest amplitude dfs_propagate accepts off the six configurations
 
 

@@ -16,7 +16,8 @@ the primary figure and the squared value is reported alongside.
 
 `staggered_fidelity` and `stagger_sweep` take the inner product through one
 array kernel: the ideal output once (it depends only on the pulse area), the
-staggered states as one (k, 16) array, and the fidelities as one product
+staggered states as one (k, 16) array (the lone pair's exchange, then
+`dynamics.pair_exchange` at the areas t - t1), and the fidelities as one product
 with the conjugated ideal state. The closed form is one array expression,
 which the stagger-sweep report checks against every row.
 """
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import dfs_propagate
+from .dynamics import dfs_propagate, pair_exchange
 from .gates import R_PULSE_AREA
 from .hilbert import StateVector, atomic_index
 
@@ -48,17 +49,14 @@ class StaggerParams:
             raise ValueError(f"need 0 <= t1 <= t, got t1={self.t1}, t={self.t}")
 
 
-def _staggered_amplitudes(t: float, t1: np.ndarray) -> np.ndarray:
-    """The lead-time-perturbed states from initial |egeg> for a pulse of duration t
-    and each lead time in the array t1, shape t1.shape + (16,)."""
-    tail = t - t1
-    lead = 0.5 * t1
-    amps = np.zeros(np.shape(t1) + (16,), dtype=complex)
-    amps[..., atomic_index("egeg")] = np.cos(lead) * np.cos(tail)
-    amps[..., atomic_index("gege")] = np.cos(lead) * (-1j) * np.sin(tail)
-    amps[..., atomic_index("geeg")] = -1j * np.sin(lead) * np.cos(tail)
-    amps[..., atomic_index("egge")] = (-1j) * np.sin(lead) * (-1j) * np.sin(tail)
-    return amps
+def _staggered_amplitudes(t: float, t1) -> np.ndarray:
+    """|egeg> after the lone pair's exchange, cos(t1/2)|egeg> - i sin(t1/2)|geeg>, for each
+    lead time in t1 (a scalar or length k), then `pair_exchange` at t - t1; shape (16,) or (k, 16)."""
+    t1 = np.asarray(t1)
+    lead = np.zeros((16,) + t1.shape, dtype=complex)
+    lead[atomic_index("egeg")] = np.cos(0.5 * t1)
+    lead[atomic_index("geeg")] = -1j * np.sin(0.5 * t1)
+    return pair_exchange(lead, t - t1).T
 
 
 def _fidelities(t: float, t1) -> np.ndarray:
@@ -109,8 +107,6 @@ def thermal_weights(nbar: float) -> np.ndarray:
         raise ValueError(f"mean photon number must be a scalar, got shape {np.shape(nbar)}")
     if not (np.isfinite(nbar) and nbar >= 0):
         raise ValueError("mean photon number must be finite and >= 0")
-    if nbar == 0:
-        return np.array([1.0])
     weights = []
     total = 0.0
     ratio = nbar / (nbar + 1.0)

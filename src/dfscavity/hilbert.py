@@ -24,6 +24,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,6 +53,8 @@ class SystemParams:
 
     H0 is written in the frame rotating at omega_a, where H0 = (delta/2) adag a
     with delta = 2*(omega - omega_a): every result depends on delta alone.
+    `perturbative_ratio` is G sqrt(n_max (n_max - 1))/|delta| at the Fock cut-off
+    n_max, not at the levels a run occupies (at most n + 2 in a validated run).
     """
 
     G: float
@@ -85,9 +88,7 @@ class SystemParams:
 
     @property
     def perturbative_ratio(self) -> float:
-        if self.G == 0:
-            return 0.0
-        return self.G * np.sqrt(self.n_max * (self.n_max - 1)) / abs(self.delta)
+        return float(self.G) * math.sqrt(self.n_max * (self.n_max - 1)) / abs(float(self.delta))
 
     @property
     def perturbative_ok(self) -> bool:
@@ -156,7 +157,7 @@ def config_labels(index: int) -> str:
 
 
 def excitation_number(config) -> int:
-    return bin(atomic_index(config)).count("1")
+    return int(np.bitwise_count(atomic_index(config)))
 
 
 def basis_index(config, n: int, n_max: int) -> int:

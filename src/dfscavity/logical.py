@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import StateVector, atomic_index
+from .hilbert import StateVector, _frozen, atomic_index
 
 # atomic image of the logical basis (|1~1~>, |1~0~>, |0~1~>, |0~0~>)
 LOGICAL_CONFIGS = ("egeg", "egge", "geeg", "gege")
@@ -30,10 +30,9 @@ class LogicalState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex)
+        amps = _frozen(self.amplitudes)
         if amps.shape != (4,):
             raise ValueError(f"expected 4 logical amplitudes, got shape {amps.shape}")
-        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
     def to_state_vector(self) -> StateVector:
@@ -49,7 +48,7 @@ def collective_phases(phi: float | np.ndarray, n_atoms: int = 4) -> np.ndarray:
     configuration; free evolution under splitting E_e - E_g for t is phi = (E_e - E_g) t
     (n_atoms = 1: the free drift of one bare atom, up to a global phase).
     Broadcasts over `phi`: the shape is phi.shape + (2**n_atoms,)."""
-    mz = np.array([bin(k).count("1") for k in range(2**n_atoms)]) - n_atoms / 2
+    mz = np.bitwise_count(np.arange(2**n_atoms)).astype(int) - n_atoms / 2
     return np.exp(-1j * np.asarray(phi)[..., None] * mz)
 
 

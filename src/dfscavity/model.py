@@ -185,7 +185,7 @@ def excitation_sector(params: SystemParams, total: int) -> ExcitationSector:
             f"validated runs need an integer 0 <= n <= n_max - 4 (intermediates plus guard levels); "
             f"got n={n}, n_max={params.n_max}"
         )
-    n_e = np.array([excitation_number(a) for a in range(N_ATOMIC_CONFIGS)])
+    n_e = np.bitwise_count(np.arange(N_ATOMIC_CONFIGS)).astype(int)
     atoms = np.flatnonzero(n_e <= total)
     levels = total - n_e[atoms]
     h0 = (params.delta / 2.0 * levels).astype(complex)

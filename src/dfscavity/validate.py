@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import evolve_times, make_propagator, pair_exchange
-from .hilbert import Operator, StateVector, SystemParams
+from .hilbert import N_ATOMIC_CONFIGS, Operator, StateVector, SystemParams
 from .model import (
     TWO_EXCITATION_CONFIGS,
     TWO_EXCITATION_LABELS,
@@ -75,7 +75,6 @@ class RabiFitError(RuntimeError):
 
 @dataclass(frozen=True)
 class ValidationRun:
-    delta_over_g: float
     omega_expected: float
     perturbative_ok: bool
     omega_fit: float = np.nan            # nan when the fit is not possible
@@ -143,8 +142,6 @@ def _lowest_since_higher(values: np.ndarray) -> np.ndarray:
 
 def _quadratic_peak_times(times: np.ndarray, series: np.ndarray) -> list[float]:
     span = float(series.max() - series.min())
-    if span == 0.0:
-        return []
     dt = times[1] - times[0]
     out = []
     for i in prominent_peaks(series, PEAK_PROMINENCE_FRACTION * span):
@@ -159,17 +156,20 @@ def fit_span(params: SystemParams, n: int) -> float:
     """The span of the exact runs' time grid, 1.5 exchange periods 3 pi/|Omega(n)|.
     Raises ValueError when the pair rate is out of range (model.effective_coupling),
     when the span lies outside FIT_SPAN_RANGE (G = 0 gives an infinite span), or when
-    the sector's largest bare phase (n+2) |delta|/2 x span is not finite (the
-    propagator's exp(-iEt) would read NaN)."""
+    eigh cannot resolve the pair dynamics: its eigenvalue error on the sector, about
+    16 eps (n+2) |delta|/2, must lie below the bright-dark splitting 6 |Omega(n)| (at
+    n = 0, delta/G up to 5.81e7 passes and 5.82e7 fails). That also keeps the largest
+    bare phase (n+2) |delta|/2 x span, and so the propagator's exp(-iEt), finite."""
     omega = abs(effective_coupling(n, params).omega)
     span = 1.5 * 2 * np.pi / omega if omega else np.inf
     if not FIT_SPAN_RANGE[0] <= span <= FIT_SPAN_RANGE[1]:
         raise ValueError(f"the fit spans 3 pi/Omega({n}) = {span} s at G = {params.G}, "
                          f"delta = {params.delta}, outside [{FIT_SPAN_RANGE[0]}, {FIT_SPAN_RANGE[1]}] s")
-    phase = abs(params.delta) / 2 * (n + 2) * span
-    if not phase < np.inf:
-        raise ValueError(f"the largest bare phase {n + 2} |delta|/2 x 3 pi/Omega({n}) = {phase} "
-                         f"at G = {params.G}, delta = {params.delta} is not finite")
+    error = N_ATOMIC_CONFIGS * np.finfo(float).eps * (n + 2) * abs(params.delta) / 2
+    if not error < 6 * omega:
+        raise ValueError(f"eigh resolves the sector's eigenvalues to 16 eps x {n + 2} |delta|/2 = {error} "
+                         f"at G = {params.G}, delta = {params.delta}, not below the pair splitting "
+                         f"6 |Omega({n})| = {6 * omega}")
     return span
 
 
@@ -179,8 +179,7 @@ def _exact_run(params: SystemParams, n: int, points: int):
     amplitudes (points, sector)). Raises ValueError unless 0 <= n <= n_max - 4 and the
     rate and span pass `fit_span`, RabiFitError when G = 0."""
     sector = excitation_sector(params, n + 2)  # the domain check, before effective_coupling
-    run = ValidationRun(delta_over_g=params.delta / params.G if params.G else np.inf,
-                        omega_expected=effective_coupling(n, params).omega,
+    run = ValidationRun(omega_expected=effective_coupling(n, params).omega,
                         perturbative_ok=params.perturbative_ok)
     if run.omega_expected == 0:
         raise RabiFitError("no oscillation to fit (G = 0)",

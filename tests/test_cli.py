@@ -509,6 +509,16 @@ class TestMainEntryPoint:
                                        f"the fit spans 3 pi/Omega(0) = {span}")
         assert captured.out == ""
 
+    def test_validate_effective_unresolved_pair_splitting_exit_two(self, tmp_path, capsys):
+        # eigh's eigenvalue error reaches the splitting 6 |Omega(0)|: the report used to carry a
+        # transfer of 1.3e-31 and a fitted rate 141 times 3 Omega(0) with no diagnostic
+        cfg, out = tmp_path / "extreme.cfg", tmp_path / "r.json"
+        cfg.write_text("delta_over_G = 1e8\n")
+        assert main(["validate-effective", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: keys 'G' and 'delta_over_G': eigh resolves the sector's eigenvalues")
+        assert not out.exists()
+
     def test_durations_cnot_time_out_of_float_range_exit_two(self, tmp_path, capsys):
         # Omega(0) = 2e-310 is finite and positive, but 7 pi |delta|/(8 G^2) overflows
         cfg = tmp_path / "extreme.cfg"

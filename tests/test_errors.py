@@ -187,6 +187,9 @@ class TestThermalAveraging:
         assert w.sum() == pytest.approx(1.0, abs=1e-9)
         assert w.sum() > 1 - 1e-9 - 1e-12
 
+    def test_weights_at_zero_nbar_are_the_vacuum(self):
+        assert np.array_equal(thermal_weights(0.0), [1.0])
+
     def test_negative_nbar_rejected(self):
         with pytest.raises(ValueError):
             fock_averaged_fidelity(-0.1)

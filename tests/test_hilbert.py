@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields
 from itertools import combinations
 
@@ -124,6 +125,17 @@ class TestSystemParams:
         assert not p.perturbative_ok
         q = SystemParams(G=1.0, delta=100.0, n_max=4)
         assert q.perturbative_ok
+
+    def test_perturbative_ratio_overflows_without_runtime_warning(self):
+        # a numpy division used to warn "overflow encountered in scalar divide"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.warns(UserWarning, match="perturbative"):
+                p = SystemParams(G=1e100, delta=1e-300, n_max=8)
+        assert p.perturbative_ratio == np.inf
+
+    def test_perturbative_ratio_zero_without_coupling(self):
+        assert SystemParams(G=0.0, delta=10.0, n_max=8).perturbative_ratio == 0.0
 
 
 class TestBasisIndexing:

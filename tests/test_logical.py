@@ -28,6 +28,11 @@ class TestCodec:
         assert psi.amplitude("egeg") == pytest.approx(1 / np.sqrt(2))
         assert psi.amplitude("geeg") == pytest.approx(1 / np.sqrt(2))
 
+    def test_amplitudes_read_only(self):
+        state = LogicalState([1, 0, 0, 0])
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes[0] = 0.0
+
     def test_embedding_lands_exactly_on_named_states(self):
         psi = LogicalState(np.array([0.5, 0.5, 0.5, 0.5])).to_state_vector()
         assert psi.n_max == 0

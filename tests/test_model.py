@@ -131,8 +131,7 @@ class TestEffectiveCoupling:
         (1e100, 1e-300, "inf"),   # the quotient overflows: used to return inf
     ])
     def test_rate_out_of_float_range_rejected(self, G, delta, rate):
-        with np.errstate(over="ignore"):  # SystemParams' perturbative ratio overflows at 1e100/1e-300
-            params = SystemParams(G=G, delta=delta, n_max=4)
+        params = SystemParams(G=G, delta=delta, n_max=4)
         with pytest.raises(ValueError) as err:
             effective_coupling(0, params)
         assert str(err.value) == (f"the pair rate 2 G^2/|delta| at G = {G}, delta = {delta} "

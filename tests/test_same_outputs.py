@@ -55,7 +55,7 @@ def test_produce_records_every_exit_code(tmp_path, monkeypatch):
     names = module.produce(tree, tmp_path / "out")
     assert names[-1] == "exit-codes.txt"
     lines = (tmp_path / "out" / "exit-codes.txt").read_text().splitlines()
-    assert len(lines) == len(names) - 1 == 64 + 12 + 10 + 1
+    assert len(lines) == len(names) - 1 == 64 + 12 + 11 + 1
     assert "config-error-cnot-time-overflow.txt 0" in lines
     assert lines[0] == "entangle-seed0.json 0"
     assert "validate-effective-seed0.json 1" in lines

@@ -17,6 +17,7 @@ from dfscavity.validate import (
     RABI_FIT_POINTS,
     RabiFitError,
     _exact_run,
+    _quadratic_peak_times,
     compare_effective_models,
     effective_difference_entries,
     extract_rabi,
@@ -180,14 +181,29 @@ class TestCompareEffectiveModels:
     (1e-100, 1e210, r"the fit spans 3 pi/Omega\(0\) = inf"),
     # the squared times underflow: the Stark-phase polyfit raised LinAlgError
     (1e100, 1e-150, r"the fit spans 3 pi/Omega\(0\) = 4.712"),
-    # (delta/2) 2 x 3 pi/Omega(0) overflows: the unitarity defect read NaN
-    (1e100, 1e154, r"the largest bare phase 2 \|delta\|/2 x 3 pi/Omega\(0\) = inf"),
+    # the bare phase (delta/2) 2 x 3 pi/Omega(0) overflowed: the unitarity defect read NaN
+    (1e100, 1e154, r"eigh resolves the sector's eigenvalues to 16 eps x 2 \|delta\|/2 = 3.55\d*e\+239"),
+    # eigh's error reaches the splitting: the transfer read 1.3e-31 and omega_fit 141 x 3 Omega(0)
+    (1.0, 1e8, r"eigh resolves the sector's eigenvalues to 16 eps x 2 \|delta\|/2 = 3.55\d*e-07 at G = 1.0, "
+               r"delta = 100000000.0, not below the pair splitting 6 \|Omega\(0\)\| = 1.2"),
 ])
 def test_exact_run_grid_out_of_float_range_rejected(G, ratio, message):
     params = SystemParams(G=G, delta=G * ratio, n_max=8)
     for call in (fit_span, forced_rabi_fit, compare_effective_models):
         with pytest.raises(ValueError, match=message):
             call(params, 0)
+
+
+@pytest.mark.parametrize("G", [1e-3, 1.0, 2 * np.pi * 47e3])
+def test_fit_span_resolution_boundary(G):
+    # 16 eps x 2 |delta|/2 < 6 |Omega(0)| = 12 G^2/|delta| holds up to delta/G = sqrt(0.75/eps)
+    fit_span(SystemParams(G=G, delta=5.81e7 * G), 0)
+    with pytest.raises(ValueError, match="eigh resolves"):
+        fit_span(SystemParams(G=G, delta=5.82e7 * G), 0)
+
+
+def test_quadratic_peak_times_of_flat_series_is_empty():
+    assert _quadratic_peak_times(np.linspace(0.0, 1.0, 50), np.full(50, 0.3)) == []
 
 
 def test_fit_span_is_the_exact_run_grid():
