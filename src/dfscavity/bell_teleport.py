@@ -5,10 +5,11 @@ The four Bell states carry +-i relative phases:
 
     Phi+- = (|egeg> +- i |gege>)/sqrt2,   Psi+- = (|egge> +- i |geeg>)/sqrt2.
 
-A pair-exchange pulse of area pi/4 maps them onto distinct product states
-(Phi+ -> |egeg>, Phi- -> -i|gege>, Psi+ -> |egge>, Psi- -> -i|geeg>), so
-individual atom readout identifies each Bell state; the -i phases are global
-per measurement branch and are absorbed into the outcome -> correction table.
+A pair-exchange pulse of area pi/4 (`dynamics.pair_exchange`, the closed form
+of every four-atom pulse) maps them onto distinct product states (Phi+ ->
+|egeg>, Phi- -> -i|gege>, Psi+ -> |egge>, Psi- -> -i|geeg>), so individual atom
+readout identifies each Bell state; the -i phases are global per measurement
+branch and are absorbed into the outcome -> correction table.
 
 Teleportation: Alice holds the logical input on atoms (a1,a2) and half of a
 logical Phi+ channel on (a3,a4); Bob holds (b1,b2). Alice applies the pi/4
@@ -26,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .gates import r_gate_atomic
+from .dynamics import pair_exchange
 from .hilbert import StateVector, atomic_index, config_labels
 from .logical import collective_phases
 
@@ -71,8 +72,6 @@ def prepare_bell(label: BellLabel) -> StateVector:
     return StateVector(amps, 0)
 
 
-# the pi/4 pair-exchange map on the 16-dim atomic space
-BELL_MAP = r_gate_atomic(BELL_MAP_PULSE_AREA).matrix
 # the logical Phi+ channel that teleport shares between Alice (a3, a4) and Bob (b1, b2);
 # rows index alice's pair, columns bob's
 _PHI_PLUS_CHANNEL = prepare_bell(BellLabel.PHI_PLUS).amplitudes.reshape(4, 4)
@@ -88,7 +87,7 @@ class BellBranch:
 def enumerate_bell_branches(psi: StateVector) -> tuple[BellBranch, ...]:
     """All measurement branches of the Bell-discrimination map with probability
     above _BRANCH_ATOL, deterministic."""
-    mapped = BELL_MAP @ psi.amplitudes
+    mapped = pair_exchange(psi.amplitudes, BELL_MAP_PULSE_AREA)
     probs = np.abs(mapped) ** 2
     branches = []
     for cfg in range(16):
@@ -233,10 +232,10 @@ def teleport(theta: float | np.ndarray, delay: float | np.ndarray = 0.0, encodin
                          for lab in BellLabel)
     else:
         psi_in = _input_pair_state(theta)                  # atoms (a1, a2), (..., 4)
-        # composite order (a1 a2 a3 a4 b1 b2): alice's four atoms are the top
-        # bits, so rows index alice configs and columns bob's pair
+        # composite order (a1 a2 a3 a4 b1 b2): rows index alice's 16 configs, columns bob's
+        # pair; the Bell map acts on the rows (swapped to axis 0 for pair_exchange), once per theta
         joint = (psi_in[..., :, None, None] * _PHI_PLUS_CHANNEL).reshape(psi_in.shape[:-1] + (16, 4))
-        mapped = BELL_MAP @ joint                          # Bell map on alice only, once per theta
+        mapped = pair_exchange(joint.swapaxes(0, -2), BELL_MAP_PULSE_AREA).swapaxes(0, -2)
 
         free = collective_phases(atom_splitting * delay, 2)
         dephase = None if dephase_phi is None else collective_phases(dephase_phi, 2)

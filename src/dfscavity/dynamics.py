@@ -65,9 +65,9 @@ def _series(w: np.ndarray, v: np.ndarray, amplitudes: np.ndarray, times: np.ndar
 
 @dataclass(frozen=True, eq=False)
 class Propagator:
-    """exp(-i h t) for one duration, with the spectrum (w, v) of h it was built from."""
+    """exp(-i h t) for one duration, as an array, with the spectrum (w, v) of h it was built from."""
 
-    unitary: Operator
+    unitary: np.ndarray
     spectrum: tuple[np.ndarray, np.ndarray]
 
     def series(self, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -80,7 +80,7 @@ def make_propagator(h: Operator, t: float) -> Propagator:
     """exp(-i h t) via eigendecomposition of the hermitian generator."""
     w, v = _spectrum(h)
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    return Propagator(unitary=Operator(u), spectrum=(w, v))
+    return Propagator(unitary=u, spectrum=(w, v))
 
 
 def evolve_exact(h: Operator, psi: StateVector, t: float) -> StateVector:
@@ -102,19 +102,18 @@ _PARTNERS = np.array([pair_partner(c) for c in TWO_EXCITATION_CONFIGS])
 _SUPPORT_ATOL = 1e-12  # largest amplitude dfs_propagate accepts off the six configurations
 
 
-def _two_excitation_support_ok(psi: StateVector) -> bool:
-    return float(np.max(np.abs(np.delete(psi.amplitudes, _ROWS)))) <= _SUPPORT_ATOL
-
-
 def pair_exchange(block: np.ndarray, pulse_area: float | np.ndarray) -> np.ndarray:
-    """The closed-form pair-exchange map on the rows of a (16,) or (16, k) array:
+    """The closed-form pair-exchange map on the rows (axis 0) of a (16, ...) array:
 
         |c> -> cos(area) |c> - i sin(area) |c_bar>
 
     for each of the six two-excitation configurations c and its complement
     c_bar; every other row passes through unchanged. `pulse_area` is a scalar
-    or, for a (16, k) block, a length-k array (one area per column).
+    or, for a (16, k) block, a length-k array (one area per column). Raises
+    ValueError for a non-finite area.
     """
+    if not np.isfinite(pulse_area).all():
+        raise ValueError("pulse area must be finite")
     out = np.array(block, dtype=complex)
     out[_ROWS] = np.cos(pulse_area) * block[_ROWS] - 1j * np.sin(pulse_area) * block[_PARTNERS]
     return out
@@ -124,6 +123,6 @@ def dfs_propagate(psi: StateVector, pulse_area: float) -> StateVector:
     """`pair_exchange` on the 16 atomic amplitudes. Exactly unitary; errors
     if psi has support outside the six two-excitation configurations.
     """
-    if not _two_excitation_support_ok(psi):
+    if float(np.max(np.abs(np.delete(psi.amplitudes, _ROWS)))) > _SUPPORT_ATOL:
         raise ValueError("state has support outside the six two-excitation configurations")
     return StateVector(pair_exchange(psi.amplitudes, pulse_area))

@@ -15,10 +15,10 @@ scheme's 0.98 operating bound is stated for this amplitude form, so it is
 the primary figure and the squared value is reported alongside.
 
 `staggered_fidelity` and `stagger_sweep` take the inner product through one
-array kernel: the ideal output once (it depends only on the pulse area), the
-staggered states as one (k, 16) array (the lone pair's exchange, then
-`dynamics.pair_exchange` at the areas t - t1), and the fidelities as one product
-with the conjugated ideal state. The closed form is one array expression,
+array kernel: the staggered states as one (k, 16) array (the lone pair's
+exchange, then `dynamics.pair_exchange` at the areas t - t1), the ideal output
+once as the kernel's state at t1 = 0, and the fidelities as one product with
+the conjugated ideal state. The closed form is one array expression,
 which the stagger-sweep report checks against every row.
 """
 
@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import dfs_propagate, pair_exchange
+from .dynamics import pair_exchange
 from .gates import R_PULSE_AREA
-from .hilbert import StateVector, atomic_index
+from .hilbert import atomic_index
 
 MAX_THERMAL_SECTORS = 100_001
 THERMAL_TAIL = 1e-9  # thermal_weights stops once the cumulative weight exceeds 1 - THERMAL_TAIL
@@ -45,6 +45,8 @@ class StaggerParams:
     t1: float
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.t):
+            raise ValueError("pulse area must be finite")
         if not 0 <= self.t1 <= self.t:
             raise ValueError(f"need 0 <= t1 <= t, got t1={self.t1}, t={self.t}")
 
@@ -61,8 +63,8 @@ def _staggered_amplitudes(t: float, t1) -> np.ndarray:
 
 def _fidelities(t: float, t1) -> np.ndarray:
     """|<ideal|staggered>| for a pulse of duration t and each lead time in t1,
-    shape t1.shape; the ideal output is pair exchange at area Omega t = t from |egeg>."""
-    ideal = dfs_propagate(StateVector.basis_state("egeg"), t).amplitudes
+    shape t1.shape; the ideal output, pair exchange at area t from |egeg>, is the t1 = 0 state."""
+    ideal = _staggered_amplitudes(t, 0.0)
     return np.abs(_staggered_amplitudes(t, t1) @ ideal.conj())
 
 
@@ -85,8 +87,10 @@ def stagger_sweep(t1_fractions,
                   pulse_area: float = R_PULSE_AREA) -> tuple[tuple[float, float, float], ...]:
     """Rows of (t1/t, amplitude fidelity, squared fidelity) for a pulse of
     the given area, which is its duration t in units of 1/Omega, in the
-    order of `t1_fractions`. Raises ValueError at the first fraction outside
-    [0, 1] (or NaN), or whose lead time StaggerParams rejects."""
+    order of `t1_fractions`. Raises ValueError for a non-finite area, at the first
+    fraction outside [0, 1] (or NaN), or whose lead time StaggerParams rejects."""
+    if not np.isfinite(pulse_area):
+        raise ValueError("pulse area must be finite")
     fractions = np.asarray(t1_fractions, dtype=float)
     t1 = fractions * pulse_area
     bad = ~((0 <= fractions) & (fractions <= 1) & (0 <= t1) & (t1 <= pulse_area))
@@ -135,7 +139,7 @@ def fock_averaged_fidelity(nbar: float | np.ndarray,
 
         F = 1/2 + 1/2 Re[1 / ((nbar+1) - nbar e^{4iA})].
 
-    `thermal_weights` with `dfs_propagate` is the sector-by-sector oracle.
+    `thermal_weights` with `dynamics.dfs_propagate` is the sector-by-sector oracle.
     Broadcasts over `nbar`: an array gives the array of averages. Rejects a
     NaN, infinite or negative `nbar` and a non-finite area (ValueError).
     """

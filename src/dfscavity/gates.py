@@ -16,9 +16,11 @@ sign passes in both orders and "-" in neither, with all four truth-table
 output phases exactly -1 (the compiled unitary is -CNOT, so it squares to
 the identity).
 
-A composition builds each distinct gate once (the search: once per P sign,
-for both orders) and lifts a pair gate to the atomic space as one broadcast
-product, np.kron with the identity on the other pair. The search keeps each
+Gates and products are plain arrays; only the logical block that
+`verify_truth_table` checks is an `Operator`. A composition builds each
+distinct gate once (the search: once per P sign, for both orders) and lifts a
+pair gate to the atomic space as one broadcast product, np.kron with the
+identity on the other pair. The search keeps each
 candidate's atomic product; cnot-verify searches once and `_first_passing`,
 shared with `compile_cnot`, picks the convention, report and product from it.
 """
@@ -92,8 +94,8 @@ def _check_pair(pair) -> tuple[int, int]:
     return pair
 
 
-def h_gate(pair) -> Operator:
-    """H on a pair's two-atom space (basis gg, ge, eg, ee)."""
+def h_gate(pair) -> np.ndarray:
+    """H on a pair's two-atom space (basis gg, ge, eg, ee), a 4x4 array."""
     _check_pair(pair)
     u = np.eye(4, dtype=complex)
     c = 1 / np.sqrt(2)
@@ -101,23 +103,23 @@ def h_gate(pair) -> Operator:
     u[_PAIR_GE, _PAIR_EG] = -1j * c
     u[_PAIR_GE, _PAIR_GE] = c
     u[_PAIR_EG, _PAIR_GE] = -1j * c
-    return Operator(u)
+    return u
 
 
-def p_gate(pair, sign: int = +1) -> Operator:
-    """pi/2 phase on |eg> of the pair; sign picks e^{+i pi/2} or e^{-i pi/2}."""
+def p_gate(pair, sign: int = +1) -> np.ndarray:
+    """pi/2 phase on |eg> of the pair, a 4x4 array; sign picks e^{+i pi/2} or e^{-i pi/2}."""
     _check_pair(pair)
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     u = np.eye(4, dtype=complex)
     u[_PAIR_EG, _PAIR_EG] = np.exp(1j * sign * P_PHASE)
-    return Operator(u)
+    return u
 
 
-def r_gate_atomic(pulse_area: float = R_PULSE_AREA) -> Operator:
-    """R on the full 16-dim atomic space: pair-exchange rotation on the six
-    two-excitation configurations, identity elsewhere."""
-    return Operator(pair_exchange(np.eye(16, dtype=complex), pulse_area))
+def r_gate_atomic(pulse_area: float = R_PULSE_AREA) -> np.ndarray:
+    """R on the full 16-dim atomic space, a 16x16 array: pair-exchange rotation
+    on the six two-excitation configurations, identity elsewhere."""
+    return pair_exchange(np.eye(16, dtype=complex), pulse_area)
 
 
 def _logical_block(u16: np.ndarray) -> np.ndarray:
@@ -143,13 +145,13 @@ def cnot_gate_list() -> tuple[GateDescriptor, ...]:
 
 def _gate_atomic(gate: GateDescriptor, p_sign: int) -> np.ndarray:
     if gate.kind == "R":
-        return r_gate_atomic(gate.pulse_area).matrix
+        return r_gate_atomic(gate.pulse_area)
     if gate.kind == "H":
-        u4 = h_gate(gate.target).matrix
+        u4 = h_gate(gate.target)
     elif gate.kind == "P":
-        u4 = p_gate(gate.target, p_sign).matrix
+        u4 = p_gate(gate.target, p_sign)
     elif gate.kind == "P_inv":
-        u4 = p_gate(gate.target, -p_sign).matrix
+        u4 = p_gate(gate.target, -p_sign)
     else:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
     eye = np.eye(4, dtype=complex)
@@ -176,16 +178,16 @@ def _product(gates, application_order: str, mats: dict[GateDescriptor, np.ndarra
     return u
 
 
-def sequence_unitary_atomic(seq: PulseSequence) -> Operator:
-    """The sequence on the 16-dim atomic space (for code-space-preservation
+def sequence_unitary_atomic(seq: PulseSequence) -> np.ndarray:
+    """The sequence on the 16-dim atomic space as an array (for code-space
     checks); cavity factored out as everywhere in the effective model."""
     conv = seq.convention
-    return Operator(_product(seq.gates, conv.application_order, _gate_matrices(seq.gates, conv.p_sign)))
+    return _product(seq.gates, conv.application_order, _gate_matrices(seq.gates, conv.p_sign))
 
 
 def sequence_unitary_logical(seq: PulseSequence) -> Operator:
-    """The code-space block of `sequence_unitary_atomic`."""
-    return Operator(_logical_block(sequence_unitary_atomic(seq).matrix))
+    """The code-space block of `sequence_unitary_atomic`, an `Operator` for `verify_truth_table`."""
+    return Operator(_logical_block(sequence_unitary_atomic(seq)))
 
 
 def verify_truth_table(u: Operator, prob_tol: float = 1e-10) -> TruthTableReport:

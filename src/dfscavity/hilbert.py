@@ -99,7 +99,7 @@ class SystemParams:
 class Operator:
     """Read-only complex square matrix, compared and hashed by identity. `hermitian`
     (max|M - M^H| < HERMITIAN_ATOL) and `unitary` (max|M^H M - I| < UNITARY_ATOL)
-    are checked on first access and cached."""
+    are checked on first access and cached; built only where a check is read."""
 
     matrix: np.ndarray
 

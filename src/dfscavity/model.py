@@ -21,16 +21,16 @@ diagonal (Stark) term.
 
 H conserves n_e + n (atomic excitations plus photons), so `excitation_sector`
 gives the exact model on the at most 16 states with n_e + n = total (their
-indices and Fock levels, the H0/Hint blocks and the local indices of the six
-two-excitation states), built from closed-form entries at a cost independent
-of n_max. The dense
+indices and Fock levels, their bare energies, the Hint block and the local
+indices of the six two-excitation states), built from closed-form entries at
+a cost independent of n_max. The dense
 `build_h0`/`build_hint`/`build_full_hamiltonian` use the same formulas on the
 whole space (the pair pattern from bits of the configuration index, the a^2
 entries sqrt(m-1) sqrt(m)); the tests check both against Kronecker products.
 
 `derive_second_order` is the independent oracle for all of the above: given
-the basis indices of a degenerate manifold, it reads their energy off H0 and
-sums over every intermediate outside the manifold,
+the bare energies (the diagonal of H0), Hint and the basis indices of a
+degenerate manifold, it sums over every intermediate outside the manifold,
 
     Heff[m, m'] = sum_{k not in M} <m|Hint|k><k|Hint|m'> / (E_k - E_m),
 
@@ -159,22 +159,23 @@ def two_excitation_manifold(params: SystemParams, n: int) -> tuple[int, ...]:
 @dataclass(frozen=True, eq=False)
 class ExcitationSector:
     """The states |a, m> with n_e(a) + m = total and 0 <= m <= n_max, in ascending
-    composite index, with the H0 and Hint blocks on them. H conserves n_e + m, so
-    the exact dynamics from |egeg, total - 2> never leaves these at most 16 states,
-    whatever n_max is (Tavis & Cummings, Phys. Rev. 170, 379 (1968))."""
+    composite index, with their bare energies (H0 = np.diag(energies)) and Hint block.
+    H conserves n_e + m, so the exact dynamics from |egeg, total - 2> never leaves
+    these at most 16 states, whatever n_max is (Tavis & Cummings, Phys. Rev. 170,
+    379 (1968))."""
 
     indices: np.ndarray  # composite basis indices
     levels: np.ndarray   # Fock level m of each state
-    h0: Operator
-    hint: Operator
+    energies: np.ndarray  # bare energy (delta/2) m of each state, real
+    hint: np.ndarray
     manifold: tuple[int, ...]  # local indices of `two_excitation_manifold` at n = total - 2
 
 
 def excitation_sector(params: SystemParams, total: int) -> ExcitationSector:
     """The sector n_e + m = total around the two-excitation manifold at n = total - 2,
     built from formulas: H0 energies (delta/2) m, and the atomic pair products times
-    the a^2 entries sqrt(m-1) sqrt(m), so its blocks equal the dense slices of
-    `build_h0` and `build_hint` exactly at a cost independent of n_max.
+    the a^2 entries sqrt(m-1) sqrt(m), so its energies and Hint block equal the dense
+    slices of `build_h0` and `build_hint` exactly at a cost independent of n_max.
 
     Raises ValueError unless n is an integer with 0 <= n <= n_max - 4: the sector then
     reaches m = n + 2 at most and stays clear of the two guard levels below the cut.
@@ -188,58 +189,52 @@ def excitation_sector(params: SystemParams, total: int) -> ExcitationSector:
     n_e = np.bitwise_count(np.arange(N_ATOMIC_CONFIGS)).astype(int)
     atoms = np.flatnonzero(n_e <= total)
     levels = total - n_e[atoms]
-    h0 = (params.delta / 2.0 * levels).astype(complex)
     # a^2 |m> = sqrt(m-1) sqrt(m) |m-2>; the pair pattern keeps only m-2 -> m
     x = _pair_raising()[np.ix_(atoms, atoms)] * (np.sqrt(np.maximum(levels - 1, 0)) * np.sqrt(levels))
     indices = atoms * (params.n_max + 1) + levels
     return ExcitationSector(
         indices=indices, levels=levels,
-        h0=Operator(np.diag(h0)), hint=Operator(params.G * (x + x.conj().T)),
+        energies=params.delta / 2.0 * levels, hint=params.G * (x + x.conj().T),
         manifold=tuple(np.searchsorted(indices, two_excitation_manifold(params, n)).tolist()),
     )
 
 
-def derive_second_order(h0: Operator, hint: Operator, members: tuple[int, ...]) -> Operator:
-    """Second-order effective operator on the degenerate manifold `members` (basis indices).
+def derive_second_order(energies: np.ndarray, hint: np.ndarray, members: tuple[int, ...]) -> np.ndarray:
+    """Second-order effective operator on the degenerate manifold `members` (basis
+    indices), as a len(members) square array; `energies` are the bare energies, the
+    diagonal of H0 in the same basis as the square array `hint`.
 
     Sums over ALL intermediates outside the manifold (it is the independent
     oracle; cherry-picking intermediates would make validation circular).
     Diagonal (Stark) entries are included.
 
-    Raises ValueError if h0 is not diagonal, the members differ in energy,
-    or hint has matrix elements inside the manifold.
+    Raises ValueError if the members differ in energy, or hint has matrix
+    elements inside the manifold.
     """
-    h0m = h0.matrix
-    offdiag = h0m - np.diag(np.diag(h0m))
-    if np.max(np.abs(offdiag)) > HERMITIAN_ATOL * max(1.0, np.max(np.abs(h0m))):
-        raise ValueError("h0 must be diagonal in the computational basis")
-    energies = np.real(np.diag(h0m))
     e_m = energies[list(members)]
     energy = e_m[0]
     if np.max(np.abs(e_m - energy)) > 1e-9 * max(1.0, abs(energy)):
         raise ValueError(f"manifold is not degenerate: energies {e_m}")
-    v = hint.matrix
-    intra = v[np.ix_(members, members)]
-    if np.max(np.abs(intra)) > HERMITIAN_ATOL * max(1.0, np.max(np.abs(v))):
+    intra = hint[np.ix_(members, members)]
+    if np.max(np.abs(intra)) > HERMITIAN_ATOL * max(1.0, np.max(np.abs(hint))):
         raise ValueError("hint has nonzero matrix elements inside the manifold")
-    outside = np.setdiff1d(np.arange(h0.dim), members)
-    v_mo = v[np.ix_(members, outside)]
-    v_om = v[np.ix_(outside, members)]
+    outside = np.setdiff1d(np.arange(len(energies)), members)
+    v_mo = hint[np.ix_(members, outside)]
+    v_om = hint[np.ix_(outside, members)]
     denom = energies[outside] - energy
     coupled = np.abs(v_om).max(axis=1) > 0
     if np.any(np.abs(denom[coupled]) == 0):
         raise ValueError("intermediate state degenerate with the manifold")
     weights = np.zeros_like(denom)
     weights[coupled] = 1.0 / denom[coupled]
-    heff = v_mo @ (weights[:, None] * v_om)
-    return Operator(heff)
+    return v_mo @ (weights[:, None] * v_om)
 
 
 def derived_coupling(params: SystemParams, n: int) -> EffectiveCoupling:
     """Omega obtained from the PT engine's egeg<->gege element (oracle route)."""
     sector = excitation_sector(params, n + 2)
-    heff = derive_second_order(sector.h0, sector.hint, sector.manifold)
+    heff = derive_second_order(sector.energies, sector.hint, sector.manifold)
     i = TWO_EXCITATION_LABELS.index("egeg")
     j = TWO_EXCITATION_LABELS.index("gege")
-    return EffectiveCoupling(omega=float(np.real(heff.matrix[i, j])))
+    return EffectiveCoupling(omega=float(np.real(heff[i, j])))
 

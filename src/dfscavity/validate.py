@@ -20,7 +20,7 @@ n_e + m = n + 2 (model.excitation_sector, at most 16 states at any n_max),
 the grid over 1.5 exchange periods (RABI_FIT_POINTS or COMPARISON_POINTS
 times) and the series of |egeg, n> = manifold[0] from one eigh of H0 + Hint.
 compare_effective_models derives the second-order operator once, from the
-sector's h0, hint and manifold, and takes its (row, col, value) difference
+sector's energies, hint and manifold, and takes its (row, col, value) difference
 entries from it.
 Both need 0 <= n <= n_max - 4, so the sector stops at m = n + 2 <= n_max - 2
 and the guard occupation is 0 by construction.
@@ -188,7 +188,7 @@ def _exact_run(params: SystemParams, n: int, points: int):
     times = np.linspace(0.0, t_max, points)
     psi0 = np.zeros(len(sector.indices), dtype=complex)
     psi0[sector.manifold[0]] = 1.0  # |egeg, n>
-    propagator = make_propagator(Operator(sector.h0.matrix + sector.hint.matrix), t_max)  # one eigh
+    propagator = make_propagator(Operator(np.diag(sector.energies) + sector.hint), t_max)  # one eigh
     return run, sector, times, propagator, propagator.series(psi0, times)
 
 
@@ -222,7 +222,7 @@ def extract_rabi(params: SystemParams, n: int = 0,
     stark_fit = -float(np.polyfit(times, phase, 1)[0])
 
     u = propagator.unitary
-    unde = float(np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(u.dim))))
+    unde = float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
     norm_defect = float(np.max(np.abs(np.sqrt(totals) - 1.0)))
 
     peak_times = _quadratic_peak_times(times, p_gege)
@@ -297,7 +297,7 @@ def effective_difference_entries(params: SystemParams,
     """Nonzero entries, as (row, col, value), of (PT-derived second-order operator)
     minus (double-flip-only effective operator) on the two-excitation manifold."""
     sector = excitation_sector(params, n + 2)
-    derived = derive_second_order(sector.h0, sector.hint, sector.manifold).matrix
+    derived = derive_second_order(sector.energies, sector.hint, sector.manifold)
     return _difference_entries(derived, build_h_eff(params, n, include_stark=False))
 
 
@@ -313,7 +313,7 @@ def compare_effective_models(params: SystemParams, n: int = 0) -> EffectiveModel
     h_pair_swap = build_h_eff(params, n, include_stark=False)
     amps_pair_swap = evolve_times(h_pair_swap, psi_atomic, times)  # (t, 16)
 
-    derived6 = derive_second_order(sector.h0, sector.hint, sector.manifold).matrix
+    derived6 = derive_second_order(sector.energies, sector.hint, sector.manifold)
     derived16 = np.zeros((16, 16), dtype=complex)
     derived16[np.ix_(_COLS, _COLS)] = derived6
     amps_derived = evolve_times(Operator(derived16), psi_atomic, times)

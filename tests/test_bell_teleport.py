@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dfscavity.bell_teleport import (
+    BELL_MAP_PULSE_AREA,
     CORRECTION_TABLE,
     BellLabel,
     bell_measure,
@@ -9,7 +10,9 @@ from dfscavity.bell_teleport import (
     prepare_bell,
     teleport,
 )
-from dfscavity.hilbert import StateVector
+from dfscavity.gates import r_gate_atomic
+from dfscavity.hilbert import StateVector, config_labels
+from dfscavity.model import TWO_EXCITATION_CONFIGS
 
 
 class TestBellStates:
@@ -41,6 +44,22 @@ class TestBellDiscrimination:
         for label, outcome in expected.items():
             _, record = bell_measure(prepare_bell(label))
             assert "".join(record.outcomes) == outcome
+
+    def test_branches_equal_the_dense_pulse_bit_for_bit(self):
+        # the map is pair_exchange at pi/4; the dense 16x16 R pulse at that area gives
+        # the same branch probabilities, bit for bit, on Bell and random inputs
+        r = r_gate_atomic(BELL_MAP_PULSE_AREA)
+        rng = np.random.default_rng(23)
+        states = [prepare_bell(label).amplitudes for label in BellLabel]
+        for _ in range(50):
+            amps = np.zeros(16, dtype=complex)
+            amps[list(TWO_EXCITATION_CONFIGS)] = rng.normal(size=6) + 1j * rng.normal(size=6)
+            states.append(amps / np.linalg.norm(amps))
+        for amps in states:
+            probs = np.abs(r @ amps) ** 2
+            expected = [(config_labels(c), float(probs[c])) for c in range(16) if probs[c] > 1e-15]
+            branches = enumerate_bell_branches(StateVector(amps, 0))
+            assert [("".join(b.outcomes), b.probability) for b in branches] == expected
 
     def test_superposition_branch_statistics(self):
         # (Phi+ + Psi+)/sqrt2: each identified with probability 1/2

@@ -181,12 +181,12 @@ class TestEvolveExact:
         amps = one_hot("gege", 1, params.n_max)
         dense = make_propagator(h_full, times[-1]).series(amps, times)
         for k, t in enumerate(times):
-            np.testing.assert_allclose(dense[k], make_propagator(h_full, t).unitary.matrix @ amps, atol=1e-12)
+            np.testing.assert_allclose(dense[k], make_propagator(h_full, t).unitary @ amps, atol=1e-12)
 
     def test_propagator_unitarity(self, params):
         h = build_full_hamiltonian(params)
         prop = make_propagator(h, 5.0)
-        assert prop.unitary.unitary
+        assert Operator(prop.unitary).unitary
 
 
 class TestDfsPropagate:
@@ -212,6 +212,16 @@ class TestDfsPropagate:
         out = dfs_propagate(StateVector.basis_state("egeg"), 3 * np.pi / 4)
         assert out.amplitude("egeg") == pytest.approx(-1 / np.sqrt(2), abs=1e-14)
         assert out.amplitude("gege") == pytest.approx(-1j / np.sqrt(2), abs=1e-14)
+
+    @pytest.mark.parametrize("area", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pulse_area_rejected(self, area):
+        # used to return NaN amplitudes (with a RuntimeWarning except at NaN)
+        with pytest.raises(ValueError, match="pulse area must be finite"):
+            dfs_propagate(StateVector.basis_state("egeg"), area)
+        with pytest.raises(ValueError, match="pulse area must be finite"):
+            pair_exchange(np.eye(16, dtype=complex), area)
+        with pytest.raises(ValueError, match="pulse area must be finite"):
+            pair_exchange(np.eye(16, 3, dtype=complex), np.array([0.3, area, 1.0]))
 
     def test_support_outside_manifold_rejected(self):
         psi = StateVector.basis_state("eggg")

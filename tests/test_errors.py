@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from dfscavity.errors import (
     THERMAL_TAIL,
     StaggerParams,
     _closed_form,
+    _fidelities,
     _staggered_amplitudes,
     fock_averaged_fidelity,
     stagger_sweep,
@@ -49,6 +52,24 @@ class TestStaggeredState:
     def test_lead_exceeding_total_rejected(self):
         with pytest.raises(ValueError):
             StaggerParams(t=1.0, t1=1.5)
+
+    def test_ideal_output_is_the_kernel_at_no_lead_bit_for_bit(self):
+        # the fidelities take the ideal state from the kernel at t1 = 0, which is the
+        # dfs_propagate route exactly
+        rng = np.random.default_rng(41)
+        for t in [0.0, AREA_R, np.pi, *rng.uniform(0.0, 20.0, size=20)]:
+            assert np.array_equal(_staggered_amplitudes(t, 0.0), ideal_output(t))
+            t1 = rng.uniform(0.0, t, size=4)
+            expected = np.abs(_staggered_amplitudes(t, t1) @ ideal_output(t).conj())
+            assert np.array_equal(_fidelities(t, t1), expected)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_duration_rejected(self, t):
+        # staggered_fidelity used to return NaN with a RuntimeWarning
+        with pytest.raises(ValueError, match="pulse area must be finite"):
+            StaggerParams(t=t, t1=1.0)
+        with pytest.raises(ValueError, match="pulse area must be finite"):
+            StaggerParams(t=t, t1=0.0)
 
     def test_lambda_is_half_omega(self):
         # times are in units of 1/Omega: a lead of pi swaps the lone pair fully
@@ -128,6 +149,15 @@ class TestStaggerSweep:
     def test_first_bad_fraction_is_named(self, fractions, named):
         with pytest.raises(ValueError, match=rf"t1 fraction must lie in \[0, 1\], got {named}$"):
             stagger_sweep(fractions)
+
+    @pytest.mark.parametrize("area", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pulse_area_rejected(self, area):
+        # used to return NaN rows, with a RuntimeWarning from fraction 0 x inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fractions in ([0.5], [0.0, 0.5], []):
+                with pytest.raises(ValueError, match="pulse area must be finite"):
+                    stagger_sweep(fractions, pulse_area=area)
 
     def test_negative_pulse_area_rejected_by_stagger_params(self):
         with pytest.raises(ValueError, match="need 0 <= t1 <= t"):

@@ -35,7 +35,7 @@ PAIR_GE, PAIR_EG = 1, 2  # pair-space indices (basis gg, ge, eg, ee)
 
 class TestHGate:
     def test_defining_transformation(self):
-        u = h_gate((1, 2)).matrix
+        u = h_gate((1, 2))
         col = u[:, PAIR_EG]
         assert col[PAIR_EG] == pytest.approx(1 / np.sqrt(2))
         assert col[PAIR_GE] == pytest.approx(-1j / np.sqrt(2))
@@ -44,17 +44,17 @@ class TestHGate:
         assert col[PAIR_EG] == pytest.approx(-1j / np.sqrt(2))
 
     def test_identity_on_gg_and_ee(self):
-        u = h_gate((3, 4)).matrix
+        u = h_gate((3, 4))
         assert u[0, 0] == 1.0 and u[3, 3] == 1.0
 
     def test_square_maps_eg_to_minus_i_ge(self):
-        u = h_gate((1, 2)).matrix
+        u = h_gate((1, 2))
         out = (u @ u)[:, PAIR_EG]
         assert out[PAIR_GE] == pytest.approx(-1j, abs=1e-14)
         assert abs(out[PAIR_EG]) < 1e-14
 
     def test_fourth_power_is_minus_identity_on_code_span(self):
-        u = h_gate((1, 2)).matrix
+        u = h_gate((1, 2))
         u4 = np.linalg.matrix_power(u, 4)
         sub = u4[np.ix_([PAIR_GE, PAIR_EG], [PAIR_GE, PAIR_EG])]
         np.testing.assert_allclose(sub, -np.eye(2), atol=1e-14)
@@ -66,22 +66,22 @@ class TestHGate:
 
 class TestPGate:
     def test_plus_sign_phases_eg_only(self):
-        u = p_gate((3, 4), +1).matrix
+        u = p_gate((3, 4), +1)
         assert u[PAIR_EG, PAIR_EG] == pytest.approx(1j)
         assert u[PAIR_GE, PAIR_GE] == 1.0
 
     def test_inverse_composes_to_identity(self):
-        u = p_gate((3, 4), +1).matrix @ p_gate((3, 4), -1).matrix
+        u = p_gate((3, 4), +1) @ p_gate((3, 4), -1)
         np.testing.assert_allclose(u, np.eye(4), atol=1e-14)
 
     def test_fourth_power_is_identity(self):
-        u = np.linalg.matrix_power(p_gate((1, 2), +1).matrix, 4)
+        u = np.linalg.matrix_power(p_gate((1, 2), +1), 4)
         np.testing.assert_allclose(u, np.eye(4), atol=1e-14)
 
 
 def logical_r(area: float = 3 * np.pi / 4) -> np.ndarray:
     """R on the code space: the logical block of the atomic R pulse."""
-    return _logical_block(r_gate_atomic(area).matrix)
+    return _logical_block(r_gate_atomic(area))
 
 
 class TestRGate:
@@ -113,6 +113,12 @@ class TestRGate:
             via_gate = logical_r() @ coeffs
             np.testing.assert_allclose(via_gate, exact.amplitudes[list(LOGICAL_INDICES)], atol=1e-10)
 
+    @pytest.mark.parametrize("area", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pulse_area_rejected(self, area):
+        # used to return a NaN matrix that failed the unitarity check
+        with pytest.raises(ValueError, match="pulse area must be finite"):
+            r_gate_atomic(area)
+
     def test_unitarity_defect(self):
         u = logical_r()
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
@@ -142,7 +148,7 @@ class TestCnotCompilation:
     def test_search_keeps_each_candidates_atomic_product(self):
         for conv, report, u in convention_search():
             seq = PulseSequence(cnot_gate_list(), conv)
-            assert np.array_equal(u, sequence_unitary_atomic(seq).matrix)
+            assert np.array_equal(u, sequence_unitary_atomic(seq))
             assert report == verify_truth_table(Operator(_logical_block(u)))
 
     def test_first_passing_returns_the_chosen_entry(self):
@@ -161,7 +167,7 @@ class TestCnotCompilation:
         for conv in convention_candidates():
             seq = PulseSequence(cnot_gate_list(), conv)
             assert np.array_equal(sequence_unitary_logical(seq).matrix,
-                                  _logical_block(sequence_unitary_atomic(seq).matrix))
+                                  _logical_block(sequence_unitary_atomic(seq)))
 
     def test_truth_table_passes_with_phase_minus_one(self):
         seq = compile_cnot()
@@ -198,14 +204,14 @@ class TestCnotCompilation:
         assert overlap < 0.99  # not the same gate up to phase
 
     def test_all_gates_unitary(self):
-        assert h_gate((1, 2)).unitary
-        assert p_gate((3, 4)).unitary
+        assert Operator(h_gate((1, 2))).unitary
+        assert Operator(p_gate((3, 4))).unitary
         assert Operator(logical_r()).unitary
         assert sequence_unitary_logical(compile_cnot()).unitary
 
     def test_code_space_preserved_exactly(self):
         u = sequence_unitary_atomic(compile_cnot())
-        cols = u.matrix[:, list(LOGICAL_INDICES)]
+        cols = u[:, list(LOGICAL_INDICES)]
         outside = np.delete(cols, list(LOGICAL_INDICES), axis=0)
         assert np.max(np.abs(outside)) == 0.0
 
@@ -214,9 +220,9 @@ def _kron_gate(gate: GateDescriptor, sign: int) -> np.ndarray:
     """Oracle: a gate on the atomic space, a pair gate as np.kron with the
     identity on the other pair."""
     if gate.kind == "R":
-        return r_gate_atomic(gate.pulse_area).matrix
+        return r_gate_atomic(gate.pulse_area)
     u4 = (h_gate(gate.target) if gate.kind == "H"
-          else p_gate(gate.target, sign if gate.kind == "P" else -sign)).matrix
+          else p_gate(gate.target, sign if gate.kind == "P" else -sign))
     eye = np.eye(4, dtype=complex)
     return np.kron(u4, eye) if gate.target == (1, 2) else np.kron(eye, u4)
 
@@ -228,7 +234,7 @@ class TestAtomicLift:
     def test_pair_gate_equals_kronecker_product(self, kind, pair, sign):
         gate = GateDescriptor(kind, pair, H_PULSE_AREA if kind == "H" else P_PHASE)
         seq = PulseSequence((gate,), CnotConvention("listed_first_applied_first", sign))
-        assert np.array_equal(sequence_unitary_atomic(seq).matrix, _kron_gate(gate, sign))
+        assert np.array_equal(sequence_unitary_atomic(seq), _kron_gate(gate, sign))
 
     @pytest.mark.parametrize("conv", convention_candidates())
     def test_sequence_equals_product_of_kronecker_gates(self, conv):
@@ -237,7 +243,7 @@ class TestAtomicLift:
         expected = np.eye(16, dtype=complex)
         for g in order:
             expected = _kron_gate(g, conv.p_sign) @ expected
-        assert np.array_equal(sequence_unitary_atomic(PulseSequence(gates, conv)).matrix, expected)
+        assert np.array_equal(sequence_unitary_atomic(PulseSequence(gates, conv)), expected)
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dfscavity.hilbert import (
-    Operator,
     StateVector,
     SystemParams,
     basis_index,
@@ -39,6 +38,12 @@ def h0(params):
 @pytest.fixture(scope="module")
 def hint(params):
     return build_hint(params)
+
+
+def dense_energies_and_hint(params):
+    """The arguments `derive_second_order` takes, from the dense oracles: the
+    diagonal of build_h0 and the build_hint matrix."""
+    return np.real(np.diag(build_h0(params).matrix)), build_hint(params).matrix
 
 
 class TestBareHamiltonian:
@@ -159,12 +164,11 @@ class TestEffectiveHamiltonian:
     def test_stark_diagonal_matches_pt_engine(self, params):
         # brute-force single-state second-order shifts at n = 2
         n = 2
-        h0 = build_h0(params)
-        hint = build_hint(params)
+        energies, hint = dense_energies_and_hint(params)
         shifts = stark_diagonal(params, n)
         for cfg in range(16):
             m = basis_index(cfg, n, params.n_max)
-            val = derive_second_order(h0, hint, (m,)).matrix[0, 0]
+            val = derive_second_order(energies, hint, (m,))[0, 0]
             assert np.real(val) == pytest.approx(shifts[cfg], rel=1e-12, abs=1e-12)
 
     def test_pair_subspaces_invariant_without_stark(self, params):
@@ -196,30 +200,29 @@ class TestSecondOrderEngine:
     def test_exchange_element_oracle_value(self, params):
         # frozen oracle value: the egeg<->eegg element equals Omega(n), not zero
         manifold = two_excitation_manifold(params, 0)
-        heff = derive_second_order(build_h0(params), build_hint(params), manifold)
+        heff = derive_second_order(*dense_energies_and_hint(params), manifold)
         i = TWO_EXCITATION_LABELS.index("egeg")
         j = TWO_EXCITATION_LABELS.index("eegg")
         omega = effective_coupling(0, params).omega
-        assert np.real(heff.matrix[i, j]) == pytest.approx(omega, rel=1e-12)
+        assert np.real(heff[i, j]) == pytest.approx(omega, rel=1e-12)
 
     def test_full_manifold_operator_is_uniform(self, params):
         # frozen oracle structure: all 36 entries equal Omega(n) (collective coupling)
         for n in (0, 2):
             manifold = two_excitation_manifold(params, n)
-            heff = derive_second_order(build_h0(params), build_hint(params), manifold)
+            heff = derive_second_order(*dense_energies_and_hint(params), manifold)
             omega = effective_coupling(n, params).omega
-            np.testing.assert_allclose(heff.matrix, omega * np.ones((6, 6)), rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(heff, omega * np.ones((6, 6)), rtol=1e-12, atol=1e-12)
 
     def test_output_hermitian(self, params):
         manifold = two_excitation_manifold(params, 1)
-        heff = derive_second_order(build_h0(params), build_hint(params), manifold)
-        assert np.max(np.abs(heff.matrix - heff.matrix.conj().T)) < 1e-12
+        heff = derive_second_order(*dense_energies_and_hint(params), manifold)
+        assert np.max(np.abs(heff - heff.conj().T)) < 1e-12
 
     def test_non_degenerate_manifold_rejected(self, params):
-        h0 = build_h0(params)
         bad = (basis_index("egeg", 0, params.n_max), basis_index("egeg", 1, params.n_max))
         with pytest.raises(ValueError, match="degenerate"):
-            derive_second_order(h0, build_hint(params), bad)
+            derive_second_order(*dense_energies_and_hint(params), bad)
 
     def test_intra_manifold_coupling_rejected(self, params):
         h0 = build_h0(params)
@@ -231,9 +234,9 @@ class TestSecondOrderEngine:
         m1 = basis_index("egeg", 2, p.n_max)
         m2 = basis_index("gggg", 4, p.n_max)
         assert e[m1] == pytest.approx(e[m2] - p.delta)  # not degenerate: detuned by delta
-        h0_crafted = Operator(np.diag(np.where(np.arange(p.dim) == m2, e[m1], e)))
+        e_crafted = np.where(np.arange(p.dim) == m2, e[m1], e)
         with pytest.raises(ValueError, match="inside the manifold"):
-            derive_second_order(h0_crafted, build_hint(p), (m1, m2))
+            derive_second_order(e_crafted, build_hint(p).matrix, (m1, m2))
 
 
 class TestManifold:

@@ -64,18 +64,18 @@ class TestUnitarity:
     @settings(derandomize=True, deadline=None)
     @given(st.sampled_from([(1, 2), (3, 4)]), st.sampled_from([+1, -1]))
     def test_h_and_p_gates(self, pair, sign):
-        assert h_gate(pair).unitary
-        assert p_gate(pair, sign).unitary
+        assert Operator(h_gate(pair)).unitary
+        assert Operator(p_gate(pair, sign)).unitary
 
     @PROPERTY
     @given(_floats(-20.0, 20.0))
     def test_r_gate_atomic(self, area):
-        assert r_gate_atomic(area).unitary
+        assert Operator(r_gate_atomic(area)).unitary
 
     def test_compiled_cnot(self):
         seq = compile_cnot()
         assert sequence_unitary_logical(seq).unitary
-        assert sequence_unitary_atomic(seq).unitary
+        assert Operator(sequence_unitary_atomic(seq)).unitary
 
     @PROPERTY
     @given(st.integers(1, 16).flatmap(
@@ -84,4 +84,4 @@ class TestUnitarity:
         _floats(-10.0, 10.0))
     def test_propagator_of_random_hermitian(self, m, t):
         h = Operator((m + m.conj().T) / 2)
-        assert make_propagator(h, t).unitary.unitary
+        assert Operator(make_propagator(h, t).unitary).unitary

@@ -186,7 +186,7 @@ class TestCompareEffectiveModels:
     # eigh's error reaches the splitting: the transfer read 1.3e-31 and omega_fit 141 x 3 Omega(0)
     (1.0, 1e8, r"eigh resolves the sector's eigenvalues to 16 eps x 2 \|delta\|/2 = 3.55\d*e-07 at G = 1.0, "
                r"delta = 100000000.0, not below the pair splitting 6 \|Omega\(0\)\| = 1.2"),
-])
+], ids=["subnormal-rate", "underflowing-times", "overflowing-phase", "unresolved-splitting"])
 def test_exact_run_grid_out_of_float_range_rejected(G, ratio, message):
     params = SystemParams(G=G, delta=G * ratio, n_max=8)
     for call in (fit_span, forced_rabi_fit, compare_effective_models):
