@@ -15,10 +15,6 @@ picture keeps. The consequences, measured here:
   delta/G grows, while the pair-swap picture does not.
 """
 
-import warnings
-
-warnings.filterwarnings("ignore", message="perturbative")
-
 from dfscavity import SystemParams, compare_effective_models, forced_rabi_fit
 from dfscavity.validate import effective_difference_entries
 

@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 import time
-import warnings
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import NamedTuple
@@ -232,10 +231,8 @@ def _check_config(c: ExperimentConfig) -> ExperimentConfig:
         deltas, keys = [r * c.G for r in c.delta_over_G], "'G' and 'delta_over_G'"
     if c.experiment in _DOMAIN_RULES:  # the ones that read G
         try:
-            with warnings.catch_warnings():  # a marginal perturbative ratio is not an error
-                warnings.simplefilter("ignore")
-                for delta in deltas:
-                    _DOMAIN_RULES[c.experiment](SystemParams(G=c.G, delta=delta, n_max=c.n_max))
+            for delta in deltas:
+                _DOMAIN_RULES[c.experiment](SystemParams(G=c.G, delta=delta, n_max=c.n_max))
         except ValueError as err:
             raise ConfigError(f"keys {keys}: {err}") from None
     return c
@@ -518,34 +515,32 @@ def _run_thermal(c: ExperimentConfig) -> tuple[dict, dict, dict]:
 
 def _run_validate_effective(c: ExperimentConfig) -> tuple[dict, dict, dict]:
     runs = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # perturbative-ratio warnings recorded as data
-        for ratio in c.delta_over_G:
-            params = SystemParams(G=c.G, delta=ratio * c.G, n_max=c.n_max)
-            try:
-                run = extract_rabi(params, n=0)
-            except RabiFitError as err:
-                run = err.run
-            comparison = compare_effective_models(params, n=0)
-            runs.append({
-                **asdict(run),
-                "delta_over_G": float(ratio),
-                "deviation_from_3x_expected":
-                    float(abs(run.omega_fit - 3 * run.omega_expected) / (3 * run.omega_expected))
-                    if np.isfinite(run.omega_fit) else None,
-                "fit_gate_fired": run.diagnostic is not None,
-                "comparison": {
-                    "max_infidelity_pair_swap_vs_full": comparison.max_infidelity_pair_swap,
-                    "max_infidelity_derived_vs_full": comparison.max_infidelity_derived,
-                    "derived_tracks_full_better": comparison.derived_tracks_full_better,
-                    "internal_consistency_defect": comparison.internal_consistency_defect,
-                    "difference_entries": [
-                        {"row": row, "col": col, "value": _c2l(value)}
-                        for row, col, value in comparison.difference_entries
-                    ],
-                    "difference_nonempty": comparison.difference_nonempty,
-                },
-            })
+    for ratio in c.delta_over_G:
+        params = SystemParams(G=c.G, delta=ratio * c.G, n_max=c.n_max)
+        try:
+            run = extract_rabi(params, n=0)
+        except RabiFitError as err:
+            run = err.run
+        comparison = compare_effective_models(params, n=0)
+        runs.append({
+            **asdict(run),
+            "delta_over_G": float(ratio),
+            "deviation_from_3x_expected":
+                float(abs(run.omega_fit - 3 * run.omega_expected) / (3 * run.omega_expected))
+                if np.isfinite(run.omega_fit) else None,
+            "fit_gate_fired": run.diagnostic is not None,
+            "comparison": {
+                "max_infidelity_pair_swap_vs_full": comparison.max_infidelity_pair_swap,
+                "max_infidelity_derived_vs_full": comparison.max_infidelity_derived,
+                "derived_tracks_full_better": comparison.derived_tracks_full_better,
+                "internal_consistency_defect": comparison.internal_consistency_defect,
+                "difference_entries": [
+                    {"row": row, "col": col, "value": _c2l(value)}
+                    for row, col, value in comparison.difference_entries
+                ],
+                "difference_nonempty": comparison.difference_nonempty,
+            },
+        })
     by_ratio = [runs[k] for k in np.argsort(c.delta_over_G, kind="stable")]  # the trend flags' order
     deviations = [r["relative_deviation"] for r in by_ratio]
     derived_infidelities = [r["comparison"]["max_infidelity_derived_vs_full"] for r in by_ratio]

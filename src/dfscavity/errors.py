@@ -87,18 +87,15 @@ def stagger_sweep(t1_fractions,
                   pulse_area: float = R_PULSE_AREA) -> tuple[tuple[float, float, float], ...]:
     """Rows of (t1/t, amplitude fidelity, squared fidelity) for a pulse of
     the given area, which is its duration t in units of 1/Omega, in the
-    order of `t1_fractions`. Raises ValueError for a non-finite area, at the first
-    fraction outside [0, 1] (or NaN), or whose lead time StaggerParams rejects."""
-    if not np.isfinite(pulse_area):
-        raise ValueError("pulse area must be finite")
+    order of `t1_fractions`. Raises ValueError for an area StaggerParams rejects
+    (non-finite or negative), then at the first fraction outside [0, 1] (or NaN);
+    each lead time f*t then lies in [0, t]."""
+    StaggerParams(t=pulse_area, t1=0.0)
     fractions = np.asarray(t1_fractions, dtype=float)
-    t1 = fractions * pulse_area
-    bad = ~((0 <= fractions) & (fractions <= 1) & (0 <= t1) & (t1 <= pulse_area))
+    bad = ~((0 <= fractions) & (fractions <= 1))
     if bad.any():
-        k = int(np.argmax(bad))
-        if not 0 <= fractions[k] <= 1:
-            raise ValueError(f"t1 fraction must lie in [0, 1], got {fractions[k]}")
-        StaggerParams(t=pulse_area, t1=t1[k])  # raises with the lead time it rejects
+        raise ValueError(f"t1 fraction must lie in [0, 1], got {fractions[int(np.argmax(bad))]}")
+    t1 = fractions * pulse_area
     f = _fidelities(pulse_area, t1)
     return tuple(zip(fractions.tolist(), f.tolist(), (f * f).tolist()))
 

@@ -25,7 +25,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,7 +53,9 @@ class SystemParams:
     H0 is written in the frame rotating at omega_a, where H0 = (delta/2) adag a
     with delta = 2*(omega - omega_a): every result depends on delta alone.
     `perturbative_ratio` is G sqrt(n_max (n_max - 1))/|delta| at the Fock cut-off
-    n_max, not at the levels a run occupies (at most n + 2 in a validated run).
+    n_max, not at the levels a run occupies (at most n + 2 in a validated run);
+    `perturbative_ok` compares it with PERTURBATIVE_RATIO_MAX. Both are report data
+    only: construction is silent, since no computed number depends on the cut-off.
     """
 
     G: float
@@ -74,12 +75,6 @@ class SystemParams:
         if self.n_max < 4:
             raise ValueError(
                 f"n_max must be >= 4 (two-photon intermediates plus two guard levels), got {self.n_max}"
-            )
-        if not self.perturbative_ok:
-            warnings.warn(
-                f"perturbative validity marginal: G*sqrt(n_max*(n_max-1))/|delta| = "
-                f"{self.perturbative_ratio:.3f} >= {PERTURBATIVE_RATIO_MAX}",
-                stacklevel=3,  # the caller of the dataclass __init__
             )
 
     @property

@@ -76,7 +76,7 @@ class RabiFitError(RuntimeError):
 @dataclass(frozen=True)
 class ValidationRun:
     omega_expected: float
-    perturbative_ok: bool
+    perturbative_ok: bool                # the ratio at the cut-off n_max, not at the occupied levels
     omega_fit: float = np.nan            # nan when the fit is not possible
     relative_deviation: float = np.nan   # |omega_fit - omega_expected| / omega_expected
     peak_population: float = 0.0

@@ -1,5 +1,7 @@
 import inspect
 import json
+import re
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -469,6 +471,13 @@ class TestMainEntryPoint:
         payload = json.loads(out.read_text())
         assert payload["passed"] is True
         assert payload["experiment"] == "bell"
+
+    @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+    def test_stderr_is_the_status_line_alone(self, experiment, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            main([experiment, "--out", str(tmp_path / "report.json")])
+        assert re.fullmatch(rf"{experiment}: (PASS|FAIL) in \d+\.\d\d s\n", capsys.readouterr().err)
 
     def test_config_error_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

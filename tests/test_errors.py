@@ -160,8 +160,11 @@ class TestStaggerSweep:
                     stagger_sweep(fractions, pulse_area=area)
 
     def test_negative_pulse_area_rejected_by_stagger_params(self):
-        with pytest.raises(ValueError, match="need 0 <= t1 <= t"):
-            stagger_sweep([0.0, 0.5], pulse_area=-1.0)
+        # the area is checked once, before the fractions: an empty sweep used to
+        # pass, and a zero fraction to name its lead time as t1=-0.0
+        for fractions in ([0.0, 0.5], [0.0], [], [1.2]):
+            with pytest.raises(ValueError, match=r"^need 0 <= t1 <= t, got t1=0\.0, t=-1\.0$"):
+                stagger_sweep(fractions, pulse_area=-1.0)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(st.lists(st.floats(0.0, 1.0), max_size=12)

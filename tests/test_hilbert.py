@@ -118,21 +118,21 @@ class TestSystemParams:
     def test_integer_cutoff_accepted(self, value):
         assert SystemParams(G=1.0, delta=100.0, n_max=value).dim == 16 * 9
 
-    def test_perturbative_flag_warns(self):
-        with pytest.warns(UserWarning, match="perturbative") as record:
+    def test_perturbative_flag_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             p = SystemParams(G=1.0, delta=10.0, n_max=8)
-        assert record[0].filename == __file__  # reported at the caller, not the dataclass __init__
+            q = SystemParams(G=1.0, delta=100.0, n_max=4)
         assert not p.perturbative_ok
-        q = SystemParams(G=1.0, delta=100.0, n_max=4)
         assert q.perturbative_ok
 
     def test_perturbative_ratio_overflows_without_runtime_warning(self):
         # a numpy division used to warn "overflow encountered in scalar divide"
         with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.warns(UserWarning, match="perturbative"):
-                p = SystemParams(G=1e100, delta=1e-300, n_max=8)
-        assert p.perturbative_ratio == np.inf
+            warnings.simplefilter("error")
+            p = SystemParams(G=1e100, delta=1e-300, n_max=8)
+            assert p.perturbative_ratio == np.inf
+            assert not p.perturbative_ok
 
     def test_perturbative_ratio_zero_without_coupling(self):
         assert SystemParams(G=0.0, delta=10.0, n_max=8).perturbative_ratio == 0.0
