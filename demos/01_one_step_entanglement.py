@@ -8,13 +8,10 @@ maximally entangled (|egeg> - i|gege>)/sqrt2 in a single step.
 
 import numpy as np
 
-from dfscavity import (
-    StateVector,
-    SystemParams,
-    dfs_propagate,
-    effective_coupling,
-    entangle_duration,
-)
+from dfscavity.dynamics import dfs_propagate
+from dfscavity.gates import entangle_duration
+from dfscavity.hilbert import StateVector, SystemParams
+from dfscavity.model import effective_coupling
 
 params = SystemParams(G=2 * np.pi * 47e3, delta=10 * 2 * np.pi * 47e3, n_max=8)
 omega = effective_coupling(0, params).omega

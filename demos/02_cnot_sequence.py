@@ -9,15 +9,15 @@ conventions against the truth table and records the one it selects.
 
 import numpy as np
 
-from dfscavity import (
-    SystemParams,
+from dfscavity.gates import (
+    P_GATE_DURATION,
     compile_cnot,
     convention_search,
     schedule_duration,
     sequence_unitary_logical,
     verify_truth_table,
 )
-from dfscavity.gates import P_GATE_DURATION
+from dfscavity.hilbert import SystemParams
 
 print("convention search (2 temporal orders x 2 P signs):")
 for conv, report, _ in convention_search():

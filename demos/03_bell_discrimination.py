@@ -8,7 +8,8 @@ all four outcomes (not just two of them).
 
 import numpy as np
 
-from dfscavity import BellLabel, StateVector, bell_measure, enumerate_bell_branches, prepare_bell
+from dfscavity.bell_teleport import BellLabel, bell_measure, enumerate_bell_branches, prepare_bell
+from dfscavity.hilbert import StateVector
 
 print("deterministic discrimination of the four Bell states:")
 for label in BellLabel:

@@ -9,7 +9,7 @@ states |1~> = |eg>, |0~> = |ge> makes both components degenerate: the delay
 
 import numpy as np
 
-from dfscavity import CORRECTION_TABLE, teleport
+from dfscavity.bell_teleport import CORRECTION_TABLE, teleport
 
 theta = np.pi / 2
 splitting = 1.0  # E_e - E_g in rad/s

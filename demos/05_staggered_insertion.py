@@ -9,8 +9,8 @@ cos(lambda t1) cos(Omega t1), cross-checked against the direct inner product.
 
 import numpy as np
 
-from dfscavity import StaggerParams, staggered_fidelity, staggered_fidelity_closed_form, stagger_sweep
 from dfscavity.cli import parse_config, run_experiment
+from dfscavity.errors import StaggerParams, staggered_fidelity, staggered_fidelity_closed_form, stagger_sweep
 
 area = 3 * np.pi / 4
 

@@ -15,8 +15,8 @@ picture keeps. The consequences, measured here:
   delta/G grows, while the pair-swap picture does not.
 """
 
-from dfscavity import SystemParams, compare_effective_models, forced_rabi_fit
-from dfscavity.validate import effective_difference_entries
+from dfscavity.hilbert import SystemParams
+from dfscavity.validate import compare_effective_models, effective_difference_entries, forced_rabi_fit
 
 G = 1.0
 ratios = (10.0, 20.0, 40.0)

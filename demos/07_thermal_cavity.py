@@ -9,7 +9,7 @@ stays high while nbar is small.
 
 import numpy as np
 
-from dfscavity import fock_averaged_fidelity
+from dfscavity.errors import fock_averaged_fidelity
 
 area = 3 * np.pi / 4
 

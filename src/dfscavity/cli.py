@@ -56,7 +56,6 @@ from .gates import (
 from .hilbert import Operator, StateVector, SystemParams
 from .logical import LOGICAL_INDICES
 from .model import build_h_eff, effective_coupling
-from .validate import GUARD_LEAKAGE_MAX, RabiFitError, compare_effective_models, extract_rabi, fit_span
 
 EXPERIMENTS = (
     "entangle", "cnot-verify", "bell", "teleport",
@@ -65,8 +64,15 @@ EXPERIMENTS = (
 
 DEFAULT_G = 2 * np.pi * 47e3
 MAX_GRID_POINTS = 10**6  # theta_points x delay_points of the teleport grid, and nbar_points
+
+
+def _check_fit_span(params: SystemParams) -> None:
+    from .validate import fit_span  # validate loads for validate-effective alone
+    fit_span(params, 0)
+
+
 _DOMAIN_RULES = {"entangle": entangle_duration, "durations": cnot_duration,  # each checks the pair rate first
-                 "validate-effective": lambda params: fit_span(params, 0)}
+                 "validate-effective": _check_fit_span}
 
 
 class ConfigError(ValueError):
@@ -514,6 +520,8 @@ def _run_thermal(c: ExperimentConfig) -> tuple[dict, dict, dict]:
 
 
 def _run_validate_effective(c: ExperimentConfig) -> tuple[dict, dict, dict]:
+    from .validate import GUARD_LEAKAGE_MAX, RabiFitError, compare_effective_models, extract_rabi
+
     runs = []
     for ratio in c.delta_over_G:
         params = SystemParams(G=c.G, delta=ratio * c.G, n_max=c.n_max)

@@ -218,7 +218,7 @@ def derive_second_order(energies: np.ndarray, hint: np.ndarray, members: tuple[i
     intra = hint[np.ix_(members, members)]
     if np.max(np.abs(intra)) > HERMITIAN_ATOL * max(1.0, np.max(np.abs(hint))):
         raise ValueError("hint has nonzero matrix elements inside the manifold")
-    outside = np.setdiff1d(np.arange(len(energies)), members)
+    outside = np.delete(np.arange(len(energies)), list(members))  # setdiff1d would load numpy.ma
     v_mo = hint[np.ix_(members, outside)]
     v_om = hint[np.ix_(outside, members)]
     denom = energies[outside] - energy

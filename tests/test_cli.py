@@ -1,8 +1,12 @@
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -478,6 +482,22 @@ class TestMainEntryPoint:
             warnings.simplefilter("error")
             main([experiment, "--out", str(tmp_path / "report.json")])
         assert re.fullmatch(rf"{experiment}: (PASS|FAIL) in \d+\.\d\d s\n", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+    def test_process_loads_validate_only_when_needed_and_never_numpy_ma(self, experiment, tmp_path):
+        # a fresh `python -m dfscavity.cli` process; -X importtime names every module it loads
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-X", "importtime", "-m", "dfscavity.cli", experiment,
+                               "--out", str(tmp_path / "report.json")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == (1 if experiment == "validate-effective" else 0), done.stderr
+        loaded = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert "dfscavity.hilbert" in loaded
+        assert ("dfscavity.validate" in loaded) == (experiment == "validate-effective")
+        assert "numpy.ma" not in loaded
 
     def test_config_error_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -282,7 +282,7 @@ def test_import_leaves_scipy_unloaded():
     src = str(Path(dfscavity.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = "import sys, dfscavity; print('scipy' in sys.modules)"
+    code = "import sys, dfscavity.cli, dfscavity.validate; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
