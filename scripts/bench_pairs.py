@@ -18,7 +18,9 @@ The output file, at the repository root unless a path says otherwise, holds
 one entry per workload (a later run for another workload is merged in): per
 metric the parent's and the change's median and quartiles, how many pairs
 the change won, and whether the median gap exceeds the parent's
-interquartile range; plus every run's metrics and the machine facts.
+interquartile range; both sides' operation totals; plus every run's metrics
+and attempted operations, and the machine facts. The printed summary ends
+with the operation totals.
 """
 
 from __future__ import annotations
@@ -97,6 +99,20 @@ def compare(runs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def summary_lines(workload: str, entry: dict) -> list[str]:
+    """One line per metric (both medians and quartiles, the change's wins), then both
+    sides' operation totals: a side that fits more passes into the same budget keeps more
+    pass records, which the memory metric reads too."""
+    lines = [f"{workload} {name}: parent {m['parent']['median']:.4g} "
+             f"[{m['parent']['q1']:.4g}, {m['parent']['q3']:.4g}]  change {m['change']['median']:.4g} "
+             f"[{m['change']['q1']:.4g}, {m['change']['q3']:.4g}]  change wins {m['change_wins']}/{m['pairs']}"
+             for name, m in entry["metrics"].items()]
+    attempted, failed = entry["ops_attempted"], entry["ops_failed"]
+    lines.append(f"{workload} operations attempted (failed): parent {attempted['parent']} "
+                 f"({failed['parent']})  change {attempted['change']} ({failed['change']})")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -142,16 +158,14 @@ def main(argv=None) -> int:
         "facts": facts,
         "facts_constant": all(r[s]["facts"] == facts[s] for r in runs for s in facts),
         "runs": [{"seed": r["seed"], "first": r["first"],
+                  "attempted": {side: r[side]["attempted"] for side in ("parent", "change")},
                   **{side: r[side]["metrics"] for side in ("parent", "change")}} for r in runs],
     }
     out = ROOT / args.out
     doc = json.loads(out.read_text(encoding="utf-8")) if out.is_file() else {"workloads": {}}
     doc["workloads"][args.workload] = entry
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    for name, m in entry["metrics"].items():
-        print(f"{args.workload} {name}: parent {m['parent']['median']:.4g} "
-              f"[{m['parent']['q1']:.4g}, {m['parent']['q3']:.4g}]  change {m['change']['median']:.4g} "
-              f"[{m['change']['q1']:.4g}, {m['change']['q3']:.4g}]  change wins {m['change_wins']}/{m['pairs']}")
+    print("\n".join(summary_lines(args.workload, entry)))
     print(f"wrote {out}")
     return 0
 

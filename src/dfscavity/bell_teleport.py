@@ -137,12 +137,10 @@ _PAIR_X[0, 3] = _PAIR_X[3, 0] = 1.0   # gg <-> ee (outside code space, any unita
 _PAIR_X[1, 2] = _PAIR_X[2, 1] = 1.0   # ge <-> eg: logical X
 _PAIR_Z = np.diag([1.0, -1.0, 1.0, 1.0]).astype(complex)  # -1 on |ge> = |0~>
 
-_CORRECTIONS = {
-    "I": np.eye(4, dtype=complex),
-    "X": _PAIR_X,
-    "Z": _PAIR_Z,
-    "XZ": _PAIR_X @ _PAIR_Z,
-}
+_CORRECTIONS = {"I": np.eye(4, dtype=complex), "X": _PAIR_X, "Z": _PAIR_Z, "XZ": _PAIR_X @ _PAIR_Z}
+# Alice's four outcome configurations and Bob's correction after each, in BELL_OUTCOME_MAP order
+_OUTCOME_ROWS = [atomic_index(c) for c in BELL_OUTCOME_MAP]
+_BRANCH_CORRECTIONS = np.stack([_CORRECTIONS[CORRECTION_TABLE[label]] for label in BELL_OUTCOME_MAP.values()])
 
 
 @dataclass(frozen=True)
@@ -192,9 +190,10 @@ def teleport(theta: float | np.ndarray, delay: float | np.ndarray = 0.0, encodin
     `theta`, `delay` and `dephase_phi` broadcast against each other, so a
     theta x delay grid is one call with theta[:, None] and delay[None, :];
     every branch's probability and fidelity, and the returned average, then
-    have the broadcast shape. The Bell map runs once per theta row. Each
-    temporary holds about 64 B per grid point (4 complex amplitudes), so a
-    T x D grid costs about 64 T D bytes per array.
+    have the broadcast shape. Each branch's weights conj(C^H psi) * bob/|bob|
+    depend on theta alone; its fidelity at every point is |D @ weights^T|^2,
+    D the channel diagonal there, one product per theta row. A call peaks
+    at about 100 B per point, 165 B with dephasing, and keeps 40 B.
 
     bare: the single-atom comparison channel. An ideally teleported
     (|g> + e^{i theta}|e>)/sqrt2 goes through `collective_phases(., 1)` for
@@ -236,23 +235,23 @@ def teleport(theta: float | np.ndarray, delay: float | np.ndarray = 0.0, encodin
         # pair; the Bell map acts on the rows (swapped to axis 0 for pair_exchange), once per theta
         joint = (psi_in[..., :, None, None] * _PHI_PLUS_CHANNEL).reshape(psi_in.shape[:-1] + (16, 4))
         mapped = pair_exchange(joint.swapaxes(0, -2), BELL_MAP_PULSE_AREA).swapaxes(0, -2)
-
-        free = collective_phases(atom_splitting * delay, 2)
-        dephase = None if dephase_phi is None else collective_phases(dephase_phi, 2)
-        branches = []
-        for outcome_labels, label in BELL_OUTCOME_MAP.items():
-            bob = mapped[..., atomic_index(outcome_labels), :]
-            # the input is normalised, so every branch has probability 1/4
-            p = np.vecdot(bob, bob).real
-            bob = free * (bob / np.sqrt(p)[..., None])
-            if dephase is not None:
-                bob = dephase * bob
-            if apply_corrections:
-                bob = bob @ _CORRECTIONS[CORRECTION_TABLE[label]].T
-            fid = np.abs(np.vecdot(psi_in, bob)) ** 2       # bob's target has the input's form
-            branches.append(TeleportBranch(label=label, probability=np.broadcast_to(p, fid.shape)[()],
-                                           fidelity=fid[()]))
-        branches = tuple(branches)
+        bob = mapped[..., _OUTCOME_ROWS, :]                # (..., 4 branches, 4)
+        p = np.vecdot(bob, bob).real                       # the input is normalised: each is 1/4
+        # <psi|C D bob> = <C^H psi|D bob>, psi bob's target: weights conj(C^H psi) * bob/|bob|
+        corrections = _BRANCH_CORRECTIONS if apply_corrections else np.eye(4)
+        target = (psi_in.conj()[..., None, None, :] @ corrections)[..., 0, :]
+        weights = target * (bob / np.sqrt(p)[..., None])
+        channel = collective_phases(atom_splitting * delay, 2)
+        if dephase_phi is not None:
+            channel = channel * collective_phases(dephase_phi, 2)
+        shape = np.broadcast_shapes(np.shape(theta), channel.shape[:-1])
+        if np.shape(theta)[-1:] == (1,):  # theta rows: every point of a row in one (n x 4) @ (4 x 4)
+            channel, weights = np.atleast_2d(channel), weights[..., 0, :, :]
+        else:
+            channel = channel[..., None, :]
+        fid = (np.abs(channel @ weights.mT) ** 2).reshape(shape + (4,))
+        branches = tuple(TeleportBranch(label, np.broadcast_to(p[..., k], shape)[()], fid[..., k][()])
+                         for k, label in enumerate(BELL_OUTCOME_MAP.values()))
         avg = sum(b.probability * b.fidelity for b in branches)
     pick = None if seed is None else _sample(branches, seed)
     report = TeleportReport(

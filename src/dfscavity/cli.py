@@ -214,7 +214,7 @@ def _check_config(c: ExperimentConfig) -> ExperimentConfig:
             if not spec.ok(item):
                 raise ConfigError(f"key {key!r}: " + spec.problem.format(v=item))
     if c.theta_points * c.delay_points > MAX_GRID_POINTS:
-        # each teleport grid temporary holds about 64 B per point
+        # a teleport grid call peaks at about 165 B per point with dephasing
         raise ConfigError(f"keys 'theta_points' x 'delay_points': the grid has "
                           f"{c.theta_points * c.delay_points} points, more than {MAX_GRID_POINTS}")
     if c.omega_a is not None and c.omega is not None:

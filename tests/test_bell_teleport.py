@@ -1,6 +1,11 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from test_hilbert import IDENTITY_2, SIGMA_Z, atomic_operator, kron_all
 
+from dfscavity import bell_teleport
 from dfscavity.bell_teleport import (
     BELL_MAP_PULSE_AREA,
     CORRECTION_TABLE,
@@ -13,6 +18,61 @@ from dfscavity.bell_teleport import (
 from dfscavity.gates import r_gate_atomic
 from dfscavity.hilbert import StateVector, config_labels
 from dfscavity.model import TWO_EXCITATION_CONFIGS
+
+
+# Dense six-atom oracle for teleport (atoms a1 a2 a3 a4 b1 b2, first atom most significant,
+# 64 amplitudes), built from the Kronecker algebra of tests/test_hilbert.py and scipy's expm,
+# with no code from dfscavity.
+KET = {"g": np.array([1.0, 0.0], dtype=complex), "e": np.array([0.0, 1.0], dtype=complex)}
+
+
+def ket(config: str) -> np.ndarray:
+    return kron_all([KET[c] for c in config])
+
+
+# sum over the six atom pairs {i, j} of s_i^+ s_j^+ s_k^- s_l^- ({k, l} the other two atoms):
+# it swaps every two-excitation configuration with its complement
+PAIR_EXCHANGE = sum(atomic_operator({i: "+", j: "+", **{k: "-" for k in {1, 2, 3, 4} - {i, j}}})
+                    for i, j in combinations(range(1, 5), 2))
+DENSE_BELL_MAP = np.kron(expm(-1j * np.pi / 4 * PAIR_EXCHANGE), np.eye(4))
+PAIR_SZ = np.kron(SIGMA_Z, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_Z)  # collective on Bob's pair
+PAIR_X = np.kron([[0, 1], [1, 0]], [[0, 1], [1, 0]]).astype(complex)
+PAIR_Z = np.eye(4) - 2 * np.outer(ket("ge"), ket("ge"))  # -1 on |ge> = |0~>
+# Bell outcome -> (Alice's measured configuration, Bob's correction)
+DENSE_BRANCHES = {BellLabel.PHI_PLUS: ("egeg", np.eye(4)), BellLabel.PHI_MINUS: ("gege", PAIR_Z),
+                  BellLabel.PSI_PLUS: ("egge", PAIR_X @ PAIR_Z), BellLabel.PSI_MINUS: ("geeg", PAIR_X)}
+
+
+def dense_teleport(theta, delay, splitting, dephase_phi, corrections, generator=PAIR_SZ):
+    """{label: (probability, fidelity)}: the input pair and the Phi+ channel as 64 amplitudes,
+    the Bell map on Alice's four atoms, one projection per outcome, then Bob's channel
+    exp(-i splitting delay generator) exp(-i dephase_phi generator) and correction as 4x4 matrices."""
+    psi = (ket("ge") + np.exp(1j * theta) * ket("eg")) / np.sqrt(2)
+    state = DENSE_BELL_MAP @ np.kron(psi, (ket("egeg") + 1j * ket("gege")) / np.sqrt(2))
+    channel = expm(-1j * splitting * delay * generator) @ expm(-1j * dephase_phi * generator)
+    out = {}
+    for label, (config, correction) in DENSE_BRANCHES.items():
+        bob = np.kron(ket(config)[None, :], np.eye(4)) @ state
+        p = np.vdot(bob, bob).real
+        c = correction if corrections else np.eye(4)
+        out[label] = (p, abs(np.vdot(psi, c @ channel @ bob)) ** 2 / p)
+    return out
+
+
+def check_grid_against_dense(rng, dephased, corrections, generator=PAIR_SZ):
+    """A 5 x 4 theta x delay grid call against the dense oracle, every branch at 1e-14;
+    returns the grid's fidelities (4, 5, 4)."""
+    thetas, delays = rng.uniform(0, 2 * np.pi, 5), rng.uniform(0, 6, 4)
+    phis = rng.uniform(0, 2 * np.pi, (5, 4)) if dephased else np.zeros((5, 4))
+    _, report = teleport(thetas[:, None], delays[None, :], "dfs", atom_splitting=1.7,
+                         dephase_phi=phis if dephased else None, apply_corrections=corrections)
+    for i, j in np.ndindex(5, 4):
+        dense = dense_teleport(thetas[i], delays[j], 1.7, phis[i, j], corrections, generator)
+        for branch in report.branches:
+            p, f = dense[branch.label]
+            assert branch.probability[i, j] == pytest.approx(p, abs=1e-14)
+            assert branch.fidelity[i, j] == pytest.approx(f, abs=1e-14)
+    return np.array([b.fidelity for b in report.branches])
 
 
 class TestBellStates:
@@ -196,6 +256,48 @@ class TestTeleport:
         for k, branch in enumerate(report.branches):
             assert np.array_equal(branch.probability, probs[k])
             assert np.array_equal(branch.fidelity, fids[k])
+
+    @pytest.mark.parametrize("dephased", [False, True])
+    @pytest.mark.parametrize("corrections", [True, False])
+    def test_grid_matches_dense_six_atom_oracle(self, dephased, corrections):
+        fids = check_grid_against_dense(np.random.default_rng(31), dephased, corrections)
+        assert np.all(fids > 1 - 1e-10) if corrections else np.any(fids < 0.9)
+
+    @pytest.mark.parametrize("dephased", [False, True])
+    def test_grid_applies_the_channel_at_every_point(self, dephased, monkeypatch):
+        # a channel whose weight differs between Bob's two atoms gives the code states a
+        # relative phase, so the immunity is gone and the fidelities must follow the channel
+        weights = np.array([1.0, 0.35])
+        bits = (np.arange(4)[:, None] >> np.array([1, 0])) & 1   # (config, atom): e = 1, b1 first
+
+        def per_atom_phases(phi, n_atoms=4):
+            assert n_atoms == 2
+            return np.exp(-1j * np.asarray(phi)[..., None] * ((bits - 0.5) @ weights))
+
+        monkeypatch.setattr(bell_teleport, "collective_phases", per_atom_phases)
+        generator = weights[0] * np.kron(SIGMA_Z, IDENTITY_2) + weights[1] * np.kron(IDENTITY_2, SIGMA_Z)
+        fids = check_grid_against_dense(np.random.default_rng(37), dephased, True, generator)
+        assert fids.min() < 0.9
+
+    @pytest.mark.parametrize("theta, delay, phi, shape", [
+        (0.7, 1.3, np.linspace(0.0, 5.0, 6).reshape(3, 2), (3, 2)),   # only the dephasing varies
+        (np.linspace(0.0, 6.0, 5), 1.3, None, (5,)),                  # theta varies, scalar delay
+        (np.linspace(0.0, 6.0, 5)[:, None], 1.3, None, (5, 1)),       # theta rows, scalar delay
+    ])
+    def test_branches_take_the_broadcast_shape(self, theta, delay, phi, shape):
+        avg, report = teleport(theta, delay, "dfs", atom_splitting=1.7, dephase_phi=phi)
+        assert np.shape(avg) == shape
+        for branch in report.branches:
+            assert np.shape(branch.probability) == shape
+            assert np.shape(branch.fidelity) == shape
+        flat_theta = np.broadcast_to(theta, shape).ravel()
+        flat_phi = np.broadcast_to(0.0 if phi is None else phi, shape).ravel()
+        for k, (t, f) in enumerate(zip(flat_theta, flat_phi)):
+            fid, rep = teleport(t, delay, "dfs", atom_splitting=1.7, dephase_phi=None if phi is None else f)
+            assert np.ravel(avg)[k] == pytest.approx(fid, abs=1e-15)
+            for branch, single in zip(report.branches, rep.branches):
+                assert np.ravel(branch.probability)[k] == pytest.approx(single.probability, abs=1e-15)
+                assert np.ravel(branch.fidelity)[k] == pytest.approx(single.fidelity, abs=1e-15)
 
     def test_seeded_sampling_and_bare_channel_need_scalar_inputs(self):
         # seeded sampling needs scalars; the bare channel broadcasts like the dfs one

@@ -1,7 +1,8 @@
-"""The change side of `scripts/bench_pairs.py` runs from a snapshot of the
-working tree taken at start."""
+"""`scripts/bench_pairs.py`: the change side runs from a snapshot of the
+working tree taken at start, and every run keeps its attempted operations."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -45,3 +46,31 @@ def test_snapshot_holds_uncommitted_edits_and_not_later_ones(bench_pairs, tmp_pa
     assert (snap / ".gitignore").is_file()
     assert not (snap / "run.log").exists()
     assert not (snap / "gone.py").exists()
+
+
+def test_runs_keep_attempted_counts_and_summary_prints_both_totals(bench_pairs, tmp_path, monkeypatch,
+                                                                   capsys):
+    # synthetic runs: the change attempts more operations, one of the parent's fails
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "end_to_end": [{"name": "solve_s", "better": "lower"}]}))
+
+    def fake_run(tree, workload, seed, seconds):
+        change = tree.name == "change"
+        return {"metrics": {"solve_s": 1.0 if change else 2.0 + seed}, "attempted": 30 + seed if change else 20,
+                "failed": 0 if change or seed else 1, "facts": {"cpu": "x"}}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
+    monkeypatch.setattr(bench_pairs, "export_tree", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "snapshot_worktree", lambda root, dest: None)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    assert bench_pairs.main(["--parent", "p", "--workload", "w", "--out", "B.json"]) == 0
+
+    entry = json.loads((tmp_path / "B.json").read_text())["workloads"]["w"]
+    assert [r["attempted"] for r in entry["runs"]] == [{"parent": 20, "change": 30 + k} for k in range(10)]
+    assert entry["ops_attempted"] == {"parent": 200, "change": 345}
+    assert entry["metrics"]["solve_s"]["change_wins"] == 10
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:-1] == bench_pairs.summary_lines("w", entry)
+    assert lines[-3].startswith("w solve_s: parent 6.5 [")
+    assert lines[-2] == "w operations attempted (failed): parent 200 (1)  change 345 (0)"
