@@ -9,10 +9,10 @@ experiment and exits 0 only when all eight are identical. This is the check
 a pure refactor must pass; it writes nothing under perfbench/.
 
 For a report that differs it also prints the dotted path and the absolute and
-relative size of the largest numeric deviation, how many other leaves differ
-(strings, booleans, missing or extra entries), and whether the flag maps
-match, so an algorithmic swap can be judged against its stated tolerance.
-The exit code stays byte-strict.
+relative size of the largest numeric deviation, how many numeric leaves differ,
+how many other leaves differ (strings, booleans, missing or extra entries), and
+whether the flag maps match, so an algorithmic swap can be judged against its
+stated tolerance. The exit code stays byte-strict.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ def describe(report: Path, golden: Path) -> str:
     a, b = dict(_leaves(new)), dict(_leaves(old))
     numeric = [p for p in a.keys() & b.keys() if _is_number(a[p]) and _is_number(b[p])]
     worst = max(numeric, key=lambda p: abs(a[p] - b[p]), default=None)
+    moved = sum(1 for p in numeric if a[p] != b[p])
     others = sum(1 for p in a.keys() | b.keys()
                  if p not in numeric and json.dumps(a.get(p)) != json.dumps(b.get(p)))
     flags = "flags same" if new.get("flags") == old.get("flags") else "flags DIFFER"
@@ -66,7 +67,7 @@ def describe(report: Path, golden: Path) -> str:
     dev = abs(a[worst] - b[worst])
     rel = dev / abs(b[worst]) if b[worst] else math.inf
     return (f"largest numeric deviation at {worst}: abs {dev:.2e}, rel {rel:.2e}; "
-            f"{others} other leaves differ; {flags}")
+            f"{moved} numeric leaves differ; {others} other leaves differ; {flags}")
 
 
 def main() -> int:

@@ -1,21 +1,22 @@
 """Propagators: exact matrix-exponential evolution and the closed-form
 pair-exchange map.
 
-Exact evolution goes through the eigendecomposition of the hermitian
-generator; `evolve_exact`, `evolve_times` and `Propagator.series` apply it
-through `_series`, and a `Propagator` holds the unitary and the spectrum from
-one eigh. `_series` first folds the state onto the eigenspaces of the
-generator: eigenvalues eigh cannot tell apart are merged, eigenspaces the
-state does not occupy are dropped, and one exponential per time and distinct
-occupied frequency remains. So a series costs len(times) x that number of
-frequencies, not len(times) x dim: 3 or 4 frequencies of the 11 or 16 sector
-states from a two-excitation start (the symmetric Dicke ladder plus one dark
-level), 2 for the 16-state effective generators that `evolve_exact` and
-`evolve_times` apply to a `StateVector`. The validation runs hand the series
-H0 + Hint of the full model's conserved-excitation sector (at most 16 states
-at any n_max, see model.excitation_sector); the dense composite Hamiltonian
-only serves the tests as the oracle, with the scaling-and-squaring route and
-the unfolded sum over every eigenvalue as cross-checks.
+Exact evolution goes through the eigendecomposition of the hermitian generator;
+`evolve_exact`, `evolve_times` and `Propagator.series` apply it through
+`_series`, and a `Propagator` holds the unitary and the spectrum from one eigh.
+`_series` is `_evaluate` of `_fold`: `_fold` merges the eigenvalues eigh cannot
+tell apart, drops the eigenspaces the state does not occupy and leaves one part
+per distinct occupied frequency; `_evaluate` takes one exponential per time and
+frequency, on the rows of the parts it is given. So a series costs len(times) x
+that number of frequencies, not len(times) x dim: 3 or 4 frequencies of the 11
+or 16 sector states from a two-excitation start (the symmetric Dicke ladder
+plus one dark level), 2 for the 16-state effective generators that
+`evolve_exact` and `evolve_times` apply to a `StateVector`. The validation runs
+fold |egeg, n> under H0 + Hint of the full model's conserved-excitation sector
+(at most 16 states at any n_max, see model.excitation_sector) and evaluate the
+rows they read; the dense composite Hamiltonian only serves the tests as the
+oracle, with the scaling-and-squaring route and the unfolded sum over every
+eigenvalue as cross-checks.
 """
 
 from __future__ import annotations
@@ -37,17 +38,19 @@ def _spectrum(h: Operator) -> tuple[np.ndarray, np.ndarray]:
 
 def _series(w: np.ndarray, v: np.ndarray, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
     """exp(-i h t) applied to `amplitudes` at each of `times`, shape (len(times), dim),
-    from the spectrum (w ascending, as eigh returns it; v) of h.
+    from the spectrum (w ascending, as eigh returns it; v) of h: `_evaluate` of `_fold`."""
+    return _evaluate(*_fold(w, v, amplitudes), times)
 
-    The state is folded onto the eigenspaces of h. With tol = dim * eps, an eigenvalue
-    within tol * max|w| above the lowest one of its group joins that group (eigh's own
-    eigenvalue error is of this size); a group whose projection of the state has norm
-    at most tol * |amplitudes| is dropped; every other group evolves at one frequency,
-    the mean of its eigenvalues weighted by the state's weight on each. So the cost is
-    len(times) x the number of distinct occupied frequencies, and the result is within
-    tol * (max|w| max|t| + sqrt(dim)) * |amplitudes| in norm of the sum over every
-    eigenvalue.
-    """
+
+def _fold(w: np.ndarray, v: np.ndarray, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`amplitudes` folded onto the eigenspaces of h, as (frequencies, parts (dim, frequencies)).
+
+    With tol = dim * eps, an eigenvalue within tol * max|w| above the lowest one of its
+    group joins that group (eigh's own eigenvalue error is of this size); a group whose
+    projection of the state has norm at most tol * |amplitudes| is dropped; every other
+    group evolves at one frequency, the mean of its eigenvalues weighted by the state's
+    weight on each. Its series is within tol * (max|w| max|t| + sqrt(dim)) * |amplitudes|
+    in norm of the sum over every eigenvalue."""
     tol = len(w) * np.finfo(float).eps
     w_tol = tol * max(abs(w[0]), abs(w[-1]))
     starts = [0]
@@ -59,7 +62,11 @@ def _series(w: np.ndarray, v: np.ndarray, amplitudes: np.ndarray, times: np.ndar
     group_weights = np.add.reduceat(weights, starts)
     kept = group_weights > (tol * np.linalg.norm(amplitudes)) ** 2
     freqs = np.add.reduceat(w * weights, starts)[kept] / group_weights[kept]
-    parts = np.add.reduceat(v * c, starts, axis=1)[:, kept]  # (dim, occupied groups)
+    return freqs, np.add.reduceat(v * c, starts, axis=1)[:, kept]
+
+
+def _evaluate(freqs: np.ndarray, parts: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The folded series at `times`, shape (len(times), len(parts)): only the rows of `parts` given."""
     return np.exp(-1j * np.outer(np.asarray(times), freqs)) @ parts.T
 
 

@@ -18,20 +18,22 @@ than (a) is measured, not assumed.
 Both get the exact run from one helper: the conserved-excitation sector
 n_e + m = n + 2 (model.excitation_sector, at most 16 states at any n_max),
 the grid over 1.5 exchange periods (RABI_FIT_POINTS or COMPARISON_POINTS
-times) and the series of |egeg, n> = manifold[0] from one eigh of H0 + Hint.
-compare_effective_models derives the second-order operator once, from the
-sector's energies, hint and manifold, and takes its (row, col, value) difference
-entries from it.
+times) and the fold of |egeg, n> = manifold[0] onto its 3 occupied frequencies
+(dynamics._fold) from one eigh of H0 + Hint. extract_rabi evaluates it on the
+whole sector, squares it once and sums the population groups in one product
+with a 0/1 matrix; compare_effective_models evaluates only the six manifold
+columns and derives the second-order operator once, from the sector's energies,
+hint and manifold, for its (row, col, value) difference entries.
 Both need 0 <= n <= n_max - 4, so the sector stops at m = n + 2 <= n_max - 2
 and the guard occupation is 0 by construction.
 
 Model comparisons use the classical fidelity between atomic population
-distributions, (sum_i sqrt(p_i q_i))^2, with the full model's weight outside
-the Fock sector counted against it. Populations are immune to the
-interaction-picture and sign conventions that differ between the effective
-layer (which keeps the +Omega sign of the closed-form map) and lab-frame numerics
-(where the standard second-order shift carries the opposite sign); raw
-amplitude overlaps would measure that convention, not the dynamics.
+distributions, (sum_i |a_i| |b_i|)^2, over the six manifold states the effective
+runs occupy; the full model's weight outside them counts against it. Populations
+are immune to the interaction-picture and sign conventions that differ between
+the effective layer (which keeps the +Omega sign of the closed-form map) and
+lab-frame numerics (where the standard second-order shift carries the opposite
+sign); raw amplitude overlaps would measure that convention, not the dynamics.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import evolve_times, make_propagator, pair_exchange
+from .dynamics import _evaluate, _fold, evolve_times, make_propagator, pair_exchange
 from .hilbert import N_ATOMIC_CONFIGS, Operator, StateVector, SystemParams
 from .model import (
     TWO_EXCITATION_CONFIGS,
@@ -56,8 +58,8 @@ PEAK_PROMINENCE_FRACTION = 0.4
 RABI_FIT_POINTS = 6001     # time samples of extract_rabi's grid
 COMPARISON_POINTS = 1201   # time samples of compare_effective_models' grid
 DIFFERENCE_ATOL = 1e-12    # difference entries below this, relative to max(1, max|derived|), are 0
-# the Stark-phase np.polyfit of extract_rabi sums the squared times of the grid, which
-# leave the float range for a fit span (s) outside this range
+# the Stark-phase slope of extract_rabi divides by the sum of the grid's centred squared
+# times, which leaves the float range for a fit span (s) outside this range
 FIT_SPAN_RANGE = (1e-150, 1e150)
 
 _COLS = list(TWO_EXCITATION_CONFIGS)  # the six two-excitation configurations, label order
@@ -126,18 +128,22 @@ def _lowest_since_higher(values: np.ndarray) -> np.ndarray:
     """For each entry, the lowest value from just after the nearest strictly
     higher entry before it (or from the start) up to the entry itself.
 
-    The stack holds (value, lowest value since the entry below it); popping
-    every entry that is not strictly higher merges their lowest values, so
-    each entry is pushed and popped once."""
-    stack: list[tuple[float, float]] = []
-    out = np.empty(len(values))
-    for k, v in enumerate(values.tolist()):
+    The stack holds each entry's value (`tops`) and the lowest value since the
+    entry below it (`lows`); popping every entry that is not strictly higher
+    merges their lowest values, so each entry is pushed and popped once."""
+    tops: list[float] = []
+    lows: list[float] = []
+    out: list[float] = []
+    for v in values.tolist():
         lowest = v
-        while stack and stack[-1][0] <= v:
-            lowest = min(lowest, stack.pop()[1])
-        stack.append((v, lowest))
-        out[k] = lowest
-    return out
+        while tops and tops[-1] <= v:
+            tops.pop()
+            if (low := lows.pop()) < lowest:
+                lowest = low
+        tops.append(v)
+        lows.append(lowest)
+        out.append(lowest)
+    return np.array(out)
 
 
 def _quadratic_peak_times(times: np.ndarray, series: np.ndarray) -> list[float]:
@@ -175,9 +181,9 @@ def fit_span(params: SystemParams, n: int) -> float:
 
 def _exact_run(params: SystemParams, n: int, points: int):
     """Evolve |egeg, n> exactly on the sector n_e + m = n + 2 over 1.5 exchange periods
-    (`points` times) by one eigh; returns (run inputs, sector, times, propagator,
-    amplitudes (points, sector)). Raises ValueError unless 0 <= n <= n_max - 4 and the
-    rate and span pass `fit_span`, RabiFitError when G = 0."""
+    (`points` times) by one eigh; returns (run inputs, sector, times, propagator, the
+    state's fold (freqs, parts) for `dynamics._evaluate`). Raises ValueError unless
+    0 <= n <= n_max - 4 and the rate and span pass `fit_span`, RabiFitError when G = 0."""
     sector = excitation_sector(params, n + 2)  # the domain check, before effective_coupling
     run = ValidationRun(omega_expected=effective_coupling(n, params).omega,
                         perturbative_ok=params.perturbative_ok)
@@ -189,7 +195,7 @@ def _exact_run(params: SystemParams, n: int, points: int):
     psi0 = np.zeros(len(sector.indices), dtype=complex)
     psi0[sector.manifold[0]] = 1.0  # |egeg, n>
     propagator = make_propagator(Operator(np.diag(sector.energies) + sector.hint), t_max)  # one eigh
-    return run, sector, times, propagator, propagator.series(psi0, times)
+    return run, sector, times, propagator, _fold(*propagator.spectrum, psi0)
 
 
 def extract_rabi(params: SystemParams, n: int = 0,
@@ -204,22 +210,20 @@ def extract_rabi(params: SystemParams, n: int = 0,
     exists; lower the threshold to force a fit of whatever oscillation is
     present. Raises ValueError unless 0 <= n <= n_max - 4.
     """
-    run, sector, times, propagator, amps = _exact_run(params, n, RABI_FIT_POINTS)
+    run, sector, times, propagator, fold = _exact_run(params, n, RABI_FIT_POINTS)
+    amps = _evaluate(*fold, times)  # the evolved state, (points, sector)
     idx = dict(zip(TWO_EXCITATION_LABELS, sector.manifold))
-    probs = np.abs(amps) ** 2
-
-    levels = sector.levels
-    p_gege = probs[:, idx["gege"]]
-    p_egeg = probs[:, idx["egeg"]]
+    levels, one_hot = sector.levels, np.eye(len(sector.levels))
     exchange_cols = [idx[lab] for lab in TWO_EXCITATION_LABELS if lab not in ("egeg", "gege")]
-    p_exchange = probs[:, exchange_cols].sum(axis=1)
-    p_sector = probs[:, levels == n].sum(axis=1)
-    totals = probs.sum(axis=1)
-    guard = probs[:, levels >= params.n_max - 1].sum(axis=1)  # no such column: 0
+    groups = np.array([one_hot[idx["egeg"]], one_hot[idx["gege"]], one_hot[exchange_cols].sum(axis=0),
+                       levels == n, levels >= 0, levels >= params.n_max - 1], dtype=float)
+    # 0/1 population groups, one row each; no sector state is a guard level, so its row is 0
+    p_egeg, p_gege, p_exchange, p_sector, totals, guard = groups @ (amps.real ** 2 + amps.imag ** 2).T
 
-    # common-phase (Stark) rate from the autocorrelation phase slope
+    # common-phase (Stark) rate: least-squares slope of the unwrapped autocorrelation phase
     phase = np.unwrap(np.angle(amps[:, idx["egeg"]]))
-    stark_fit = -float(np.polyfit(times, phase, 1)[0])
+    centred = times - times.mean()
+    stark_fit = -float(centred @ phase / (centred @ centred))
 
     u = propagator.unitary
     unde = float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
@@ -306,7 +310,7 @@ def compare_effective_models(params: SystemParams, n: int = 0) -> EffectiveModel
     operator, and the exact full model on COMPARISON_POINTS times; report
     fidelity time series and the operator difference. Raises ValueError
     unless 0 <= n <= n_max - 4."""
-    run, sector, times, _, amps_full = _exact_run(params, n, COMPARISON_POINTS)  # (t, sector)
+    run, sector, times, _, (freqs, parts) = _exact_run(params, n, COMPARISON_POINTS)
     omega = run.omega_expected
 
     psi_atomic = StateVector.basis_state("egeg")
@@ -318,11 +322,10 @@ def compare_effective_models(params: SystemParams, n: int = 0) -> EffectiveModel
     derived16[np.ix_(_COLS, _COLS)] = derived6
     amps_derived = evolve_times(Operator(derived16), psi_atomic, times)
 
-    pops_full = np.zeros((len(times), 16))  # atomic populations at Fock n
-    # weight outside the sector's six states at Fock n lowers the fidelity
-    pops_full[:, _COLS] = np.abs(amps_full[:, list(sector.manifold)]) ** 2
-    fid_pair_swap = np.sum(np.sqrt(np.abs(amps_pair_swap) ** 2 * pops_full), axis=1) ** 2
-    fid_derived = np.sum(np.sqrt(np.abs(amps_derived) ** 2 * pops_full), axis=1) ** 2
+    # the full model's six states at Fock n, (t, 6); weight outside them lowers the fidelity
+    full = np.abs(_evaluate(freqs, parts[list(sector.manifold)], times))
+    fid_pair_swap = np.sum(np.abs(amps_pair_swap[:, _COLS]) * full, axis=1) ** 2
+    fid_derived = np.sum(np.abs(amps_derived[:, _COLS]) * full, axis=1) ** 2
 
     # internal consistency of the pair-swap route against the closed-form map
     sampled = slice(0, COMPARISON_POINTS, COMPARISON_POINTS // 25)

@@ -40,6 +40,23 @@ def test_compare_names_each_kind_of_difference(tmp_path):
     assert rows["crashed.json"] == (False, "missing in parent and change")
 
 
+def test_json_detail_counts_every_moved_number(tmp_path):
+    # the largest deviation alone does not say how many numbers moved
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    report = {"flags": {"ok": True}, "results": {"x": 1.0, "y": [2.0, 3.0], "label": "a"}}
+    (parent / "moved.json").write_text(json.dumps(report))
+    (change / "moved.json").write_text(json.dumps({**report, "results": {"x": 1.5, "y": [2.0, 3.0 + 1e-9],
+                                                                         "label": "a"}}))
+
+    [(name, same, detail)] = _load().compare(parent, change, ["moved.json"])
+
+    assert (name, same) == ("moved.json", False)
+    assert detail == ("largest numeric deviation at results.x: abs 5.00e-01, rel 5.00e-01; "
+                      "2 numeric leaves differ; 0 other leaves differ; flags same")
+
+
 def test_produce_records_every_exit_code(tmp_path, monkeypatch):
     # a change to the CLI's exit path must show even when the report bytes match
     module = _load()

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,19 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 import dfscavity
-from dfscavity.hilbert import SystemParams
-from dfscavity.model import TWO_EXCITATION_LABELS, derived_coupling, effective_coupling, excitation_sector
+from dfscavity.dynamics import _evaluate, evolve_times
+from dfscavity.hilbert import Operator, StateVector, SystemParams
+from dfscavity.model import (
+    TWO_EXCITATION_CONFIGS,
+    TWO_EXCITATION_LABELS,
+    build_h_eff,
+    derive_second_order,
+    derived_coupling,
+    effective_coupling,
+    excitation_sector,
+)
 from dfscavity.validate import (
+    COMPARISON_POINTS,
     PEAK_PROMINENCE_FRACTION,
     RABI_FIT_POINTS,
     RabiFitError,
@@ -211,6 +222,90 @@ def test_fit_span_is_the_exact_run_grid():
     assert _exact_run(params, 0, 5)[2][-1] == fit_span(params, 0) == 3 * np.pi / 0.1
 
 
+def _full_series(params, n, points):
+    """The exact run and its whole (points, sector) amplitude series, through
+    `Propagator.series` from |egeg, n>."""
+    run, sector, times, propagator, _ = _exact_run(params, n, points)
+    psi0 = np.zeros(len(sector.indices), dtype=complex)
+    psi0[sector.manifold[0]] = 1.0
+    return run, sector, times, propagator, propagator.series(psi0, times)
+
+
+def _reference_fit(params, n, min_peak_population):
+    """extract_rabi's run by the formulas that read the full series: np.abs(amps)**2,
+    fancy-index group sums and np.polyfit for the Stark rate."""
+    run, sector, times, propagator, amps = _full_series(params, n, RABI_FIT_POINTS)
+    idx = dict(zip(TWO_EXCITATION_LABELS, sector.manifold))
+    probs = np.abs(amps) ** 2
+    p_gege, p_egeg = probs[:, idx["gege"]], probs[:, idx["egeg"]]
+    exchange = probs[:, [idx[lab] for lab in ("egge", "geeg", "eegg", "ggee")]].sum(axis=1)
+    totals = probs.sum(axis=1)
+    u = propagator.unitary
+    peak_times = _quadratic_peak_times(times, p_gege)
+    omega_fit = (np.pi / np.mean(np.diff(peak_times)) if len(peak_times) >= 2
+                 else np.pi / (2 * peak_times[0]) if peak_times else np.nan)
+    peak_pop = float(p_gege.max())
+    diagnostic = (f"peak transfer {peak_pop:.6f} below the fit threshold {min_peak_population}"
+                  if peak_pop < min_peak_population
+                  else None if np.isfinite(omega_fit) else "no prominent peak in the |gege> population")
+    return replace(
+        run, omega_fit=omega_fit,
+        relative_deviation=abs(omega_fit - run.omega_expected) / abs(run.omega_expected),
+        peak_population=peak_pop,
+        leakage_pair=np.max(1.0 - (p_egeg + p_gege) / totals),
+        leakage_exchange=exchange.max(),
+        leakage_photon=np.max(totals - probs[:, sector.levels == n].sum(axis=1)),
+        guard_leakage=probs[:, sector.levels >= params.n_max - 1].sum(axis=1).max(),
+        stark_shift_fit=-np.polyfit(times, np.unwrap(np.angle(amps[:, idx["egeg"]])), 1)[0],
+        unitarity_defect=np.max(np.abs(u.conj().T @ u - np.eye(len(u)))),
+        normalization_defect=np.max(np.abs(np.sqrt(totals) - 1.0)),
+        diagnostic=diagnostic)
+
+
+def _reference_fidelities(params, n):
+    """compare_effective_models' two fidelity series by the 16-column formula over the
+    full series."""
+    _, sector, times, _, amps_full = _full_series(params, n, COMPARISON_POINTS)
+    psi = StateVector.basis_state("egeg")
+    cols = list(TWO_EXCITATION_CONFIGS)
+    derived16 = np.zeros((16, 16), dtype=complex)
+    derived16[np.ix_(cols, cols)] = derive_second_order(sector.energies, sector.hint, sector.manifold)
+    pops_full = np.zeros((len(times), 16))
+    pops_full[:, cols] = np.abs(amps_full[:, list(sector.manifold)]) ** 2
+    return [np.sum(np.sqrt(np.abs(evolve_times(h, psi, times)) ** 2 * pops_full), axis=1) ** 2
+            for h in (build_h_eff(params, n, include_stark=False), Operator(derived16))]
+
+
+def _fit_or_partial(params, n, min_peak_population):
+    try:
+        return extract_rabi(params, n, min_peak_population=min_peak_population)
+    except RabiFitError as err:
+        return err.run
+
+
+@pytest.mark.parametrize("n_max", [8, 16])
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("ratio", [5.0, 10.0, 20.0, 40.0, 80.0])
+def test_observables_match_the_full_series_formulas(ratio, n, n_max):
+    # every observable is read once from the fold (squared parts, one group product,
+    # the closed-form slope, six comparison columns); the formulas on the full series
+    # are the oracle, within 1e-12 relative or 1e-15 absolute
+    params = make_params(ratio, n_max)
+    for threshold in (0.0, 0.5):
+        got, want = _fit_or_partial(params, n, threshold), _reference_fit(params, n, threshold)
+        for field in fields(got):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(a, float):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15, err_msg=field.name)
+            else:
+                assert a == b, field.name
+    comp = compare_effective_models(params, n)
+    pair_swap, derived = _reference_fidelities(params, n)
+    np.testing.assert_allclose(comp.fidelity_pair_swap_vs_full, pair_swap, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(comp.fidelity_derived_vs_full, derived, rtol=1e-12, atol=1e-15)
+    assert comp.derived_tracks_full_better == (np.max(1 - derived) < np.max(1 - pair_swap))
+
+
 def _peak_cases():
     """Series that exercise the prominence filter: seeded random noise,
     integer-valued series with plateaus, a flat series and edge maxima."""
@@ -259,8 +354,9 @@ class TestProminentPeaks:
     @pytest.mark.parametrize("ratio", [5.0, 10.0, 20.0, 40.0, 80.0])
     def test_gege_series_peaks_match_scipy(self, ratio):
         # the series the Rabi fit filters, at the fit's threshold and with none
-        _, sector, _, _, amps = _exact_run(make_params(ratio), 0, RABI_FIT_POINTS)
-        p_gege = np.abs(amps[:, sector.manifold[TWO_EXCITATION_LABELS.index("gege")]]) ** 2
+        _, sector, times, _, fold = _exact_run(make_params(ratio), 0, RABI_FIT_POINTS)
+        gege = _evaluate(*fold, times)[:, sector.manifold[TWO_EXCITATION_LABELS.index("gege")]]
+        p_gege = gege.real ** 2 + gege.imag ** 2
         for fraction in (PEAK_PROMINENCE_FRACTION, 0.0):
             prominence = fraction * float(np.ptp(p_gege))
             expected, _ = find_peaks(p_gege, prominence=prominence)
