@@ -2,16 +2,17 @@
 pair-exchange map.
 
 Exact evolution goes through the eigendecomposition of the hermitian generator;
-`evolve_exact`, `evolve_times` and `Propagator.series` apply it through
-`_series`, and a `Propagator` holds the unitary and the spectrum from one eigh.
+`evolve_exact` and `evolve_times` apply it through `_series`, and
+`make_propagator` returns the unitary with the spectrum (w, v) from one eigh.
 `_series` is `_evaluate` of `_fold`: `_fold` merges the eigenvalues eigh cannot
 tell apart, drops the eigenspaces the state does not occupy and leaves one part
 per distinct occupied frequency; `_evaluate` takes one exponential per time and
 frequency, on the rows of the parts it is given. So a series costs len(times) x
 that number of frequencies, not len(times) x dim: 3 or 4 frequencies of the 11
 or 16 sector states from a two-excitation start (the symmetric Dicke ladder
-plus one dark level), 2 for the 16-state effective generators that
-`evolve_exact` and `evolve_times` apply to a `StateVector`. The validation runs
+plus one dark level), 2 for the 16-state effective generators. `evolve_times`
+takes a plain amplitude array of the generator's dimension, 16 for the effective
+generators or the composite dimension for the dense oracle. The validation runs
 fold |egeg, n> under H0 + Hint of the full model's conserved-excitation sector
 (at most 16 states at any n_max, see model.excitation_sector) and evaluate the
 rows they read; the dense composite Hamiltonian only serves the tests as the
@@ -20,8 +21,6 @@ eigenvalue as cross-checks.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,24 +69,11 @@ def _evaluate(freqs: np.ndarray, parts: np.ndarray, times: np.ndarray) -> np.nda
     return np.exp(-1j * np.outer(np.asarray(times), freqs)) @ parts.T
 
 
-@dataclass(frozen=True, eq=False)
-class Propagator:
-    """exp(-i h t) for one duration, as an array, with the spectrum (w, v) of h it was built from."""
-
-    unitary: np.ndarray
-    spectrum: tuple[np.ndarray, np.ndarray]
-
-    def series(self, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """exp(-i h t) applied to an amplitude vector at each of `times`, shape
-        (len(times), dim), with no further eigh."""
-        return _series(*self.spectrum, amplitudes, times)
-
-
-def make_propagator(h: Operator, t: float) -> Propagator:
-    """exp(-i h t) via eigendecomposition of the hermitian generator."""
+def make_propagator(h: Operator, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(-i h t) via eigendecomposition of the hermitian generator, as (unitary, w, v)
+    with the spectrum (w, v) of h it was built from."""
     w, v = _spectrum(h)
-    u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    return Propagator(unitary=u, spectrum=(w, v))
+    return (v * np.exp(-1j * w * t)) @ v.conj().T, w, v
 
 
 def evolve_exact(h: Operator, psi: StateVector, t: float) -> StateVector:
@@ -99,9 +85,10 @@ def evolve_exact(h: Operator, psi: StateVector, t: float) -> StateVector:
     return out
 
 
-def evolve_times(h: Operator, psi: StateVector, times: np.ndarray) -> np.ndarray:
-    """Amplitudes at many times, shape (len(times), dim); one eigh for all."""
-    return _series(*_spectrum(h), psi.amplitudes, times)
+def evolve_times(h: Operator, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i h t) applied to `amplitudes` (of h's dimension) at each of `times`,
+    shape (len(times), dim); one eigh for all."""
+    return _series(*_spectrum(h), amplitudes, times)
 
 
 _ROWS = np.array(TWO_EXCITATION_CONFIGS)  # index arrays: a list is converted on every use

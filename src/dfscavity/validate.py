@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import _evaluate, _fold, evolve_times, make_propagator, pair_exchange
-from .hilbert import N_ATOMIC_CONFIGS, Operator, StateVector, SystemParams
+from .hilbert import N_ATOMIC_CONFIGS, Operator, SystemParams
 from .model import (
     TWO_EXCITATION_CONFIGS,
     TWO_EXCITATION_LABELS,
@@ -80,7 +80,7 @@ class ValidationRun:
     omega_expected: float
     perturbative_ok: bool                # the ratio at the cut-off n_max, not at the occupied levels
     omega_fit: float = np.nan            # nan when the fit is not possible
-    relative_deviation: float = np.nan   # |omega_fit - omega_expected| / omega_expected
+    relative_deviation: float = np.nan   # |omega_fit - |omega_expected|| / |omega_expected|
     peak_population: float = 0.0
     leakage_pair: float = np.nan         # max prob outside {egeg, gege} x |n>
     leakage_exchange: float = np.nan     # max prob in the other four two-excitation configs at n
@@ -181,8 +181,9 @@ def fit_span(params: SystemParams, n: int) -> float:
 
 def _exact_run(params: SystemParams, n: int, points: int):
     """Evolve |egeg, n> exactly on the sector n_e + m = n + 2 over 1.5 exchange periods
-    (`points` times) by one eigh; returns (run inputs, sector, times, propagator, the
-    state's fold (freqs, parts) for `dynamics._evaluate`). Raises ValueError unless
+    (`points` times) by one eigh; returns (run inputs, sector, times, the unitary over
+    the span, the state's fold (freqs, parts) for `dynamics._evaluate`), the unitary and
+    the fold from the (unitary, w, v) of one `make_propagator`. Raises ValueError unless
     0 <= n <= n_max - 4 and the rate and span pass `fit_span`, RabiFitError when G = 0."""
     sector = excitation_sector(params, n + 2)  # the domain check, before effective_coupling
     run = ValidationRun(omega_expected=effective_coupling(n, params).omega,
@@ -194,8 +195,8 @@ def _exact_run(params: SystemParams, n: int, points: int):
     times = np.linspace(0.0, t_max, points)
     psi0 = np.zeros(len(sector.indices), dtype=complex)
     psi0[sector.manifold[0]] = 1.0  # |egeg, n>
-    propagator = make_propagator(Operator(np.diag(sector.energies) + sector.hint), t_max)  # one eigh
-    return run, sector, times, propagator, _fold(*propagator.spectrum, psi0)
+    u, w, v = make_propagator(Operator(np.diag(sector.energies) + sector.hint), t_max)  # one eigh
+    return run, sector, times, u, _fold(w, v, psi0)
 
 
 def extract_rabi(params: SystemParams, n: int = 0,
@@ -210,7 +211,7 @@ def extract_rabi(params: SystemParams, n: int = 0,
     exists; lower the threshold to force a fit of whatever oscillation is
     present. Raises ValueError unless 0 <= n <= n_max - 4.
     """
-    run, sector, times, propagator, fold = _exact_run(params, n, RABI_FIT_POINTS)
+    run, sector, times, u, fold = _exact_run(params, n, RABI_FIT_POINTS)
     amps = _evaluate(*fold, times)  # the evolved state, (points, sector)
     idx = dict(zip(TWO_EXCITATION_LABELS, sector.manifold))
     levels, one_hot = sector.levels, np.eye(len(sector.levels))
@@ -225,7 +226,6 @@ def extract_rabi(params: SystemParams, n: int = 0,
     centred = times - times.mean()
     stark_fit = -float(centred @ phase / (centred @ centred))
 
-    u = propagator.unitary
     unde = float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
     norm_defect = float(np.max(np.abs(np.sqrt(totals) - 1.0)))
 
@@ -244,7 +244,7 @@ def extract_rabi(params: SystemParams, n: int = 0,
     run = replace(
         run,
         omega_fit=omega_fit,
-        relative_deviation=float(abs(omega_fit - run.omega_expected) / abs(run.omega_expected))
+        relative_deviation=float(abs(omega_fit - abs(run.omega_expected)) / abs(run.omega_expected))
         if np.isfinite(omega_fit) else np.nan,
         peak_population=peak_pop,
         leakage_pair=float(np.max(1.0 - (p_egeg + p_gege) / totals)),
@@ -313,14 +313,14 @@ def compare_effective_models(params: SystemParams, n: int = 0) -> EffectiveModel
     run, sector, times, _, (freqs, parts) = _exact_run(params, n, COMPARISON_POINTS)
     omega = run.omega_expected
 
-    psi_atomic = StateVector.basis_state("egeg")
+    egeg = np.eye(N_ATOMIC_CONFIGS, dtype=complex)[_COLS[0]]  # one-hot |egeg>
     h_pair_swap = build_h_eff(params, n, include_stark=False)
-    amps_pair_swap = evolve_times(h_pair_swap, psi_atomic, times)  # (t, 16)
+    amps_pair_swap = evolve_times(h_pair_swap, egeg, times)  # (t, 16)
 
     derived6 = derive_second_order(sector.energies, sector.hint, sector.manifold)
     derived16 = np.zeros((16, 16), dtype=complex)
     derived16[np.ix_(_COLS, _COLS)] = derived6
-    amps_derived = evolve_times(Operator(derived16), psi_atomic, times)
+    amps_derived = evolve_times(Operator(derived16), egeg, times)
 
     # the full model's six states at Fock n, (t, 6); weight outside them lowers the fidelity
     full = np.abs(_evaluate(freqs, parts[list(sector.manifold)], times))
@@ -330,7 +330,7 @@ def compare_effective_models(params: SystemParams, n: int = 0) -> EffectiveModel
     # internal consistency of the pair-swap route against the closed-form map
     sampled = slice(0, COMPARISON_POINTS, COMPARISON_POINTS // 25)
     areas = omega * times[sampled]
-    closed = pair_exchange(np.broadcast_to(psi_atomic.amplitudes[:, None], (16, len(areas))), areas)
+    closed = pair_exchange(np.broadcast_to(egeg[:, None], (16, len(areas))), areas)
     defect = float(np.max(np.abs(closed.T - amps_pair_swap[sampled])))
 
     entries = _difference_entries(derived6, h_pair_swap)

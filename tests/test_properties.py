@@ -84,4 +84,4 @@ class TestUnitarity:
         _floats(-10.0, 10.0))
     def test_propagator_of_random_hermitian(self, m, t):
         h = Operator((m + m.conj().T) / 2)
-        assert Operator(make_propagator(h, t).unitary).unitary
+        assert Operator(make_propagator(h, t)[0]).unitary

@@ -114,6 +114,26 @@ class TestExtractRabi:
             extract_rabi(params, n=0)
         assert excinfo.value.run.diagnostic.startswith("peak transfer")
 
+    def test_deviation_reads_the_same_at_either_sign_of_delta(self):
+        # Omega(n) changes sign with delta while the fitted frequency is positive,
+        # so the deviation compares the fit with |Omega(n)|
+        plus, minus = forced_rabi_fit(make_params(10.0), n=0), forced_rabi_fit(make_params(-10.0), n=0)
+        assert minus.omega_expected == -plus.omega_expected
+        assert minus.omega_fit == pytest.approx(plus.omega_fit, rel=1e-9)
+        assert minus.peak_population == pytest.approx(plus.peak_population, rel=1e-9)
+        assert minus.relative_deviation == pytest.approx(plus.relative_deviation, rel=1e-9)
+
+    @pytest.mark.parametrize("ratio", [20.0, -20.0])
+    def test_one_peak_fits_a_quarter_period(self, ratio, monkeypatch):
+        # a single prominent peak at t1 is read as the first maximum of the
+        # transfer, a quarter period: omega_fit = pi / (2 t1)
+        monkeypatch.setattr("dfscavity.validate._quadratic_peak_times", lambda times, series: [4.0])
+        run = extract_rabi(make_params(ratio), n=0, min_peak_population=0.0)
+        omega = abs(effective_coupling(0, make_params(ratio)).omega)
+        assert run.omega_fit == np.pi / 8.0
+        assert run.relative_deviation == pytest.approx(abs(np.pi / 8.0 - omega) / omega, rel=1e-12)
+        assert run.diagnostic is None
+
     def test_fock_sector_above_guard_rejected(self):
         with pytest.raises(ValueError, match="n_max - 4"):
             extract_rabi(make_params(10.0), n=5)
@@ -224,23 +244,23 @@ def test_fit_span_is_the_exact_run_grid():
 
 def _full_series(params, n, points):
     """The exact run and its whole (points, sector) amplitude series, through
-    `Propagator.series` from |egeg, n>."""
-    run, sector, times, propagator, _ = _exact_run(params, n, points)
+    `evolve_times` of the sector's H0 + Hint from |egeg, n>."""
+    run, sector, times, u, _ = _exact_run(params, n, points)
     psi0 = np.zeros(len(sector.indices), dtype=complex)
     psi0[sector.manifold[0]] = 1.0
-    return run, sector, times, propagator, propagator.series(psi0, times)
+    h = Operator(np.diag(sector.energies) + sector.hint)
+    return run, sector, times, u, evolve_times(h, psi0, times)
 
 
 def _reference_fit(params, n, min_peak_population):
     """extract_rabi's run by the formulas that read the full series: np.abs(amps)**2,
     fancy-index group sums and np.polyfit for the Stark rate."""
-    run, sector, times, propagator, amps = _full_series(params, n, RABI_FIT_POINTS)
+    run, sector, times, u, amps = _full_series(params, n, RABI_FIT_POINTS)
     idx = dict(zip(TWO_EXCITATION_LABELS, sector.manifold))
     probs = np.abs(amps) ** 2
     p_gege, p_egeg = probs[:, idx["gege"]], probs[:, idx["egeg"]]
     exchange = probs[:, [idx[lab] for lab in ("egge", "geeg", "eegg", "ggee")]].sum(axis=1)
     totals = probs.sum(axis=1)
-    u = propagator.unitary
     peak_times = _quadratic_peak_times(times, p_gege)
     omega_fit = (np.pi / np.mean(np.diff(peak_times)) if len(peak_times) >= 2
                  else np.pi / (2 * peak_times[0]) if peak_times else np.nan)
@@ -250,7 +270,7 @@ def _reference_fit(params, n, min_peak_population):
                   else None if np.isfinite(omega_fit) else "no prominent peak in the |gege> population")
     return replace(
         run, omega_fit=omega_fit,
-        relative_deviation=abs(omega_fit - run.omega_expected) / abs(run.omega_expected),
+        relative_deviation=abs(omega_fit - abs(run.omega_expected)) / abs(run.omega_expected),
         peak_population=peak_pop,
         leakage_pair=np.max(1.0 - (p_egeg + p_gege) / totals),
         leakage_exchange=exchange.max(),
@@ -266,7 +286,7 @@ def _reference_fidelities(params, n):
     """compare_effective_models' two fidelity series by the 16-column formula over the
     full series."""
     _, sector, times, _, amps_full = _full_series(params, n, COMPARISON_POINTS)
-    psi = StateVector.basis_state("egeg")
+    psi = StateVector.basis_state("egeg").amplitudes
     cols = list(TWO_EXCITATION_CONFIGS)
     derived16 = np.zeros((16, 16), dtype=complex)
     derived16[np.ix_(cols, cols)] = derive_second_order(sector.energies, sector.hint, sector.manifold)
