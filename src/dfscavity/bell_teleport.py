@@ -22,8 +22,8 @@ branch enumeration and is re-verified by the tests:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +77,7 @@ def prepare_bell(label: BellLabel) -> StateVector:
 _PHI_PLUS_CHANNEL = prepare_bell(BellLabel.PHI_PLUS).amplitudes.reshape(4, 4)
 
 
-@dataclass(frozen=True)
-class BellBranch:
+class BellBranch(NamedTuple):
     label: BellLabel | None     # None: the outcome is not one of the four Bell images
     outcomes: tuple[str, ...]   # per-atom "e"/"g", atom 1 first
     probability: float
@@ -143,15 +142,13 @@ _OUTCOME_ROWS = [atomic_index(c) for c in BELL_OUTCOME_MAP]
 _BRANCH_CORRECTIONS = np.stack([_CORRECTIONS[CORRECTION_TABLE[label]] for label in BELL_OUTCOME_MAP.values()])
 
 
-@dataclass(frozen=True)
-class TeleportBranch:
+class TeleportBranch(NamedTuple):
     label: BellLabel
     probability: float | np.ndarray  # the broadcast input shape
     fidelity: float | np.ndarray
 
 
-@dataclass(frozen=True)
-class TeleportReport:
+class TeleportReport(NamedTuple):
     branches: tuple[TeleportBranch, ...]
     sampled_label: str | None = None
     sampled_fidelity: float | None = None

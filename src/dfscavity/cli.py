@@ -7,15 +7,17 @@ Usage:
 Experiments: entangle, cnot-verify, bell, teleport, stagger-sweep (in units
 of 1/Omega: pulse_area is the duration), thermal, validate-effective,
 durations. Exit codes: 0 all embedded PASS flags true, 1 experiment failure
-(report still written), 2 config error or unwritable --out path (no report
-written). The numeric-domain rules are the library's; `_check_config` asks them
-and names the keys. Without --out the report goes to stdout. No environment
-variables are consulted; identical config + seed produce byte-identical reports.
+(report still written), 2 config error, or an --out path or stdout that
+cannot be written (no report written). The numeric-domain rules are the
+library's; `_check_config` asks them and names the keys. Without --out the
+report goes to stdout. No environment variables are consulted; identical
+config + seed produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -276,7 +278,7 @@ def _native(obj):
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a NamedTuple: perfbench's tracer wraps its to_json method
 class ExperimentReport:
     config: dict
     experiment: str
@@ -685,11 +687,26 @@ def main(argv=None) -> int:
             print(f"output error: cannot write {args.out!r}: {err.strerror}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(payload)
+        try:  # flushed here, so a closed pipe or a full disk cannot fail later, at shutdown
+            sys.stdout.write(payload)
+            sys.stdout.flush()
+        except OSError as err:
+            print(f"output error: cannot write to stdout: {err.strerror}", file=sys.stderr)
+            return 2
     status = "PASS" if report.passed else "FAIL"
     print(f"{config.experiment}: {status} in {elapsed:.2f} s", file=sys.stderr)
     return 0 if report.passed else 1
 
 
+def exit_main() -> None:
+    """Run `main` and exit the process with its status: `python -m dfscavity.cli`
+    and the `dfscavity` script. The collector is frozen first, so the interpreter's
+    shutdown does not walk again the objects that numpy and the package made;
+    `main` itself never freezes, because tests call it in-process."""
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    exit_main()

@@ -27,7 +27,7 @@ shared with `compile_cnot`, picks the convention, report and product from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,27 +53,23 @@ _PAIR_GG, _PAIR_GE, _PAIR_EG, _PAIR_EE = 0, 1, 2, 3
 CNOT_TRUTH_TABLE = {0: 2, 1: 1, 2: 0, 3: 3}
 
 
-@dataclass(frozen=True)
-class GateDescriptor:
+class GateDescriptor(NamedTuple):
     kind: str                      # "H" | "P" | "P_inv" | "R"
     target: tuple[int, int] | str  # atom pair, or "all" for R
     pulse_area: float
 
 
-@dataclass(frozen=True)
-class CnotConvention:
+class CnotConvention(NamedTuple):
     application_order: str  # "listed_first_applied_first" | "listed_first_applied_last"
     p_sign: int             # +1 | -1
 
 
-@dataclass(frozen=True)
-class PulseSequence:
+class PulseSequence(NamedTuple):
     gates: tuple[GateDescriptor, ...]
     convention: CnotConvention
 
 
-@dataclass(frozen=True)
-class TruthTableRow:
+class TruthTableRow(NamedTuple):
     input_state: str      # four-letter atomic label of the logical input
     expected: str
     observed: str
@@ -81,8 +77,7 @@ class TruthTableRow:
     phase: complex        # amplitude on the expected output state
 
 
-@dataclass(frozen=True)
-class TruthTableReport:
+class TruthTableReport(NamedTuple):
     rows: tuple[TruthTableRow, ...]
     passed: bool
 
@@ -255,8 +250,7 @@ def compile_cnot() -> PulseSequence:
     return _first_passing(convention_search())[0]
 
 
-@dataclass(frozen=True)
-class DurationReport:
+class DurationReport(NamedTuple):
     """Closed-form aggregate durations versus the per-gate bottom-up sum.
 
     The two closed forms are pi*|delta|/(8 G^2) for one maximal-entanglement

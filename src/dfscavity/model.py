@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +69,7 @@ def pair_partner(config) -> int:
     return (~atomic_index(config)) & (N_ATOMIC_CONFIGS - 1)
 
 
-@dataclass(frozen=True)
-class EffectiveCoupling:
+class EffectiveCoupling(NamedTuple):
     """Pair-exchange rate Omega for a given Fock sector."""
 
     omega: float

@@ -39,6 +39,7 @@ sign); raw amplitude overlaps would measure that convention, not the dynamics.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,7 +76,7 @@ class RabiFitError(RuntimeError):
         self.max_transfer = run.peak_population
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a NamedTuple: the fit fills it with replace, reports read it with asdict
 class ValidationRun:
     omega_expected: float
     perturbative_ok: bool                # the ratio at the cut-off n_max, not at the occupied levels
@@ -273,8 +274,7 @@ def forced_rabi_fit(params: SystemParams, n: int = 0) -> ValidationRun:
         return err.run
 
 
-@dataclass(frozen=True)
-class EffectiveModelComparison:
+class EffectiveModelComparison(NamedTuple):
     fidelity_pair_swap_vs_full: np.ndarray
     fidelity_derived_vs_full: np.ndarray
     max_infidelity_pair_swap: float

@@ -1,4 +1,7 @@
+import errno
+import gc
 import inspect
+import io
 import json
 import os
 import re
@@ -7,6 +10,7 @@ import sys
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -467,6 +471,39 @@ class TestDeterminism:
         assert text.splitlines()[0] == "t1_fraction,fidelity_amplitude,fidelity_squared"
 
 
+class CliProcess(NamedTuple):
+    returncode: int
+    stderr: str     # -X importtime names every module the process loads
+    report: Path
+
+
+@pytest.fixture(scope="module")
+def cli_processes(tmp_path_factory):
+    """One fresh `python -X importtime -m dfscavity.cli <experiment> --out ...` process
+    per experiment, all eight started at once."""
+    out = tmp_path_factory.mktemp("cli-processes")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    procs = {}
+    try:
+        for experiment in cli.EXPERIMENTS:
+            with open(out / f"{experiment}.err", "w", encoding="utf-8") as err:
+                procs[experiment] = subprocess.Popen(
+                    [sys.executable, "-X", "importtime", "-m", "dfscavity.cli", experiment,
+                     "--out", str(out / f"{experiment}.json")],
+                    env=env, stdout=subprocess.DEVNULL, stderr=err)
+        codes = {experiment: proc.wait(timeout=120) for experiment, proc in procs.items()}
+    finally:
+        for proc in procs.values():
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    return {experiment: CliProcess(code, (out / f"{experiment}.err").read_text(encoding="utf-8"),
+                                   out / f"{experiment}.json")
+            for experiment, code in codes.items()}
+
+
 class TestMainEntryPoint:
     def test_success_exit_zero_and_file_written(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -484,20 +521,40 @@ class TestMainEntryPoint:
         assert re.fullmatch(rf"{experiment}: (PASS|FAIL) in \d+\.\d\d s\n", capsys.readouterr().err)
 
     @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
-    def test_process_loads_validate_only_when_needed_and_never_numpy_ma(self, experiment, tmp_path):
-        # a fresh `python -m dfscavity.cli` process; -X importtime names every module it loads
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        done = subprocess.run([sys.executable, "-X", "importtime", "-m", "dfscavity.cli", experiment,
-                               "--out", str(tmp_path / "report.json")],
-                              env=env, capture_output=True, text=True, timeout=120)
+    def test_process_loads_validate_only_when_needed_and_never_numpy_ma(self, experiment, cli_processes):
+        done = cli_processes[experiment]
         assert done.returncode == (1 if experiment == "validate-effective" else 0), done.stderr
         loaded = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
                   if line.startswith("import time:")}
         assert "dfscavity.hilbert" in loaded
         assert ("dfscavity.validate" in loaded) == (experiment == "validate-effective")
         assert "numpy.ma" not in loaded
+
+    @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+    def test_process_writes_the_in_process_report(self, experiment, cli_processes):
+        done = cli_processes[experiment]
+        assert done.returncode == (1 if experiment == "validate-effective" else 0), done.stderr
+        expected = run_experiment(parse_config("", experiment)).to_json()
+        assert done.report.read_bytes() == expected.encode("utf-8")
+
+    def test_main_leaves_the_collector_unfrozen(self, tmp_path, capsys):
+        assert main(["bell", "--out", str(tmp_path / "r.json")]) == 0
+        assert gc.get_freeze_count() == 0
+
+    def test_exit_main_freezes_after_main_and_exits_with_its_status(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 1)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.exit_main()
+        assert exit_info.value.code == 1
+        assert calls == ["main", "freeze"]
+
+    def test_console_script_is_the_exit_function(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        assert scripts == {"dfscavity": "dfscavity.cli:exit_main"}
 
     def test_config_error_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -617,6 +674,18 @@ class TestMainEntryPoint:
         assert captured.err.splitlines() == [f"output error: cannot write {str(out)!r}: "
                                              "No such file or directory"]
         assert captured.out == ""
+
+    def test_unwritable_stdout_exit_two(self, capsys, monkeypatch):
+        # a closed pipe: one stderr line and exit 2, as for an unwritable --out path
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        with monkeypatch.context() as m:
+            m.setattr(sys, "stdout", ClosedPipe())
+            assert main(["bell"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "output error: cannot write to stdout: Broken pipe"]
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_out_file_holds_the_stdout_bytes(self, fmt, tmp_path, capsys):
