@@ -8,16 +8,17 @@ Exact evolution goes through the eigendecomposition of the hermitian generator;
 tell apart, drops the eigenspaces the state does not occupy and leaves one part
 per distinct occupied frequency; `_evaluate` takes one exponential per time and
 frequency, on the rows of the parts it is given. So a series costs len(times) x
-that number of frequencies, not len(times) x dim: 3 or 4 frequencies of the 11
-or 16 sector states from a two-excitation start (the symmetric Dicke ladder
-plus one dark level), 2 for the 16-state effective generators. `evolve_times`
-takes a plain amplitude array of the generator's dimension, 16 for the effective
-generators or the composite dimension for the dense oracle. The validation runs
-fold |egeg, n> under H0 + Hint of the full model's conserved-excitation sector
-(at most 16 states at any n_max, see model.excitation_sector) and evaluate the
-rows they read; the dense composite Hamiltonian only serves the tests as the
-oracle, with the scaling-and-squaring route and the unfolded sum over every
-eigenvalue as cross-checks.
+that number of frequencies, not len(times) x dim: 3 or 4 frequencies of the 7
+or 8 block states from a two-excitation start (the symmetric Dicke ladder plus
+one dark level), 2 for the 16-state effective generators. `evolve_times` takes
+a plain amplitude array of the generator's dimension: 16 for the effective
+generators, 6 for the derived second-order operator, or the composite dimension
+for the dense oracle. The validation runs fold |egeg, n> under H0 + Hint of the
+full model on the 7 or 8 states the two-excitation manifold reaches (at any
+n_max, see model.pair_block) and evaluate the rows they read; the dense
+composite Hamiltonian only serves the tests as the oracle, with the
+scaling-and-squaring route and the unfolded sum over every eigenvalue as
+cross-checks.
 """
 
 from __future__ import annotations

@@ -14,12 +14,12 @@ Conventions used throughout the package:
   a `StateVector` holds the 16 atomic amplitudes in that order (the gates and
   the Bell and teleport maps act on the atoms; the cavity is only virtual);
 * composite basis index = atomic_index * (n_max + 1) + n, with n the Fock
-  level, used only by the exact conserved-excitation sector
-  (model.excitation_sector) and the dense builders that the tests check;
+  level, used only by the dense builders that the tests check (the exact
+  runs use model.pair_block, which lists its states by row);
 * the Fock ladder is truncated at n_max by silently dropping amplitude raised
-  past the top level; validated runs need n <= n_max - 4, so their conserved-
-  excitation sector stops at n + 2 and never reaches the two guard levels
-  below the cut: guard occupation is 0 by construction.
+  past the top level; validated runs need n <= n_max - 4, so their exact
+  block stops at n + 2 and never reaches the two guard levels below the cut:
+  guard occupation is 0 by construction.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def basis_index(config, n: int, n_max: int) -> int:
 class StateVector:
     """The 16 atomic amplitudes, in atomic_index order, compared and hashed by
     identity. The cavity is factored out, so `n_max` is always 0: the composite
-    atoms x Fock basis belongs to the exact sector and the dense oracles.
+    atoms x Fock basis belongs to the dense oracles.
     """
 
     amplitudes: np.ndarray

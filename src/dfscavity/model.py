@@ -19,11 +19,11 @@ products that exchange excitation between an atom pair and its complement
 Omega(n) = (4n+2)G^2/delta, plus an optional photon-number-dependent
 diagonal (Stark) term.
 
-H conserves n_e + n (atomic excitations plus photons), so `excitation_sector`
-gives the exact model on the at most 16 states with n_e + n = total (their
-indices and Fock levels, their bare energies, the Hint block and the local
-indices of the six two-excitation states), built from closed-form entries at
-a cost independent of n_max. The dense
+Hint couples each two-excitation configuration at Fock level n to |gggg, n+2>
+and, for n >= 2, |eeee, n-2> only, so `pair_block` gives the exact model on
+those 7 or 8 states (their Fock levels, their bare energies and the Hint block,
+the six configurations first), built from closed-form entries at a cost
+independent of n_max. The dense
 `build_h0`/`build_hint`/`build_full_hamiltonian` use the same formulas on the
 whole space (the pair pattern from bits of the configuration index, the a^2
 entries sqrt(m-1) sqrt(m)); the tests check both against Kronecker products.
@@ -42,7 +42,6 @@ reported, never suppressed (see validate.compare_effective_models).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import comb
 from typing import NamedTuple
@@ -62,6 +61,7 @@ from .hilbert import (
 # the six two-excitation atomic configurations, in a fixed label order
 TWO_EXCITATION_LABELS = ("egeg", "egge", "geeg", "gege", "eegg", "ggee")
 TWO_EXCITATION_CONFIGS = tuple(atomic_index(s) for s in TWO_EXCITATION_LABELS)
+MANIFOLD_ROWS = tuple(range(len(TWO_EXCITATION_LABELS)))  # their rows in `pair_block`
 
 
 def pair_partner(config) -> int:
@@ -156,47 +156,33 @@ def two_excitation_manifold(params: SystemParams, n: int) -> tuple[int, ...]:
     return tuple(basis_index(c, n, params.n_max) for c in TWO_EXCITATION_CONFIGS)
 
 
-@dataclass(frozen=True, eq=False)
-class ExcitationSector:
-    """The states |a, m> with n_e(a) + m = total and 0 <= m <= n_max, in ascending
-    composite index, with their bare energies (H0 = np.diag(energies)) and Hint block.
-    H conserves n_e + m, so the exact dynamics from |egeg, total - 2> never leaves
-    these at most 16 states, whatever n_max is (Tavis & Cummings, Phys. Rev. 170,
-    379 (1968))."""
+def pair_block(params: SystemParams, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact model on the states the six two-excitation configurations at Fock level n
+    couple to: those six in TWO_EXCITATION_LABELS order (rows 0 to 5, |egeg, n> first),
+    then |gggg, n+2>, then |eeee, n-2> when n >= 2. Hint joins each configuration to
+    these intermediates and nothing else (Dicke, Phys. Rev. 93, 99 (1954); Tavis &
+    Cummings, Phys. Rev. 170, 379 (1968)), so the dynamics from any of the six never
+    leaves these 7 or 8 states. Returns (levels, energies, hint): the Fock level m of
+    each state, its bare energy (delta/2) m (H0 = np.diag(energies)), and the Hint block,
+    the atomic pair products times the a^2 entries sqrt(m-1) sqrt(m), so both equal the
+    dense slices of `build_h0` and `build_hint` exactly at a cost independent of n_max.
 
-    indices: np.ndarray  # composite basis indices
-    levels: np.ndarray   # Fock level m of each state
-    energies: np.ndarray  # bare energy (delta/2) m of each state, real
-    hint: np.ndarray
-    manifold: tuple[int, ...]  # local indices of `two_excitation_manifold` at n = total - 2
-
-
-def excitation_sector(params: SystemParams, total: int) -> ExcitationSector:
-    """The sector n_e + m = total around the two-excitation manifold at n = total - 2,
-    built from formulas: H0 energies (delta/2) m, and the atomic pair products times
-    the a^2 entries sqrt(m-1) sqrt(m), so its energies and Hint block equal the dense
-    slices of `build_h0` and `build_hint` exactly at a cost independent of n_max.
-
-    Raises ValueError unless n is an integer with 0 <= n <= n_max - 4: the sector then
+    Raises ValueError unless n is an integer with 0 <= n <= n_max - 4: the block then
     reaches m = n + 2 at most and stays clear of the two guard levels below the cut.
     """
-    n = total - 2
-    if not isinstance(total, (int, np.integer)) or not 0 <= n <= params.n_max - 4:
+    if not isinstance(n, (int, np.integer)) or not 0 <= n <= params.n_max - 4:
         raise ValueError(
             f"validated runs need an integer 0 <= n <= n_max - 4 (intermediates plus guard levels); "
             f"got n={n}, n_max={params.n_max}"
         )
-    n_e = np.bitwise_count(np.arange(N_ATOMIC_CONFIGS)).astype(int)
-    atoms = np.flatnonzero(n_e <= total)
-    levels = total - n_e[atoms]
+    atoms, levels = list(TWO_EXCITATION_CONFIGS) + [0], [n] * 6 + [n + 2]  # ..., |gggg, n+2>
+    if n >= 2:
+        atoms.append(N_ATOMIC_CONFIGS - 1)  # |eeee, n-2>
+        levels.append(n - 2)
+    levels = np.array(levels)
     # a^2 |m> = sqrt(m-1) sqrt(m) |m-2>; the pair pattern keeps only m-2 -> m
     x = _pair_raising()[np.ix_(atoms, atoms)] * (np.sqrt(np.maximum(levels - 1, 0)) * np.sqrt(levels))
-    indices = atoms * (params.n_max + 1) + levels
-    return ExcitationSector(
-        indices=indices, levels=levels,
-        energies=params.delta / 2.0 * levels, hint=params.G * (x + x.conj().T),
-        manifold=tuple(np.searchsorted(indices, two_excitation_manifold(params, n)).tolist()),
-    )
+    return levels, params.delta / 2.0 * levels, params.G * (x + x.conj().T)
 
 
 def derive_second_order(energies: np.ndarray, hint: np.ndarray, members: tuple[int, ...]) -> np.ndarray:
@@ -232,9 +218,7 @@ def derive_second_order(energies: np.ndarray, hint: np.ndarray, members: tuple[i
 
 def derived_coupling(params: SystemParams, n: int) -> EffectiveCoupling:
     """Omega obtained from the PT engine's egeg<->gege element (oracle route)."""
-    sector = excitation_sector(params, n + 2)
-    heff = derive_second_order(sector.energies, sector.hint, sector.manifold)
-    i = TWO_EXCITATION_LABELS.index("egeg")
-    j = TWO_EXCITATION_LABELS.index("gege")
-    return EffectiveCoupling(omega=float(np.real(heff[i, j])))
+    _, energies, hint = pair_block(params, n)
+    heff = derive_second_order(energies, hint, MANIFOLD_ROWS)
+    return EffectiveCoupling(omega=float(np.real(heff[0, TWO_EXCITATION_LABELS.index("gege")])))
 

@@ -15,17 +15,18 @@ model, reports the pairwise fidelity time series, and enumerates the
 operator difference (a)-vs-(b) entry by entry. Whether (b) tracks (c) better
 than (a) is measured, not assumed.
 
-Both get the exact run from one helper: the conserved-excitation sector
-n_e + m = n + 2 (model.excitation_sector, at most 16 states at any n_max),
-the grid over 1.5 exchange periods (RABI_FIT_POINTS or COMPARISON_POINTS
-times) and the fold of |egeg, n> = manifold[0] onto its 3 occupied frequencies
-(dynamics._fold) from one eigh of H0 + Hint. extract_rabi evaluates it on the
-whole sector, squares it once and sums the population groups in one product
-with a 0/1 matrix; compare_effective_models evaluates only the six manifold
-columns and derives the second-order operator once, from the sector's energies,
-hint and manifold, for its (row, col, value) difference entries.
-Both need 0 <= n <= n_max - 4, so the sector stops at m = n + 2 <= n_max - 2
-and the guard occupation is 0 by construction.
+Both get the exact run from one helper: the 7 or 8 states the two-excitation
+manifold reaches (model.pair_block: the six configurations at n as rows 0 to 5,
+|egeg, n> first, then |gggg, n+2> and, for n >= 2, |eeee, n-2>), the grid over
+1.5 exchange periods (RABI_FIT_POINTS or COMPARISON_POINTS times) and the fold
+of |egeg, n> onto its 3 or 4 occupied frequencies (dynamics._fold) from one eigh
+of H0 + Hint. extract_rabi evaluates it on the whole block, squares it once and
+sums the population groups in one product with a 0/1 matrix;
+compare_effective_models evaluates only rows 0 to 5 and derives the 6x6
+second-order operator once, from the block's energies and hint, for its
+(row, col, value) difference entries. Both need 0 <= n <= n_max - 4, so the
+block stops at m = n + 2 <= n_max - 2 and the guard occupation is 0 by
+construction.
 
 Model comparisons use the classical fidelity between atomic population
 distributions, (sum_i |a_i| |b_i|)^2, over the six manifold states the effective
@@ -46,12 +47,13 @@ import numpy as np
 from .dynamics import _evaluate, _fold, evolve_times, make_propagator, pair_exchange
 from .hilbert import N_ATOMIC_CONFIGS, Operator, SystemParams
 from .model import (
+    MANIFOLD_ROWS,
     TWO_EXCITATION_CONFIGS,
     TWO_EXCITATION_LABELS,
     build_h_eff,
     derive_second_order,
     effective_coupling,
-    excitation_sector,
+    pair_block,
 )
 
 GUARD_LEAKAGE_MAX = 1e-6
@@ -64,6 +66,8 @@ DIFFERENCE_ATOL = 1e-12    # difference entries below this, relative to max(1, m
 FIT_SPAN_RANGE = (1e-150, 1e150)
 
 _COLS = list(TWO_EXCITATION_CONFIGS)  # the six two-excitation configurations, label order
+_GEGE = TWO_EXCITATION_LABELS.index("gege")  # its row in `pair_block`; |egeg, n> is row 0
+_EXCHANGE = [i for i, lab in enumerate(TWO_EXCITATION_LABELS) if lab not in ("egeg", "gege")]
 
 
 class RabiFitError(RuntimeError):
@@ -163,10 +167,11 @@ def fit_span(params: SystemParams, n: int) -> float:
     """The span of the exact runs' time grid, 1.5 exchange periods 3 pi/|Omega(n)|.
     Raises ValueError when the pair rate is out of range (model.effective_coupling),
     when the span lies outside FIT_SPAN_RANGE (G = 0 gives an infinite span), or when
-    eigh cannot resolve the pair dynamics: its eigenvalue error on the sector, about
-    16 eps (n+2) |delta|/2, must lie below the bright-dark splitting 6 |Omega(n)| (at
-    n = 0, delta/G up to 5.81e7 passes and 5.82e7 fails). That also keeps the largest
-    bare phase (n+2) |delta|/2 x span, and so the propagator's exp(-iEt), finite."""
+    eigh cannot resolve the pair dynamics: its eigenvalue error, bounded by 16 eps (n+2)
+    |delta|/2 (conservative for the 8-state block), must lie below the bright-dark
+    splitting 6 |Omega(n)| (at n = 0, delta/G up to 5.81e7 passes and 5.82e7 fails).
+    That also keeps the largest bare phase (n+2) |delta|/2 x span, and so the
+    propagator's exp(-iEt), finite."""
     omega = abs(effective_coupling(n, params).omega)
     span = 1.5 * 2 * np.pi / omega if omega else np.inf
     if not FIT_SPAN_RANGE[0] <= span <= FIT_SPAN_RANGE[1]:
@@ -181,12 +186,13 @@ def fit_span(params: SystemParams, n: int) -> float:
 
 
 def _exact_run(params: SystemParams, n: int, points: int):
-    """Evolve |egeg, n> exactly on the sector n_e + m = n + 2 over 1.5 exchange periods
-    (`points` times) by one eigh; returns (run inputs, sector, times, the unitary over
-    the span, the state's fold (freqs, parts) for `dynamics._evaluate`), the unitary and
-    the fold from the (unitary, w, v) of one `make_propagator`. Raises ValueError unless
-    0 <= n <= n_max - 4 and the rate and span pass `fit_span`, RabiFitError when G = 0."""
-    sector = excitation_sector(params, n + 2)  # the domain check, before effective_coupling
+    """Evolve |egeg, n> exactly on `model.pair_block` over 1.5 exchange periods (`points`
+    times) by one eigh; returns (run inputs, the block (levels, energies, hint), times,
+    the unitary over the span, the state's fold (freqs, parts) for `dynamics._evaluate`),
+    the unitary and the fold from the (unitary, w, v) of one `make_propagator`. Raises
+    ValueError unless 0 <= n <= n_max - 4 and the rate and span pass `fit_span`,
+    RabiFitError when G = 0."""
+    block = pair_block(params, n)  # the domain check, before effective_coupling
     run = ValidationRun(omega_expected=effective_coupling(n, params).omega,
                         perturbative_ok=params.perturbative_ok)
     if run.omega_expected == 0:
@@ -194,10 +200,11 @@ def _exact_run(params: SystemParams, n: int, points: int):
                            replace(run, diagnostic="no coupling, no oscillation"))
     t_max = fit_span(params, n)
     times = np.linspace(0.0, t_max, points)
-    psi0 = np.zeros(len(sector.indices), dtype=complex)
-    psi0[sector.manifold[0]] = 1.0  # |egeg, n>
-    u, w, v = make_propagator(Operator(np.diag(sector.energies) + sector.hint), t_max)  # one eigh
-    return run, sector, times, u, _fold(w, v, psi0)
+    levels, energies, hint = block
+    psi0 = np.zeros(len(levels), dtype=complex)
+    psi0[0] = 1.0  # |egeg, n>
+    u, w, v = make_propagator(Operator(np.diag(energies) + hint), t_max)  # one eigh
+    return run, block, times, u, _fold(w, v, psi0)
 
 
 def extract_rabi(params: SystemParams, n: int = 0,
@@ -210,20 +217,22 @@ def extract_rabi(params: SystemParams, n: int = 0,
     its diagnostic) when the peak transfer stays below min_peak_population,
     when the |gege> population has no prominent peak, or when no oscillation
     exists; lower the threshold to force a fit of whatever oscillation is
-    present. Raises ValueError unless 0 <= n <= n_max - 4.
+    present. Raises ValueError unless 0 <= n <= n_max - 4, or unless
+    min_peak_population is a number in [0, 1] (NaN would switch the gate off).
     """
-    run, sector, times, u, fold = _exact_run(params, n, RABI_FIT_POINTS)
-    amps = _evaluate(*fold, times)  # the evolved state, (points, sector)
-    idx = dict(zip(TWO_EXCITATION_LABELS, sector.manifold))
-    levels, one_hot = sector.levels, np.eye(len(sector.levels))
-    exchange_cols = [idx[lab] for lab in TWO_EXCITATION_LABELS if lab not in ("egeg", "gege")]
-    groups = np.array([one_hot[idx["egeg"]], one_hot[idx["gege"]], one_hot[exchange_cols].sum(axis=0),
+    if not 0.0 <= min_peak_population <= 1.0:
+        raise ValueError(f"the fit threshold min_peak_population must be a number in [0, 1], "
+                         f"got {min_peak_population}")
+    run, (levels, _, _), times, u, fold = _exact_run(params, n, RABI_FIT_POINTS)
+    amps = _evaluate(*fold, times)  # the evolved state, (points, block)
+    one_hot = np.eye(len(levels))
+    groups = np.array([one_hot[0], one_hot[_GEGE], one_hot[_EXCHANGE].sum(axis=0),
                        levels == n, levels >= 0, levels >= params.n_max - 1], dtype=float)
-    # 0/1 population groups, one row each; no sector state is a guard level, so its row is 0
-    p_egeg, p_gege, p_exchange, p_sector, totals, guard = groups @ (amps.real ** 2 + amps.imag ** 2).T
+    # 0/1 population groups, one row each; no block state is a guard level, so its row is 0
+    p_egeg, p_gege, p_exchange, p_level_n, totals, guard = groups @ (amps.real ** 2 + amps.imag ** 2).T
 
     # common-phase (Stark) rate: least-squares slope of the unwrapped autocorrelation phase
-    phase = np.unwrap(np.angle(amps[:, idx["egeg"]]))
+    phase = np.unwrap(np.angle(amps[:, 0]))
     centred = times - times.mean()
     stark_fit = -float(centred @ phase / (centred @ centred))
 
@@ -250,7 +259,7 @@ def extract_rabi(params: SystemParams, n: int = 0,
         peak_population=peak_pop,
         leakage_pair=float(np.max(1.0 - (p_egeg + p_gege) / totals)),
         leakage_exchange=float(p_exchange.max()),
-        leakage_photon=float(np.max(totals - p_sector)),
+        leakage_photon=float(np.max(totals - p_level_n)),
         guard_leakage=float(guard.max()),
         stark_shift_fit=stark_fit,
         unitarity_defect=unde,
@@ -300,8 +309,8 @@ def effective_difference_entries(params: SystemParams,
                                  n: int = 0) -> tuple[tuple[str, str, complex], ...]:
     """Nonzero entries, as (row, col, value), of (PT-derived second-order operator)
     minus (double-flip-only effective operator) on the two-excitation manifold."""
-    sector = excitation_sector(params, n + 2)
-    derived = derive_second_order(sector.energies, sector.hint, sector.manifold)
+    _, energies, hint = pair_block(params, n)
+    derived = derive_second_order(energies, hint, MANIFOLD_ROWS)
     return _difference_entries(derived, build_h_eff(params, n, include_stark=False))
 
 
@@ -310,22 +319,20 @@ def compare_effective_models(params: SystemParams, n: int = 0) -> EffectiveModel
     operator, and the exact full model on COMPARISON_POINTS times; report
     fidelity time series and the operator difference. Raises ValueError
     unless 0 <= n <= n_max - 4."""
-    run, sector, times, _, (freqs, parts) = _exact_run(params, n, COMPARISON_POINTS)
+    run, (_, energies, hint), times, _, (freqs, parts) = _exact_run(params, n, COMPARISON_POINTS)
     omega = run.omega_expected
 
     egeg = np.eye(N_ATOMIC_CONFIGS, dtype=complex)[_COLS[0]]  # one-hot |egeg>
     h_pair_swap = build_h_eff(params, n, include_stark=False)
     amps_pair_swap = evolve_times(h_pair_swap, egeg, times)  # (t, 16)
 
-    derived6 = derive_second_order(sector.energies, sector.hint, sector.manifold)
-    derived16 = np.zeros((16, 16), dtype=complex)
-    derived16[np.ix_(_COLS, _COLS)] = derived6
-    amps_derived = evolve_times(Operator(derived16), egeg, times)
+    derived = derive_second_order(energies, hint, MANIFOLD_ROWS)
+    amps_derived = evolve_times(Operator(derived), egeg[_COLS], times)  # (t, 6)
 
     # the full model's six states at Fock n, (t, 6); weight outside them lowers the fidelity
-    full = np.abs(_evaluate(freqs, parts[list(sector.manifold)], times))
+    full = np.abs(_evaluate(freqs, parts[:len(MANIFOLD_ROWS)], times))
     fid_pair_swap = np.sum(np.abs(amps_pair_swap[:, _COLS]) * full, axis=1) ** 2
-    fid_derived = np.sum(np.abs(amps_derived[:, _COLS]) * full, axis=1) ** 2
+    fid_derived = np.sum(np.abs(amps_derived) * full, axis=1) ** 2
 
     # internal consistency of the pair-swap route against the closed-form map
     sampled = slice(0, COMPARISON_POINTS, COMPARISON_POINTS // 25)
@@ -333,7 +340,7 @@ def compare_effective_models(params: SystemParams, n: int = 0) -> EffectiveModel
     closed = pair_exchange(np.broadcast_to(egeg[:, None], (16, len(areas))), areas)
     defect = float(np.max(np.abs(closed.T - amps_pair_swap[sampled])))
 
-    entries = _difference_entries(derived6, h_pair_swap)
+    entries = _difference_entries(derived, h_pair_swap)
     max_inf_pair_swap = float(np.max(1.0 - fid_pair_swap))
     max_inf_derived = float(np.max(1.0 - fid_derived))
     return EffectiveModelComparison(

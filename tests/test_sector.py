@@ -1,10 +1,12 @@
-"""The conserved-excitation sector engine against the dense composite-space oracle.
+"""The exact block of the two-excitation manifold against the dense composite-space oracle.
 
-The full H conserves n_e + n, so `model.excitation_sector` replaces the dense
-Hamiltonian in validate and in `derived_coupling`. These tests pin its blocks
-to the dense slices bit for bit and its dynamics to the dense evolution. The
-default report of every experiment is held to its golden copy within a stated
-tolerance, so tier-1 sees any drift of a report, not only of validate-effective.
+Hint couples each two-excitation configuration at Fock level n to |gggg, n+2>
+and |eeee, n-2> only, so `model.pair_block` replaces the dense Hamiltonian in
+validate and in `derived_coupling`. These tests pin its blocks to the dense
+slices bit for bit, its closure to the dense H and its dynamics to the dense
+evolution. The default report of every experiment is held to its golden copy
+within a stated tolerance, so tier-1 sees any drift of a report, not only of
+validate-effective.
 """
 
 import json
@@ -20,20 +22,16 @@ from hypothesis import strategies as st
 from dfscavity import validate
 from dfscavity.cli import EXPERIMENTS, parse_config, run_experiment
 from dfscavity.dynamics import _series, evolve_times
-from dfscavity.hilbert import (
-    N_ATOMIC_CONFIGS,
-    Operator,
-    SystemParams,
-    basis_index,
-    excitation_number,
-)
+from dfscavity.hilbert import Operator, SystemParams, basis_index
 from dfscavity.model import (
+    MANIFOLD_ROWS,
     build_full_hamiltonian,
     build_h0,
     build_hint,
+    derive_second_order,
     derived_coupling,
     effective_coupling,
-    excitation_sector,
+    pair_block,
     two_excitation_manifold,
 )
 from dfscavity.validate import RabiFitError, compare_effective_models, effective_difference_entries, extract_rabi
@@ -50,13 +48,27 @@ couplings = st.floats(1e-3, 1e6, allow_nan=False)
 ratios = st.floats(5.0, 50.0, allow_nan=False)
 
 
-def _sector_start(sector):
-    psi = np.zeros(len(sector.indices), dtype=complex)
-    psi[sector.manifold[0]] = 1.0  # |egeg, n>
+def block_indices(params, n):
+    """Composite basis indices of the rows of `pair_block(params, n)`: the six
+    two-excitation states at n, |gggg, n+2> and, for n >= 2, |eeee, n-2>."""
+    rows = list(two_excitation_manifold(params, n)) + [basis_index("gggg", n + 2, params.n_max)]
+    if n >= 2:
+        rows.append(basis_index("eeee", n - 2, params.n_max))
+    return np.array(rows)
+
+
+def block_hamiltonian(params, n):
+    _, energies, hint = pair_block(params, n)
+    return np.diag(energies) + hint
+
+
+def _block_start(params, n):
+    psi = np.zeros(len(pair_block(params, n)[0]), dtype=complex)
+    psi[0] = 1.0  # |egeg, n>
     return psi
 
 
-class TestExcitationSector:
+class TestPairBlock:
     @pytest.mark.parametrize("n_max", [4, 8, 16, 32])
     @settings(derandomize=True, deadline=None, max_examples=10)
     @given(G=couplings, ratio=ratios)
@@ -64,53 +76,54 @@ class TestExcitationSector:
         p = SystemParams(G=G, delta=ratio * G, n_max=n_max)
         h0, hint, reference = build_h0(p).matrix, build_hint(p).matrix, kron_hint(G, n_max)
         for n in range(n_max - 3):
-            sector = excitation_sector(p, n + 2)
-            block = np.ix_(sector.indices, sector.indices)
-            assert np.array_equal(np.diag(sector.energies), h0[block])
-            assert np.array_equal(sector.hint, hint[block])
-            assert np.array_equal(sector.hint, reference[block])
+            levels, energies, block_hint = pair_block(p, n)
+            block = np.ix_(block_indices(p, n), block_indices(p, n))
+            assert np.array_equal(np.diag(energies), h0[block])
+            assert np.array_equal(block_hint, hint[block])
+            assert np.array_equal(block_hint, reference[block])
 
     @pytest.mark.parametrize("n_max", [4, 8, 16, 32])
-    def test_members_are_the_conserved_excitation_states(self, n_max):
+    def test_members_are_the_manifold_and_the_states_hint_couples_it_to(self, n_max):
         p = SystemParams(G=1.0, delta=10.0, n_max=n_max)
+        hint = build_hint(p).matrix
         for n in range(n_max - 3):
-            sector = excitation_sector(p, n + 2)
-            expected = [basis_index(a, n + 2 - excitation_number(a), n_max)
-                        for a in range(N_ATOMIC_CONFIGS) if excitation_number(a) <= n + 2]
-            assert sector.indices.tolist() == expected
-            assert np.all(sector.levels <= n_max - 2)  # clear of both guard levels
+            manifold = list(two_excitation_manifold(p, n))
+            coupled = np.flatnonzero(np.any(hint[manifold], axis=0))
+            indices = block_indices(p, n)
+            assert sorted(indices[6:].tolist()) == coupled.tolist()
+            assert len(indices) == (7 if n < 2 else 8)
+            assert np.all(pair_block(p, n)[0] <= n_max - 2)  # clear of both guard levels
 
     @pytest.mark.parametrize("n_max", [4, 8, 16, 32])
-    def test_dense_hamiltonian_has_no_coupling_out_of_the_sector(self, n_max):
+    def test_dense_hamiltonian_has_no_coupling_out_of_the_block(self, n_max):
         p = SystemParams(G=1.3, delta=17.0, n_max=n_max)
         h = build_full_hamiltonian(p).matrix
         for n in range(n_max - 3):
-            inside = excitation_sector(p, n + 2).indices
+            inside = block_indices(p, n)
             outside = np.setdiff1d(np.arange(p.dim), inside)
             assert not np.any(h[np.ix_(outside, inside)])
             assert not np.any(h[np.ix_(inside, outside)])
 
-    def test_manifold_is_the_two_excitation_states_at_n(self):
+    def test_manifold_rows_are_the_two_excitation_states_at_n(self):
         for n_max in (4, 8, 16, 32):
             p = SystemParams(G=1.0, delta=10.0, n_max=n_max)
             for n in range(n_max - 3):
-                sector = excitation_sector(p, n + 2)
-                members = sector.indices[list(sector.manifold)]
-                assert members.tolist() == list(two_excitation_manifold(p, n))
-                assert np.array_equal(sector.levels, sector.indices % (n_max + 1))
+                indices = block_indices(p, n)
+                assert indices[list(MANIFOLD_ROWS)].tolist() == list(two_excitation_manifold(p, n))
+                assert np.array_equal(pair_block(p, n)[0], indices % (n_max + 1))
 
     def test_memory_does_not_grow_with_n_max(self):
-        # built from formulas: no (n_max+1)^2 ladder behind the at most 16 states
+        # built from formulas: no (n_max+1)^2 ladder behind the 7 or 8 states
         tracemalloc.start()
         try:
-            excitation_sector(SystemParams(G=1.0, delta=10.0, n_max=1000), 2)
+            pair_block(SystemParams(G=1.0, delta=10.0, n_max=1000), 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
 
     def test_validate_effective_results_do_not_depend_on_n_max(self):
-        # every number comes from the sector; only the perturbative flag reads n_max
+        # every number comes from the block; only the perturbative flag reads n_max
         results = {}
         for n_max in (8, 1000):
             config = parse_config(f"n_max = {n_max}\n", experiment="validate-effective")
@@ -128,23 +141,22 @@ class TestExcitationSector:
         # eigenvalue is ~1e4 rad at delta/G = 50, and the dense eigensolver's
         # eigenvalue round-off eps*||H|| turns into that much amplitude error
         # (a 40-digit reference shows the dense side off by up to 2.4e-11 there,
-        # the sector by about 1e-12). So the bound is 1e-12 plus the dense
+        # the block by about 1e-12). So the bound is 1e-12 plus the dense
         # oracle's own round-off scale.
         n = round(level * (n_max - 4))
         p = SystemParams(G=G, delta=ratio * G, n_max=n_max)
-        sector = excitation_sector(p, n + 2)
         t_max = 1.5 * 2 * np.pi / effective_coupling(n, p).omega
         times = np.linspace(0.0, t_max, 41)
-        h = Operator(np.diag(sector.energies) + sector.hint)
-        ours = evolve_times(h, _sector_start(sector), times)
+        ours = evolve_times(Operator(block_hamiltonian(p, n)), _block_start(p, n), times)
         # one dense spectrum gives the series and max|w|, the 2-norm of the hermitian H
         w, v = np.linalg.eigh(build_full_hamiltonian(p).matrix)
         start = np.zeros(p.dim, dtype=complex)
         start[basis_index("egeg", n, n_max)] = 1.0
         dense = _series(w, v, start, times)
         atol = 1e-12 + 8 * EPS * np.max(np.abs(w)) * t_max
-        assert np.max(np.abs(dense[:, sector.indices] - ours)) <= atol
-        assert np.max(np.abs(np.delete(dense, sector.indices, axis=1))) <= atol
+        indices = block_indices(p, n)
+        assert np.max(np.abs(dense[:, indices] - ours)) <= atol
+        assert np.max(np.abs(np.delete(dense, indices, axis=1))) <= atol
 
     @settings(derandomize=True, deadline=None, max_examples=10)
     @given(G=couplings, ratio=ratios, n=st.integers(0, 3))
@@ -156,6 +168,17 @@ class TestExcitationSector:
     def test_derived_coupling_matches_closed_form(self, n, n_max):
         p = SystemParams(G=1.3, delta=17.0, n_max=n_max)
         assert derived_coupling(p, n).omega == pytest.approx(effective_coupling(n, p).omega, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("n_max", [8, 32])
+    def test_second_order_operator_is_six_omega_times_the_d2_projector(self, n, n_max):
+        # every entry on the manifold is Omega(n): the operator is 6 Omega |D2><D2|, with
+        # |D2> the normalised sum of the six configurations, not complement-only exchange
+        p = SystemParams(G=1.3, delta=17.0, n_max=n_max)
+        _, energies, hint = pair_block(p, n)
+        derived = derive_second_order(energies, hint, MANIFOLD_ROWS)
+        omega = effective_coupling(n, p).omega
+        np.testing.assert_allclose(derived, omega * np.ones((6, 6)), rtol=1e-12, atol=0)
 
 
 def dicke_ladder_levels(G, delta, n):
@@ -172,18 +195,17 @@ def dicke_ladder_levels(G, delta, n):
 class TestDickeReduction:
     """From any two-excitation start the exact dynamics occupies the Dicke ladder
     and one dark level only, which is why the folded series evolves 3 or 4
-    frequencies instead of one per sector state."""
+    frequencies instead of one per block state."""
 
     @pytest.mark.parametrize("ratio", [5.0, 10.0, 20.0, 40.0, 80.0])
     @pytest.mark.parametrize("n", range(7))
     def test_occupied_eigenspaces_are_ladder_plus_dark_level(self, n, ratio):
         G, delta = 1.0, ratio
-        sector = excitation_sector(SystemParams(G=G, delta=delta, n_max=10), n + 2)
-        w, v = np.linalg.eigh(np.diag(sector.energies) + sector.hint)
+        w, v = np.linalg.eigh(block_hamiltonian(SystemParams(G=G, delta=delta, n_max=10), n))
         # eigenspaces: eigenvalues closer than 1e-9 delta are one level
         starts = np.flatnonzero(np.r_[True, np.diff(w) > 1e-9 * delta])
         expected = np.sort(np.r_[dicke_ladder_levels(G, delta, n), delta / 2.0 * n])
-        for k in sector.manifold:  # each two-excitation configuration at n
+        for k in MANIFOLD_ROWS:  # each two-excitation configuration at n
             psi = np.zeros(len(w), dtype=complex)
             psi[k] = 1.0
             weights = np.add.reduceat(np.abs(v.conj().T @ psi) ** 2, starts)
@@ -206,7 +228,7 @@ class TestFockDomain:
         with pytest.raises(ValueError, match="n <= n_max - 4"):
             extract_rabi(p, n=n)
         with pytest.raises(ValueError, match="n <= n_max - 4"):
-            excitation_sector(p, n + 2)
+            pair_block(p, n)
         with pytest.raises(ValueError, match="n <= n_max - 4"):
             derived_coupling(p, n)
 
@@ -248,7 +270,7 @@ def test_extract_rabi_diagonalises_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     run = extract_rabi(SystemParams(G=1.0, delta=20.0, n_max=32), n=0, min_peak_population=0.0)
     assert len(calls) == 1
-    assert calls[0][0] <= 16
+    assert calls[0] == (7, 7)  # the block at n = 0: six configurations and |gggg, 2>
     assert run.unitarity_defect < 1e-10
     assert run.guard_leakage == 0.0
 

@@ -6,7 +6,8 @@ config's experiment. A tag function that raises does so inside the traced
 call, so an argument of the wrong type would fail only at benchmark time.
 This runs the calls of every workload in-process, as the traced worker does
 (a cli-defaults call through `run_experiment`), under `instrument`, and pins
-the count metrics of the exact-scaled and protocol-sweeps passes. The tracer
+the count metrics of the exact-scaled and protocol-sweeps passes, and the
+exact-scaled pass's `eigh` work. The tracer
 and the workloads are loaded by path and left unchanged.
 """
 
@@ -74,3 +75,11 @@ def test_count_metrics(spans, workload, operators, eighs):
     metrics = tracer.layer_metrics(spans[workload], workloads.EXPERIMENTS)
     assert metrics["hilbert.operator_constructions"] == operators
     assert metrics["dynamics.eigh_calls"] == eighs
+
+
+def test_exact_scaled_eigh_work(spans):
+    # sum of dim^3 over the pass's eigh calls: per delta/G of the n_max 16 validate-effective,
+    # 7^3 for each of the two exact runs, 16^3 for the pair-swap operator and 6^3 for the
+    # derived one; plus 7^3 for the forced Rabi fit at n_max 32
+    metrics = tracer.layer_metrics(spans["exact-scaled"], workloads.EXPERIMENTS)
+    assert metrics["dynamics.eigh_work"] == 3 * (2 * 7**3 + 16**3 + 6**3) + 7**3 == 15337

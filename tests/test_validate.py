@@ -14,13 +14,14 @@ import dfscavity
 from dfscavity.dynamics import _evaluate, evolve_times
 from dfscavity.hilbert import Operator, StateVector, SystemParams
 from dfscavity.model import (
+    MANIFOLD_ROWS,
     TWO_EXCITATION_CONFIGS,
     TWO_EXCITATION_LABELS,
     build_h_eff,
     derive_second_order,
     derived_coupling,
     effective_coupling,
-    excitation_sector,
+    pair_block,
 )
 from dfscavity.validate import (
     COMPARISON_POINTS,
@@ -134,6 +135,20 @@ class TestExtractRabi:
         assert run.relative_deviation == pytest.approx(abs(np.pi / 8.0 - omega) / omega, rel=1e-12)
         assert run.diagnostic is None
 
+    @pytest.mark.parametrize("threshold", [np.nan, -0.1, 1.5])
+    def test_fit_threshold_outside_unit_interval_rejected(self, threshold):
+        # a NaN threshold compared false against every transfer and switched the gate off
+        with pytest.raises(ValueError, match="min_peak_population must be a number in"):
+            extract_rabi(make_params(10.0), n=0, min_peak_population=threshold)
+
+    def test_fit_thresholds_zero_and_half_keep_their_behaviour(self):
+        # 0.0 forces the fit of the 1/9 transfer; 0.5, the default gate, rejects it
+        params = make_params(10.0)
+        forced = extract_rabi(params, n=0, min_peak_population=0.0)
+        assert forced.diagnostic is None and forced.peak_population == pytest.approx(1 / 9, abs=2e-3)
+        with pytest.raises(RabiFitError, match="too small"):
+            extract_rabi(params, n=0, min_peak_population=0.5)
+
     def test_fock_sector_above_guard_rejected(self):
         with pytest.raises(ValueError, match="n_max - 4"):
             extract_rabi(make_params(10.0), n=5)
@@ -145,7 +160,7 @@ class TestExtractRabi:
 NON_INTEGER_LEVEL_CALLS = {
     "effective_coupling": lambda p: effective_coupling(0.5, p),
     "derived_coupling": lambda p: derived_coupling(p, 0.5),
-    "excitation_sector": lambda p: excitation_sector(p, 2.5),
+    "pair_block": lambda p: pair_block(p, 0.5),
     "extract_rabi": lambda p: extract_rabi(p, 0.5),
     "forced_rabi_fit": lambda p: forced_rabi_fit(p, 1.5),
     "compare_effective_models": lambda p: compare_effective_models(p, 0.5),
@@ -243,20 +258,21 @@ def test_fit_span_is_the_exact_run_grid():
 
 
 def _full_series(params, n, points):
-    """The exact run and its whole (points, sector) amplitude series, through
-    `evolve_times` of the sector's H0 + Hint from |egeg, n>."""
-    run, sector, times, u, _ = _exact_run(params, n, points)
-    psi0 = np.zeros(len(sector.indices), dtype=complex)
-    psi0[sector.manifold[0]] = 1.0
-    h = Operator(np.diag(sector.energies) + sector.hint)
-    return run, sector, times, u, evolve_times(h, psi0, times)
+    """The exact run and its whole (points, block) amplitude series, through
+    `evolve_times` of the block's H0 + Hint from |egeg, n> (row 0)."""
+    run, block, times, u, _ = _exact_run(params, n, points)
+    levels, energies, hint = block
+    psi0 = np.zeros(len(levels), dtype=complex)
+    psi0[0] = 1.0
+    h = Operator(np.diag(energies) + hint)
+    return run, block, times, u, evolve_times(h, psi0, times)
 
 
 def _reference_fit(params, n, min_peak_population):
     """extract_rabi's run by the formulas that read the full series: np.abs(amps)**2,
     fancy-index group sums and np.polyfit for the Stark rate."""
-    run, sector, times, u, amps = _full_series(params, n, RABI_FIT_POINTS)
-    idx = dict(zip(TWO_EXCITATION_LABELS, sector.manifold))
+    run, (levels, _, _), times, u, amps = _full_series(params, n, RABI_FIT_POINTS)
+    idx = {lab: row for row, lab in enumerate(TWO_EXCITATION_LABELS)}
     probs = np.abs(amps) ** 2
     p_gege, p_egeg = probs[:, idx["gege"]], probs[:, idx["egeg"]]
     exchange = probs[:, [idx[lab] for lab in ("egge", "geeg", "eegg", "ggee")]].sum(axis=1)
@@ -274,8 +290,8 @@ def _reference_fit(params, n, min_peak_population):
         peak_population=peak_pop,
         leakage_pair=np.max(1.0 - (p_egeg + p_gege) / totals),
         leakage_exchange=exchange.max(),
-        leakage_photon=np.max(totals - probs[:, sector.levels == n].sum(axis=1)),
-        guard_leakage=probs[:, sector.levels >= params.n_max - 1].sum(axis=1).max(),
+        leakage_photon=np.max(totals - probs[:, levels == n].sum(axis=1)),
+        guard_leakage=probs[:, levels >= params.n_max - 1].sum(axis=1).max(),
         stark_shift_fit=-np.polyfit(times, np.unwrap(np.angle(amps[:, idx["egeg"]])), 1)[0],
         unitarity_defect=np.max(np.abs(u.conj().T @ u - np.eye(len(u)))),
         normalization_defect=np.max(np.abs(np.sqrt(totals) - 1.0)),
@@ -285,13 +301,13 @@ def _reference_fit(params, n, min_peak_population):
 def _reference_fidelities(params, n):
     """compare_effective_models' two fidelity series by the 16-column formula over the
     full series."""
-    _, sector, times, _, amps_full = _full_series(params, n, COMPARISON_POINTS)
+    _, (_, energies, hint), times, _, amps_full = _full_series(params, n, COMPARISON_POINTS)
     psi = StateVector.basis_state("egeg").amplitudes
     cols = list(TWO_EXCITATION_CONFIGS)
     derived16 = np.zeros((16, 16), dtype=complex)
-    derived16[np.ix_(cols, cols)] = derive_second_order(sector.energies, sector.hint, sector.manifold)
+    derived16[np.ix_(cols, cols)] = derive_second_order(energies, hint, MANIFOLD_ROWS)
     pops_full = np.zeros((len(times), 16))
-    pops_full[:, cols] = np.abs(amps_full[:, list(sector.manifold)]) ** 2
+    pops_full[:, cols] = np.abs(amps_full[:, list(MANIFOLD_ROWS)]) ** 2
     return [np.sum(np.sqrt(np.abs(evolve_times(h, psi, times)) ** 2 * pops_full), axis=1) ** 2
             for h in (build_h_eff(params, n, include_stark=False), Operator(derived16))]
 
@@ -374,8 +390,8 @@ class TestProminentPeaks:
     @pytest.mark.parametrize("ratio", [5.0, 10.0, 20.0, 40.0, 80.0])
     def test_gege_series_peaks_match_scipy(self, ratio):
         # the series the Rabi fit filters, at the fit's threshold and with none
-        _, sector, times, _, fold = _exact_run(make_params(ratio), 0, RABI_FIT_POINTS)
-        gege = _evaluate(*fold, times)[:, sector.manifold[TWO_EXCITATION_LABELS.index("gege")]]
+        _, _, times, _, fold = _exact_run(make_params(ratio), 0, RABI_FIT_POINTS)
+        gege = _evaluate(*fold, times)[:, TWO_EXCITATION_LABELS.index("gege")]
         p_gege = gege.real ** 2 + gege.imag ** 2
         for fraction in (PEAK_PROMINENCE_FRACTION, 0.0):
             prominence = fraction * float(np.ptp(p_gege))
