@@ -58,8 +58,10 @@ BELL_MAP_PULSE_AREA = np.pi / 4
 _BRANCH_ATOL = 1e-15  # branches at or below this probability are not enumerated
 
 
-def prepare_bell(label: BellLabel) -> StateVector:
-    """The exact normalized four-atom Bell state (atomic-only, n_max=0)."""
+def prepare_bell(label: BellLabel | str) -> StateVector:
+    """The exact normalized four-atom Bell state (atomic-only, n_max=0). `label` is a
+    BellLabel or its value, such as "Phi+"; anything else raises ValueError."""
+    label = BellLabel(label)
     amps = np.zeros(16, dtype=complex)
     if label in (BellLabel.PHI_PLUS, BellLabel.PHI_MINUS):
         first, second = "egeg", "gege"

@@ -278,8 +278,7 @@ def _native(obj):
     return obj
 
 
-@dataclass(frozen=True)  # not a NamedTuple: perfbench's tracer wraps its to_json method
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     config: dict
     experiment: str
     library_version: str

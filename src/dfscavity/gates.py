@@ -2,10 +2,15 @@
 
 Primitives (pulse areas fixed unless overridden):
 
-* H on a pair: |eg> -> (|eg> - i|ge>)/sqrt2, |ge> -> (|ge> - i|eg>)/sqrt2,
+* H on a pair, `h_gate()`: |eg> -> (|eg> - i|ge>)/sqrt2, |ge> -> (|ge> - i|eg>)/sqrt2,
   identity on |gg>, |ee> (a lambda*t = pi/4 two-atom session);
-* P on a pair: pi/2 phase on |eg>, all other pair states unchanged;
-* R on all four atoms: the pair-exchange evolution at Omega*t = 3*pi/4.
+* P on a pair, `p_gate(sign)`: pi/2 phase on |eg>, all other pair states unchanged;
+* R on all four atoms, `r_gate_atomic()`: the pair-exchange evolution at
+  Omega*t = 3*pi/4.
+
+H and P are the same 4x4 array on either pair, so they take no pair;
+`_gate_atomic`, the one reader of a gate's target, lifts them onto pair (1,2)
+or (3,4) and rejects any other target.
 
 The CNOT sequence is H34, P34, R, P34, H12, H34, P34^-1 with control on pair
 (3,4) and target on pair (1,2). Neither the temporal reading of the gate
@@ -82,16 +87,8 @@ class TruthTableReport(NamedTuple):
     passed: bool
 
 
-def _check_pair(pair) -> tuple[int, int]:
-    pair = tuple(pair)
-    if pair not in VALID_PAIRS:
-        raise ValueError(f"pair must be one of {VALID_PAIRS}, got {pair}")
-    return pair
-
-
-def h_gate(pair) -> np.ndarray:
-    """H on a pair's two-atom space (basis gg, ge, eg, ee), a 4x4 array."""
-    _check_pair(pair)
+def h_gate() -> np.ndarray:
+    """H on one pair's two-atom space (basis gg, ge, eg, ee), a 4x4 array."""
     u = np.eye(4, dtype=complex)
     c = 1 / np.sqrt(2)
     u[_PAIR_EG, _PAIR_EG] = c
@@ -101,9 +98,8 @@ def h_gate(pair) -> np.ndarray:
     return u
 
 
-def p_gate(pair, sign: int = +1) -> np.ndarray:
-    """pi/2 phase on |eg> of the pair, a 4x4 array; sign picks e^{+i pi/2} or e^{-i pi/2}."""
-    _check_pair(pair)
+def p_gate(sign: int = +1) -> np.ndarray:
+    """pi/2 phase on |eg> of one pair, a 4x4 array; sign picks e^{+i pi/2} or e^{-i pi/2}."""
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     u = np.eye(4, dtype=complex)
@@ -142,13 +138,15 @@ def _gate_atomic(gate: GateDescriptor, p_sign: int) -> np.ndarray:
     if gate.kind == "R":
         return r_gate_atomic(gate.pulse_area)
     if gate.kind == "H":
-        u4 = h_gate(gate.target)
+        u4 = h_gate()
     elif gate.kind == "P":
-        u4 = p_gate(gate.target, p_sign)
+        u4 = p_gate(p_sign)
     elif gate.kind == "P_inv":
-        u4 = p_gate(gate.target, -p_sign)
+        u4 = p_gate(-p_sign)
     else:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
+    if gate.target not in VALID_PAIRS:
+        raise ValueError(f"pair must be one of {VALID_PAIRS}, got {gate.target}")
     eye = np.eye(4, dtype=complex)
     a, b = (u4, eye) if gate.target == (1, 2) else (eye, u4)
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)  # np.kron(a, b)

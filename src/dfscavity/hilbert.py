@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -38,6 +39,11 @@ PERTURBATIVE_RATIO_MAX = 0.25
 
 N_ATOMS = 4
 N_ATOMIC_CONFIGS = 2**N_ATOMS
+
+
+# "gggg", ..., "eeee" in atomic_index order: g -> 0, e -> 1, atom 1 most significant
+_CONFIG_LABELS = tuple("".join(labels) for labels in product("ge", repeat=N_ATOMS))
+_CONFIG_INDEX = {label: i for i, label in enumerate(_CONFIG_LABELS)}
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -122,33 +128,24 @@ class Operator:
 def atomic_index(config) -> int:
     """Pack an atomic configuration into 0..15, atom 1 most significant.
 
-    `config` may be a string like "egeg" or a sequence of "e"/"g" labels or
-    0/1 bits.
+    `config` is a four-letter e/g string such as "egeg", or an index 0..15 (an
+    int or numpy integer, not a bool), returned as an int. Anything else raises
+    ValueError.
     """
-    if isinstance(config, int):
-        if not 0 <= config < N_ATOMIC_CONFIGS:
-            raise ValueError(f"atomic index out of range: {config}")
-        return config
-    labels = list(config)
-    if len(labels) != N_ATOMS:
-        raise ValueError(f"expected {N_ATOMS} atomic labels, got {labels!r}")
-    idx = 0
-    for lab in labels:
-        if lab in ("e", 1):
-            bit = 1
-        elif lab in ("g", 0):
-            bit = 0
-        else:
-            raise ValueError(f"invalid atomic label {lab!r}")
-        idx = idx * 2 + bit
-    return idx
+    if isinstance(config, str) and config in _CONFIG_INDEX:
+        return _CONFIG_INDEX[config]
+    integer = isinstance(config, (int, np.integer)) and not isinstance(config, bool)
+    if integer and 0 <= config < N_ATOMIC_CONFIGS:
+        return int(config)
+    raise ValueError(f"atomic configuration must be a four-letter e/g string or an index 0..15, "
+                     f"got {config!r}")
 
 
 def config_labels(index: int) -> str:
     """Inverse of atomic_index: 0..15 -> four-letter e/g string."""
     if not 0 <= index < N_ATOMIC_CONFIGS:
         raise ValueError(f"atomic index out of range: {index}")
-    return "".join("e" if (index >> shift) & 1 else "g" for shift in (3, 2, 1, 0))
+    return _CONFIG_LABELS[index]
 
 
 def excitation_number(config) -> int:

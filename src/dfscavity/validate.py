@@ -39,7 +39,7 @@ sign); raw amplitude overlaps would measure that convention, not the dynamics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -80,7 +80,7 @@ class RabiFitError(RuntimeError):
         self.max_transfer = run.peak_population
 
 
-@dataclass(frozen=True)  # not a NamedTuple: the fit fills it with replace, reports read it with asdict
+@dataclass(frozen=True)  # not a NamedTuple: the report and perfbench's worker read it with asdict
 class ValidationRun:
     omega_expected: float
     perturbative_ok: bool                # the ratio at the cut-off n_max, not at the occupied levels
@@ -187,24 +187,24 @@ def fit_span(params: SystemParams, n: int) -> float:
 
 def _exact_run(params: SystemParams, n: int, points: int):
     """Evolve |egeg, n> exactly on `model.pair_block` over 1.5 exchange periods (`points`
-    times) by one eigh; returns (run inputs, the block (levels, energies, hint), times,
-    the unitary over the span, the state's fold (freqs, parts) for `dynamics._evaluate`),
-    the unitary and the fold from the (unitary, w, v) of one `make_propagator`. Raises
-    ValueError unless 0 <= n <= n_max - 4 and the rate and span pass `fit_span`,
-    RabiFitError when G = 0."""
+    times) by one eigh; returns (the pair rate Omega(n), the block (levels, energies, hint),
+    times, the unitary over the span, the state's fold (freqs, parts) for
+    `dynamics._evaluate`), the unitary and the fold from the (unitary, w, v) of one
+    `make_propagator`. Raises ValueError unless 0 <= n <= n_max - 4 and the rate and span
+    pass `fit_span`, RabiFitError when G = 0."""
     block = pair_block(params, n)  # the domain check, before effective_coupling
-    run = ValidationRun(omega_expected=effective_coupling(n, params).omega,
-                        perturbative_ok=params.perturbative_ok)
-    if run.omega_expected == 0:
-        raise RabiFitError("no oscillation to fit (G = 0)",
-                           replace(run, diagnostic="no coupling, no oscillation"))
+    omega = effective_coupling(n, params).omega
+    if omega == 0:
+        raise RabiFitError("no oscillation to fit (G = 0)", ValidationRun(
+            omega_expected=omega, perturbative_ok=params.perturbative_ok,
+            diagnostic="no coupling, no oscillation"))
     t_max = fit_span(params, n)
     times = np.linspace(0.0, t_max, points)
     levels, energies, hint = block
     psi0 = np.zeros(len(levels), dtype=complex)
     psi0[0] = 1.0  # |egeg, n>
     u, w, v = make_propagator(Operator(np.diag(energies) + hint), t_max)  # one eigh
-    return run, block, times, u, _fold(w, v, psi0)
+    return omega, block, times, u, _fold(w, v, psi0)
 
 
 def extract_rabi(params: SystemParams, n: int = 0,
@@ -223,7 +223,7 @@ def extract_rabi(params: SystemParams, n: int = 0,
     if not 0.0 <= min_peak_population <= 1.0:
         raise ValueError(f"the fit threshold min_peak_population must be a number in [0, 1], "
                          f"got {min_peak_population}")
-    run, (levels, _, _), times, u, fold = _exact_run(params, n, RABI_FIT_POINTS)
+    omega, (levels, _, _), times, u, fold = _exact_run(params, n, RABI_FIT_POINTS)
     amps = _evaluate(*fold, times)  # the evolved state, (points, block)
     one_hot = np.eye(len(levels))
     groups = np.array([one_hot[0], one_hot[_GEGE], one_hot[_EXCHANGE].sum(axis=0),
@@ -251,10 +251,11 @@ def extract_rabi(params: SystemParams, n: int = 0,
     too_small = peak_pop < min_peak_population  # its diagnostic takes precedence
     diagnostic = (f"peak transfer {peak_pop:.6f} below the fit threshold {min_peak_population}" if too_small
                   else None if np.isfinite(omega_fit) else "no prominent peak in the |gege> population")
-    run = replace(
-        run,
+    run = ValidationRun(
+        omega_expected=omega,
+        perturbative_ok=params.perturbative_ok,
         omega_fit=omega_fit,
-        relative_deviation=float(abs(omega_fit - abs(run.omega_expected)) / abs(run.omega_expected))
+        relative_deviation=float(abs(omega_fit - abs(omega)) / abs(omega))
         if np.isfinite(omega_fit) else np.nan,
         peak_population=peak_pop,
         leakage_pair=float(np.max(1.0 - (p_egeg + p_gege) / totals)),
@@ -319,8 +320,7 @@ def compare_effective_models(params: SystemParams, n: int = 0) -> EffectiveModel
     operator, and the exact full model on COMPARISON_POINTS times; report
     fidelity time series and the operator difference. Raises ValueError
     unless 0 <= n <= n_max - 4."""
-    run, (_, energies, hint), times, _, (freqs, parts) = _exact_run(params, n, COMPARISON_POINTS)
-    omega = run.omega_expected
+    omega, (_, energies, hint), times, _, (freqs, parts) = _exact_run(params, n, COMPARISON_POINTS)
 
     egeg = np.eye(N_ATOMIC_CONFIGS, dtype=complex)[_COLS[0]]  # one-hot |egeg>
     h_pair_swap = build_h_eff(params, n, include_stark=False)

@@ -89,6 +89,16 @@ class TestBellStates:
                 overlap = np.vdot(prepare_bell(a).amplitudes, prepare_bell(b).amplitudes)
                 assert abs(overlap) < 1e-14
 
+    @pytest.mark.parametrize("label", list(BellLabel))
+    def test_label_value_gives_the_same_state(self, label):
+        assert np.array_equal(prepare_bell(label.value).amplitudes, prepare_bell(label).amplitudes)
+        assert bell_measure(prepare_bell(label.value))[0] is label
+
+    @pytest.mark.parametrize("label", ["bogus", None, "phi+", 0])
+    def test_other_labels_rejected(self, label):
+        with pytest.raises(ValueError, match="is not a valid BellLabel"):
+            prepare_bell(label)
+
 
 class TestBellDiscrimination:
     @pytest.mark.parametrize("label", list(BellLabel))
@@ -150,6 +160,10 @@ class TestBellDiscrimination:
         first = [bell_measure(sup, seed=s)[0] for s in range(50)]
         second = [bell_measure(sup, seed=s)[0] for s in range(50)]
         assert first == second
+
+    def test_state_without_support_rejected(self):
+        with pytest.raises(ValueError, match="state has no measurable support"):
+            bell_measure(StateVector(np.zeros(16), 0))
 
     def test_non_bell_input_flagged(self):
         # eegg sits in the exchange-coupled part of the manifold, outside the Bell span

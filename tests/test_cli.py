@@ -150,6 +150,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown experiment"):
             parse_config("experiment = frobnicate\n")
 
+    def test_float_that_does_not_parse_rejected(self):
+        with pytest.raises(ConfigError, match=r"key 'G': not a number: 'abc' \(line 1\)"):
+            parse_config("G = abc\n", experiment="entangle")
+
+    def test_run_of_unknown_experiment_rejected(self):
+        # parse_config rejects the name first; run_experiment checks it again for a config built by hand
+        config = replace(parse_config("", experiment="bell"), experiment="frobnicate")
+        with pytest.raises(ConfigError, match="unknown experiment 'frobnicate'"):
+            run_experiment(config)
+
 
 # one out-of-domain value per config key; a key without a domain check gets
 # a value its parser rejects
@@ -469,6 +479,13 @@ class TestDeterminism:
         text = report.to_csv()
         assert "\r" not in text
         assert text.splitlines()[0] == "t1_fraction,fidelity_amplitude,fidelity_squared"
+
+    def test_csv_quotes_cells_with_a_comma_a_quote_or_a_newline(self):
+        report = cli.ExperimentReport(config={}, experiment="x", library_version="0",
+                                      conventions={"note": "a,b"},
+                                      results={"quote": 'say "hi"', "newline": "x\ny"}, flags={})
+        assert report.to_csv() == ('key,value\nconventions.note,"a,b"\nexperiment,x\nlibrary_version,0\n'
+                                   'passed,True\nresults.newline,"x\ny"\nresults.quote,"say ""hi"""\n')
 
 
 class CliProcess(NamedTuple):

@@ -35,7 +35,7 @@ PAIR_GE, PAIR_EG = 1, 2  # pair-space indices (basis gg, ge, eg, ee)
 
 class TestHGate:
     def test_defining_transformation(self):
-        u = h_gate((1, 2))
+        u = h_gate()
         col = u[:, PAIR_EG]
         assert col[PAIR_EG] == pytest.approx(1 / np.sqrt(2))
         assert col[PAIR_GE] == pytest.approx(-1j / np.sqrt(2))
@@ -44,39 +44,46 @@ class TestHGate:
         assert col[PAIR_EG] == pytest.approx(-1j / np.sqrt(2))
 
     def test_identity_on_gg_and_ee(self):
-        u = h_gate((3, 4))
+        u = h_gate()
         assert u[0, 0] == 1.0 and u[3, 3] == 1.0
 
     def test_square_maps_eg_to_minus_i_ge(self):
-        u = h_gate((1, 2))
+        u = h_gate()
         out = (u @ u)[:, PAIR_EG]
         assert out[PAIR_GE] == pytest.approx(-1j, abs=1e-14)
         assert abs(out[PAIR_EG]) < 1e-14
 
     def test_fourth_power_is_minus_identity_on_code_span(self):
-        u = h_gate((1, 2))
+        u = h_gate()
         u4 = np.linalg.matrix_power(u, 4)
         sub = u4[np.ix_([PAIR_GE, PAIR_EG], [PAIR_GE, PAIR_EG])]
         np.testing.assert_allclose(sub, -np.eye(2), atol=1e-14)
 
     def test_invalid_pair_rejected(self):
-        with pytest.raises(ValueError):
-            h_gate((1, 3))
+        # the lift reads the target: (1, 3) would otherwise land on pair (3, 4)
+        seq = PulseSequence((GateDescriptor("H", (1, 3), H_PULSE_AREA),),
+                            CnotConvention("listed_first_applied_first", +1))
+        with pytest.raises(ValueError, match=r"pair must be one of \(\(1, 2\), \(3, 4\)\), got \(1, 3\)"):
+            sequence_unitary_atomic(seq)
 
 
 class TestPGate:
     def test_plus_sign_phases_eg_only(self):
-        u = p_gate((3, 4), +1)
+        u = p_gate(+1)
         assert u[PAIR_EG, PAIR_EG] == pytest.approx(1j)
         assert u[PAIR_GE, PAIR_GE] == 1.0
 
     def test_inverse_composes_to_identity(self):
-        u = p_gate((3, 4), +1) @ p_gate((3, 4), -1)
+        u = p_gate(+1) @ p_gate(-1)
         np.testing.assert_allclose(u, np.eye(4), atol=1e-14)
 
     def test_fourth_power_is_identity(self):
-        u = np.linalg.matrix_power(p_gate((1, 2), +1), 4)
+        u = np.linalg.matrix_power(p_gate(+1), 4)
         np.testing.assert_allclose(u, np.eye(4), atol=1e-14)
+
+    def test_sign_other_than_plus_or_minus_one_rejected(self):
+        with pytest.raises(ValueError, match=r"sign must be \+1 or -1, got 0"):
+            p_gate(0)
 
 
 def logical_r(area: float = 3 * np.pi / 4) -> np.ndarray:
@@ -204,10 +211,16 @@ class TestCnotCompilation:
         assert overlap < 0.99  # not the same gate up to phase
 
     def test_all_gates_unitary(self):
-        assert Operator(h_gate((1, 2))).unitary
-        assert Operator(p_gate((3, 4))).unitary
+        assert Operator(h_gate()).unitary
+        assert Operator(p_gate()).unitary
         assert Operator(logical_r()).unitary
         assert sequence_unitary_logical(compile_cnot()).unitary
+
+    def test_truth_table_needs_a_four_dim_unitary(self):
+        with pytest.raises(ValueError, match="expects a 4-dim logical operator"):
+            verify_truth_table(Operator(np.eye(2)))
+        with pytest.raises(ValueError, match="operator is not unitary"):
+            verify_truth_table(Operator(2 * np.eye(4)))
 
     def test_code_space_preserved_exactly(self):
         u = sequence_unitary_atomic(compile_cnot())
@@ -221,8 +234,7 @@ def _kron_gate(gate: GateDescriptor, sign: int) -> np.ndarray:
     identity on the other pair."""
     if gate.kind == "R":
         return r_gate_atomic(gate.pulse_area)
-    u4 = (h_gate(gate.target) if gate.kind == "H"
-          else p_gate(gate.target, sign if gate.kind == "P" else -sign))
+    u4 = h_gate() if gate.kind == "H" else p_gate(sign if gate.kind == "P" else -sign)
     eye = np.eye(4, dtype=complex)
     return np.kron(u4, eye) if gate.target == (1, 2) else np.kron(eye, u4)
 
@@ -244,6 +256,17 @@ class TestAtomicLift:
         for g in order:
             expected = _kron_gate(g, conv.p_sign) @ expected
         assert np.array_equal(sequence_unitary_atomic(PulseSequence(gates, conv)), expected)
+
+    def test_unknown_gate_kind_rejected(self):
+        seq = PulseSequence((GateDescriptor("X", (1, 2), 0.0),),
+                            CnotConvention("listed_first_applied_first", +1))
+        with pytest.raises(ValueError, match="unknown gate kind 'X'"):
+            sequence_unitary_atomic(seq)
+
+    def test_unknown_application_order_rejected(self):
+        seq = PulseSequence(cnot_gate_list(), CnotConvention("sideways", +1))
+        with pytest.raises(ValueError, match="unknown application order 'sideways'"):
+            sequence_unitary_atomic(seq)
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import fields
 from itertools import combinations
@@ -158,8 +159,23 @@ class TestBasisIndexing:
             basis_index("gggg", N_MAX + 1, N_MAX)
 
     def test_label_parsing_variants(self):
-        assert atomic_index("egeg") == atomic_index(["e", "g", "e", "g"]) == atomic_index((1, 0, 1, 0))
+        assert atomic_index("egeg") == atomic_index(10) == atomic_index(np.int64(10)) == 10
+        assert type(atomic_index(np.int64(3))) is int
         assert config_labels(atomic_index("egge")) == "egge"
+        indices = list(range(N_ATOMIC_CONFIGS))
+        assert [atomic_index(config_labels(i)) for i in indices] == indices
+
+    @pytest.mark.parametrize("config", [True, False, ["e", "g", "e", "g"], (1, 0, 1, 0), 3.0, 16, -1,
+                                        np.int64(16), "EGEG", "egg", "egegg", "egex", None],
+                             ids=["true", "false", "list", "bits", "float", "16", "minus-1", "int64-16",
+                                  "upper-case", "three-letters", "five-letters", "other-letter", "none"])
+    def test_other_configurations_rejected(self, config):
+        with pytest.raises(ValueError, match=r"four-letter e/g string or an index 0\.\.15, got "):
+            atomic_index(config)
+
+    def test_config_labels_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="atomic index out of range: 16"):
+            config_labels(16)
 
 
 class TestSingleAtomOperators:
@@ -247,6 +263,11 @@ class TestOperatorFlags:
         with pytest.raises(TypeError):
             Operator(unit, unitary=True)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_non_square_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"operator matrix must be square, got shape {shape}")):
+            Operator(np.zeros(shape))
+
     def test_builders_are_deterministic(self):
         a = single_atom_operator(3, "+", N_MAX).matrix
         b = single_atom_operator(3, "+", N_MAX).matrix
@@ -272,7 +293,9 @@ class TestStateVector:
         assert psi.probability("gege") == pytest.approx(0.5)
         assert psi.probability("gggg") == 0.0
         assert psi.amplitude("gege") == 1j / np.sqrt(2)
-        assert StateVector.basis_state("geeg").amplitude((0, 1, 1, 0)) == 1.0
+        geeg = atomic_index("geeg")
+        assert StateVector.basis_state(np.int64(geeg)).amplitude(geeg) == 1.0
+        assert StateVector.basis_state("geeg").amplitude(geeg) == 1.0
 
     def test_holds_the_sixteen_atomic_amplitudes_only(self):
         assert StateVector(np.eye(N_ATOMIC_CONFIGS)[3], 0).n_max == 0

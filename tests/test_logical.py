@@ -33,6 +33,11 @@ class TestCodec:
         with pytest.raises(ValueError, match="read-only"):
             state.amplitudes[0] = 0.0
 
+    @pytest.mark.parametrize("amps", [np.zeros(3), np.zeros(16), np.eye(4)], ids=["3", "16", "4x4"])
+    def test_wrong_shape_rejected(self, amps):
+        with pytest.raises(ValueError, match=r"expected 4 logical amplitudes, got shape \("):
+            LogicalState(amps)
+
     def test_embedding_lands_exactly_on_named_states(self):
         psi = LogicalState(np.array([0.5, 0.5, 0.5, 0.5])).to_state_vector()
         assert psi.n_max == 0

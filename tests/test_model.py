@@ -238,12 +238,22 @@ class TestSecondOrderEngine:
         with pytest.raises(ValueError, match="inside the manifold"):
             derive_second_order(e_crafted, build_hint(p).matrix, (m1, m2))
 
+    def test_degenerate_intermediate_rejected(self):
+        # state 1 is coupled to the manifold {0} at the manifold's own energy
+        hint = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match="intermediate state degenerate with the manifold"):
+            derive_second_order(np.zeros(2), hint, (0,))
+
 
 class TestManifold:
     def test_members_share_energy(self, params):
         members = two_excitation_manifold(params, 3)
         e = np.real(np.diag(build_h0(params).matrix))
         np.testing.assert_allclose(e[list(members)], params.delta / 2.0 * 3, rtol=1e-12)
+
+    def test_level_above_cutoff_rejected(self, params):
+        with pytest.raises(ValueError, match=rf"Fock level n={params.n_max + 1} outside 0\.\.{params.n_max}"):
+            two_excitation_manifold(params, params.n_max + 1)
 
     def test_pair_partner_is_involution(self):
         for c in range(16):

@@ -1,11 +1,12 @@
-"""The value records are NamedTuples: read-only, compared and hashed by value,
-and still usable the way the library uses them (dict keys, convention
-selection)."""
+"""The value records are NamedTuples: read-only, compared by value (and hashed
+by value where every field is hashable), and still usable the way the library
+uses them (dict keys, convention selection)."""
 
 import numpy as np
 import pytest
 
 from dfscavity.bell_teleport import BellLabel, enumerate_bell_branches, prepare_bell, teleport
+from dfscavity.cli import parse_config, run_experiment
 from dfscavity.gates import (
     P_PHASE,
     CnotConvention,
@@ -37,6 +38,7 @@ RECORDS = {
     "TruthTableReport": lambda: verify_truth_table(sequence_unitary_logical(compile_cnot())),
     "DurationReport": lambda: schedule_duration(compile_cnot(), PARAMS),
     "EffectiveModelComparison": lambda: compare_effective_models(PARAMS, 0),
+    "ExperimentReport": lambda: run_experiment(parse_config("", "bell")),
 }
 
 

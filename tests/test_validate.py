@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from dfscavity.validate import (
     PEAK_PROMINENCE_FRACTION,
     RABI_FIT_POINTS,
     RabiFitError,
+    ValidationRun,
     _exact_run,
     _quadratic_peak_times,
     compare_effective_models,
@@ -260,18 +261,18 @@ def test_fit_span_is_the_exact_run_grid():
 def _full_series(params, n, points):
     """The exact run and its whole (points, block) amplitude series, through
     `evolve_times` of the block's H0 + Hint from |egeg, n> (row 0)."""
-    run, block, times, u, _ = _exact_run(params, n, points)
+    omega, block, times, u, _ = _exact_run(params, n, points)
     levels, energies, hint = block
     psi0 = np.zeros(len(levels), dtype=complex)
     psi0[0] = 1.0
     h = Operator(np.diag(energies) + hint)
-    return run, block, times, u, evolve_times(h, psi0, times)
+    return omega, block, times, u, evolve_times(h, psi0, times)
 
 
 def _reference_fit(params, n, min_peak_population):
     """extract_rabi's run by the formulas that read the full series: np.abs(amps)**2,
     fancy-index group sums and np.polyfit for the Stark rate."""
-    run, (levels, _, _), times, u, amps = _full_series(params, n, RABI_FIT_POINTS)
+    omega, (levels, _, _), times, u, amps = _full_series(params, n, RABI_FIT_POINTS)
     idx = {lab: row for row, lab in enumerate(TWO_EXCITATION_LABELS)}
     probs = np.abs(amps) ** 2
     p_gege, p_egeg = probs[:, idx["gege"]], probs[:, idx["egeg"]]
@@ -284,9 +285,9 @@ def _reference_fit(params, n, min_peak_population):
     diagnostic = (f"peak transfer {peak_pop:.6f} below the fit threshold {min_peak_population}"
                   if peak_pop < min_peak_population
                   else None if np.isfinite(omega_fit) else "no prominent peak in the |gege> population")
-    return replace(
-        run, omega_fit=omega_fit,
-        relative_deviation=abs(omega_fit - abs(run.omega_expected)) / abs(run.omega_expected),
+    return ValidationRun(
+        omega_expected=omega, perturbative_ok=params.perturbative_ok, omega_fit=omega_fit,
+        relative_deviation=abs(omega_fit - abs(omega)) / abs(omega),
         peak_population=peak_pop,
         leakage_pair=np.max(1.0 - (p_egeg + p_gege) / totals),
         leakage_exchange=exchange.max(),
