@@ -22,22 +22,23 @@ output phases exactly -1 (the compiled unitary is -CNOT, so it squares to
 the identity).
 
 Gates and products are plain arrays; only the logical block that
-`verify_truth_table` checks is an `Operator`. A composition builds each
-distinct gate once (the search: once per P sign, for both orders) and lifts a
-pair gate to the atomic space as one broadcast product, np.kron with the
-identity on the other pair. The search keeps each
-candidate's atomic product; cnot-verify searches once and `_first_passing`,
-shared with `compile_cnot`, picks the convention, report and product from it.
+`verify_truth_table` checks is an `Operator`. `_gate_atomic` lifts a gate to
+the atomic space once per process and P sign (a pair gate as np.kron with the
+identity on the other pair) and returns it read-only; `sequence_unitary_atomic`,
+the one product builder, multiplies out each search candidate. cnot-verify
+searches once and `_first_passing`, shared with `compile_cnot`, picks the
+convention, report and atomic product from it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import pair_exchange
-from .hilbert import Operator, SystemParams
+from .hilbert import Operator, SystemParams, _is_integer
 from .logical import LOGICAL_CONFIGS, LOGICAL_INDICES
 from .model import effective_coupling
 
@@ -100,7 +101,7 @@ def h_gate() -> np.ndarray:
 
 def p_gate(sign: int = +1) -> np.ndarray:
     """pi/2 phase on |eg> of one pair, a 4x4 array; sign picks e^{+i pi/2} or e^{-i pi/2}."""
-    if sign not in (+1, -1):
+    if not (_is_integer(sign) and sign in (+1, -1)):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     u = np.eye(4, dtype=complex)
     u[_PAIR_EG, _PAIR_EG] = np.exp(1j * sign * P_PHASE)
@@ -134,40 +135,22 @@ def cnot_gate_list() -> tuple[GateDescriptor, ...]:
     )
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: else p_sign True would get the cached +1 gate
 def _gate_atomic(gate: GateDescriptor, p_sign: int) -> np.ndarray:
+    """`gate` on the 16-dim atomic space, a read-only array built once per (gate, P sign)."""
     if gate.kind == "R":
-        return r_gate_atomic(gate.pulse_area)
-    if gate.kind == "H":
-        u4 = h_gate()
-    elif gate.kind == "P":
-        u4 = p_gate(p_sign)
-    elif gate.kind == "P_inv":
-        u4 = p_gate(-p_sign)
-    else:
+        u = r_gate_atomic(gate.pulse_area)
+    elif gate.kind not in ("H", "P", "P_inv"):
         raise ValueError(f"unknown gate kind {gate.kind!r}")
-    if gate.target not in VALID_PAIRS:
+    elif gate.target not in VALID_PAIRS:
         raise ValueError(f"pair must be one of {VALID_PAIRS}, got {gate.target}")
-    eye = np.eye(4, dtype=complex)
-    a, b = (u4, eye) if gate.target == (1, 2) else (eye, u4)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)  # np.kron(a, b)
-
-
-def _gate_matrices(gates, p_sign: int) -> dict[GateDescriptor, np.ndarray]:
-    """Each distinct gate of `gates` on the atomic space, built once."""
-    return {g: _gate_atomic(g, p_sign) for g in dict.fromkeys(gates)}
-
-
-def _product(gates, application_order: str, mats: dict[GateDescriptor, np.ndarray]) -> np.ndarray:
-    """The atomic unitary of `gates` applied in `application_order`, from their matrices."""
-    if application_order == "listed_first_applied_first":
-        order = gates
-    elif application_order == "listed_first_applied_last":
-        order = gates[::-1]
     else:
-        raise ValueError(f"unknown application order {application_order!r}")
-    u = np.eye(16, dtype=complex)
-    for g in order:
-        u = mats[g] @ u
+        u4 = h_gate() if gate.kind == "H" else p_gate(p_sign)
+        u4 = u4.conj() if gate.kind == "P_inv" else u4  # p_gate(-p_sign) bit for bit; -True is -1
+        eye = np.eye(4, dtype=complex)
+        a, b = (u4, eye) if gate.target == (1, 2) else (eye, u4)
+        u = (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)  # np.kron(a, b)
+    u.setflags(write=False)
     return u
 
 
@@ -175,7 +158,16 @@ def sequence_unitary_atomic(seq: PulseSequence) -> np.ndarray:
     """The sequence on the 16-dim atomic space as an array (for code-space
     checks); cavity factored out as everywhere in the effective model."""
     conv = seq.convention
-    return _product(seq.gates, conv.application_order, _gate_matrices(seq.gates, conv.p_sign))
+    if conv.application_order == "listed_first_applied_first":
+        order = seq.gates
+    elif conv.application_order == "listed_first_applied_last":
+        order = seq.gates[::-1]
+    else:
+        raise ValueError(f"unknown application order {conv.application_order!r}")
+    u = np.eye(16, dtype=complex)
+    for g in order:
+        u = _gate_atomic(g, conv.p_sign) @ u
+    return u
 
 
 def sequence_unitary_logical(seq: PulseSequence) -> Operator:
@@ -218,11 +210,9 @@ def convention_candidates() -> tuple[CnotConvention, ...]:
 def convention_search() -> tuple[tuple[CnotConvention, TruthTableReport, np.ndarray], ...]:
     """Run the truth table for all four conventions, in deterministic order;
     each entry keeps the candidate's 16x16 atomic product next to its report."""
-    gates = cnot_gate_list()
-    mats = {sign: _gate_matrices(gates, sign) for sign in (+1, -1)}  # both orders share them
     out = []
     for conv in convention_candidates():
-        u = _product(gates, conv.application_order, mats[conv.p_sign])
+        u = sequence_unitary_atomic(PulseSequence(cnot_gate_list(), conv))
         out.append((conv, verify_truth_table(Operator(_logical_block(u))), u))
     return tuple(out)
 

@@ -46,6 +46,11 @@ _CONFIG_LABELS = tuple("".join(labels) for labels in product("ge", repeat=N_ATOM
 _CONFIG_INDEX = {label: i for i, label in enumerate(_CONFIG_LABELS)}
 
 
+def _is_integer(value) -> bool:
+    """The integer rule for configuration indices, Fock levels and the P sign: no bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex)
     out.setflags(write=False)
@@ -134,8 +139,7 @@ def atomic_index(config) -> int:
     """
     if isinstance(config, str) and config in _CONFIG_INDEX:
         return _CONFIG_INDEX[config]
-    integer = isinstance(config, (int, np.integer)) and not isinstance(config, bool)
-    if integer and 0 <= config < N_ATOMIC_CONFIGS:
+    if _is_integer(config) and 0 <= config < N_ATOMIC_CONFIGS:
         return int(config)
     raise ValueError(f"atomic configuration must be a four-letter e/g string or an index 0..15, "
                      f"got {config!r}")
@@ -143,7 +147,7 @@ def atomic_index(config) -> int:
 
 def config_labels(index: int) -> str:
     """Inverse of atomic_index: 0..15 -> four-letter e/g string."""
-    if not 0 <= index < N_ATOMIC_CONFIGS:
+    if not (_is_integer(index) and 0 <= index < N_ATOMIC_CONFIGS):
         raise ValueError(f"atomic index out of range: {index}")
     return _CONFIG_LABELS[index]
 
@@ -154,7 +158,7 @@ def excitation_number(config) -> int:
 
 def basis_index(config, n: int, n_max: int) -> int:
     """Composite basis index of |config, n> under the package convention."""
-    if not 0 <= n <= n_max:
+    if not (_is_integer(n) and 0 <= n <= n_max):
         raise ValueError(f"Fock level n={n} outside 0..{n_max}")
     return atomic_index(config) * (n_max + 1) + n
 

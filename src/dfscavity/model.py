@@ -53,6 +53,7 @@ from .hilbert import (
     N_ATOMIC_CONFIGS,
     Operator,
     SystemParams,
+    _is_integer,
     atomic_index,
     basis_index,
     excitation_number,
@@ -80,7 +81,7 @@ def effective_coupling(n: int, params: SystemParams) -> EffectiveCoupling:
 
     0 at G = 0. Raises ValueError when G > 0 and the rate leaves the float range
     (G^2 or the quotient overflows to inf or underflows to 0)."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
+    if not _is_integer(n) or n < 0:
         raise ValueError(f"Fock sector must be an integer >= 0, got {n}")
     try:
         omega = (4 * n + 2) * params.G**2 / params.delta
@@ -150,9 +151,8 @@ def build_h_eff(params: SystemParams, n: int = 0, include_stark: bool = False) -
 
 def two_excitation_manifold(params: SystemParams, n: int) -> tuple[int, ...]:
     """Composite indices of the six degenerate two-excitation states at Fock level n
-    (bare energy (delta/2) n), in TWO_EXCITATION_LABELS order."""
-    if not 0 <= n <= params.n_max:
-        raise ValueError(f"Fock level n={n} outside 0..{params.n_max}")
+    (bare energy (delta/2) n), in TWO_EXCITATION_LABELS order; `basis_index` raises
+    ValueError unless n is an integer 0..n_max."""
     return tuple(basis_index(c, n, params.n_max) for c in TWO_EXCITATION_CONFIGS)
 
 
@@ -170,7 +170,7 @@ def pair_block(params: SystemParams, n: int) -> tuple[np.ndarray, np.ndarray, np
     Raises ValueError unless n is an integer with 0 <= n <= n_max - 4: the block then
     reaches m = n + 2 at most and stays clear of the two guard levels below the cut.
     """
-    if not isinstance(n, (int, np.integer)) or not 0 <= n <= params.n_max - 4:
+    if not _is_integer(n) or not 0 <= n <= params.n_max - 4:
         raise ValueError(
             f"validated runs need an integer 0 <= n <= n_max - 4 (intermediates plus guard levels); "
             f"got n={n}, n_max={params.n_max}"

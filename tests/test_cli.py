@@ -337,8 +337,10 @@ class TestExperiments:
 
     def test_cnot_verify_builds_each_product_once(self, monkeypatch):
         # the chosen convention's atomic product comes from the search, which multiplies
-        # out the four candidates from one set of gate matrices per P sign
-        calls = {"_product": 0, "_gate_matrices": 0}
+        # out each of the four candidates once; the lifted gates are per-process constants,
+        # so a second cnot-verify in the same process builds none of them again
+        run_experiment(parse_config("", experiment="cnot-verify"))
+        calls = dict.fromkeys(("sequence_unitary_atomic", "h_gate", "p_gate", "r_gate_atomic"), 0)
 
         def counting(name):
             original = getattr(gates, name)
@@ -352,7 +354,7 @@ class TestExperiments:
             monkeypatch.setattr(gates, name, counting(name))
         report = run_experiment(parse_config("", experiment="cnot-verify"))
         assert report.passed
-        assert calls == {"_product": 4, "_gate_matrices": 2}
+        assert calls == {"sequence_unitary_atomic": 4, "h_gate": 0, "p_gate": 0, "r_gate_atomic": 0}
 
     def test_cnot_verify_checks_each_truth_table_once(self, monkeypatch):
         # the chosen convention's report comes from the search, not from a second check

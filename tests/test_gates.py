@@ -76,14 +76,26 @@ class TestPGate:
     def test_inverse_composes_to_identity(self):
         u = p_gate(+1) @ p_gate(-1)
         np.testing.assert_allclose(u, np.eye(4), atol=1e-14)
+        assert np.array_equal(p_gate(np.int64(-1)), p_gate(-1))
 
     def test_fourth_power_is_identity(self):
         u = np.linalg.matrix_power(p_gate(+1), 4)
         np.testing.assert_allclose(u, np.eye(4), atol=1e-14)
 
     def test_sign_other_than_plus_or_minus_one_rejected(self):
-        with pytest.raises(ValueError, match=r"sign must be \+1 or -1, got 0"):
-            p_gate(0)
+        for sign in (0, True, 1.0, -1.0, np.float64(1.0)):  # True == 1.0 == 1, yet not the sign
+            with pytest.raises(ValueError, match=rf"sign must be \+1 or -1, got {sign}$"):
+                p_gate(sign)
+
+    @pytest.mark.parametrize("gates", [cnot_gate_list(), (GateDescriptor("P_inv", (3, 4), P_PHASE),)],
+                             ids=["cnot", "p-inv"])
+    @pytest.mark.parametrize("sign", [True, 1.0])
+    def test_convention_sign_rejected_after_a_plus_one_compile(self, gates, sign):
+        # True == 1 and hash(True) == hash(1): the sign must not reach the cached +1 gates
+        sequence_unitary_atomic(PulseSequence(gates, CnotConvention("listed_first_applied_first", +1)))
+        seq = PulseSequence(gates, CnotConvention("listed_first_applied_first", sign))
+        with pytest.raises(ValueError, match=r"sign must be \+1 or -1, got "):
+            sequence_unitary_atomic(seq)
 
 
 def logical_r(area: float = 3 * np.pi / 4) -> np.ndarray:

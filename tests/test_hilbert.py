@@ -155,13 +155,15 @@ class TestBasisIndexing:
         assert len(seen) == DIM
 
     def test_out_of_range_fock_rejected(self):
-        with pytest.raises(ValueError):
-            basis_index("gggg", N_MAX + 1, N_MAX)
+        for n in (N_MAX + 1, -1, 0.5, 1.0, True):
+            with pytest.raises(ValueError, match=rf"^Fock level n={n} outside 0\.\.{N_MAX}$"):
+                basis_index("gggg", n, N_MAX)
 
     def test_label_parsing_variants(self):
         assert atomic_index("egeg") == atomic_index(10) == atomic_index(np.int64(10)) == 10
         assert type(atomic_index(np.int64(3))) is int
         assert config_labels(atomic_index("egge")) == "egge"
+        assert config_labels(np.int64(10)) == config_labels(10) == "egeg"
         indices = list(range(N_ATOMIC_CONFIGS))
         assert [atomic_index(config_labels(i)) for i in indices] == indices
 
@@ -174,8 +176,9 @@ class TestBasisIndexing:
             atomic_index(config)
 
     def test_config_labels_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="atomic index out of range: 16"):
-            config_labels(16)
+        for index in (16, -1, True, False, 3.0, np.float64(3.0), "3"):
+            with pytest.raises(ValueError, match=rf"^atomic index out of range: {index}$"):
+                config_labels(index)
 
 
 class TestSingleAtomOperators:

@@ -252,8 +252,10 @@ class TestManifold:
         np.testing.assert_allclose(e[list(members)], params.delta / 2.0 * 3, rtol=1e-12)
 
     def test_level_above_cutoff_rejected(self, params):
-        with pytest.raises(ValueError, match=rf"Fock level n={params.n_max + 1} outside 0\.\.{params.n_max}"):
-            two_excitation_manifold(params, params.n_max + 1)
+        # float and bool levels used to give float or level-1 "indices" (90.5, 81.5, ...)
+        for n in (params.n_max + 1, 0.5, True):
+            with pytest.raises(ValueError, match=rf"^Fock level n={n} outside 0\.\.{params.n_max}$"):
+                two_excitation_manifold(params, n)
 
     def test_pair_partner_is_involution(self):
         for c in range(16):

@@ -12,7 +12,6 @@ from dfscavity.gates import (
     CnotConvention,
     GateDescriptor,
     _gate_atomic,
-    _gate_matrices,
     cnot_gate_list,
     compile_cnot,
     convention_candidates,
@@ -54,13 +53,15 @@ def test_record_rejects_attribute_assignment(name):
 
 def test_gate_descriptor_keys_the_gate_matrices():
     gates = cnot_gate_list()
-    mats = _gate_matrices(gates, +1)
-    # H(3,4), P(3,4), R, H(1,2) and P_inv(3,4): the repeats share one entry
-    assert list(mats) == [gates[0], gates[1], gates[2], gates[4], gates[6]]
-    for gate in gates:
-        assert np.array_equal(mats[GateDescriptor(*gate)], _gate_atomic(gate, +1))
-    assert GateDescriptor("P", (3, 4), P_PHASE) in mats
-    assert GateDescriptor("P", (1, 2), P_PHASE) not in mats
+    # the two P(3,4) entries, and an equal descriptor built anew, share one cached matrix
+    shared = _gate_atomic(gates[1], +1)
+    assert _gate_atomic(gates[3], +1) is shared
+    assert _gate_atomic(GateDescriptor("P", (3, 4), P_PHASE), +1) is shared
+    assert not shared.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        shared[0, 0] = 0
+    other = _gate_atomic(GateDescriptor("P", (1, 2), P_PHASE), +1)
+    assert other is not shared and not np.array_equal(other, shared)
 
 
 def test_cnot_convention_equality_selects_the_convention():

@@ -160,6 +160,8 @@ class TestExtractRabi:
 # 0.2 at n = 0.5, a fit with no diagnostic, 36 difference entries instead of 30)
 NON_INTEGER_LEVEL_CALLS = {
     "effective_coupling": lambda p: effective_coupling(0.5, p),
+    "effective_coupling-bool": lambda p: effective_coupling(True, p),  # read as n = 1
+    "pair_block-bool": lambda p: pair_block(p, True),
     "derived_coupling": lambda p: derived_coupling(p, 0.5),
     "pair_block": lambda p: pair_block(p, 0.5),
     "extract_rabi": lambda p: extract_rabi(p, 0.5),
