@@ -1,0 +1,108 @@
+"""Per-pass cost of one benchmark workload: wall time, CPU/wall, minor faults, peak RSS.
+
+    python3 scripts/pass_cost.py --workload NAME [--passes N]
+
+Runs the calls of one workload of perfbench (perfbench/workloads.py) in this
+process through `perfbench/worker.Runner`, which it only reads, at seed 0:
+one untimed warm-up pass, then N timed passes (default 50). The cli-defaults
+calls run as `python -m dfscavity.cli` processes, as in the benchmark's timed
+runs; the other workloads run in-process.
+
+Prints, per call and for the whole pass, the median wall time, the process
+CPU time over the wall time summed over the timed passes (children's CPU
+included), and the median minor page faults; then `ru_maxrss` of this
+process and of its largest child. A CPU/wall well above 1 means a library
+call ran on more than one thread: OpenBLAS hands a large enough product to
+its thread pool, whose threads keep spinning after it returns. The timed
+passes start half a second after the warm-up, once the pool has stopped the
+spin that numpy's import sets off. Faults per pass show memory the pass
+takes from the system and gives back. Exits 1 if any call's checks fail,
+0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import resource
+import statistics
+import sys
+import tempfile
+import time
+from contextlib import contextmanager
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _usage() -> tuple[float, int]:
+    """CPU seconds and minor faults of this process and its waited-for children."""
+    cpu, faults = 0.0, 0
+    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN):
+        u = resource.getrusage(who)
+        cpu += u.ru_utime + u.ru_stime
+        faults += u.ru_minflt
+    return cpu, faults
+
+
+class Meter:
+    """Stands in for the tracer of `Runner.run_pass(spans)`, which opens `spans.span(name)`
+    around each call and around the whole pass; records (wall, CPU, minor faults) of each."""
+
+    def __init__(self):
+        self.rows: dict[str, list[tuple[float, float, int]]] = {}
+
+    @contextmanager
+    def span(self, name: str):
+        cpu0, faults0 = _usage()
+        start = time.perf_counter()
+        yield
+        wall = time.perf_counter() - start
+        cpu, faults = _usage()
+        label = name.partition(".call.")[2] or "pass"  # the worker's span names
+        self.rows.setdefault(label, []).append((wall, cpu - cpu0, faults - faults0))
+
+
+def main(argv=None) -> int:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS  # imports no package code
+
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    parser.add_argument("--passes", type=int, default=50)
+    args = parser.parse_args(argv)
+    if args.passes < 1:
+        parser.error(f"--passes must be >= 1, got {args.passes}")
+    src = str(ROOT / "src")  # for this process and, as the benchmark sets it, for the CLI processes
+    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    sys.path.insert(0, src)
+    from worker import Runner  # perfbench's worker, imported as its own process does
+
+    with tempfile.TemporaryDirectory() as out_dir:
+        runner = Runner(args.workload, 0, Path(out_dir), in_process=False)
+        runner.run_pass()  # warm-up, untimed
+        # the pool OpenBLAS starts at numpy import spins about 70 ms before it sleeps;
+        # wait it out so the timed passes count only the threads they wake themselves
+        time.sleep(0.5)
+        meter = Meter()
+        problems = []
+        for _ in range(args.passes):
+            result = runner.run_pass(meter)
+            problems += [p for call in result["calls"] for p in call["problems"]]
+
+    print(f"{args.workload}: {args.passes} timed pass(es) after one warm-up")
+    print(f"{'call':<22}{'wall ms (median)':>18}{'CPU/wall':>10}{'minflt (median)':>17}")
+    for label, rows in meter.rows.items():
+        walls, cpus, faults = zip(*rows)
+        print(f"{label:<22}{1e3 * statistics.median(walls):>18.3f}"
+              f"{sum(cpus) / sum(walls):>10.2f}{statistics.median(faults):>17.0f}")
+    print(f"ru_maxrss: self {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.2f} MiB, "
+          f"largest child {runner.max_child_rss_kb / 1024:.2f} MiB")
+    print(f"failed checks: {len(problems)}")
+    for problem in problems[:10]:
+        print(f"  {problem}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,23 +1,19 @@
 """Propagators: exact matrix-exponential evolution and the closed-form
 pair-exchange map.
 
-Exact evolution goes through the eigendecomposition of the hermitian generator;
-`evolve_exact` and `evolve_times` apply it through `_series`, and
-`make_propagator` returns the unitary with the spectrum (w, v) from one eigh.
-`_series` is `_evaluate` of `_fold`: `_fold` merges the eigenvalues eigh cannot
-tell apart, drops the eigenspaces the state does not occupy and leaves one part
-per distinct occupied frequency; `_evaluate` takes one exponential per time and
-frequency, on the rows of the parts it is given. So a series costs len(times) x
-that number of frequencies, not len(times) x dim: 3 or 4 frequencies of the 7
-or 8 block states from a two-excitation start (the symmetric Dicke ladder plus
-one dark level), 2 for the 16-state effective generators. `evolve_times` takes
-a plain amplitude array of the generator's dimension: 16 for the effective
-generators, 6 for the derived second-order operator, or the composite dimension
-for the dense oracle. The validation runs fold |egeg, n> under H0 + Hint of the
-full model on the 7 or 8 states the two-excitation manifold reaches (at any
-n_max, see model.pair_block) and evaluate the rows they read; the dense
-composite Hamiltonian only serves the tests as the oracle, with the
-scaling-and-squaring route and the unfolded sum over every eigenvalue as
+Exact evolution goes through one eigh of the hermitian generator:
+`make_propagator` returns the unitary with the spectrum (w, v), and
+`evolve_exact` and `evolve_times` apply `_series`, which is `_evaluate` of
+`_fold`. `_fold` merges the eigenvalues eigh cannot tell apart and keeps one
+part per distinct occupied frequency; `_evaluate` multiplies the rows of the
+parts it is given by the phases e^{-i w t} of `_phases`, one cos and one sin
+per time and frequency. A series costs len(times) x the occupied frequencies:
+3 or 4 for the 7 or 8 block states a two-excitation start reaches (the
+symmetric Dicke ladder plus one dark level, see model.pair_block), 2 for the
+16-state effective generators. `evolve_times` takes amplitudes of the
+generator's dimension: 16, 6 for the derived second-order operator, or the
+composite dimension of the dense oracle, which only the tests use, with
+scaling and squaring and the unfolded sum over every eigenvalue as
 cross-checks.
 """
 
@@ -65,9 +61,19 @@ def _fold(w: np.ndarray, v: np.ndarray, amplitudes: np.ndarray) -> tuple[np.ndar
     return freqs, np.add.reduceat(v * c, starts, axis=1)[:, kept]
 
 
+def _phases(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """exp(-i x y) over the outer product, shape (len(x), len(y)), from one cos and one
+    sin of -x y: bit for bit np.exp(-1j * np.outer(x, y))."""
+    angles = np.outer(np.negative(x), y)
+    out = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=out.real)
+    np.sin(angles, out=out.imag)
+    return out
+
+
 def _evaluate(freqs: np.ndarray, parts: np.ndarray, times: np.ndarray) -> np.ndarray:
     """The folded series at `times`, shape (len(times), len(parts)): only the rows of `parts` given."""
-    return np.exp(-1j * np.outer(np.asarray(times), freqs)) @ parts.T
+    return _phases(times, freqs) @ parts.T
 
 
 def make_propagator(h: Operator, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -22,12 +22,12 @@ output phases exactly -1 (the compiled unitary is -CNOT, so it squares to
 the identity).
 
 Gates and products are plain arrays; only the logical block that
-`verify_truth_table` checks is an `Operator`. `_gate_atomic` lifts a gate to
-the atomic space once per process and P sign (a pair gate as np.kron with the
-identity on the other pair) and returns it read-only; `sequence_unitary_atomic`,
-the one product builder, multiplies out each search candidate. cnot-verify
-searches once and `_first_passing`, shared with `compile_cnot`, picks the
-convention, report and atomic product from it.
+`verify_truth_table` checks is an `Operator`. `_gate_atomic` lifts each gate
+(a pair gate as np.kron with identity on the other pair) once per process,
+P and P_inv once per sign, read-only; `sequence_unitary_atomic`, the one
+product builder, multiplies out each search candidate. cnot-verify searches
+once and `_first_passing`, shared with `compile_cnot`, picks the convention,
+report and atomic product from it.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def cnot_gate_list() -> tuple[GateDescriptor, ...]:
     )
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: else p_sign True would get the cached +1 gate
+@lru_cache(maxsize=None, typed=True)  # typed: True must not get the +1 gate
 def _gate_atomic(gate: GateDescriptor, p_sign: int) -> np.ndarray:
     """`gate` on the 16-dim atomic space, a read-only array built once per (gate, P sign)."""
     if gate.kind == "R":
@@ -166,7 +166,7 @@ def sequence_unitary_atomic(seq: PulseSequence) -> np.ndarray:
         raise ValueError(f"unknown application order {conv.application_order!r}")
     u = np.eye(16, dtype=complex)
     for g in order:
-        u = _gate_atomic(g, conv.p_sign) @ u
+        u = _gate_atomic(g, conv.p_sign if g.kind in ("P", "P_inv") else 1) @ u
     return u
 
 

@@ -19,9 +19,11 @@ Both get the exact run from one helper: the 7 or 8 states the two-excitation
 manifold reaches (model.pair_block: the six configurations at n as rows 0 to 5,
 |egeg, n> first, then |gggg, n+2> and, for n >= 2, |eeee, n-2>), the grid over
 1.5 exchange periods (RABI_FIT_POINTS or COMPARISON_POINTS times) and the fold
-of |egeg, n> onto its 3 or 4 occupied frequencies (dynamics._fold) from one eigh
-of H0 + Hint. extract_rabi evaluates it on the whole block, squares it once and
-sums the population groups in one product with a 0/1 matrix;
+of |egeg, n> onto its 3 or 4 occupied frequencies w_k (dynamics._fold) from one
+eigh of H0 + Hint. extract_rabi gets each population group (rows r) as
+sum_k h_kk + 2 sum_{k<l} Re(h_kl e^{i(w_k - w_l)t}), h_kl = sum_r
+conj(parts[r, k]) parts[r, l], from one real product over 3 or 6 beats, and the
+Stark phase from row 0, sum_k parts[0, k] e^{-i w_k t};
 compare_effective_models evaluates only rows 0 to 5 and derives the 6x6
 second-order operator once, from the block's energies and hint, for its
 (row, col, value) difference entries. Both need 0 <= n <= n_max - 4, so the
@@ -44,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import _evaluate, _fold, evolve_times, make_propagator, pair_exchange
+from .dynamics import _evaluate, _fold, _phases, evolve_times, make_propagator, pair_exchange
 from .hilbert import N_ATOMIC_CONFIGS, Operator, SystemParams
 from .model import (
     MANIFOLD_ROWS,
@@ -188,10 +190,9 @@ def fit_span(params: SystemParams, n: int) -> float:
 def _exact_run(params: SystemParams, n: int, points: int):
     """Evolve |egeg, n> exactly on `model.pair_block` over 1.5 exchange periods (`points`
     times) by one eigh; returns (the pair rate Omega(n), the block (levels, energies, hint),
-    times, the unitary over the span, the state's fold (freqs, parts) for
-    `dynamics._evaluate`), the unitary and the fold from the (unitary, w, v) of one
-    `make_propagator`. Raises ValueError unless 0 <= n <= n_max - 4 and the rate and span
-    pass `fit_span`, RabiFitError when G = 0."""
+    times, the unitary over the span, the state's fold (freqs, parts)), the unitary and
+    the fold from the (unitary, w, v) of one `make_propagator`. Raises ValueError unless
+    0 <= n <= n_max - 4 and the rate and span pass `fit_span`, RabiFitError when G = 0."""
     block = pair_block(params, n)  # the domain check, before effective_coupling
     omega = effective_coupling(n, params).omega
     if omega == 0:
@@ -223,18 +224,29 @@ def extract_rabi(params: SystemParams, n: int = 0,
     if not 0.0 <= min_peak_population <= 1.0:
         raise ValueError(f"the fit threshold min_peak_population must be a number in [0, 1], "
                          f"got {min_peak_population}")
-    omega, (levels, _, _), times, u, fold = _exact_run(params, n, RABI_FIT_POINTS)
-    amps = _evaluate(*fold, times)  # the evolved state, (points, block)
+    omega, (levels, _, _), times, u, (freqs, parts) = _exact_run(params, n, RABI_FIT_POINTS)
+    waves = _phases(times, freqs)  # (points, frequencies)
+    # common-phase (Stark) rate: least-squares slope of the unwrapped autocorrelation phase;
+    # einsum and real products: OpenBLAS threads complex ones this long
+    phase = np.unwrap(np.angle(np.einsum("tk,k->t", waves, parts[0])))
+    centred = times - times.mean()
+    stark_fit = -float(centred @ phase / (centred @ centred))
+
+    k, l = np.triu_indices(len(freqs), 1)
+    beats = np.empty((len(times), len(k)), dtype=complex)  # e^{i(w_k - w_l)t} per k < l
+    for j in range(len(k)):
+        np.conjugate(waves[:, k[j]], out=beats[:, j])
+        beats[:, j] *= waves[:, l[j]]
+    del waves
     one_hot = np.eye(len(levels))
     groups = np.array([one_hot[0], one_hot[_GEGE], one_hot[_EXCHANGE].sum(axis=0),
                        levels == n, levels >= 0, levels >= params.n_max - 1], dtype=float)
     # 0/1 population groups, one row each; no block state is a guard level, so its row is 0
-    p_egeg, p_gege, p_exchange, p_level_n, totals, guard = groups @ (amps.real ** 2 + amps.imag ** 2).T
-
-    # common-phase (Stark) rate: least-squares slope of the unwrapped autocorrelation phase
-    phase = np.unwrap(np.angle(amps[:, 0]))
-    centred = times - times.mean()
-    stark_fit = -float(centred @ phase / (centred @ centred))
+    coef = (2 * groups @ (parts[:, k] * parts[:, l].conj())).view(float)  # 2 Re h_kl, -2 Im h_kl
+    pops = coef @ beats.view(float).T
+    del beats
+    pops += groups @ (np.abs(parts) ** 2).sum(axis=1)[:, None]
+    p_egeg, p_gege, p_exchange, p_level_n, totals, guard = pops
 
     unde = float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
     norm_defect = float(np.max(np.abs(np.sqrt(totals) - 1.0)))

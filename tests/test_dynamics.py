@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from dfscavity.dynamics import (
+    _phases,
     _series,
     dfs_propagate,
     evolve_exact,
@@ -81,6 +82,17 @@ class TestFoldedSeries:
         assert np.max(np.abs(folded - reference)) <= bound
         norms = np.linalg.norm(folded, axis=1)
         assert np.max(np.abs(norms - np.linalg.norm(psi))) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
+    def test_phases_are_the_complex_exponential_bit_for_bit(self, scale):
+        # signed zeros included: the first time and the frequency 0 are exact zeros
+        rng = np.random.default_rng(7)
+        freqs = np.append(rng.normal(scale=scale, size=15), [0.0, -0.0])
+        times = np.append(0.0, rng.uniform(0.0, 3e3, size=400))
+        for x, y in ((times, freqs), (freqs, times), ([2.5], freqs)):
+            got, want = _phases(x, y), np.exp(-1j * np.outer(x, y))
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(dim=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))

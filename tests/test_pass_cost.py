@@ -1,0 +1,34 @@
+"""`scripts/pass_cost.py` for one exact-scaled pass, in a fresh process."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "pass_cost.py"
+
+
+def _pass_cost(*args):
+    return subprocess.run([sys.executable, str(SCRIPT), *args],
+                          capture_output=True, text=True, cwd=ROOT, timeout=120)
+
+
+def test_one_exact_scaled_pass_runs_on_one_thread():
+    run = _pass_cost("--workload", "exact-scaled", "--passes", "1")
+    assert run.returncode == 0, run.stdout + run.stderr
+    rows = {line.split()[0]: [float(x) for x in line.split()[1:]]
+            for line in run.stdout.splitlines()[2:5]}
+    assert list(rows) == ["validate-effective", "forced_rabi_fit", "pass"]
+    wall_ms, cpu_per_wall, faults = rows["pass"]
+    assert wall_ms > 0 and faults >= 0
+    # no product of the pass goes to OpenBLAS's thread pool, whose threads would
+    # spin on and read about 2 here on two cores
+    assert cpu_per_wall <= 1.1
+    assert run.stdout.splitlines()[-1] == "failed checks: 0"
+
+
+def test_rejects_an_unknown_workload_and_no_passes():
+    for args in (("--workload", "no-such"), ("--workload", "exact-scaled", "--passes", "0")):
+        run = _pass_cost(*args)
+        assert run.returncode == 2
+        assert "error" in run.stderr

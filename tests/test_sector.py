@@ -122,6 +122,21 @@ class TestPairBlock:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_rabi_fit_memory_peak(self):
+        # the populations come from the 3 beat series of the 3 occupied frequencies; the
+        # traced peak reads 709 KiB, while the phases and the beats, each (6001, 3) complex
+        # at 281 KiB, are both alive. The bound leaves 13 % over that; the full (6001, 7)
+        # amplitude series with its squared parts peaked at 1,365 KiB
+        params = SystemParams(G=1.0, delta=40.0, n_max=16)
+        validate.forced_rabi_fit(params)  # first-call set-up outside the trace
+        tracemalloc.start()
+        try:
+            validate.forced_rabi_fit(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 800 * 2**10
+
     def test_validate_effective_results_do_not_depend_on_n_max(self):
         # every number comes from the block; only the perturbative flag reads n_max
         results = {}

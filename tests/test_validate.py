@@ -322,11 +322,11 @@ def _fit_or_partial(params, n, min_peak_population):
         return err.run
 
 
-@pytest.mark.parametrize("n_max", [8, 16])
-@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("n_max", [8, 16, 32])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
 @pytest.mark.parametrize("ratio", [5.0, 10.0, 20.0, 40.0, 80.0])
 def test_observables_match_the_full_series_formulas(ratio, n, n_max):
-    # every observable is read once from the fold (squared parts, one group product,
+    # every observable is read once from the fold (the populations from its beat terms,
     # the closed-form slope, six comparison columns); the formulas on the full series
     # are the oracle, within 1e-12 relative or 1e-15 absolute
     params = make_params(ratio, n_max)
