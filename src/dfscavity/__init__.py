@@ -2,7 +2,7 @@
 
 Library layers:
 
-* hilbert  -- atomic states, composite index, parameters and read-only operators
+* hilbert  -- atomic states, composite index, parameters, matrix checks and generators
 * model    -- full and effective Hamiltonians, second-order PT engine
 * dynamics -- exact propagators and the closed-form pair-exchange map
 * logical  -- the pair encoding of logical qubits and collective dephasing

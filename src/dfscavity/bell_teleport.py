@@ -198,7 +198,8 @@ def teleport(theta: float | np.ndarray, delay: float | np.ndarray = 0.0, encodin
     (|g> + e^{i theta}|e>)/sqrt2 goes through `collective_phases(., 1)` for
     the delay and `dephase_phi`, so every branch has fidelity
     cos^2((splitting*delay + dephase_phi)/2), probability 1/4, and the
-    average is that fidelity; broadcasts as for dfs.
+    average is that fidelity; broadcasts as for dfs; rejects
+    apply_corrections=False (ValueError).
 
     Both encodings enumerate all four branches; with a seed one branch is
     also sampled, by the same draw as `bell_measure`, and reported as
@@ -211,6 +212,8 @@ def teleport(theta: float | np.ndarray, delay: float | np.ndarray = 0.0, encodin
     """
     if encoding not in ("dfs", "bare"):
         raise ValueError(f"encoding must be 'dfs' or 'bare', got {encoding!r}")
+    if encoding == "bare" and not apply_corrections:
+        raise ValueError("the bare channel has no corrections to withhold")
     if not np.all(np.isfinite(delay) & (delay >= 0)):
         raise ValueError("delay must be finite and >= 0")
     for name, value in (("theta", theta), ("atom_splitting", atom_splitting), ("dephase_phi", dephase_phi)):

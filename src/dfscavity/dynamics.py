@@ -21,13 +21,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hilbert import NORM_ATOL, Operator, StateVector
+from .hilbert import NORM_ATOL, Operator, StateVector, is_hermitian
 from .model import TWO_EXCITATION_CONFIGS, pair_partner
 
 
-def _spectrum(h: Operator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a hermitian generator."""
-    if not h.hermitian:
+def _spectrum(h: Operator, times) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a hermitian generator; `times` must be finite."""
+    if not np.isfinite(times).all():
+        raise ValueError("evolution times must be finite")
+    if not is_hermitian(h.matrix):
         raise ValueError("generator must be hermitian")
     return np.linalg.eigh(h.matrix)
 
@@ -79,15 +81,15 @@ def _evaluate(freqs: np.ndarray, parts: np.ndarray, times: np.ndarray) -> np.nda
 def make_propagator(h: Operator, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """exp(-i h t) via eigendecomposition of the hermitian generator, as (unitary, w, v)
     with the spectrum (w, v) of h it was built from."""
-    w, v = _spectrum(h)
+    w, v = _spectrum(h, t)
     return (v * np.exp(-1j * w * t)) @ v.conj().T, w, v
 
 
 def evolve_exact(h: Operator, psi: StateVector, t: float) -> StateVector:
     """exp(-i h t) |psi>; norm is preserved to the working tolerance."""
-    out = StateVector(_series(*_spectrum(h), psi.amplitudes, [t])[0])
+    out = StateVector(_series(*_spectrum(h, t), psi.amplitudes, [t])[0])
     drift = abs(out.norm() - psi.norm())
-    if drift > 100 * NORM_ATOL:
+    if not drift <= 100 * NORM_ATOL:
         raise RuntimeError(f"norm drift {drift:.2e} in exact evolution")
     return out
 
@@ -95,7 +97,7 @@ def evolve_exact(h: Operator, psi: StateVector, t: float) -> StateVector:
 def evolve_times(h: Operator, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
     """exp(-i h t) applied to `amplitudes` (of h's dimension) at each of `times`,
     shape (len(times), dim); one eigh for all."""
-    return _series(*_spectrum(h), amplitudes, times)
+    return _series(*_spectrum(h, times), amplitudes, times)
 
 
 _ROWS = np.array(TWO_EXCITATION_CONFIGS)  # index arrays: a list is converted on every use

@@ -21,13 +21,12 @@ sign passes in both orders and "-" in neither, with all four truth-table
 output phases exactly -1 (the compiled unitary is -CNOT, so it squares to
 the identity).
 
-Gates and products are plain arrays; only the logical block that
-`verify_truth_table` checks is an `Operator`. `_gate_atomic` lifts each gate
-(a pair gate as np.kron with identity on the other pair) once per process,
-P and P_inv once per sign, read-only; `sequence_unitary_atomic`, the one
-product builder, multiplies out each search candidate. cnot-verify searches
-once and `_first_passing`, shared with `compile_cnot`, picks the convention,
-report and atomic product from it.
+Gates, products and the logical block that `verify_truth_table` checks are
+plain arrays. `_gate_atomic` lifts each gate (a pair gate as np.kron with
+identity on the other pair) once per process, P and P_inv once per sign,
+read-only; `sequence_unitary_atomic`, the one product builder, multiplies out
+each search candidate. cnot-verify searches once and `_first_passing`, shared
+with `compile_cnot`, picks the convention, report and atomic product from it.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import pair_exchange
-from .hilbert import Operator, SystemParams, _is_integer
+from .hilbert import UNITARY_ATOL, SystemParams, _is_integer, unitary_defect
 from .logical import LOGICAL_CONFIGS, LOGICAL_INDICES
 from .model import effective_coupling
 
@@ -170,31 +169,33 @@ def sequence_unitary_atomic(seq: PulseSequence) -> np.ndarray:
     return u
 
 
-def sequence_unitary_logical(seq: PulseSequence) -> Operator:
-    """The code-space block of `sequence_unitary_atomic`, an `Operator` for `verify_truth_table`."""
-    return Operator(_logical_block(sequence_unitary_atomic(seq)))
+def sequence_unitary_logical(seq: PulseSequence) -> np.ndarray:
+    """The code-space block of `sequence_unitary_atomic`, a 4x4 array."""
+    return _logical_block(sequence_unitary_atomic(seq))
 
 
-def verify_truth_table(u: Operator, prob_tol: float = 1e-10) -> TruthTableReport:
-    """Check a logical-space unitary against the CNOT truth table.
+def verify_truth_table(u: np.ndarray, prob_tol: float = 1e-10) -> TruthTableReport:
+    """Check a 4x4 logical-space unitary against the CNOT truth table.
 
     PASS iff each of the four logical basis inputs lands on the listed output
     with probability >= 1 - prob_tol; the amplitude (phase) on the expected
     output is reported separately. Insensitive to any global phase of u.
+    Raises ValueError unless prob_tol is in [0, 1) and u is a 4x4 unitary.
     """
-    if u.dim != 4:
+    if not 0.0 <= prob_tol < 1.0:
+        raise ValueError(f"prob_tol must be a number in [0, 1), got {prob_tol}")
+    if u.shape != (4, 4):
         raise ValueError("truth-table verification expects a 4-dim logical operator")
-    if not u.unitary:
+    if not unitary_defect(u) < UNITARY_ATOL:
         raise ValueError("operator is not unitary")
-    amps = u.matrix
-    probs = np.abs(amps) ** 2
+    probs = np.abs(u) ** 2
     observed = np.argmax(probs, axis=0).tolist()
     rows = tuple(TruthTableRow(
         input_state=LOGICAL_CONFIGS[col],
         expected=LOGICAL_CONFIGS[expected],
         observed=LOGICAL_CONFIGS[observed[col]],
         probability=float(probs[expected, col]),
-        phase=complex(amps[expected, col]),
+        phase=complex(u[expected, col]),
     ) for col, expected in CNOT_TRUTH_TABLE.items())
     return TruthTableReport(rows=rows, passed=not any(r.probability < 1 - prob_tol for r in rows))
 
@@ -213,7 +214,7 @@ def convention_search() -> tuple[tuple[CnotConvention, TruthTableReport, np.ndar
     out = []
     for conv in convention_candidates():
         u = sequence_unitary_atomic(PulseSequence(cnot_gate_list(), conv))
-        out.append((conv, verify_truth_table(Operator(_logical_block(u))), u))
+        out.append((conv, verify_truth_table(_logical_block(u)), u))
     return tuple(out)
 
 
@@ -224,10 +225,8 @@ def _first_passing(results) -> tuple[PulseSequence, TruthTableReport, np.ndarray
     for conv, report, u in results:
         if report.passed:
             return PulseSequence(gates=cnot_gate_list(), convention=conv), report, u
-    lines = []
-    for conv, report, _ in results:
-        worst = min(r.probability for r in report.rows)
-        lines.append(f"  {conv}: worst-case probability {worst:.6f}")
+    lines = (f"  {conv}: worst-case probability {min(r.probability for r in report.rows):.6f}"
+             for conv, report, _ in results)
     raise RuntimeError("no convention reproduces the CNOT truth table:\n" + "\n".join(lines))
 
 
@@ -285,17 +284,13 @@ def cnot_duration(params: SystemParams) -> float:
 def schedule_duration(seq: PulseSequence, params: SystemParams) -> DurationReport:
     aggregate = cnot_duration(params)  # first: it rejects G = 0, where Omega(0) = 0
     omega0 = abs(effective_coupling(0, params).omega)
-    per_gate = []
-    for gate in seq.gates:
-        if gate.kind in ("P", "P_inv"):
-            per_gate.append(P_GATE_DURATION)
-        else:
-            per_gate.append(gate.pulse_area / omega0)
+    per_gate = tuple(P_GATE_DURATION if gate.kind in ("P", "P_inv") else gate.pulse_area / omega0
+                     for gate in seq.gates)
     bottom_up = float(sum(per_gate))
     return DurationReport(
         entangle_time=entangle_duration(params),
         cnot_time_aggregate=aggregate,
-        per_gate=tuple(per_gate),
+        per_gate=per_gate,
         bottom_up_total=bottom_up,
         discrepancy=aggregate - bottom_up,
         lifetime=EXCITED_STATE_LIFETIME,

@@ -1,4 +1,4 @@
-"""Atomic states, composite index and read-only operators: four two-level atoms and one cavity mode.
+"""Atomic states, composite index, matrix checks and generators: four two-level atoms and one cavity mode.
 
 Conventions used throughout the package:
 
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -101,11 +100,20 @@ class SystemParams:
         return self.perturbative_ratio < PERTURBATIVE_RATIO_MAX
 
 
+def is_hermitian(m: np.ndarray) -> bool:
+    """max|M - M^H| < HERMITIAN_ATOL for a square array."""
+    return float(np.max(np.abs(m - m.conj().T))) < HERMITIAN_ATOL
+
+
+def unitary_defect(m: np.ndarray) -> float:
+    """max|M^H M - I| of a square array (unitary below UNITARY_ATOL)."""
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(len(m)))))
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Read-only complex square matrix, compared and hashed by identity. `hermitian`
-    (max|M - M^H| < HERMITIAN_ATOL) and `unitary` (max|M^H M - I| < UNITARY_ATOL)
-    are checked on first access and cached; built only where a check is read."""
+    """Read-only complex square matrix, compared and hashed by identity: the generator
+    that the `dynamics` eigh routes take."""
 
     matrix: np.ndarray
 
@@ -118,16 +126,6 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @cached_property
-    def hermitian(self) -> bool:
-        m = self.matrix
-        return float(np.max(np.abs(m - m.conj().T))) < HERMITIAN_ATOL
-
-    @cached_property
-    def unitary(self) -> bool:
-        m = self.matrix
-        return float(np.max(np.abs(m.conj().T @ m - np.eye(self.dim)))) < UNITARY_ATOL
 
 
 def atomic_index(config) -> int:

@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import _evaluate, _fold, _phases, evolve_times, make_propagator, pair_exchange
-from .hilbert import N_ATOMIC_CONFIGS, Operator, SystemParams
+from .hilbert import N_ATOMIC_CONFIGS, Operator, SystemParams, unitary_defect
 from .model import (
     MANIFOLD_ROWS,
     TWO_EXCITATION_CONFIGS,
@@ -248,7 +248,6 @@ def extract_rabi(params: SystemParams, n: int = 0,
     pops += groups @ (np.abs(parts) ** 2).sum(axis=1)[:, None]
     p_egeg, p_gege, p_exchange, p_level_n, totals, guard = pops
 
-    unde = float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
     norm_defect = float(np.max(np.abs(np.sqrt(totals) - 1.0)))
 
     peak_times = _quadratic_peak_times(times, p_gege)
@@ -275,7 +274,7 @@ def extract_rabi(params: SystemParams, n: int = 0,
         leakage_photon=float(np.max(totals - p_level_n)),
         guard_leakage=float(guard.max()),
         stark_shift_fit=stark_fit,
-        unitarity_defect=unde,
+        unitarity_defect=unitary_defect(u),
         normalization_defect=norm_defect,
         diagnostic=diagnostic,
     )

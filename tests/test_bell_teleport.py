@@ -230,6 +230,14 @@ class TestTeleport:
             avg = sum(b.probability * b.fidelity for b in report.branches)
             assert avg <= 0.75 + 1e-12
 
+    def test_bare_channel_rejects_withheld_corrections(self):
+        # it has no Bell measurement, so withholding corrections would silently read fidelity 1
+        assert teleport(0.3, 0.0, "dfs", apply_corrections=False)[0] == pytest.approx(0.5, abs=1e-12)
+        with pytest.raises(ValueError, match="bare channel has no corrections to withhold"):
+            teleport(0.3, 0.0, "bare", apply_corrections=False)
+        with pytest.raises(ValueError, match="bare channel has no corrections to withhold"):
+            teleport(np.zeros((2, 1)), np.ones((1, 3)), "bare", apply_corrections=False)
+
     def test_seeded_branch_sampling_reproducible(self):
         fid1, rep1 = teleport(1.1, 0.3, "dfs", seed=42)
         fid2, rep2 = teleport(1.1, 0.3, "dfs", seed=42)

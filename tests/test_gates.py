@@ -26,7 +26,7 @@ from dfscavity.gates import (
     sequence_unitary_logical,
     verify_truth_table,
 )
-from dfscavity.hilbert import Operator, StateVector, SystemParams
+from dfscavity.hilbert import UNITARY_ATOL, StateVector, SystemParams, unitary_defect
 from dfscavity.logical import LOGICAL_INDICES
 from dfscavity.model import build_h_eff, effective_coupling
 
@@ -168,7 +168,7 @@ class TestCnotCompilation:
         for conv, report, u in convention_search():
             seq = PulseSequence(cnot_gate_list(), conv)
             assert np.array_equal(u, sequence_unitary_atomic(seq))
-            assert report == verify_truth_table(Operator(_logical_block(u)))
+            assert report == verify_truth_table(_logical_block(u))
 
     def test_first_passing_returns_the_chosen_entry(self):
         search = convention_search()
@@ -185,8 +185,9 @@ class TestCnotCompilation:
     def test_logical_unitary_is_the_code_space_block(self):
         for conv in convention_candidates():
             seq = PulseSequence(cnot_gate_list(), conv)
-            assert np.array_equal(sequence_unitary_logical(seq).matrix,
-                                  _logical_block(sequence_unitary_atomic(seq)))
+            u = sequence_unitary_logical(seq)
+            assert isinstance(u, np.ndarray) and u.shape == (4, 4)
+            assert np.array_equal(u, _logical_block(sequence_unitary_atomic(seq)))
 
     def test_truth_table_passes_with_phase_minus_one(self):
         seq = compile_cnot()
@@ -204,17 +205,17 @@ class TestCnotCompilation:
                            "geeg": "egeg", "gege": "gege"}
 
     def test_compiled_cnot_squares_to_identity_up_to_phase(self):
-        u = sequence_unitary_logical(compile_cnot()).matrix
+        u = sequence_unitary_logical(compile_cnot())
         uu = u @ u
         np.testing.assert_allclose(uu / uu[0, 0], np.eye(4), atol=1e-10)
 
     def test_truth_table_invariant_under_global_phase(self):
         u = sequence_unitary_logical(compile_cnot())
-        rotated = Operator(np.exp(1j * 0.7) * u.matrix)
+        rotated = np.exp(1j * 0.7) * u
         assert verify_truth_table(rotated).passed
 
     def test_control_target_asymmetry(self):
-        u = sequence_unitary_logical(compile_cnot()).matrix
+        u = sequence_unitary_logical(compile_cnot())
         swap = np.zeros((4, 4))
         swap[0, 0] = swap[3, 3] = 1.0
         swap[1, 2] = swap[2, 1] = 1.0
@@ -223,16 +224,31 @@ class TestCnotCompilation:
         assert overlap < 0.99  # not the same gate up to phase
 
     def test_all_gates_unitary(self):
-        assert Operator(h_gate()).unitary
-        assert Operator(p_gate()).unitary
-        assert Operator(logical_r()).unitary
-        assert sequence_unitary_logical(compile_cnot()).unitary
+        for u in (h_gate(), p_gate(), logical_r(), sequence_unitary_logical(compile_cnot())):
+            assert unitary_defect(u) < UNITARY_ATOL
 
     def test_truth_table_needs_a_four_dim_unitary(self):
         with pytest.raises(ValueError, match="expects a 4-dim logical operator"):
-            verify_truth_table(Operator(np.eye(2)))
+            verify_truth_table(np.eye(2))
+        with pytest.raises(ValueError, match="expects a 4-dim logical operator"):
+            verify_truth_table(np.eye(4)[0])
         with pytest.raises(ValueError, match="operator is not unitary"):
-            verify_truth_table(Operator(2 * np.eye(4)))
+            verify_truth_table(2 * np.eye(4))
+        with pytest.raises(ValueError, match="operator is not unitary"):
+            verify_truth_table(np.full((4, 4), np.nan))
+
+    @pytest.mark.parametrize("prob_tol", [np.nan, 1.0, 1.5, -1e-12, np.inf])
+    def test_truth_table_rejects_a_tolerance_that_turns_the_check_off(self, prob_tol):
+        # a logical SWAP-like block fails the truth table; at prob_tol NaN or 1 it would pass
+        swapped = np.eye(4)[[1, 0, 2, 3]]
+        assert not verify_truth_table(swapped).passed
+        with pytest.raises(ValueError, match=r"prob_tol must be a number in \[0, 1\)"):
+            verify_truth_table(swapped, prob_tol=prob_tol)
+
+    def test_truth_table_accepts_the_tolerance_range_ends(self):
+        exact_cnot = np.eye(4)[[2, 1, 0, 3]]  # CNOT_TRUTH_TABLE as a permutation matrix
+        assert verify_truth_table(exact_cnot, prob_tol=0.0).passed
+        assert not verify_truth_table(np.eye(4)[[1, 0, 2, 3]], prob_tol=0.999).passed
 
     def test_code_space_preserved_exactly(self):
         u = sequence_unitary_atomic(compile_cnot())

@@ -18,6 +18,8 @@ from dfscavity.hilbert import (
     atomic_index,
     basis_index,
     config_labels,
+    is_hermitian,
+    unitary_defect,
 )
 
 N_MAX = 4
@@ -240,26 +242,27 @@ class TestCavityLadder:
 
 class TestOperatorFlags:
     def test_flags_are_verified_not_asserted(self):
-        herm = Operator(np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex))
-        assert herm.hermitian and not herm.unitary
-        unit = Operator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
-        assert unit.unitary and unit.hermitian
-        neither = Operator(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-        assert not neither.hermitian and not neither.unitary
+        herm = np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex)
+        assert is_hermitian(herm) and not unitary_defect(herm) < UNITARY_ATOL
+        unit = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        assert unitary_defect(unit) == 0.0 and is_hermitian(unit)
+        neither = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        assert not is_hermitian(neither) and not unitary_defect(neither) < UNITARY_ATOL
+        # the checks are functions on arrays; an Operator carries no flag
+        assert not hasattr(Operator(unit), "hermitian") and not hasattr(Operator(unit), "unitary")
 
     @settings(derandomize=True, deadline=None)
     @given(dim=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
-    def test_lazy_flags_equal_their_formulas(self, dim, seed):
+    def test_checks_equal_their_formulas(self, dim, seed):
         rng = np.random.default_rng(seed)
         generic = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         herm = generic + generic.conj().T
         unit = np.linalg.qr(generic)[0]
-        assert Operator(herm).hermitian and Operator(unit).unitary
+        assert is_hermitian(herm) and unitary_defect(unit) < UNITARY_ATOL
         for m in (herm, unit, generic):
+            assert is_hermitian(m) == (float(np.max(np.abs(m - m.conj().T))) < HERMITIAN_ATOL)
+            assert unitary_defect(m) == float(np.max(np.abs(m.conj().T @ m - np.eye(dim))))
             op = Operator(m)
-            assert "hermitian" not in vars(op) and "unitary" not in vars(op)
-            assert op.hermitian == (float(np.max(np.abs(m - m.conj().T))) < HERMITIAN_ATOL)
-            assert op.unitary == (float(np.max(np.abs(m.conj().T @ m - np.eye(dim)))) < UNITARY_ATOL)
             assert op.dim == dim
             with pytest.raises(ValueError):
                 op.matrix[0, 0] = 1.0

@@ -69,7 +69,7 @@ def test_every_tag_function_reached_gives_a_tag(spans):
 
 @pytest.mark.parametrize("workload,operators,eighs", [
     ("exact-scaled", 13, 13),
-    ("protocol-sweeps", 5, 0),
+    ("protocol-sweeps", 0, 0),
 ])
 def test_count_metrics(spans, workload, operators, eighs):
     metrics = tracer.layer_metrics(spans[workload], workloads.EXPERIMENTS)

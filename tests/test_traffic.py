@@ -1,12 +1,16 @@
 """`scripts/traffic.py` on cheap subsets of the runtime traffic, each in a
 fresh process (its trace must start before the package is imported). The
-three runs are shared by the tests through module-scoped fixtures."""
+three runs are shared by the tests through module-scoped fixtures. The
+script's copy of the experiment list is checked against the CLI's."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from dfscavity import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "traffic.py"
@@ -79,3 +83,12 @@ def test_single_valued_defaults_follow_the_run_statuses(narrow, wider):
 
     # a second experiment gives parse_config a second value, so it leaves the list
     assert "cli.parse_config(experiment)" not in wider.stdout
+
+
+def test_experiment_list_matches_the_cli():
+    # the script cannot import cli before its trace starts, so it lists the experiments
+    # itself; an experiment missing from its copy would go untraced without a warning
+    spec = importlib.util.spec_from_file_location("traffic", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.EXPERIMENTS == cli.EXPERIMENTS
