@@ -48,8 +48,9 @@ from .errors import (
 from .gates import (
     P_GATE_DURATION,
     R_PULSE_AREA,
-    _first_passing,
+    PulseSequence,
     cnot_duration,
+    cnot_gate_list,
     compile_cnot,
     convention_search,
     entangle_duration,
@@ -371,13 +372,16 @@ def _run_entangle(c: ExperimentConfig) -> tuple[dict, dict, dict]:
 
 def _run_cnot_verify(c: ExperimentConfig) -> tuple[dict, dict, dict]:
     search = convention_search()
-    seq, report, u_atomic = _first_passing(search)
+    # the first passing convention, or the first one when none passes: its flags read false
+    conv, report, u_atomic = next((entry for entry in search if entry[1].passed), search[0])
+    seq = PulseSequence(cnot_gate_list(), conv)
     code_cols = u_atomic[:, list(LOGICAL_INDICES)]
     u_logical = code_cols[list(LOGICAL_INDICES)]  # the code-space block
     outside = np.delete(code_cols, list(LOGICAL_INDICES), axis=0)
     code_leak = float(np.max(np.abs(outside)))
     uu = u_logical @ u_logical
-    involution_defect = float(np.max(np.abs(uu / uu[0, 0] - np.eye(4))))
+    # none when uu[0, 0] is 0: then the square is no phase times the identity
+    involution_defect = float(np.max(np.abs(uu / uu[0, 0] - np.eye(4)))) if uu[0, 0] else None
     results = {
         "candidates": [
             {"application_order": conv.application_order, "p_sign": conv.p_sign,
@@ -398,7 +402,7 @@ def _run_cnot_verify(c: ExperimentConfig) -> tuple[dict, dict, dict]:
         "truth_table": report.passed,
         "unitary": unitary_defect(u_logical) < UNITARY_ATOL,
         "code_space_preserved": code_leak < 1e-12,
-        "squares_to_identity_up_to_phase": involution_defect < 1e-10,
+        "squares_to_identity_up_to_phase": involution_defect is not None and involution_defect < 1e-10,
     }
     return results, flags, _convention_dict(seq)
 

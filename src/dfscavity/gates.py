@@ -25,8 +25,10 @@ Gates, products and the logical block that `verify_truth_table` checks are
 plain arrays. `_gate_atomic` lifts each gate (a pair gate as np.kron with
 identity on the other pair) once per process, P and P_inv once per sign,
 read-only; `sequence_unitary_atomic`, the one product builder, multiplies out
-each search candidate. cnot-verify searches once and `_first_passing`, shared
-with `compile_cnot`, picks the convention, report and atomic product from it.
+each search candidate. cnot-verify searches once and reports the first passing
+convention, or the first convention when none passes (a broken gate set is a
+report with false flags); `compile_cnot` takes `_first_passing`, which raises
+then.
 """
 
 from __future__ import annotations
@@ -188,6 +190,11 @@ def verify_truth_table(u: np.ndarray, prob_tol: float = 1e-10) -> TruthTableRepo
         raise ValueError("truth-table verification expects a 4-dim logical operator")
     if not unitary_defect(u) < UNITARY_ATOL:
         raise ValueError("operator is not unitary")
+    return _truth_table(u, prob_tol)
+
+
+def _truth_table(u: np.ndarray, prob_tol: float = 1e-10) -> TruthTableReport:
+    """`verify_truth_table` of a 4x4 array without its input checks."""
     probs = np.abs(u) ** 2
     observed = np.argmax(probs, axis=0).tolist()
     rows = tuple(TruthTableRow(
@@ -210,11 +217,17 @@ def convention_candidates() -> tuple[CnotConvention, ...]:
 
 def convention_search() -> tuple[tuple[CnotConvention, TruthTableReport, np.ndarray], ...]:
     """Run the truth table for all four conventions, in deterministic order;
-    each entry keeps the candidate's 16x16 atomic product next to its report."""
+    each entry keeps the candidate's 16x16 atomic product next to its report.
+    A candidate whose logical block is not unitary fails, with its rows."""
     out = []
     for conv in convention_candidates():
         u = sequence_unitary_atomic(PulseSequence(cnot_gate_list(), conv))
-        out.append((conv, verify_truth_table(_logical_block(u)), u))
+        block = _logical_block(u)
+        try:
+            report = verify_truth_table(block)
+        except ValueError:  # not unitary: the block is 4x4 and the tolerance the default
+            report = _truth_table(block)._replace(passed=False)
+        out.append((conv, report, u))
     return tuple(out)
 
 

@@ -23,7 +23,8 @@ of |egeg, n> onto its 3 or 4 occupied frequencies w_k (dynamics._fold) from one
 eigh of H0 + Hint. extract_rabi gets each population group (rows r) as
 sum_k h_kk + 2 sum_{k<l} Re(h_kl e^{i(w_k - w_l)t}), h_kl = sum_r
 conj(parts[r, k]) parts[r, l], from one real product over 3 or 6 beats, and the
-Stark phase from row 0, sum_k parts[0, k] e^{-i w_k t};
+Stark phase from row 0, sum_k parts[0, k] e^{-i w_k t}, unwrapped as the running
+sum of each step's phase (the grid's e^{-i w_k t} come from dynamics._phases' table);
 compare_effective_models evaluates only rows 0 to 5 and derives the 6x6
 second-order operator once, from the block's energies and hint, for its
 (row, col, value) difference entries. Both need 0 <= n <= n_max - 4, so the
@@ -109,26 +110,42 @@ def prominent_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
     height above the higher of the two lowest points reached by walking left
     and right until the series rises strictly above the peak or ends.
 
-    Linear time: runs of equal values are merged, the merged series is cut
-    down to its turning points (local maxima and minima, plus both ends, which
-    hold every boundary and every lowest point of such a walk), and one
-    monotone-stack pass from each side gives every walk's lowest point.
+    Linear time: runs of equal values are merged; between two neighbouring
+    maxima (or a maximum and an end) lies a run with one lowest value. A maximum
+    h is dropped when h - global_min < prominence, or when h - run_min <
+    prominence for a run whose other maximum is strictly higher (the walk stops
+    there). Dropping is exact for the others: a kept maximum whose walk reached a
+    dropped one is lower than it, so any run minimum the longer walk now passes
+    leaves it below `prominence` too; rounding cannot flip that, since every test
+    compares the same difference h - low with `prominence`, and rounding is
+    monotone. Each dropped maximum merges its two runs into their minimum, and
+    one monotone-stack pass from each side over the kept maxima and the runs
+    gives every walk's lowest point.
     """
     x = np.asarray(x, dtype=float)
+    empty = np.array([], dtype=np.intp)
     if x.size < 3:
-        return np.array([], dtype=np.intp)
+        return empty
     starts = np.flatnonzero(np.diff(x, prepend=np.nan) != 0)  # runs of equal values
     ends = np.append(starts[1:], len(x)) - 1
     level = x[starts]
-    top = np.zeros(len(level), dtype=bool)
-    top[1:-1] = (level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])
-    turn = np.ones(len(level), dtype=bool)
-    turn[1:-1] = top[1:-1] | ((level[1:-1] < level[:-2]) & (level[1:-1] < level[2:]))
-    heights = level[turn]
-    low = np.maximum(_lowest_since_higher(heights),
-                     _lowest_since_higher(heights[::-1])[::-1])
-    keep = top[turn] & (heights - low >= prominence)
-    return ((starts[turn] + ends[turn]) // 2)[keep]
+    tops = 1 + np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:]))
+    if not tops.size:
+        return empty
+    heights = level[tops]
+    runs = np.minimum.reduceat(level, np.append(0, tops))  # runs[i]: lowest between tops i - 1 and i
+    valleys = runs[1:-1]
+    cut = heights - runs.min() < prominence
+    cut[:-1] |= (heights[:-1] < heights[1:]) & (heights[:-1] - valleys < prominence)
+    cut[1:] |= (heights[1:] < heights[:-1]) & (heights[1:] - valleys < prominence)
+    kept = np.flatnonzero(~cut)
+    if not kept.size:
+        return empty
+    walk = np.empty(2 * len(kept) + 1)
+    walk[0::2] = np.minimum.reduceat(runs, np.append(0, kept + 1))
+    walk[1::2] = heights[kept]
+    low = np.maximum(_lowest_since_higher(walk), _lowest_since_higher(walk[::-1])[::-1])[1::2]
+    return ((starts[tops] + ends[tops]) // 2)[kept[heights[kept] - low >= prominence]]
 
 
 def _lowest_since_higher(values: np.ndarray) -> np.ndarray:
@@ -226,9 +243,14 @@ def extract_rabi(params: SystemParams, n: int = 0,
                          f"got {min_peak_population}")
     omega, (levels, _, _), times, u, (freqs, parts) = _exact_run(params, n, RABI_FIT_POINTS)
     waves = _phases(times, freqs)  # (points, frequencies)
-    # common-phase (Stark) rate: least-squares slope of the unwrapped autocorrelation phase;
+    # common-phase (Stark) rate: least-squares slope of the unwrapped autocorrelation phase,
+    # summed from 0 over each step's phase in (-pi, pi], the branch np.unwrap picks;
     # einsum and real products: OpenBLAS threads complex ones this long
-    phase = np.unwrap(np.angle(np.einsum("tk,k->t", waves, parts[0])))
+    steps = np.einsum("tk,k->t", waves, parts[0])  # the autocorrelation <egeg|psi(t)>
+    steps[1:] *= steps[:-1].conj()
+    steps[0] = 1.0
+    phase = np.cumsum(np.angle(steps))
+    del steps
     centred = times - times.mean()
     stark_fit = -float(centred @ phase / (centred @ centred))
 

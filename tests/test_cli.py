@@ -302,6 +302,15 @@ class TestConfigSchema:
         assert parse_config(serialize_config(config)) == config
 
 
+@pytest.fixture
+def fresh_gate_cache():
+    """The lifted gates built again from the gate functions during the test, and once more
+    after it, so a patched gate is lifted and never outlives the test."""
+    gates._gate_atomic.cache_clear()
+    yield
+    gates._gate_atomic.cache_clear()
+
+
 class TestExperiments:
     def test_durations_reference_values(self):
         report = run_experiment(parse_config("", experiment="durations"))
@@ -370,6 +379,30 @@ class TestExperiments:
         report = run_experiment(parse_config("", experiment="cnot-verify"))
         assert report.passed
         assert len(calls) == len(gates.convention_candidates())
+
+    @pytest.mark.parametrize("broken, unitary", [("h_gate", False), ("p_gate", True)],
+                             ids=["H-scaled-not-unitary", "P-identity-no-convention-passes"])
+    def test_cnot_verify_reports_a_broken_gate_set(self, broken, unitary, monkeypatch,
+                                                   fresh_gate_cache, tmp_path, capsys):
+        # H scaled by 1.01 makes every logical block non-unitary (verify_truth_table raised
+        # "operator is not unitary"); P as the identity keeps them unitary, and no convention
+        # passes (_first_passing raised); either way the report is written and exits 1
+        h = gates.h_gate()
+        patched = {"h_gate": lambda: 1.01 * h,
+                   "p_gate": lambda sign=+1: np.eye(4, dtype=complex)}[broken]
+        monkeypatch.setattr(gates, broken, patched)
+        out = tmp_path / "report.json"
+        assert main(["cnot-verify", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("cnot-verify: FAIL in ")
+        report = json.loads(out.read_text())
+        assert report["passed"] is False
+        assert report["flags"]["truth_table"] is False
+        assert report["flags"]["unitary"] is unitary
+        assert not any(c["passed"] for c in report["results"]["candidates"])
+        # the first convention stands in for the one the search would have picked
+        assert (report["conventions"]["application_order"], report["conventions"]["p_sign"]) == \
+            ("listed_first_applied_first", 1)
+        assert len(report["results"]["truth_table"]) == 4
 
     def test_bell_maps_each_label_to_itself(self):
         report = run_experiment(parse_config("", experiment="bell"))

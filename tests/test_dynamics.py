@@ -30,6 +30,7 @@ from dfscavity.model import (
     effective_coupling,
     stark_diagonal,
 )
+from dfscavity.validate import COMPARISON_POINTS, RABI_FIT_POINTS, _exact_run
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +101,40 @@ class TestFoldedSeries:
         for x, y in ((times, freqs), (freqs, times), ([2.5], freqs)):
             got, want = _phases(x, y), np.exp(-1j * np.outer(x, y))
             assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("points", [RABI_FIT_POINTS, COMPARISON_POINTS])
+    @pytest.mark.parametrize("n", [0, 3])
+    @pytest.mark.parametrize("delta", [5.0, -10.0, 20.0, -40.0, 80.0])
+    def test_grid_table_on_the_fit_grids_is_within_the_series_bound(self, delta, n, points):
+        # the coarse x fine table on the exact runs' own grids and frequencies
+        _, _, times, _, (freqs, _) = _exact_run(SystemParams(G=1.0, delta=delta, n_max=8), n, points)
+        got, want = _phases(times, freqs), np.exp(-1j * np.outer(times, freqs))
+        bound = 1e-12 * (1.0 + np.max(np.abs(freqs)) * np.max(np.abs(times)))
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= bound
+
+    def test_grid_table_holds_on_any_grid_length(self):
+        rng = np.random.default_rng(11)
+        freqs = np.append(rng.normal(scale=30.0, size=3), 0.0)
+        for points in (*range(3, 40), 99, 100, 101, 6000, 6002):
+            for t_max in (1.0, -250.0, 3e3):
+                times = np.linspace(0.0, t_max, points)
+                got, want = _phases(times, freqs), np.exp(-1j * np.outer(times, freqs))
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(freqs)) * abs(t_max))
+
+    def test_short_and_uneven_grids_take_the_direct_path_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        freqs = rng.normal(scale=40.0, size=4)
+        grid = np.linspace(0.0, 377.0, RABI_FIT_POINTS)
+        nudged = grid.copy()
+        nudged[1234] = np.nextafter(nudged[1234], np.inf)  # one ulp off the grid
+        shifted = np.linspace(1e-3, 377.0, RABI_FIT_POINTS)  # evenly spaced, not from 0
+        cases = [np.linspace(0.0, 377.0, points) for points in (1, 2, 3, 4, 5)]
+        cases += [[0.0], [377.0], nudged, shifted, grid[::-1], np.sort(rng.uniform(0.0, 377.0, 500))]
+        for times in cases:
+            got, want = _phases(times, freqs), np.exp(-1j * np.outer(times, freqs))
             assert got.tobytes() == want.tobytes()
 
     @settings(derandomize=True, deadline=None, max_examples=30)

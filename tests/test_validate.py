@@ -345,6 +345,53 @@ def test_observables_match_the_full_series_formulas(ratio, n, n_max):
     assert comp.derived_tracks_full_better == (np.max(1 - derived) < np.max(1 - pair_swap))
 
 
+def _oracle_fit(params, n):
+    """forced_rabi_fit by the textbook route, from the block's eigh: every amplitude from
+    np.exp(-1j * np.outer(t, w)) over all its eigenvalues, the peaks from scipy's find_peaks
+    with the same quadratic interpolation, and the Stark rate from np.unwrap and np.polyfit."""
+    omega, (levels, energies, hint), times, u, _ = _exact_run(params, n, RABI_FIT_POINTS)
+    w, v = np.linalg.eigh(np.diag(energies) + hint)
+    amps = (np.exp(-1j * np.outer(times, w)) * v[0].conj()) @ v.T  # from |egeg, n>, row 0
+    idx = {lab: row for row, lab in enumerate(TWO_EXCITATION_LABELS)}
+    probs = np.abs(amps) ** 2
+    p_gege, p_egeg = probs[:, idx["gege"]], probs[:, idx["egeg"]]
+    totals = probs.sum(axis=1)
+    peaks, _ = find_peaks(p_gege, prominence=PEAK_PROMINENCE_FRACTION * np.ptp(p_gege))
+    y0, y1, y2 = p_gege[peaks - 1], p_gege[peaks], p_gege[peaks + 1]
+    peak_times = times[peaks] + 0.5 * (y0 - y2) / (y0 - 2 * y1 + y2) * (times[1] - times[0])
+    omega_fit = (np.pi / np.mean(np.diff(peak_times)) if len(peak_times) >= 2
+                 else np.pi / (2 * peak_times[0]) if len(peak_times) else np.nan)
+    return ValidationRun(
+        omega_expected=omega, perturbative_ok=params.perturbative_ok, omega_fit=omega_fit,
+        relative_deviation=abs(omega_fit - abs(omega)) / abs(omega),
+        peak_population=p_gege.max(),
+        leakage_pair=np.max(1.0 - (p_egeg + p_gege) / totals),
+        leakage_exchange=probs[:, [idx[lab] for lab in ("egge", "geeg", "eegg", "ggee")]].sum(axis=1).max(),
+        leakage_photon=np.max(totals - probs[:, levels == n].sum(axis=1)),
+        guard_leakage=probs[:, levels >= params.n_max - 1].sum(axis=1).max(),
+        stark_shift_fit=-np.polyfit(times, np.unwrap(np.angle(amps[:, idx["egeg"]])), 1)[0],
+        unitarity_defect=np.max(np.abs(u.conj().T @ u - np.eye(len(u)))),
+        normalization_defect=np.max(np.abs(np.sqrt(totals) - 1.0)),
+        diagnostic=None if np.isfinite(omega_fit) else "no prominent peak in the |gege> population")
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("n", [0, 3])
+@pytest.mark.parametrize("ratio", [5.0, 10.0, 20.0, 40.0, 80.0])
+def test_forced_fit_matches_the_textbook_oracle(ratio, n, sign):
+    # the phase table, the prefiltered peak walk and the summed Stark phase against
+    # np.exp, find_peaks and np.unwrap; n = 3 occupies four frequencies
+    params = SystemParams(G=1.0, delta=sign * ratio, n_max=8)
+    got, want = forced_rabi_fit(params, n), _oracle_fit(params, n)
+    assert np.isfinite(got.omega_fit)
+    for field in fields(got):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(a, float):
+            np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-10, err_msg=field.name)
+        else:
+            assert a == b, field.name
+
+
 def _peak_cases():
     """Series that exercise the prominence filter: seeded random noise,
     integer-valued series with plateaus, a flat series and edge maxima."""
@@ -401,6 +448,30 @@ class TestProminentPeaks:
             expected, _ = find_peaks(p_gege, prominence=prominence)
             np.testing.assert_array_equal(prominent_peaks(p_gege, prominence), expected,
                                           err_msg=f"delta/G {ratio}, fraction {fraction}")
+
+    @pytest.mark.parametrize("x", [
+        [-0.27, -0.24, 1.0, -0.89, -0.29, 0.88, 0.58, 0.09, 0.67, -2.83, 1.02, -0.96, -1.67],
+        [-1.67, -0.96, 1.02, -2.83, 0.67, 0.09, 0.58, 0.88, -0.29, -0.89, 1.0, -0.24, -0.27],
+        [0.1, 0.7, 0.7, 0.3, 0.9, 0.9, 0.9, 0.2, 0.6, 0.6, -0.4, 0.8, 0.3, 0.3, 1.1, 0.0],
+        [0.0, 0.3, 0.3, 0.1, 0.7, 0.2, 0.7, 0.7, 0.45, 1.3, 1.3, 0.45, 0.15, 0.5, -0.05],
+        [0.2, 0.9, 0.1, 0.9, 0.1, 0.9, 0.3, 0.9, 0.9, 0.2],
+        [0.3, 0.3, 0.8, 0.8, 0.1, 0.1, 0.55, 0.55, 0.55, -0.15, 0.7, 0.7, 0.3, 0.3],
+    ], ids=["decimals", "decimals-reversed", "plateaus", "shoulders", "equal-tops", "all-plateaus"])
+    def test_thresholds_on_level_differences_match_scipy(self, x):
+        # every threshold is exactly level - min or max - level for a level of x, or the
+        # difference of two of its levels, where rounding decides the comparison. In
+        # "decimals", 0.67 (index 8) has prominence 0.67 - 0.09 (its left run, up to the
+        # higher 0.88), and 0.09 > 0.67 - (0.67 - 0.09) in floats: a filter testing
+        # run_min > h - prominence dropped the peak that find_peaks keeps; its mirror image
+        # puts the higher neighbour on the right
+        x = np.array(x)
+        levels = np.unique(x)
+        thresholds = np.concatenate([levels - levels[0], levels[-1] - levels,
+                                     (levels[:, None] - levels[None, :]).ravel()])
+        for prominence in np.unique(thresholds[thresholds >= 0]).tolist():
+            expected, _ = find_peaks(x, prominence=prominence)
+            np.testing.assert_array_equal(prominent_peaks(x, prominence), expected,
+                                          err_msg=f"prominence {prominence!r}")
 
 
 def _on_or_between_gaps(x):
