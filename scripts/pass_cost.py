@@ -11,9 +11,12 @@ runs; the other workloads run in-process.
 Prints, per call and for the whole pass, the median wall time, the process
 CPU time over the wall time summed over the timed passes (children's CPU
 included), and the median minor page faults; then `ru_maxrss` of this
-process and of its largest child. A CPU/wall well above 1 means a library
-call ran on more than one thread: OpenBLAS hands a large enough product to
-its thread pool, whose threads keep spinning after it returns. The timed
+process and of its largest child; then the count and names of the modules
+that the warm-up pass imports beyond those loaded at start-up, so a layer
+that pulls in numpy.random, scipy or numpy.ma shows on one line. A CPU/wall
+well above 1 means a library call ran on more than one thread: OpenBLAS
+hands a large enough product to its thread pool, whose threads keep
+spinning after it returns. The timed
 passes start half a second after the warm-up, once the pool has stopped the
 spin that numpy's import sets off. Faults per pass show memory the pass
 takes from the system and gives back. Exits 1 if any call's checks fail,
@@ -80,7 +83,9 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as out_dir:
         runner = Runner(args.workload, 0, Path(out_dir), in_process=False)
+        started = set(sys.modules)
         runner.run_pass()  # warm-up, untimed
+        warm_up_imports = sorted(set(sys.modules) - started)
         # the pool OpenBLAS starts at numpy import spins about 70 ms before it sleeps;
         # wait it out so the timed passes count only the threads they wake themselves
         time.sleep(0.5)
@@ -98,6 +103,8 @@ def main(argv=None) -> int:
               f"{sum(cpus) / sum(walls):>10.2f}{statistics.median(faults):>17.0f}")
     print(f"ru_maxrss: self {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.2f} MiB, "
           f"largest child {runner.max_child_rss_kb / 1024:.2f} MiB")
+    print(f"warm-up imports: {len(warm_up_imports)}" + ": " * bool(warm_up_imports)
+          + ", ".join(warm_up_imports))
     print(f"failed checks: {len(problems)}")
     for problem in problems[:10]:
         print(f"  {problem}")

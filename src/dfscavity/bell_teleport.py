@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import pair_exchange
-from .hilbert import StateVector, atomic_index, config_labels
+from .hilbert import StateVector, _is_integer, atomic_index, config_labels
 from .logical import collective_phases
 
 
@@ -104,21 +104,80 @@ def enumerate_bell_branches(psi: StateVector) -> tuple[BellBranch, ...]:
     return tuple(branches)
 
 
+# numpy.random.default_rng(seed).random(), replicated so that no run loads numpy.random:
+# SeedSequence(seed) hashes the seed's 32-bit words into a pool of four and draws four
+# 64-bit words from it; PCG64 (O'Neill, HMC-CS-2014-0905, 2014) seeds its 128-bit LCG
+# with them, steps once and gives the XSL-RR output, of which the double keeps 53 bits
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmixer(const: int, mult: int):
+    """SeedSequence's hashmix: each call xors in a running constant, steps it and multiplies."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    x = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return x ^ x >> 16
+
+
+def _first_uniform(seed: int) -> float:
+    """numpy.random.default_rng(seed).random() bit for bit, for an int seed >= 0."""
+    words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hashmixer(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in (words + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hashmixer(0x8B51F9DD, 0x58F38DED)
+    w = [hashmix(pool[i % 4]) for i in range(8)]  # generate_state(4, uint64), low word first
+    s = [w[k] | w[k + 1] << 32 for k in range(0, 8, 2)]
+    inc = ((s[2] << 64 | s[3]) << 1 | 1) & _M128
+    state = inc + (s[0] << 64 | s[1])  # seeding: one step from 0, then the initial state added
+    for _ in range(2):  # seeding's second step, then the draw's
+        state = (state * _PCG64_MULT + inc) & _M128
+    x, rot = (state >> 64 ^ state) & _M64, state >> 122
+    return (((x >> rot | x << (64 - rot)) & _M64) >> 11) * 2.0**-53
+
+
 def _sample(branches, seed: int):
-    """One branch drawn with probability proportional to `probability`,
-    reproducibly for a given seed."""
-    rng = np.random.default_rng(seed)
-    weights = np.array([b.probability for b in branches])
-    return branches[rng.choice(len(branches), p=weights / weights.sum())]
+    """The branch that numpy.random.default_rng(seed).choice(len(branches), p=w / w.sum())
+    picks, w the branch probabilities: the generator's first uniform double u
+    (`_first_uniform`) selects the first branch whose cumulative weight, normalised to end
+    at 1, exceeds u.
+
+    The seed is an integer >= 0 (`int` or numpy integer, never a bool), and the weights are
+    finite and >= 0 with a positive sum; anything else raises ValueError.
+    """
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    weights = np.array([b.probability for b in branches], dtype=float)
+    if not np.all(np.isfinite(weights) & (weights >= 0)) or not (total := weights.sum()) > 0:
+        raise ValueError("branch weights must be finite and >= 0 with a positive sum")
+    cdf = np.cumsum(weights / total)
+    return branches[int(np.searchsorted(cdf / cdf[-1], _first_uniform(int(seed)), side="right"))]
 
 
 def bell_measure(psi: StateVector, seed: int | None = None) -> tuple[BellLabel | None, BellBranch]:
     """Apply the pi/4 map, then projectively measure every atom.
 
     Outcomes outside the four Bell images are flagged (label None), never
-    silently labeled. With a seed the branch is sampled reproducibly; without
-    one the most probable branch is returned (useful only for deterministic
-    inputs).
+    silently labeled. With a seed, an integer >= 0, one branch is drawn: the
+    index that numpy.random.default_rng(seed).choice picks with the normalised
+    branch probabilities as weights (`_sample` replicates that draw bit for bit
+    without loading numpy.random). Without a seed the most probable branch is
+    returned (useful only for deterministic inputs).
     """
     branches = enumerate_bell_branches(psi)
     if not branches:
@@ -201,10 +260,12 @@ def teleport(theta: float | np.ndarray, delay: float | np.ndarray = 0.0, encodin
     average is that fidelity; broadcasts as for dfs; rejects
     apply_corrections=False (ValueError).
 
-    Both encodings enumerate all four branches; with a seed one branch is
-    also sampled, by the same draw as `bell_measure`, and reported as
-    `sampled_label`/`sampled_fidelity`. Seeded sampling needs scalar inputs,
-    and both encodings reject a negative or non-finite delay, a non-finite
+    Both encodings enumerate all four branches; with a seed (an integer >= 0)
+    one branch is also sampled, by the same draw as `bell_measure`: the first
+    uniform double u of numpy.random.default_rng(seed) picks the first branch
+    whose cumulative probability, normalised to end at 1, exceeds u. It is
+    reported as `sampled_label`/`sampled_fidelity`. Seeded sampling needs
+    scalar inputs, and both encodings reject a negative or non-finite delay, a non-finite
     theta, atom_splitting or dephase_phi, and a delay whose phase
     atom_splitting * delay overflows (ValueError).
 

@@ -1,4 +1,5 @@
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -173,6 +174,66 @@ class TestBellDiscrimination:
         assert record.label is None
 
 
+def numpy_choice(seed, weights):
+    """The draw that `_sample` replicates: numpy.random's choice over the normalised weights."""
+    weights = np.asarray(weights, dtype=float)
+    return int(np.random.default_rng(seed).choice(len(weights), p=weights / weights.sum()))
+
+
+def weighted(weights):
+    """Stand-in branches that carry only a probability; each is its own index."""
+    return [SimpleNamespace(probability=w, index=k) for k, w in enumerate(weights)]
+
+
+# uniform, random and one-dominant weight vectors of every length 1 to 16; the minor
+# entries of the dominant one alternate between 1e-3 and 0, a branch never drawn
+_WEIGHT_RNG = np.random.default_rng(2024)
+WEIGHT_VECTORS = [w for k in range(1, 17)
+                  for w in (np.full(k, 1 / k), _WEIGHT_RNG.random(k) ** 3,
+                            np.r_[np.resize([1e-3, 0.0], k - 1), 1.0][_WEIGHT_RNG.permutation(k)])]
+LARGE_SEEDS = (2**32, 2**64, 2**128 + 3, 2**200)
+
+
+class TestSeededDraw:
+    def test_first_uniform_is_numpys_first_double_bit_for_bit(self):
+        for seed in (*range(2001), *LARGE_SEEDS):
+            expected = np.random.default_rng(seed).random()
+            assert bell_teleport._first_uniform(seed).hex() == expected.hex(), seed
+
+    def test_sampled_index_is_numpys_choice(self):
+        # every seed 0 to 2,000 against one weight vector in turn, the large seeds against all
+        cases = [(seed, WEIGHT_VECTORS[seed % len(WEIGHT_VECTORS)]) for seed in range(2001)]
+        cases += [(seed, w) for seed in LARGE_SEEDS for w in WEIGHT_VECTORS]
+        for seed, w in cases:
+            assert bell_teleport._sample(weighted(w), seed).index == numpy_choice(seed, w), (seed, w)
+
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint8(5), 2**200])
+    def test_integer_seeds_of_any_type_and_size_give_numpys_draw(self, seed):
+        sup = StateVector((prepare_bell(BellLabel.PHI_PLUS).amplitudes
+                           + 2 * prepare_bell(BellLabel.PSI_PLUS).amplitudes) / np.sqrt(5), 0)
+        branches = enumerate_bell_branches(sup)
+        expected = branches[numpy_choice(int(seed), [b.probability for b in branches])]
+        assert bell_measure(sup, seed=seed)[1] == expected
+        _, report = teleport(1.1, 0.3, "dfs", seed=seed)
+        expected = report.branches[numpy_choice(int(seed), [b.probability for b in report.branches])]
+        assert (report.sampled_label, report.sampled_fidelity) == (expected.label.value, expected.fidelity)
+
+    @pytest.mark.parametrize("seed", [True, False, 1.5, -1, np.float64(2), np.int64(-4), "3", None])
+    def test_seed_other_than_an_integer_at_least_0_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            bell_teleport._sample(weighted([0.5, 0.5]), seed)
+        if seed is not None:
+            with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+                bell_measure(prepare_bell(BellLabel.PHI_PLUS), seed=seed)
+            with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+                teleport(1.1, 0.3, "dfs", seed=seed)
+
+    @pytest.mark.parametrize("weights", [[0.5, -0.1, 0.6], [0.5, np.nan], [np.inf, 1.0], [0.0, 0.0], []])
+    def test_weights_not_finite_non_negative_with_a_positive_sum_rejected(self, weights):
+        with pytest.raises(ValueError, match="finite and >= 0 with a positive sum"):
+            bell_teleport._sample(weighted(weights), 0)
+
+
 class TestTeleport:
     def test_ideal_teleportation_every_branch(self):
         fid, report = teleport(0.0, 0.0, "dfs")
@@ -203,6 +264,22 @@ class TestTeleport:
                                    "dfs", atom_splitting=1.7,
                                    dephase_phi=rng.uniform(0, 2 * np.pi))
             assert min(b.fidelity for b in report.branches) > 1 - 1e-10
+
+    @pytest.mark.parametrize("delay_max", [6.0, 1000.0])
+    def test_dfs_branches_are_bit_for_bit_independent_of_the_dephasing_grid(self, delay_max):
+        # the channel is exactly 1 on ge/eg and Bob's weights are exactly 0 on gg/ee, so the
+        # teleport experiment's dephasing draw never reaches its report
+        thetas = np.linspace(0.0, 2 * np.pi, 13, endpoint=False)
+        delays = np.linspace(0.0, delay_max, 11)
+        grids = [None] + [np.random.default_rng(seed).uniform(0.0, 2 * np.pi, (13, 11)) for seed in (1, 2)]
+        runs = [teleport(thetas[:, None], delays[None, :], "dfs", atom_splitting=1.7, dephase_phi=phi)
+                for phi in grids]
+        avg, report = runs[0]
+        for other_avg, other in runs[1:]:
+            assert other_avg.tobytes() == avg.tobytes()
+            for branch, again in zip(report.branches, other.branches):
+                assert again.probability.tobytes() == branch.probability.tobytes()
+                assert again.fidelity.tobytes() == branch.fidelity.tobytes()
 
     def test_bare_comparison_dephases_to_zero(self):
         fid, _ = teleport(np.pi / 2, np.pi, "bare", atom_splitting=1.0)

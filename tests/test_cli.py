@@ -581,6 +581,8 @@ class TestMainEntryPoint:
         assert "dfscavity.hilbert" in loaded
         assert ("dfscavity.validate" in loaded) == (experiment == "validate-effective")
         assert "numpy.ma" not in loaded
+        # the seeded draws need no numpy.random, and so no secrets -> hashlib -> OpenSSL
+        assert not loaded & {"numpy.random", "secrets", "_hashlib"}
 
     @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
     def test_process_writes_the_in_process_report(self, experiment, cli_processes):

@@ -27,6 +27,18 @@ def test_one_exact_scaled_pass_runs_on_one_thread():
     assert run.stdout.splitlines()[-1] == "failed checks: 0"
 
 
+def test_names_the_modules_the_warm_up_pass_imports():
+    run = _pass_cost("--workload", "protocol-sweeps", "--passes", "1")
+    assert run.returncode == 0, run.stdout + run.stderr
+    line = run.stdout.splitlines()[-2]
+    count, _, names = line.removeprefix("warm-up imports: ").partition(": ")
+    imported = names.split(", ") if names else []
+    assert int(count) == len(imported)
+    # the teleport grid draws from the standard library's generator and its branch
+    # with the package's own PCG64, so no layer of the pass loads numpy.random
+    assert not [name for name in imported if name.startswith(("numpy.random", "scipy", "numpy.ma"))]
+
+
 def test_rejects_an_unknown_workload_and_no_passes():
     for args in (("--workload", "no-such"), ("--workload", "exact-scaled", "--passes", "0")):
         run = _pass_cost(*args)
