@@ -1,12 +1,14 @@
 """Per-pass cost of one benchmark workload: wall time, CPU/wall, minor faults, peak RSS.
 
-    python3 scripts/pass_cost.py --workload NAME [--passes N]
+    python3 scripts/pass_cost.py --workload NAME [--passes N] [--tree DIR]
+    python3 scripts/pass_cost.py --workload NAME [--passes N] --against DIR [--runs K]
 
 Runs the calls of one workload of perfbench (perfbench/workloads.py) in this
 process through `perfbench/worker.Runner`, which it only reads, at seed 0:
 one untimed warm-up pass, then N timed passes (default 50). The cli-defaults
 calls run as `python -m dfscavity.cli` processes, as in the benchmark's timed
-runs; the other workloads run in-process.
+runs; the other workloads run in-process. The package and perfbench come
+from the checkout at --tree (default: the one holding this script).
 
 Prints, per call and for the whole pass, the median wall time, the process
 CPU time over the wall time summed over the timed passes (children's CPU
@@ -21,6 +23,13 @@ passes start half a second after the warm-up, once the pool has stopped the
 spin that numpy's import sets off. Faults per pass show memory the pass
 takes from the system and gives back. Exits 1 if any call's checks fail,
 0 otherwise.
+
+With --against DIR, runs K pairs (default 5) of fresh processes of this
+script, one on this checkout and one on the checkout at DIR, alternating
+which runs first, and prints each run's pass median per tree and how many
+pairs each tree won. A worker process runs all its passes in one of two
+speed modes, so a slow-mode run shows as one outlier row, not as a shifted
+median. Exits 1 if any run exits non-zero.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ import argparse
 import os
 import resource
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -66,23 +76,24 @@ class Meter:
         self.rows.setdefault(label, []).append((wall, cpu - cpu0, faults - faults0))
 
 
-def main(argv=None) -> int:
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import WORKLOADS  # imports no package code
+def _checkout(parser: argparse.ArgumentParser, option: str, path: str) -> Path:
+    """`path` resolved, if it holds the package source and perfbench's worker; else a usage error."""
+    root = Path(path).resolve()
+    if not ((root / "src" / "dfscavity").is_dir() and (root / "perfbench" / "worker.py").is_file()):
+        parser.error(f"{option} {path}: no checkout with src/dfscavity and perfbench/worker.py there")
+    return root
 
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=WORKLOADS)
-    parser.add_argument("--passes", type=int, default=50)
-    args = parser.parse_args(argv)
-    if args.passes < 1:
-        parser.error(f"--passes must be >= 1, got {args.passes}")
-    src = str(ROOT / "src")  # for this process and, as the benchmark sets it, for the CLI processes
+
+def measure(root: Path, workload: str, passes: int) -> int:
+    """The per-call table of `passes` timed passes of `workload` on the checkout at `root`."""
+    sys.path.insert(0, str(root / "perfbench"))
+    src = str(root / "src")  # for this process and, as the benchmark sets it, for the CLI processes
     os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     sys.path.insert(0, src)
     from worker import Runner  # perfbench's worker, imported as its own process does
 
     with tempfile.TemporaryDirectory() as out_dir:
-        runner = Runner(args.workload, 0, Path(out_dir), in_process=False)
+        runner = Runner(workload, 0, Path(out_dir), in_process=False)
         started = set(sys.modules)
         runner.run_pass()  # warm-up, untimed
         warm_up_imports = sorted(set(sys.modules) - started)
@@ -91,11 +102,11 @@ def main(argv=None) -> int:
         time.sleep(0.5)
         meter = Meter()
         problems = []
-        for _ in range(args.passes):
+        for _ in range(passes):
             result = runner.run_pass(meter)
             problems += [p for call in result["calls"] for p in call["problems"]]
 
-    print(f"{args.workload}: {args.passes} timed pass(es) after one warm-up")
+    print(f"{workload}: {passes} timed pass(es) after one warm-up")
     print(f"{'call':<22}{'wall ms (median)':>18}{'CPU/wall':>10}{'minflt (median)':>17}")
     for label, rows in meter.rows.items():
         walls, cpus, faults = zip(*rows)
@@ -110,6 +121,61 @@ def main(argv=None) -> int:
         print(f"  {problem}")
     return 1 if problems else 0
 
+
+def alternate(other: Path, workload: str, passes: int, runs: int) -> int:
+    """`runs` pairs of fresh `measure` processes, this checkout against `other`: each
+    run's pass median per tree and the wins."""
+    trees = {"this": ROOT, "other": other}
+    medians = {name: [] for name in trees}
+    failed = 0
+    print(f"{workload}: {runs} alternated pair(s) of fresh runs, {passes} timed pass(es) each")
+    print(f"other = {other}")
+    print(f"{'pair':<6}{'this ms':>10}{'other ms':>10}  first")
+    for k in range(runs):
+        order = list(trees) if k % 2 == 0 else list(trees)[::-1]
+        for name in order:
+            run = subprocess.run([sys.executable, __file__, "--workload", workload, "--passes", str(passes),
+                                  "--tree", str(trees[name])], capture_output=True, text=True)
+            failed += run.returncode != 0
+            row = next((line.split() for line in run.stdout.splitlines() if line.startswith("pass ")), None)
+            medians[name].append(float(row[1]) if row else float("nan"))
+            if run.returncode:
+                last = (run.stdout + run.stderr).strip().splitlines()[-1:] or [""]
+                print(f"  {name} run of pair {k + 1} exited {run.returncode}: {last[0]}")
+        print(f"{k + 1:<6}{medians['this'][-1]:>10.3f}{medians['other'][-1]:>10.3f}  {order[0]}")
+    this, other_ms = medians["this"], medians["other"]
+    print(f"median of runs: this {statistics.median(this):.3f} ms, other {statistics.median(other_ms):.3f} ms")
+    print(f"wins: this {sum(a < b for a, b in zip(this, other_ms))} of {runs}, "
+          f"other {sum(b < a for a, b in zip(this, other_ms))} of {runs}")
+    return 1 if failed else 0
+
+
+def main(argv=None) -> int:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS  # imports no package code
+
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    parser.add_argument("--passes", type=int, default=50)
+    parser.add_argument("--tree", help="checkout to measure (default: this one)")
+    parser.add_argument("--against", help="checkout to alternate fresh runs with")
+    parser.add_argument("--runs", type=int, help="pairs of fresh runs with --against (default 5)")
+    args = parser.parse_args(argv)
+    if args.passes < 1:
+        parser.error(f"--passes must be >= 1, got {args.passes}")
+    if args.against is None:
+        if args.runs is not None:
+            parser.error("--runs needs --against")
+        tree = ROOT if args.tree is None else _checkout(parser, "--tree", args.tree)
+        sys.path.remove(str(ROOT / "perfbench"))  # the worker and its workloads come from the measured tree
+        del sys.modules["workloads"]
+        return measure(tree, args.workload, args.passes)
+    if args.tree is not None:
+        parser.error("--tree and --against exclude each other")
+    runs = 5 if args.runs is None else args.runs
+    if runs < 1:
+        parser.error(f"--runs must be >= 1, got {runs}")
+    return alternate(_checkout(parser, "--against", args.against), args.workload, args.passes, runs)
 
 if __name__ == "__main__":
     sys.exit(main())

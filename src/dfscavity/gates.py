@@ -25,9 +25,12 @@ Gates, products and the logical block that `verify_truth_table` checks are
 plain arrays. `_gate_atomic` lifts each gate (a pair gate as np.kron with
 identity on the other pair) once per process, P and P_inv once per sign,
 read-only; `sequence_unitary_atomic`, the one product builder, multiplies out
-each search candidate. cnot-verify searches once and reports the first passing
-convention, or the first convention when none passes (a broken gate set is a
-report with false flags); `compile_cnot` takes `_first_passing`, which raises
+each search candidate. The search is a constant of the gate set, so it runs
+once per process: `convention_search` keeps its result, with the four
+products read-only, and every later cnot-verify or `compile_cnot` reads it.
+cnot-verify reports the first passing convention, or the first convention
+when none passes (a broken gate set is a report with false flags);
+`compile_cnot` takes `_first_passing`, which raises `NoPassingConvention`
 then.
 """
 
@@ -215,13 +218,16 @@ def convention_candidates() -> tuple[CnotConvention, ...]:
     )
 
 
+@lru_cache(maxsize=1)
 def convention_search() -> tuple[tuple[CnotConvention, TruthTableReport, np.ndarray], ...]:
     """Run the truth table for all four conventions, in deterministic order;
-    each entry keeps the candidate's 16x16 atomic product next to its report.
-    A candidate whose logical block is not unitary fails, with its rows."""
+    each entry keeps the candidate's 16x16 atomic product, read-only, next to
+    its report. A candidate whose logical block is not unitary fails, with its
+    rows. Runs once per process; later calls return the same tuple."""
     out = []
     for conv in convention_candidates():
         u = sequence_unitary_atomic(PulseSequence(cnot_gate_list(), conv))
+        u.setflags(write=False)
         block = _logical_block(u)
         try:
             report = verify_truth_table(block)
@@ -231,22 +237,27 @@ def convention_search() -> tuple[tuple[CnotConvention, TruthTableReport, np.ndar
     return tuple(out)
 
 
+class NoPassingConvention(RuntimeError):
+    """No convention of the search reproduces the CNOT truth table."""
+
+
 def _first_passing(results) -> tuple[PulseSequence, TruthTableReport, np.ndarray]:
     """The seven-gate sequence under the first convention of a `convention_search`
-    result that passes, with that convention's report and atomic product; hard
-    error (with the best-achieved probabilities) if none passes."""
+    result that passes, with that convention's report and atomic product;
+    NoPassingConvention, a one-line message with each convention's worst-case
+    probability, if none passes."""
     for conv, report, u in results:
         if report.passed:
             return PulseSequence(gates=cnot_gate_list(), convention=conv), report, u
-    lines = (f"  {conv}: worst-case probability {min(r.probability for r in report.rows):.6f}"
-             for conv, report, _ in results)
-    raise RuntimeError("no convention reproduces the CNOT truth table:\n" + "\n".join(lines))
+    worst = "; ".join(f"{conv}: worst-case probability {min(r.probability for r in report.rows):.6f}"
+                      for conv, report, _ in results)
+    raise NoPassingConvention(f"no convention reproduces the CNOT truth table: {worst}")
 
 
 def compile_cnot() -> PulseSequence:
     """The seven-gate sequence with the convention selected by exhaustive
-    search; hard error (with the best-achieved probabilities) if nothing
-    passes."""
+    search; NoPassingConvention (with the best-achieved probabilities) if
+    nothing passes."""
     return _first_passing(convention_search())[0]
 
 

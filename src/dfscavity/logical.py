@@ -12,6 +12,7 @@ untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,14 +43,38 @@ class LogicalState:
         return StateVector(out)
 
 
+@lru_cache(maxsize=None)
+def _mz_levels(n_atoms: int) -> tuple[tuple[float, np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Per nonzero |m_z| of n_atoms atoms (m_z: excited atoms minus n_atoms/2): |m_z|, then,
+    in the float view of the 2**n_atoms phases (real and imaginary parts alternating), the
+    real parts at m_z = -|m_z| and +|m_z|, the imaginary parts at -|m_z|, and at +|m_z|."""
+    excited = np.bitwise_count(np.arange(2**n_atoms))
+    levels = []
+    for k in range((n_atoms + 1) // 2):
+        lower, upper = 2 * np.flatnonzero(excited == k), 2 * np.flatnonzero(excited == n_atoms - k)
+        levels.append((n_atoms / 2 - k, np.concatenate([lower, upper]), lower + 1, upper + 1))
+    return tuple(levels)
+
+
 def collective_phases(phi: float | np.ndarray, n_atoms: int = 4) -> np.ndarray:
     """Diagonal of exp(-i phi sum_i sigma_z^(i)) over the 2**n_atoms atomic
     configurations, first atom most significant. Exactly 1 on every zero-m_z
     configuration; free evolution under splitting E_e - E_g for t is phi = (E_e - E_g) t
     (n_atoms = 1: the free drift of one bare atom, up to a global phase).
-    Broadcasts over `phi`: the shape is phi.shape + (2**n_atoms,)."""
-    mz = np.bitwise_count(np.arange(2**n_atoms)).astype(int) - n_atoms / 2
-    return np.exp(-1j * np.asarray(phi)[..., None] * mz)
+    Broadcasts over `phi`: the shape is phi.shape + (2**n_atoms,).
+
+    One cos and one sin of phi |m_z| per point and nonzero |m_z|, e^{-i phi m_z} =
+    cos(phi |m_z|) -+ i sin(phi |m_z|): for finite phi bit for bit
+    np.exp(-1j * phi * m_z), up to the sign of a zero."""
+    phi = np.asarray(phi)[..., None]
+    out = np.ones(phi.shape[:-1] + (2**n_atoms,), dtype=complex)
+    parts = out.view(float)  # real and imaginary parts interleaved
+    for level, real, lower_imag, upper_imag in _mz_levels(n_atoms):
+        angle = phi * level
+        parts[..., real] = np.cos(angle)
+        parts[..., lower_imag] = sin = np.sin(angle)
+        parts[..., upper_imag] = -sin
+    return out
 
 
 def collective_dephase(psi: StateVector, phi: float) -> StateVector:

@@ -1,4 +1,5 @@
-"""The suite's one slow child run starts as soon as collection ends.
+"""Shared fixtures: the gate caches cleared around a test, and the suite's one slow
+child run, which starts as soon as collection ends.
 
 `test_pytest_config.py` checks the repository's pytest settings by running pytest
 in a child process on a failing property test next to a passing one, which takes
@@ -72,3 +73,17 @@ def failing_property_run(request) -> tuple[int, str]:
         proc.kill()
         raise
     return proc.returncode, output
+
+
+@pytest.fixture
+def fresh_gate_cache():
+    """The lifted gates and the CNOT convention search built again from the gate functions
+    during the test, and once more after it, so a patched gate is lifted and searched and
+    never outlives the test."""
+    from dfscavity import gates
+
+    gates._gate_atomic.cache_clear()
+    gates.convention_search.cache_clear()
+    yield
+    gates._gate_atomic.cache_clear()
+    gates.convention_search.cache_clear()

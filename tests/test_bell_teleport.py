@@ -16,8 +16,9 @@ from dfscavity.bell_teleport import (
     prepare_bell,
     teleport,
 )
+from dfscavity.dynamics import pair_exchange
 from dfscavity.gates import r_gate_atomic
-from dfscavity.hilbert import StateVector, config_labels
+from dfscavity.hilbert import StateVector, atomic_index, config_labels
 from dfscavity.model import TWO_EXCITATION_CONFIGS
 
 
@@ -74,6 +75,16 @@ def check_grid_against_dense(rng, dephased, corrections, generator=PAIR_SZ):
             assert branch.probability[i, j] == pytest.approx(p, abs=1e-14)
             assert branch.fidelity[i, j] == pytest.approx(f, abs=1e-14)
     return np.array([b.fidelity for b in report.branches])
+
+
+def bell_map_route(psi_in):
+    """Bob's pair after each outcome the way teleport first computed it: the input pair
+    states (..., 4) times the Phi+ channel as Alice's 16 configurations x Bob's pair, the
+    Bell map (pair_exchange at pi/4) along the configurations, then the outcome rows."""
+    channel = prepare_bell(BellLabel.PHI_PLUS).amplitudes.reshape(4, 4)
+    joint = (psi_in[..., :, None, None] * channel).reshape(psi_in.shape[:-1] + (16, 4))
+    mapped = pair_exchange(joint.swapaxes(0, -2), BELL_MAP_PULSE_AREA).swapaxes(0, -2)
+    return mapped[..., [atomic_index(c) for c in ("egeg", "gege", "egge", "geeg")], :]
 
 
 class TestBellStates:
@@ -355,6 +366,28 @@ class TestTeleport:
         for k, branch in enumerate(report.branches):
             assert np.array_equal(branch.probability, probs[k])
             assert np.array_equal(branch.fidelity, fids[k])
+
+    @pytest.mark.parametrize("dephased", [False, True])
+    @pytest.mark.parametrize("corrections", [True, False])
+    @pytest.mark.parametrize("theta", ["scalar", "vector", "rows"])
+    def test_dfs_branches_equal_the_bell_map_route_bit_for_bit(self, theta, dephased, corrections,
+                                                               monkeypatch):
+        rng = np.random.default_rng(41)
+        thetas = {"scalar": 1.3, "vector": rng.uniform(-7.0, 7.0, 9),
+                  "rows": np.linspace(0.0, 2 * np.pi, 9, endpoint=False)[:, None]}[theta]
+        delays = np.linspace(0.0, 9.0, 6)[None, :] if theta == "rows" else 2.5
+        phis = rng.uniform(0, 2 * np.pi, np.broadcast_shapes(np.shape(thetas), np.shape(delays)))
+        kwargs = dict(atom_splitting=1.7, dephase_phi=phis if dephased else None,
+                      apply_corrections=corrections)
+        psi_in = bell_teleport._input_pair_state(thetas)
+        assert np.array_equal(bell_teleport._bob_pairs(psi_in), bell_map_route(psi_in))
+        avg, report = teleport(thetas, delays, "dfs", **kwargs)
+        monkeypatch.setattr(bell_teleport, "_bob_pairs", bell_map_route)
+        route_avg, route = teleport(thetas, delays, "dfs", **kwargs)
+        assert np.asarray(avg).tobytes() == np.asarray(route_avg).tobytes()
+        for branch, expected in zip(report.branches, route.branches, strict=True):
+            assert np.asarray(branch.probability).tobytes() == np.asarray(expected.probability).tobytes()
+            assert np.asarray(branch.fidelity).tobytes() == np.asarray(expected.fidelity).tobytes()
 
     @pytest.mark.parametrize("dephased", [False, True])
     @pytest.mark.parametrize("corrections", [True, False])

@@ -290,6 +290,12 @@ class TestConfigSchema:
         assert "config error: key" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    def test_t1_fractions_default_holds_python_floats(self):
+        # so every report's config echo carries plain leaves, equal to the linspace values
+        default = ExperimentConfig().t1_fractions
+        assert {type(v) for v in default} == {float}
+        assert np.array_equal(default, np.linspace(0.0, 0.25, 50))
+
     def test_round_trip_with_every_key_off_default(self):
         config = ExperimentConfig(
             experiment="thermal", G=1.5e5, delta=-2.25e6, omega_a=0.5, omega=-1124999.5,
@@ -300,15 +306,6 @@ class TestConfigSchema:
         defaults = ExperimentConfig()
         assert all(getattr(config, f.name) != getattr(defaults, f.name) for f in fields(config))
         assert parse_config(serialize_config(config)) == config
-
-
-@pytest.fixture
-def fresh_gate_cache():
-    """The lifted gates built again from the gate functions during the test, and once more
-    after it, so a patched gate is lifted and never outlives the test."""
-    gates._gate_atomic.cache_clear()
-    yield
-    gates._gate_atomic.cache_clear()
 
 
 class TestExperiments:
@@ -344,11 +341,10 @@ class TestExperiments:
         assert report.passed
         assert len(calls) == 1
 
-    def test_cnot_verify_builds_each_product_once(self, monkeypatch):
-        # the chosen convention's atomic product comes from the search, which multiplies
-        # out each of the four candidates once; the lifted gates are per-process constants,
-        # so a second cnot-verify in the same process builds none of them again
-        run_experiment(parse_config("", experiment="cnot-verify"))
+    def test_cnot_verify_builds_each_product_once(self, monkeypatch, fresh_gate_cache):
+        # a process's first cnot-verify multiplies out each of the four candidates once and
+        # lifts each of the seven distinct gates once; the search and the lifted gates are
+        # per-process constants, so a second cnot-verify builds none of them again
         calls = dict.fromkeys(("sequence_unitary_atomic", "h_gate", "p_gate", "r_gate_atomic"), 0)
 
         def counting(name):
@@ -361,11 +357,13 @@ class TestExperiments:
 
         for name in calls:
             monkeypatch.setattr(gates, name, counting(name))
-        report = run_experiment(parse_config("", experiment="cnot-verify"))
-        assert report.passed
-        assert calls == {"sequence_unitary_atomic": 4, "h_gate": 0, "p_gate": 0, "r_gate_atomic": 0}
+        assert run_experiment(parse_config("", experiment="cnot-verify")).passed
+        assert calls == {"sequence_unitary_atomic": 4, "h_gate": 2, "p_gate": 4, "r_gate_atomic": 1}
+        calls.update(dict.fromkeys(calls, 0))
+        assert run_experiment(parse_config("", experiment="cnot-verify")).passed
+        assert calls == dict.fromkeys(calls, 0)
 
-    def test_cnot_verify_checks_each_truth_table_once(self, monkeypatch):
+    def test_cnot_verify_checks_each_truth_table_once(self, monkeypatch, fresh_gate_cache):
         # the chosen convention's report comes from the search, not from a second check
         check = gates.verify_truth_table
         calls = []
@@ -379,6 +377,25 @@ class TestExperiments:
         report = run_experiment(parse_config("", experiment="cnot-verify"))
         assert report.passed
         assert len(calls) == len(gates.convention_candidates())
+        assert run_experiment(parse_config("", experiment="cnot-verify")).passed
+        assert len(calls) == len(gates.convention_candidates())
+
+    def test_durations_without_a_passing_convention_exits_1_without_a_report(
+            self, monkeypatch, fresh_gate_cache, tmp_path, capsys):
+        # P as the identity: every candidate keeps a unitary block and none passes, so the
+        # durations have no convention to be reported under
+        monkeypatch.setattr(gates, "p_gate", lambda sign=+1: np.eye(4, dtype=complex))
+        out = tmp_path / "report.json"
+        assert main(["durations", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert main(["durations"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 2 and lines[0] == lines[1]
+        prefix = "durations: error: no convention reproduces the CNOT truth table: "
+        assert lines[0].startswith(prefix)
+        assert lines[0].count("worst-case probability") == len(gates.convention_candidates())
 
     @pytest.mark.parametrize("broken, unitary", [("h_gate", False), ("p_gate", True)],
                              ids=["H-scaled-not-unitary", "P-identity-no-convention-passes"])

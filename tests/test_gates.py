@@ -9,6 +9,7 @@ from dfscavity.gates import (
     VALID_PAIRS,
     CnotConvention,
     GateDescriptor,
+    NoPassingConvention,
     PulseSequence,
     _first_passing,
     _logical_block,
@@ -179,8 +180,21 @@ class TestCnotCompilation:
 
     def test_no_passing_convention_is_a_hard_error(self):
         failing = [entry for entry in convention_search() if not entry[1].passed]
-        with pytest.raises(RuntimeError, match="worst-case probability"):
+        with pytest.raises(NoPassingConvention, match="worst-case probability") as err:
             _first_passing(failing)
+        assert isinstance(err.value, RuntimeError)
+        assert "\n" not in str(err.value)
+        assert str(err.value).count("worst-case probability") == len(failing)
+
+    def test_search_runs_once_per_process_with_read_only_products(self, fresh_gate_cache):
+        search = convention_search()
+        assert convention_search() is search
+        for _, _, u in search:
+            assert not u.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                u[0, 0] = 0
+        assert compile_cnot().convention == _first_passing(search)[0].convention
+        assert convention_search.cache_info().misses == 1
 
     def test_logical_unitary_is_the_code_space_block(self):
         for conv in convention_candidates():

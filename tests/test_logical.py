@@ -98,6 +98,20 @@ class TestCollectivePhases:
         for idx in np.ndindex(phis.shape):
             assert np.array_equal(grid[idx], collective_phases(float(phis[idx]), n_atoms))
 
+    @pytest.mark.parametrize("n_atoms", range(1, 7))  # odd counts: half-integer m_z
+    def test_equals_the_exponential_of_every_configuration(self, n_atoms):
+        # one cos and sin per nonzero |m_z| give np.exp's values (array_equal: a zero's
+        # sign may differ), at the edges of the float range and at random phases
+        mz = np.bitwise_count(np.arange(2**n_atoms)) - n_atoms / 2
+        rng = np.random.default_rng(n_atoms)
+        edges = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 2 * np.pi, -2 * np.pi])
+        for phi in (edges, rng.uniform(-100.0, 100.0, (40, 30)), rng.standard_normal(7) * 1e8,
+                    np.float64(0.3), -2.5):
+            expected = np.exp(-1j * np.asarray(phi)[..., None] * mz)
+            phases = collective_phases(phi, n_atoms)
+            assert phases.shape == expected.shape
+            assert np.array_equal(phases, expected)
+
     @settings(derandomize=True, deadline=None)
     @given(phi=st.floats(-1e6, 1e6, allow_nan=False), n_atoms=st.integers(1, 6))
     def test_unit_modulus_and_identity_on_zero_mz(self, phi, n_atoms):

@@ -1,4 +1,5 @@
-"""`scripts/pass_cost.py` for one exact-scaled pass, in a fresh process."""
+"""`scripts/pass_cost.py` in fresh processes: one exact-scaled pass, one protocol-sweeps
+pass, and the usage errors."""
 
 import subprocess
 import sys
@@ -44,3 +45,16 @@ def test_rejects_an_unknown_workload_and_no_passes():
         run = _pass_cost(*args)
         assert run.returncode == 2
         assert "error" in run.stderr
+
+
+def test_rejects_a_bad_checkout_or_run_count(tmp_path):
+    # each is a usage error, found before any run starts
+    for args in (("--against", str(tmp_path)),                    # no checkout there
+                 ("--against", str(tmp_path / "missing")),
+                 ("--tree", str(tmp_path)),
+                 ("--against", str(ROOT), "--runs", "0"),
+                 ("--runs", "3"),                                  # --runs needs --against
+                 ("--tree", str(ROOT), "--against", str(ROOT))):
+        run = _pass_cost("--workload", "protocol-sweeps", *args)
+        assert run.returncode == 2, args
+        assert "error" in run.stderr and run.stdout == "", args

@@ -64,9 +64,8 @@ def test_gate_descriptor_keys_the_gate_matrices():
     assert other is not shared and not np.array_equal(other, shared)
 
 
-def test_gates_that_read_no_sign_are_lifted_once():
+def test_gates_that_read_no_sign_are_lifted_once(fresh_gate_cache):
     # H(1,2), H(3,4) and R read no P sign; P(3,4) and P_inv(3,4) are built once per sign
-    _gate_atomic.cache_clear()
     assert run_experiment(parse_config("", experiment="cnot-verify")).passed
     assert _gate_atomic.cache_info().currsize == 7
 
