@@ -13,7 +13,10 @@ from the checkout at --tree (default: the one holding this script).
 Prints, per call and for the whole pass, the median wall time, the process
 CPU time over the wall time summed over the timed passes (children's CPU
 included), and the median minor page faults; then `ru_maxrss` of this
-process and of its largest child; then the count and names of the modules
+process and of its largest child; then the resident KiB of this process's
+mappings of numpy's OpenBLAS and libgfortran from /proc/self/smaps (a LAPACK
+call faults in about 1.2 MiB of their code pages, so a workload that reaches
+one shows it here); then the count and names of the modules
 that the warm-up pass imports beyond those loaded at start-up, so a layer
 that pulls in numpy.random, scipy or numpy.ma shows on one line. A CPU/wall
 well above 1 means a library call ran on more than one thread: OpenBLAS
@@ -76,6 +79,25 @@ class Meter:
         self.rows.setdefault(label, []).append((wall, cpu - cpu0, faults - faults0))
 
 
+def resident_kib(*names: str) -> list[int | None]:
+    """The resident KiB (Rss) of this process's file mappings whose path contains each of
+    `names`, summed over their segments, from /proc/self/smaps; None where it cannot be read."""
+    try:
+        with open("/proc/self/smaps", encoding="utf-8") as smaps:
+            lines = smaps.read().splitlines()
+    except OSError:
+        return [None] * len(names)
+    totals, path = [0] * len(names), ""
+    for line in lines:
+        fields = line.split()
+        if fields and "-" in fields[0] and not fields[0].endswith(":"):  # a mapping's header
+            path = fields[5] if len(fields) > 5 else ""
+        elif fields and fields[0] == "Rss:":
+            for i, name in enumerate(names):
+                totals[i] += int(fields[1]) if name in path else 0
+    return totals
+
+
 def _checkout(parser: argparse.ArgumentParser, option: str, path: str) -> Path:
     """`path` resolved, if it holds the package source and perfbench's worker; else a usage error."""
     root = Path(path).resolve()
@@ -114,6 +136,8 @@ def measure(root: Path, workload: str, passes: int) -> int:
               f"{sum(cpus) / sum(walls):>10.2f}{statistics.median(faults):>17.0f}")
     print(f"ru_maxrss: self {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.2f} MiB, "
           f"largest child {runner.max_child_rss_kb / 1024:.2f} MiB")
+    blas, gfortran = resident_kib("openblas", "gfortran")
+    print(f"OpenBLAS resident: {blas} KiB, libgfortran {gfortran} KiB (self, /proc/self/smaps)")
     print(f"warm-up imports: {len(warm_up_imports)}" + ": " * bool(warm_up_imports)
           + ", ".join(warm_up_imports))
     print(f"failed checks: {len(problems)}")

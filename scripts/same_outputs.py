@@ -15,8 +15,8 @@ Then each tree produces, from its own source, 95 outputs:
   `delta_over_G = 5, 10, 20, 40, 80` (more peak candidates for the Rabi
   fit), and entangle with an explicit, consistent `omega_a`/`omega` pair;
 * the stderr of the eleven out-of-range configs of tests/test_cli.py (seven
-  pair rates, two fit spans, one pair splitting that eigh cannot resolve and
-  one CNOT time), each of which exits 2, so a refactor of a domain check
+  pair rates, two fit spans, one pair splitting below the float resolution
+  of the block energies and one CNOT time), each of which exits 2, so a refactor of a domain check
   shows any change of its message;
 * the stdout of every script under demos/;
 * `exit-codes.txt`: the exit code of each CLI run and each demo, one line

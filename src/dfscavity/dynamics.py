@@ -1,32 +1,30 @@
-"""Propagators: exact matrix-exponential evolution and the closed-form
+"""Propagators: exact evolution from closed-form spectra and the closed-form
 pair-exchange map.
 
-Exact evolution goes through one eigh of the hermitian generator:
-`make_propagator` returns the unitary with the spectrum (w, v), and
-`evolve_exact` and `evolve_times` apply `_series`, which is `_evaluate` of
-`_fold`. `_fold` merges the eigenvalues eigh cannot tell apart and keeps one
-part per distinct occupied frequency; `_evaluate` multiplies the rows of the
-parts it is given by the phases e^{-i w t} of `_phases`: on an evenly spaced
-grid from 0 (every exact run's), about 2 sqrt(len(times)) exponentials and one
-complex product per time and frequency, otherwise one cos and one sin per time
-and frequency. A series costs len(times) x the occupied frequencies:
-3 or 4 for the 7 or 8 block states a two-excitation start reaches (the
-symmetric Dicke ladder plus one dark level, see model.pair_block), 2 for the
-16-state effective generators. `evolve_times` takes amplitudes of the
-generator's dimension: 16, 6 for the derived second-order operator, or the
-composite dimension of the dense oracle, which only the tests use, with
-scaling and squaring and the unfolded sum over every eigenvalue as
-cross-checks.
+No runtime path calls LAPACK: every generator a run evolves has a closed-form
+spectrum (w, v), checked by `_checked` against the matrix it diagonalises:
+`block_spectrum` (model.pair_block, from model.bright_ladder),
+`pair_swap_spectrum` (model.build_h_eff) and `uniform_spectrum` (the derived
+second-order operator, c * ones((6, 6))). `_series`, `_evaluate` of `_fold`,
+evolves a state from a spectrum: `_fold` keeps one part per distinct occupied
+frequency (3 or 4 for the exact block, 2 for the pair swap), and `_evaluate`
+multiplies the parts by the phases e^{-i w t} of `_phases`: a coarse x fine
+table on a grid of `even_grid` (every exact run's), about 2 sqrt(len(times))
+exponentials, otherwise one cos and one sin per time and frequency.
+`make_propagator`, `evolve_exact` and `evolve_times` take `numpy.linalg.eigh`
+of any hermitian generator: they are the tests' dense oracles, with scaling
+and squaring and the unfolded sum over every eigenvalue as cross-checks.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
-from .hilbert import NORM_ATOL, Operator, StateVector, is_hermitian
-from .model import TWO_EXCITATION_CONFIGS, pair_partner
+from .hilbert import NORM_ATOL, UNITARY_ATOL, Operator, StateVector, is_hermitian, unitary_defect
+from .model import TWO_EXCITATION_CONFIGS, BrightLadder, pair_partner
 
 
 def _spectrum(h: Operator, times) -> tuple[np.ndarray, np.ndarray]:
@@ -40,7 +38,7 @@ def _spectrum(h: Operator, times) -> tuple[np.ndarray, np.ndarray]:
 
 def _series(w: np.ndarray, v: np.ndarray, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
     """exp(-i h t) applied to `amplitudes` at each of `times`, shape (len(times), dim),
-    from the spectrum (w ascending, as eigh returns it; v) of h: `_evaluate` of `_fold`."""
+    from the spectrum (w ascending; v) of h: `_evaluate` of `_fold`."""
     return _evaluate(*_fold(w, v, amplitudes), times)
 
 
@@ -48,7 +46,7 @@ def _fold(w: np.ndarray, v: np.ndarray, amplitudes: np.ndarray) -> tuple[np.ndar
     """`amplitudes` folded onto the eigenspaces of h, as (frequencies, parts (dim, frequencies)).
 
     With tol = dim * eps, an eigenvalue within tol * max|w| above the lowest one of its
-    group joins that group (eigh's own eigenvalue error is of this size); a group whose
+    group joins that group (an eigensolver's own error is of this size); a group whose
     projection of the state has norm at most tol * |amplitudes| is dropped; every other
     group evolves at one frequency, the mean of its eigenvalues weighted by the state's
     weight on each. Its series is within tol * (max|w| max|t| + sqrt(dim)) * |amplitudes|
@@ -67,20 +65,30 @@ def _fold(w: np.ndarray, v: np.ndarray, amplitudes: np.ndarray) -> tuple[np.ndar
     return freqs, np.add.reduceat(v * c, starts, axis=1)[:, kept]
 
 
+_GRIDS = weakref.WeakValueDictionary()  # id -> each live array `even_grid` returned
+
+
+def even_grid(t_max: float, points: int) -> np.ndarray:
+    """np.linspace(0, t_max, points), read-only, on which `_phases` takes its table."""
+    times = np.linspace(0.0, t_max, points)
+    times.setflags(write=False)
+    _GRIDS[id(times)] = times
+    return times
+
+
 def _phases(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """exp(-i x y) over the outer product, shape (len(x), len(y)).
 
-    On the grid np.linspace(0, x[-1], len(x)), where it saves exponentials, a coarse x
-    fine table: with F = ceil(sqrt(len(x))), e^{-i x[aF + b] y} = e^{-i x[aF] y} e^{-i x[b] y},
-    so each frequency costs F + ceil(len(x)/F) exponentials and one complex product per
-    point, within 1e-12 (1 + max|x| max|y|) of np.exp(-1j * np.outer(x, y)) (x[aF] + x[b]
-    is x[aF + b] to a few ulps of max|x|). Any other x: one cos and one sin of -x y per
-    entry, bit for bit np.exp(-1j * np.outer(x, y))."""
+    On a grid of `even_grid`, where it saves exponentials, a coarse x fine table: with
+    F = ceil(sqrt(len(x))), e^{-i x[aF + b] y} = e^{-i x[aF] y} e^{-i x[b] y}, so each
+    frequency costs F + ceil(len(x)/F) exponentials and one complex product per point,
+    within 1e-12 (1 + max|x| max|y|) of np.exp(-1j * np.outer(x, y)) (x[aF] + x[b] is
+    x[aF + b] to a few ulps of max|x|). Any other x (a copy of such a grid too): one cos
+    and one sin of -x y per entry, bit for bit np.exp(-1j * np.outer(x, y))."""
     x = np.asarray(x, dtype=float)
     points = len(x)
     fine = math.ceil(math.sqrt(points)) or 1
-    if (fine + math.ceil(points / fine) < points and x[0] == 0
-            and np.array_equal(x, np.linspace(0.0, x[-1], points))):
+    if fine + math.ceil(points / fine) < points and _GRIDS.get(id(x)) is x:
         # frequency-major (y, coarse, fine), so the product runs along contiguous fine rows
         coarse = _direct_phases(y, x[::fine])
         table = coarse[:, :, None] * _direct_phases(y, x[:fine])[:, None, :]
@@ -102,11 +110,88 @@ def _evaluate(freqs: np.ndarray, parts: np.ndarray, times: np.ndarray) -> np.nda
     return _phases(times, freqs) @ parts.T
 
 
+def _checked(h: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v) sorted by w, once they pass as the spectrum of h: raises ValueError unless
+    max|h v - v w| / max(1, max|w|) + unitary_defect(v) < UNITARY_ATOL."""
+    order = np.argsort(w)
+    w, v = w[order], v[:, order]
+    defect = float(np.abs(h @ v - v * w).max()) / max(1.0, -w[0], w[-1]) + unitary_defect(v)
+    if not defect < UNITARY_ATOL:
+        raise ValueError(f"the closed-form spectrum misses its generator by {defect:.3g}")
+    return w, v
+
+
+def _ladder_spectrum(ladder: BrightLadder) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues above `ladder.dark` and eigenvectors (columns over |gggg>, |D2>,
+    |eeee>) of the bright ladder, solved on its entries over the largest one. 2x2:
+    lambda^2 - d lambda - a^2 = 0. 3x3: lambda^3 - (d^2 + a^2 + b^2) lambda - d (a^2 - b^2)
+    = 0, its outer roots in trigonometric form, the small bright shift from Vieta's
+    product, so it keeps its relative accuracy, and each eigenvector the longest cross
+    product of two rows of the shifted matrix."""
+    scale = max(abs(ladder.diagonal[0]), ladder.couplings[0])
+    d, a = ladder.diagonal[0] / scale, ladder.couplings[0] / scale
+    if len(ladder.couplings) == 1:
+        outer = d / 2 + math.copysign(math.hypot(d / 2, a), d)
+        return (scale * np.array([outer, -a * a / outer]),
+                np.array([[outer, -a], [a, outer]]) / math.hypot(outer, a))
+    b = ladder.couplings[1] / scale
+    p, q = d * d + a * a + b * b, d * (a - b) * (a + b)
+    r = 2 * math.sqrt(p / 3)
+    phi = math.acos(max(-1.0, min(1.0, 1.5 * q / p * math.sqrt(3 / p)))) / 3
+    top, bottom = r * math.cos(phi), r * math.cos(phi + 2 * math.pi / 3)
+    roots = (top, q / (top * bottom), bottom)
+    vectors = []
+    for x in roots:
+        u, w = d - x, -d - x  # rows (u, a, 0), (a, -x, b), (0, b, w)
+        normals = ((a * b, -u * b, -u * x - a * a), (a * w, -u * w, u * b),
+                   (-x * w - b * b, -a * w, a * b))
+        vectors.append(max(normals, key=lambda c: c[0] ** 2 + c[1] ** 2 + c[2] ** 2))
+    v = np.array(vectors).T
+    return scale * np.array(roots), v / np.sqrt((v * v).sum(axis=0))
+
+
+# orthogonal: column 0 |D2> (the six configurations over sqrt 6), j >= 1 dark (1, .., 1, -j, 0, ..)
+_DICKE = np.array([[1 / math.sqrt(6)] + [((i < j) - j * (i == j)) / math.sqrt(j * (j + 1))
+                                         for j in range(1, 6)] for i in range(6)])
+
+
+def block_spectrum(h: np.ndarray, ladder: BrightLadder) -> tuple[np.ndarray, np.ndarray]:
+    """The checked spectrum (w ascending, v) of h = np.diag(energies) + hint of
+    `model.pair_block` from its `model.bright_ladder`: five dark states at `ladder.dark`
+    and the ladder's eigenvectors, their |D2> part spread over rows 0 to 5."""
+    roots, x = _ladder_spectrum(ladder)
+    v = np.zeros((len(h), 5 + len(roots)))
+    v[:6, :5] = _DICKE[:, 1:]
+    v[:6, 5:] = _DICKE[:, :1] * x[1]
+    v[6, 5:] = x[0]
+    v[7:, 5:] = x[2:]
+    return _checked(h, ladder.dark + np.append(np.zeros(5), roots), v)
+
+
+def pair_swap_spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The checked spectrum (w ascending, v) of `model.build_h_eff`'s pair swap h (no
+    Stark term): +-Omega on (|c> +- |c_bar>)/sqrt2, 0 on the ten other configurations."""
+    return _checked(h, float(h[_PARTNERS[0], _ROWS[0]].real) * _SWAP_SIGNS, _SWAP_VECTORS)
+
+
+def uniform_spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The checked spectrum (w ascending, v) of the derived second-order operator
+    h = c * ones((6, 6)): 6c on |D2>, 0 on the five dark states."""
+    w = np.zeros(6)
+    w[0] = float(np.sum(h).real) / 6
+    return _checked(h, w, _DICKE)
+
+
+def _propagator(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i h t) from the spectrum (w, v) of h."""
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
 def make_propagator(h: Operator, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """exp(-i h t) via eigendecomposition of the hermitian generator, as (unitary, w, v)
     with the spectrum (w, v) of h it was built from."""
     w, v = _spectrum(h, t)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T, w, v
+    return _propagator(w, v, t), w, v
 
 
 def evolve_exact(h: Operator, psi: StateVector, t: float) -> StateVector:
@@ -127,6 +212,12 @@ def evolve_times(h: Operator, amplitudes: np.ndarray, times: np.ndarray) -> np.n
 _ROWS = np.array(TWO_EXCITATION_CONFIGS)  # index arrays: a list is converted on every use
 _PARTNERS = np.array([pair_partner(c) for c in TWO_EXCITATION_CONFIGS])
 _SUPPORT_ATOL = 1e-12  # largest amplitude dfs_propagate accepts off the six configurations
+# pair-swap eigenvectors: (|c> +- |c_bar>)/sqrt2 in columns c and c_bar (c > c_bar), signs +-1
+_SWAP_SIGNS, _SWAP_VECTORS = np.zeros(16), np.eye(16)
+for _c in TWO_EXCITATION_CONFIGS:
+    _SWAP_SIGNS[_c] = 1.0 if _c > pair_partner(_c) else -1.0
+    _SWAP_VECTORS[_c, _c] = _SWAP_SIGNS[_c] * math.sqrt(0.5)
+    _SWAP_VECTORS[pair_partner(_c), _c] = math.sqrt(0.5)
 
 
 def pair_exchange(block: np.ndarray, pulse_area: float | np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ reported, never suppressed (see validate.compare_effective_models).
 from __future__ import annotations
 
 from functools import cache
-from math import comb
+from math import comb, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -156,6 +156,14 @@ def two_excitation_manifold(params: SystemParams, n: int) -> tuple[int, ...]:
     return tuple(basis_index(c, n, params.n_max) for c in TWO_EXCITATION_CONFIGS)
 
 
+def _check_block_level(params: SystemParams, n: int) -> None:
+    if not _is_integer(n) or not 0 <= n <= params.n_max - 4:
+        raise ValueError(
+            f"validated runs need an integer 0 <= n <= n_max - 4 (intermediates plus guard levels); "
+            f"got n={n}, n_max={params.n_max}"
+        )
+
+
 def pair_block(params: SystemParams, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The exact model on the states the six two-excitation configurations at Fock level n
     couple to: those six in TWO_EXCITATION_LABELS order (rows 0 to 5, |egeg, n> first),
@@ -170,11 +178,7 @@ def pair_block(params: SystemParams, n: int) -> tuple[np.ndarray, np.ndarray, np
     Raises ValueError unless n is an integer with 0 <= n <= n_max - 4: the block then
     reaches m = n + 2 at most and stays clear of the two guard levels below the cut.
     """
-    if not _is_integer(n) or not 0 <= n <= params.n_max - 4:
-        raise ValueError(
-            f"validated runs need an integer 0 <= n <= n_max - 4 (intermediates plus guard levels); "
-            f"got n={n}, n_max={params.n_max}"
-        )
+    _check_block_level(params, n)
     atoms, levels = list(TWO_EXCITATION_CONFIGS) + [0], [n] * 6 + [n + 2]  # ..., |gggg, n+2>
     if n >= 2:
         atoms.append(N_ATOMIC_CONFIGS - 1)  # |eeee, n-2>
@@ -183,6 +187,28 @@ def pair_block(params: SystemParams, n: int) -> tuple[np.ndarray, np.ndarray, np
     # a^2 |m> = sqrt(m-1) sqrt(m) |m-2>; the pair pattern keeps only m-2 -> m
     x = _pair_raising()[np.ix_(atoms, atoms)] * (np.sqrt(np.maximum(levels - 1, 0)) * np.sqrt(levels))
     return levels, params.delta / 2.0 * levels, params.G * (x + x.conj().T)
+
+
+class BrightLadder(NamedTuple):
+    """`pair_block` at Fock level n in the basis of |D2, n> (the uniform superposition of
+    the six configurations), five dark combinations of them, and the photon states."""
+
+    dark: float                   # (delta/2) n: the bare energy of the six and of |D2, n>
+    diagonal: tuple[float, ...]   # |gggg, n+2>, |D2, n>, |eeee, n-2> (n >= 2): energy less `dark`
+    couplings: tuple[float, ...]  # along the chain: sqrt(6) G sqrt((n+1)(n+2)), sqrt(6) G sqrt(n(n-1))
+
+
+def bright_ladder(params: SystemParams, n: int) -> BrightLadder:
+    """The exact split of `pair_block(params, n)`: Hint joins each configuration to
+    |gggg, n+2> with G sqrt((n+1)(n+2)) and to |eeee, n-2> with G sqrt(n(n-1)), so only
+    |D2, n> couples, sqrt(6) times as strongly, and the five combinations orthogonal to it
+    are dark, at `dark` and coupled to nothing. The bright chain is 2x2 for n < 2 and 3x3
+    with diagonal (delta, 0, -delta) above `dark` otherwise. Same domain as `pair_block`."""
+    _check_block_level(params, n)
+    rungs = 2 + (n >= 2)
+    couplings = (sqrt(6 * (n + 1) * (n + 2)) * params.G, sqrt(6 * n * (n - 1)) * params.G)
+    return BrightLadder(params.delta / 2.0 * n, (params.delta, 0.0, -params.delta)[:rungs],
+                        couplings[:rungs - 1])
 
 
 def derive_second_order(energies: np.ndarray, hint: np.ndarray, members: tuple[int, ...]) -> np.ndarray:

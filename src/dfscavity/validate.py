@@ -19,8 +19,11 @@ Both get the exact run from one helper: the 7 or 8 states the two-excitation
 manifold reaches (model.pair_block: the six configurations at n as rows 0 to 5,
 |egeg, n> first, then |gggg, n+2> and, for n >= 2, |eeee, n-2>), the grid over
 1.5 exchange periods (RABI_FIT_POINTS or COMPARISON_POINTS times) and the fold
-of |egeg, n> onto its 3 or 4 occupied frequencies w_k (dynamics._fold) from one
-eigh of H0 + Hint. extract_rabi gets each population group (rows r) as
+of |egeg, n> onto its 3 or 4 occupied frequencies w_k (dynamics._fold) from the
+closed-form spectrum of H0 + Hint (dynamics.block_spectrum). The pair-swap and
+derived operators evolve from closed-form spectra too, so no step calls LAPACK,
+and internal_consistency_defect compares the cos/sin pair map with a spectrum
+checked against build_h_eff's matrix. extract_rabi gets each population group (rows r) as
 sum_k h_kk + 2 sum_{k<l} Re(h_kl e^{i(w_k - w_l)t}), h_kl = sum_r
 conj(parts[r, k]) parts[r, l], from one real product over 3 or 6 beats, and the
 Stark phase from row 0, sum_k parts[0, k] e^{-i w_k t}, unwrapped as the running
@@ -47,12 +50,24 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import _evaluate, _fold, _phases, evolve_times, make_propagator, pair_exchange
+from .dynamics import (
+    _evaluate,
+    _fold,
+    _phases,
+    _propagator,
+    _series,
+    block_spectrum,
+    even_grid,
+    pair_exchange,
+    pair_swap_spectrum,
+    uniform_spectrum,
+)
 from .hilbert import N_ATOMIC_CONFIGS, Operator, SystemParams, unitary_defect
 from .model import (
     MANIFOLD_ROWS,
     TWO_EXCITATION_CONFIGS,
     TWO_EXCITATION_LABELS,
+    bright_ladder,
     build_h_eff,
     derive_second_order,
     effective_coupling,
@@ -186,8 +201,8 @@ def fit_span(params: SystemParams, n: int) -> float:
     """The span of the exact runs' time grid, 1.5 exchange periods 3 pi/|Omega(n)|.
     Raises ValueError when the pair rate is out of range (model.effective_coupling),
     when the span lies outside FIT_SPAN_RANGE (G = 0 gives an infinite span), or when
-    eigh cannot resolve the pair dynamics: its eigenvalue error, bounded by 16 eps (n+2)
-    |delta|/2 (conservative for the 8-state block), must lie below the bright-dark
+    the float resolution of the block energies cannot resolve the pair dynamics: 16 eps
+    (n+2) |delta|/2 (conservative for the 8-state block) must lie below the bright-dark
     splitting 6 |Omega(n)| (at n = 0, delta/G up to 5.81e7 passes and 5.82e7 fails).
     That also keeps the largest bare phase (n+2) |delta|/2 x span, and so the
     propagator's exp(-iEt), finite."""
@@ -198,18 +213,19 @@ def fit_span(params: SystemParams, n: int) -> float:
                          f"delta = {params.delta}, outside [{FIT_SPAN_RANGE[0]}, {FIT_SPAN_RANGE[1]}] s")
     error = N_ATOMIC_CONFIGS * np.finfo(float).eps * (n + 2) * abs(params.delta) / 2
     if not error < 6 * omega:
-        raise ValueError(f"eigh resolves the sector's eigenvalues to 16 eps x {n + 2} |delta|/2 = {error} "
-                         f"at G = {params.G}, delta = {params.delta}, not below the pair splitting "
-                         f"6 |Omega({n})| = {6 * omega}")
+        raise ValueError(f"the float resolution of the block energies, 16 eps x {n + 2} |delta|/2 "
+                         f"= {error} at G = {params.G}, delta = {params.delta}, is not below the "
+                         f"pair splitting 6 |Omega({n})| = {6 * omega}")
     return span
 
 
 def _exact_run(params: SystemParams, n: int, points: int):
     """Evolve |egeg, n> exactly on `model.pair_block` over 1.5 exchange periods (`points`
-    times) by one eigh; returns (the pair rate Omega(n), the block (levels, energies, hint),
-    times, the unitary over the span, the state's fold (freqs, parts)), the unitary and
-    the fold from the (unitary, w, v) of one `make_propagator`. Raises ValueError unless
-    0 <= n <= n_max - 4 and the rate and span pass `fit_span`, RabiFitError when G = 0."""
+    times of `dynamics.even_grid`); returns (the pair rate Omega(n), the block (levels,
+    energies, hint), times, the unitary over the span, the state's fold (freqs, parts)),
+    the unitary and the fold from the block's checked closed-form spectrum
+    (`dynamics.block_spectrum`). Raises ValueError unless 0 <= n <= n_max - 4 and the rate
+    and span pass `fit_span`, RabiFitError when G = 0."""
     block = pair_block(params, n)  # the domain check, before effective_coupling
     omega = effective_coupling(n, params).omega
     if omega == 0:
@@ -217,12 +233,12 @@ def _exact_run(params: SystemParams, n: int, points: int):
             omega_expected=omega, perturbative_ok=params.perturbative_ok,
             diagnostic="no coupling, no oscillation"))
     t_max = fit_span(params, n)
-    times = np.linspace(0.0, t_max, points)
+    times = even_grid(t_max, points)
     levels, energies, hint = block
     psi0 = np.zeros(len(levels), dtype=complex)
     psi0[0] = 1.0  # |egeg, n>
-    u, w, v = make_propagator(Operator(np.diag(energies) + hint), t_max)  # one eigh
-    return omega, block, times, u, _fold(w, v, psi0)
+    w, v = block_spectrum(np.diag(energies) + hint, bright_ladder(params, n))
+    return omega, block, times, _propagator(w, v, t_max), _fold(w, v, psi0)
 
 
 def extract_rabi(params: SystemParams, n: int = 0,
@@ -357,10 +373,10 @@ def compare_effective_models(params: SystemParams, n: int = 0) -> EffectiveModel
 
     egeg = np.eye(N_ATOMIC_CONFIGS, dtype=complex)[_COLS[0]]  # one-hot |egeg>
     h_pair_swap = build_h_eff(params, n, include_stark=False)
-    amps_pair_swap = evolve_times(h_pair_swap, egeg, times)  # (t, 16)
+    amps_pair_swap = _series(*pair_swap_spectrum(h_pair_swap.matrix), egeg, times)  # (t, 16)
 
     derived = derive_second_order(energies, hint, MANIFOLD_ROWS)
-    amps_derived = evolve_times(Operator(derived), egeg[_COLS], times)  # (t, 6)
+    amps_derived = _series(*uniform_spectrum(derived), egeg[_COLS], times)  # (t, 6)
 
     # the full model's six states at Fock n, (t, 6); weight outside them lowers the fidelity
     full = np.abs(_evaluate(freqs, parts[:len(MANIFOLD_ROWS)], times))

@@ -673,7 +673,7 @@ class TestMainEntryPoint:
         cfg.write_text("delta_over_G = 1e8\n")
         assert main(["validate-effective", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(
-            "config error: keys 'G' and 'delta_over_G': eigh resolves the sector's eigenvalues")
+            "config error: keys 'G' and 'delta_over_G': the float resolution of the block energies")
         assert not out.exists()
 
     def test_durations_cnot_time_out_of_float_range_exit_two(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ from dfscavity.dynamics import (
     _phases,
     _series,
     dfs_propagate,
+    even_grid,
     evolve_exact,
     evolve_times,
     make_propagator,
@@ -119,10 +120,24 @@ class TestFoldedSeries:
         freqs = np.append(rng.normal(scale=30.0, size=3), 0.0)
         for points in (*range(3, 40), 99, 100, 101, 6000, 6002):
             for t_max in (1.0, -250.0, 3e3):
-                times = np.linspace(0.0, t_max, points)
+                times = even_grid(t_max, points)
                 got, want = _phases(times, freqs), np.exp(-1j * np.outer(times, freqs))
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(freqs)) * abs(t_max))
+
+    def test_only_an_even_grid_takes_the_table(self):
+        # the grid's construction carries the fact: its phases are the coarse x fine products
+        # bit for bit, while an equal plain array or a copy takes the direct path bit for bit
+        freqs = np.array([-3.1, 0.0, 0.7, 12.5])
+        grid = even_grid(377.0, 6001)
+        assert not grid.flags.writeable
+        fine = 78  # ceil(sqrt(6001))
+        coarse = np.exp(-1j * np.outer(grid[::fine], freqs))
+        table = (coarse[:, None, :] * np.exp(-1j * np.outer(grid[:fine], freqs))[None, :, :])
+        assert _phases(grid, freqs).tobytes() == table.reshape(-1, 4)[:6001].tobytes()
+        exact = np.exp(-1j * np.outer(grid, freqs)).tobytes()
+        for plain in (np.linspace(0.0, 377.0, 6001), grid.copy(), grid[:]):
+            assert _phases(plain, freqs).tobytes() == exact
 
     def test_short_and_uneven_grids_take_the_direct_path_bit_for_bit(self):
         rng = np.random.default_rng(5)

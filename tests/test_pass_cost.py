@@ -1,5 +1,5 @@
 """`scripts/pass_cost.py` in fresh processes: one exact-scaled pass, one protocol-sweeps
-pass, and the usage errors."""
+pass, its OpenBLAS resident size, and the usage errors."""
 
 import subprocess
 import sys
@@ -26,6 +26,21 @@ def test_one_exact_scaled_pass_runs_on_one_thread():
     # spin on and read about 2 here on two cores
     assert cpu_per_wall <= 1.1
     assert run.stdout.splitlines()[-1] == "failed checks: 0"
+    blas_line = run.stdout.splitlines()[-3]
+    assert blas_line.startswith("OpenBLAS resident: ") and blas_line.endswith(" KiB (self, /proc/self/smaps)")
+
+
+def test_openblas_resident_size_shows_a_lapack_call():
+    # numpy's first LAPACK call faults in about 1 MiB of OpenBLAS code pages that a
+    # product leaves out; measured in a fresh process, before and after each
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy as np; "
+            "from pass_cost import resident_kib; np.eye(8) @ np.eye(8); before = resident_kib('openblas')[0]; "
+            "np.linalg.eigh(np.eye(8) + 0j); print(before, resident_kib('openblas')[0])")
+    run = subprocess.run([sys.executable, "-c", code, str(SCRIPT.parent)], capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    before, after = map(int, run.stdout.split())
+    assert before > 0 and after - before >= 512
 
 
 def test_names_the_modules_the_warm_up_pass_imports():

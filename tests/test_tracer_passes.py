@@ -7,7 +7,8 @@ call, so an argument of the wrong type would fail only at benchmark time.
 This runs the calls of every workload in-process, as the traced worker does
 (a cli-defaults call through `run_experiment`), under `instrument`, and pins
 the count metrics of the exact-scaled and protocol-sweeps passes, and the
-exact-scaled pass's `eigh` work. The tracer
+exact-scaled pass's `eigh` work. No workload reaches the eigh routes (every
+runtime spectrum is closed-form), so `_dim_cubed` is called directly. The tracer
 and the workloads are loaded by path and left unchanged.
 """
 
@@ -15,10 +16,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dfscavity import cli, validate
-from dfscavity.hilbert import SystemParams
+from dfscavity.hilbert import Operator, SystemParams
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -62,13 +64,17 @@ def test_every_tag_function_reached_gives_a_tag(spans):
             if name in tag_fns:
                 assert tag is not None, name
                 reached[name] = tag_fns[name]
-    assert set(reached) >= {"cli.run_experiment", "dynamics.evolve_exact", "dynamics.evolve_times",
-                            "dynamics.make_propagator"}
-    assert {fn.__name__ for fn in reached.values()} >= {"_experiment", "_dim_cubed"}
+    assert "cli.run_experiment" in reached
+    assert not set(reached) & set(tracer.EIGH)  # the eigh routes are test oracles only
+    assert {fn.__name__ for fn in reached.values()} >= {"_experiment"}
+
+
+def test_dim_cubed_reads_the_generator_dimension():
+    assert tracer._dim_cubed((Operator(np.eye(7)), 1.0), {}, None) == 343
 
 
 @pytest.mark.parametrize("workload,operators,eighs", [
-    ("exact-scaled", 13, 13),
+    ("exact-scaled", 3, 0),  # one pair-swap operator (build_h_eff) per delta/G of validate-effective
     ("protocol-sweeps", 0, 0),
 ])
 def test_count_metrics(spans, workload, operators, eighs):
@@ -78,8 +84,7 @@ def test_count_metrics(spans, workload, operators, eighs):
 
 
 def test_exact_scaled_eigh_work(spans):
-    # sum of dim^3 over the pass's eigh calls: per delta/G of the n_max 16 validate-effective,
-    # 7^3 for each of the two exact runs, 16^3 for the pair-swap operator and 6^3 for the
-    # derived one; plus 7^3 for the forced Rabi fit at n_max 32
+    # sum of dim^3 over the pass's eigh calls: the exact runs, the pair-swap operator and the
+    # derived one all take closed-form spectra
     metrics = tracer.layer_metrics(spans["exact-scaled"], workloads.EXPERIMENTS)
-    assert metrics["dynamics.eigh_work"] == 3 * (2 * 7**3 + 16**3 + 6**3) + 7**3 == 15337
+    assert metrics["dynamics.eigh_work"] == 0

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 import dfscavity
-from dfscavity.dynamics import _evaluate, evolve_times
+from dfscavity.dynamics import _evaluate, _series, block_spectrum, evolve_times
 from dfscavity.hilbert import Operator, StateVector, SystemParams
 from dfscavity.model import (
     MANIFOLD_ROWS,
     TWO_EXCITATION_CONFIGS,
     TWO_EXCITATION_LABELS,
+    bright_ladder,
     build_h_eff,
     derive_second_order,
     derived_coupling,
@@ -231,10 +232,10 @@ class TestCompareEffectiveModels:
     # the squared times underflow: the Stark-phase polyfit raised LinAlgError
     (1e100, 1e-150, r"the fit spans 3 pi/Omega\(0\) = 4.712"),
     # the bare phase (delta/2) 2 x 3 pi/Omega(0) overflowed: the unitarity defect read NaN
-    (1e100, 1e154, r"eigh resolves the sector's eigenvalues to 16 eps x 2 \|delta\|/2 = 3.55\d*e\+239"),
+    (1e100, 1e154, r"the float resolution of the block energies, 16 eps x 2 \|delta\|/2 = 3.55\d*e\+239"),
     # eigh's error reaches the splitting: the transfer read 1.3e-31 and omega_fit 141 x 3 Omega(0)
-    (1.0, 1e8, r"eigh resolves the sector's eigenvalues to 16 eps x 2 \|delta\|/2 = 3.55\d*e-07 at G = 1.0, "
-               r"delta = 100000000.0, not below the pair splitting 6 \|Omega\(0\)\| = 1.2"),
+    (1.0, 1e8, r"the float resolution of the block energies, 16 eps x 2 \|delta\|/2 = 3.55\d*e-07 "
+               r"at G = 1.0, delta = 100000000.0, is not below the pair splitting 6 \|Omega\(0\)\| = 1.2"),
 ], ids=["subnormal-rate", "underflowing-times", "overflowing-phase", "unresolved-splitting"])
 def test_exact_run_grid_out_of_float_range_rejected(G, ratio, message):
     params = SystemParams(G=G, delta=G * ratio, n_max=8)
@@ -247,7 +248,7 @@ def test_exact_run_grid_out_of_float_range_rejected(G, ratio, message):
 def test_fit_span_resolution_boundary(G):
     # 16 eps x 2 |delta|/2 < 6 |Omega(0)| = 12 G^2/|delta| holds up to delta/G = sqrt(0.75/eps)
     fit_span(SystemParams(G=G, delta=5.81e7 * G), 0)
-    with pytest.raises(ValueError, match="eigh resolves"):
+    with pytest.raises(ValueError, match="the float resolution of the block energies"):
         fit_span(SystemParams(G=G, delta=5.82e7 * G), 0)
 
 
@@ -261,14 +262,17 @@ def test_fit_span_is_the_exact_run_grid():
 
 
 def _full_series(params, n, points):
-    """The exact run and its whole (points, block) amplitude series, through
-    `evolve_times` of the block's H0 + Hint from |egeg, n> (row 0)."""
+    """The exact run and its whole (points, block) amplitude series from |egeg, n> (row 0),
+    through `_series` of the run's own spectrum of the block's H0 + Hint, so the fold's
+    observables and the full-series formulas read the same eigenvalues (two
+    diagonalisations differ in the last digits of a defect of 1e-15; tests/test_closed_form.py
+    holds that spectrum against eigh)."""
     omega, block, times, u, _ = _exact_run(params, n, points)
     levels, energies, hint = block
     psi0 = np.zeros(len(levels), dtype=complex)
     psi0[0] = 1.0
-    h = Operator(np.diag(energies) + hint)
-    return omega, block, times, u, evolve_times(h, psi0, times)
+    spectrum = block_spectrum(np.diag(energies) + hint, bright_ladder(params, n))
+    return omega, block, times, u, _series(*spectrum, psi0, times)
 
 
 def _reference_fit(params, n, min_peak_population):
