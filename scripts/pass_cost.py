@@ -10,9 +10,9 @@ calls run as `python -m dfscavity.cli` processes, as in the benchmark's timed
 runs; the other workloads run in-process. The package and perfbench come
 from the checkout at --tree (default: the one holding this script).
 
-Prints, per call and for the whole pass, the median wall time, the process
-CPU time over the wall time summed over the timed passes (children's CPU
-included), and the median minor page faults; then `ru_maxrss` of this
+Prints, per call and for the whole pass, the median and the minimum wall
+time, the process CPU time over the wall time summed over the timed passes
+(children's CPU included), and the median minor page faults; then `ru_maxrss` of this
 process and of its largest child; then the resident KiB of this process's
 mappings of numpy's OpenBLAS and libgfortran from /proc/self/smaps (a LAPACK
 call faults in about 1.2 MiB of their code pages, so a workload that reaches
@@ -29,10 +29,12 @@ takes from the system and gives back. Exits 1 if any call's checks fail,
 
 With --against DIR, runs K pairs (default 5) of fresh processes of this
 script, one on this checkout and one on the checkout at DIR, alternating
-which runs first, and prints each run's pass median per tree and how many
-pairs each tree won. A worker process runs all its passes in one of two
-speed modes, so a slow-mode run shows as one outlier row, not as a shifted
-median. Exits 1 if any run exits non-zero.
+which runs first, and prints each run's pass median, pass minimum and
+median minor faults per pass per tree, then the median over the runs of
+each and how many pairs each tree won on the median and on the minimum. A
+worker process runs all its passes in one of two speed modes, so a
+slow-mode run shows as one outlier row, not as a shifted median; the
+minimum is the steadier figure. Exits 1 if any run exits non-zero.
 """
 
 from __future__ import annotations
@@ -129,10 +131,10 @@ def measure(root: Path, workload: str, passes: int) -> int:
             problems += [p for call in result["calls"] for p in call["problems"]]
 
     print(f"{workload}: {passes} timed pass(es) after one warm-up")
-    print(f"{'call':<22}{'wall ms (median)':>18}{'CPU/wall':>10}{'minflt (median)':>17}")
+    print(f"{'call':<22}{'wall ms (median)':>18}{'(min)':>9}{'CPU/wall':>10}{'minflt (median)':>17}")
     for label, rows in meter.rows.items():
         walls, cpus, faults = zip(*rows)
-        print(f"{label:<22}{1e3 * statistics.median(walls):>18.3f}"
+        print(f"{label:<22}{1e3 * statistics.median(walls):>18.3f}{1e3 * min(walls):>9.3f}"
               f"{sum(cpus) / sum(walls):>10.2f}{statistics.median(faults):>17.0f}")
     print(f"ru_maxrss: self {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.2f} MiB, "
           f"largest child {runner.max_child_rss_kb / 1024:.2f} MiB")
@@ -148,13 +150,14 @@ def measure(root: Path, workload: str, passes: int) -> int:
 
 def alternate(other: Path, workload: str, passes: int, runs: int) -> int:
     """`runs` pairs of fresh `measure` processes, this checkout against `other`: each
-    run's pass median per tree and the wins."""
+    run's pass median, minimum and minor faults per tree, and the wins."""
     trees = {"this": ROOT, "other": other}
-    medians = {name: [] for name in trees}
+    results = {name: [] for name in trees}  # (median ms, minimum ms, faults) per run
     failed = 0
     print(f"{workload}: {runs} alternated pair(s) of fresh runs, {passes} timed pass(es) each")
     print(f"other = {other}")
-    print(f"{'pair':<6}{'this ms':>10}{'other ms':>10}  first")
+    print(f"{'pair':<6}" + "".join(f"{name + ' ' + column:>14}" for name in trees
+                                   for column in ("ms", "min ms", "minflt")) + "  first")
     for k in range(runs):
         order = list(trees) if k % 2 == 0 else list(trees)[::-1]
         for name in order:
@@ -162,15 +165,21 @@ def alternate(other: Path, workload: str, passes: int, runs: int) -> int:
                                   "--tree", str(trees[name])], capture_output=True, text=True)
             failed += run.returncode != 0
             row = next((line.split() for line in run.stdout.splitlines() if line.startswith("pass ")), None)
-            medians[name].append(float(row[1]) if row else float("nan"))
+            results[name].append((float(row[1]), float(row[2]), float(row[4])) if row else (float("nan"),) * 3)
             if run.returncode:
                 last = (run.stdout + run.stderr).strip().splitlines()[-1:] or [""]
                 print(f"  {name} run of pair {k + 1} exited {run.returncode}: {last[0]}")
-        print(f"{k + 1:<6}{medians['this'][-1]:>10.3f}{medians['other'][-1]:>10.3f}  {order[0]}")
-    this, other_ms = medians["this"], medians["other"]
-    print(f"median of runs: this {statistics.median(this):.3f} ms, other {statistics.median(other_ms):.3f} ms")
-    print(f"wins: this {sum(a < b for a, b in zip(this, other_ms))} of {runs}, "
-          f"other {sum(b < a for a, b in zip(this, other_ms))} of {runs}")
+        cells = (f"{ms:>14.3f}{low:>14.3f}{faults:>14.0f}" for ms, low, faults in
+                 (results[name][-1] for name in trees))
+        print(f"{k + 1:<6}{''.join(cells)}  {order[0]}")
+    this, other_runs = (list(zip(*results[name])) for name in trees)
+    for column, label in enumerate(("median", "minimum")):
+        print(f"pass {label}, median of runs: this {statistics.median(this[column]):.3f} ms, "
+              f"other {statistics.median(other_runs[column]):.3f} ms; wins: this "
+              f"{sum(a < b for a, b in zip(this[column], other_runs[column]))} of {runs}, other "
+              f"{sum(b < a for a, b in zip(this[column], other_runs[column]))} of {runs}")
+    print(f"minflt per pass, median of runs: this {statistics.median(this[2]):.0f}, "
+          f"other {statistics.median(other_runs[2]):.0f}")
     return 1 if failed else 0
 
 

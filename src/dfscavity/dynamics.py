@@ -8,9 +8,12 @@ spectrum (w, v), checked by `_checked` against the matrix it diagonalises:
 second-order operator, c * ones((6, 6))). `_series`, `_evaluate` of `_fold`,
 evolves a state from a spectrum: `_fold` keeps one part per distinct occupied
 frequency (3 or 4 for the exact block, 2 for the pair swap), and `_evaluate`
-multiplies the parts by the phases e^{-i w t} of `_phases`: a coarse x fine
-table on a grid of `even_grid` (every exact run's), about 2 sqrt(len(times))
-exponentials, otherwise one cos and one sin per time and frequency.
+multiplies the parts by the phases e^{-i w t} of `_phases`. On a grid of
+`even_grid` (every exact run's) the phases separate, e^{-i w t_{aF + b}} =
+coarse[a] fine[b]: `_grid_factors` returns the two factors, about 2
+sqrt(len(times)) exponentials per frequency, which the Rabi fit contracts
+without ever forming the table and `_phases` multiplies out; any other times
+take one cos and one sin per time and frequency.
 `make_propagator`, `evolve_exact` and `evolve_times` take `numpy.linalg.eigh`
 of any hermitian generator: they are the tests' dense oracles, with scaling
 and squaring and the unfolded sum over every eigenvalue as cross-checks.
@@ -76,24 +79,34 @@ def even_grid(t_max: float, points: int) -> np.ndarray:
     return times
 
 
-def _phases(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """exp(-i x y) over the outer product, shape (len(x), len(y)).
+def _grid_factors(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The coarse x fine factors of exp(-i x y) on a grid x of `even_grid` long enough
+    for them to save exponentials, else None.
 
-    On a grid of `even_grid`, where it saves exponentials, a coarse x fine table: with
-    F = ceil(sqrt(len(x))), e^{-i x[aF + b] y} = e^{-i x[aF] y} e^{-i x[b] y}, so each
-    frequency costs F + ceil(len(x)/F) exponentials and one complex product per point,
-    within 1e-12 (1 + max|x| max|y|) of np.exp(-1j * np.outer(x, y)) (x[aF] + x[b] is
-    x[aF + b] to a few ulps of max|x|). Any other x (a copy of such a grid too): one cos
-    and one sin of -x y per entry, bit for bit np.exp(-1j * np.outer(x, y))."""
-    x = np.asarray(x, dtype=float)
+    With F = ceil(sqrt(len(x))), e^{-i x[aF + b] y} = coarse[a] fine[b], coarse =
+    e^{-i x[::F] y} (ceil(len(x)/F) rows) and fine = e^{-i x[:F] y} (F rows): each
+    frequency costs F + ceil(len(x)/F) exponentials, and a product is within 1e-12
+    (1 + max|x| max|y|) of the exponential (x[aF] + x[b] is x[aF + b] to a few ulps of
+    max|x|). A copy of such a grid, or any other x, gives None."""
     points = len(x)
     fine = math.ceil(math.sqrt(points)) or 1
     if fine + math.ceil(points / fine) < points and _GRIDS.get(id(x)) is x:
-        # frequency-major (y, coarse, fine), so the product runs along contiguous fine rows
-        coarse = _direct_phases(y, x[::fine])
-        table = coarse[:, :, None] * _direct_phases(y, x[:fine])[:, None, :]
-        return table.reshape(len(coarse), coarse.shape[1] * fine)[:, :points].T
-    return _direct_phases(x, y)
+        return _direct_phases(x[::fine], y), _direct_phases(x[:fine], y)
+    return None
+
+
+def _phases(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """exp(-i x y) over the outer product, shape (len(x), len(y)): on a grid of
+    `even_grid` the table of its `_grid_factors`' products; any other x, one cos and
+    one sin of -x y per entry, bit for bit np.exp(-1j * np.outer(x, y))."""
+    x = np.asarray(x, dtype=float)
+    factors = _grid_factors(x, y)
+    if factors is None:
+        return _direct_phases(x, y)
+    # frequency-major, so the product runs along contiguous fine rows
+    coarse, fine = (np.ascontiguousarray(factor.T) for factor in factors)
+    table = coarse[:, :, None] * fine[:, None, :]
+    return table.reshape(len(y), -1)[:, :len(x)].T
 
 
 def _direct_phases(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -23,16 +23,17 @@ of |egeg, n> onto its 3 or 4 occupied frequencies w_k (dynamics._fold) from the
 closed-form spectrum of H0 + Hint (dynamics.block_spectrum). The pair-swap and
 derived operators evolve from closed-form spectra too, so no step calls LAPACK,
 and internal_consistency_defect compares the cos/sin pair map with a spectrum
-checked against build_h_eff's matrix. extract_rabi gets each population group (rows r) as
-sum_k h_kk + 2 sum_{k<l} Re(h_kl e^{i(w_k - w_l)t}), h_kl = sum_r
-conj(parts[r, k]) parts[r, l], from one real product over 3 or 6 beats, and the
-Stark phase from row 0, sum_k parts[0, k] e^{-i w_k t}, unwrapped as the running
-sum of each step's phase (the grid's e^{-i w_k t} come from dynamics._phases' table);
-compare_effective_models evaluates only rows 0 to 5 and derives the 6x6
-second-order operator once, from the block's energies and hint, for its
-(row, col, value) difference entries. Both need 0 <= n <= n_max - 4, so the
-block stops at m = n + 2 <= n_max - 2 and the guard occupation is 0 by
-construction.
+checked against build_h_eff's matrix. On the grid, e^{-i w t} is a coarse x fine
+product (dynamics._grid_factors), and extract_rabi forms no (times x frequencies)
+array: each population group (rows r), sum_k h_kk + 2 sum_{k<l} Re(h_kl e^{i(w_k -
+w_l)t}) with h_kl = sum_r conj(parts[r, k]) parts[r, l], comes from one real product
+of the weighted coarse beat factors with the fine ones, and the Stark phase of row
+0, sum_k parts[0, k] e^{-i w_k t}, from one (coarse x K)(K x fine) product;
+compare_effective_models evaluates only rows 0 to 5 (all 16 pair-swap amplitudes
+only at the 26 times of its pair_exchange check) and derives the 6x6 second-order
+operator once, from the block's energies and hint, for its (row, col, value)
+difference entries. Both need 0 <= n <= n_max - 4, so the block stops at m = n + 2
+<= n_max - 2 and the guard occupation is 0 by construction.
 
 Model comparisons use the classical fidelity between atomic population
 distributions, (sum_i |a_i| |b_i|)^2, over the six manifold states the effective
@@ -53,7 +54,7 @@ import numpy as np
 from .dynamics import (
     _evaluate,
     _fold,
-    _phases,
+    _grid_factors,
     _propagator,
     _series,
     block_spectrum,
@@ -241,6 +242,20 @@ def _exact_run(params: SystemParams, n: int, points: int):
     return omega, block, times, _propagator(w, v, t_max), _fold(w, v, psi0)
 
 
+def _stark_rate(times: np.ndarray, freqs: np.ndarray, amplitudes: np.ndarray) -> float:
+    """Minus the least-squares slope of the phase of sum_k amplitudes[k] e^{-i w_k t} on an
+    `even_grid`, unwrapped as the running sum from 0 of each step's phase in (-pi, pi], the
+    branch np.unwrap picks; the series is one (coarse x K)(K x fine) product of the phase
+    factors, short enough for OpenBLAS to run on one thread."""
+    coarse, fine = _grid_factors(times, freqs)
+    steps = ((coarse * amplitudes) @ fine.T).ravel()[:len(times)]
+    steps[1:] *= steps[:-1].conj()
+    steps[0] = 1.0
+    phase = np.cumsum(np.angle(steps))
+    centred = times - times.mean()
+    return -float(centred @ phase / (centred @ centred))
+
+
 def extract_rabi(params: SystemParams, n: int = 0,
                  min_peak_population: float = 0.5) -> ValidationRun:
     """Fit the |egeg,n> -> |gege,n> population-transfer frequency under the
@@ -258,31 +273,18 @@ def extract_rabi(params: SystemParams, n: int = 0,
         raise ValueError(f"the fit threshold min_peak_population must be a number in [0, 1], "
                          f"got {min_peak_population}")
     omega, (levels, _, _), times, u, (freqs, parts) = _exact_run(params, n, RABI_FIT_POINTS)
-    waves = _phases(times, freqs)  # (points, frequencies)
-    # common-phase (Stark) rate: least-squares slope of the unwrapped autocorrelation phase,
-    # summed from 0 over each step's phase in (-pi, pi], the branch np.unwrap picks;
-    # einsum and real products: OpenBLAS threads complex ones this long
-    steps = np.einsum("tk,k->t", waves, parts[0])  # the autocorrelation <egeg|psi(t)>
-    steps[1:] *= steps[:-1].conj()
-    steps[0] = 1.0
-    phase = np.cumsum(np.angle(steps))
-    del steps
-    centred = times - times.mean()
-    stark_fit = -float(centred @ phase / (centred @ centred))
-
+    stark_fit = _stark_rate(times, freqs, parts[0])  # of the autocorrelation <egeg|psi(t)>
     k, l = np.triu_indices(len(freqs), 1)
-    beats = np.empty((len(times), len(k)), dtype=complex)  # e^{i(w_k - w_l)t} per k < l
-    for j in range(len(k)):
-        np.conjugate(waves[:, k[j]], out=beats[:, j])
-        beats[:, j] *= waves[:, l[j]]
-    del waves
     one_hot = np.eye(len(levels))
     groups = np.array([one_hot[0], one_hot[_GEGE], one_hot[_EXCHANGE].sum(axis=0),
                        levels == n, levels >= 0, levels >= params.n_max - 1], dtype=float)
-    # 0/1 population groups, one row each; no block state is a guard level, so its row is 0
-    coef = (2 * groups @ (parts[:, k] * parts[:, l].conj())).view(float)  # 2 Re h_kl, -2 Im h_kl
-    pops = coef @ beats.view(float).T
-    del beats
+    # 0/1 population groups, one row each; no block state is a guard level, so its row is 0.
+    # Each is its constant plus 2 Re sum_j h_j e^{i(w_k - w_l)t} over the 3 or 6 beats j, each
+    # beat a coarse x fine product: Re(z f) = Re z Re f - Im z Im f, one real product
+    beat_coarse, beat_fine = _grid_factors(times, freqs[l] - freqs[k])
+    weighted = (2 * groups @ (parts[:, k].conj() * parts[:, l]))[:, None, :] * beat_coarse
+    np.conjugate(weighted, out=weighted)  # (groups, coarse times, beats)
+    pops = (weighted.view(float) @ beat_fine.view(float).T).reshape(len(groups), -1)[:, :len(times)]
     pops += groups @ (np.abs(parts) ** 2).sum(axis=1)[:, None]
     p_egeg, p_gege, p_exchange, p_level_n, totals, guard = pops
 
@@ -373,21 +375,20 @@ def compare_effective_models(params: SystemParams, n: int = 0) -> EffectiveModel
 
     egeg = np.eye(N_ATOMIC_CONFIGS, dtype=complex)[_COLS[0]]  # one-hot |egeg>
     h_pair_swap = build_h_eff(params, n, include_stark=False)
-    amps_pair_swap = _series(*pair_swap_spectrum(h_pair_swap.matrix), egeg, times)  # (t, 16)
-
+    swap_freqs, swap_parts = _fold(*pair_swap_spectrum(h_pair_swap.matrix), egeg)
+    # each model's magnitudes on the six configurations, (t, 6)
+    mags_pair_swap = np.abs(_evaluate(swap_freqs, swap_parts[_COLS], times))
     derived = derive_second_order(energies, hint, MANIFOLD_ROWS)
-    amps_derived = _series(*uniform_spectrum(derived), egeg[_COLS], times)  # (t, 6)
-
-    # the full model's six states at Fock n, (t, 6); weight outside them lowers the fidelity
+    mags_derived = np.abs(_series(*uniform_spectrum(derived), egeg[_COLS], times))
+    # the full model's six states at Fock n; weight outside them lowers the fidelity
     full = np.abs(_evaluate(freqs, parts[:len(MANIFOLD_ROWS)], times))
-    fid_pair_swap = np.sum(np.abs(amps_pair_swap[:, _COLS]) * full, axis=1) ** 2
-    fid_derived = np.sum(np.abs(amps_derived) * full, axis=1) ** 2
+    fid_pair_swap = np.sum(mags_pair_swap * full, axis=1) ** 2
+    fid_derived = np.sum(mags_derived * full, axis=1) ** 2
 
-    # internal consistency of the pair-swap route against the closed-form map
-    sampled = slice(0, COMPARISON_POINTS, COMPARISON_POINTS // 25)
-    areas = omega * times[sampled]
-    closed = pair_exchange(np.broadcast_to(egeg[:, None], (16, len(areas))), areas)
-    defect = float(np.max(np.abs(closed.T - amps_pair_swap[sampled])))
+    # internal consistency of the pair-swap route against the closed-form map, on all 16 rows
+    sampled = times[::COMPARISON_POINTS // 25]
+    closed = pair_exchange(np.broadcast_to(egeg[:, None], (16, len(sampled))), omega * sampled)
+    defect = float(np.max(np.abs(closed.T - _evaluate(swap_freqs, swap_parts, sampled))))
 
     entries = _difference_entries(derived, h_pair_swap)
     max_inf_pair_swap = float(np.max(1.0 - fid_pair_swap))

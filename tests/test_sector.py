@@ -122,20 +122,28 @@ class TestPairBlock:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_rabi_fit_memory_peak(self):
-        # the populations come from the 3 beat series of the 3 occupied frequencies; the
-        # traced peak reads 709 KiB, while the phases and the beats, each (6001, 3) complex
-        # at 281 KiB, are both alive. The bound leaves 13 % over that; the full (6001, 7)
-        # amplitude series with its squared parts peaked at 1,365 KiB
+    @pytest.mark.parametrize("fit, n, bound_kib", [
+        # the populations and the Stark phase from coarse x fine phase factors: the traced
+        # peak reads 546 KiB at n = 0 and 553 at n = 2, the (6, 6001) populations the largest
+        # array; the (6001, frequencies) phase table and (6001, beats) beat array peaked at
+        # 709 and 1,084 KiB
+        (validate.forced_rabi_fit, 0, 600),
+        (validate.forced_rabi_fit, 2, 600),
+        # the pair swap on six rows and magnitudes only: 317 and 377 KiB; with its whole
+        # (1201, 16) series and the amplitudes of each model alive, 662 and 672 KiB
+        (validate.compare_effective_models, 0, 420),
+        (validate.compare_effective_models, 2, 420),
+    ])
+    def test_exact_run_memory_peak(self, fit, n, bound_kib):
         params = SystemParams(G=1.0, delta=40.0, n_max=16)
-        validate.forced_rabi_fit(params)  # first-call set-up outside the trace
+        fit(params, n)  # first-call set-up outside the trace
         tracemalloc.start()
         try:
-            validate.forced_rabi_fit(params)
+            fit(params, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 800 * 2**10
+        assert peak < bound_kib * 2**10
 
     def test_validate_effective_results_do_not_depend_on_n_max(self):
         # every number comes from the block; only the perturbative flag reads n_max

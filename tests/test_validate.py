@@ -11,8 +11,17 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 import dfscavity
-from dfscavity.dynamics import _evaluate, _series, block_spectrum, evolve_times
-from dfscavity.hilbert import Operator, StateVector, SystemParams
+from dfscavity.dynamics import (
+    _evaluate,
+    _phases,
+    _series,
+    block_spectrum,
+    evolve_times,
+    pair_exchange,
+    pair_swap_spectrum,
+    uniform_spectrum,
+)
+from dfscavity.hilbert import Operator, StateVector, SystemParams, unitary_defect
 from dfscavity.model import (
     MANIFOLD_ROWS,
     TWO_EXCITATION_CONFIGS,
@@ -496,3 +505,107 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def _table_route_fit(params, n, min_peak_population):
+    """extract_rabi by the earlier table-and-beats route: the (times, frequencies) phase
+    table of `_phases`, the (times, beats) array of e^{i(w_k - w_l)t} and the Stark phase
+    from an einsum over the table; raises RabiFitError as extract_rabi does."""
+    omega, (levels, _, _), times, u, (freqs, parts) = _exact_run(params, n, RABI_FIT_POINTS)
+    waves = _phases(times, freqs)
+    steps = np.einsum("tk,k->t", waves, parts[0])
+    steps[1:] *= steps[:-1].conj()
+    steps[0] = 1.0
+    phase = np.cumsum(np.angle(steps))
+    centred = times - times.mean()
+    stark_fit = -float(centred @ phase / (centred @ centred))
+    k, l = np.triu_indices(len(freqs), 1)
+    beats = np.empty((len(times), len(k)), dtype=complex)
+    for j in range(len(k)):
+        beats[:, j] = waves[:, k[j]].conj() * waves[:, l[j]]
+    one_hot = np.eye(len(levels))
+    groups = np.array([one_hot[0], one_hot[TWO_EXCITATION_LABELS.index("gege")],
+                       one_hot[[TWO_EXCITATION_LABELS.index(lab) for lab in ("egge", "geeg", "eegg", "ggee")]]
+                       .sum(axis=0), levels == n, levels >= 0, levels >= params.n_max - 1], dtype=float)
+    coef = (2 * groups @ (parts[:, k] * parts[:, l].conj())).view(float)
+    pops = coef @ beats.view(float).T + groups @ (np.abs(parts) ** 2).sum(axis=1)[:, None]
+    p_egeg, p_gege, p_exchange, p_level_n, totals, guard = pops
+    peak_times = _quadratic_peak_times(times, p_gege)
+    omega_fit = (np.pi / np.mean(np.diff(peak_times)) if len(peak_times) >= 2
+                 else np.pi / (2 * peak_times[0]) if peak_times else np.nan)
+    peak_pop = float(p_gege.max())
+    too_small = peak_pop < min_peak_population
+    diagnostic = (f"peak transfer {peak_pop:.6f} below the fit threshold {min_peak_population}" if too_small
+                  else None if np.isfinite(omega_fit) else "no prominent peak in the |gege> population")
+    run = ValidationRun(
+        omega_expected=omega, perturbative_ok=params.perturbative_ok, omega_fit=omega_fit,
+        relative_deviation=abs(omega_fit - abs(omega)) / abs(omega) if np.isfinite(omega_fit) else np.nan,
+        peak_population=peak_pop,
+        leakage_pair=np.max(1.0 - (p_egeg + p_gege) / totals),
+        leakage_exchange=p_exchange.max(),
+        leakage_photon=np.max(totals - p_level_n),
+        guard_leakage=guard.max(),
+        stark_shift_fit=stark_fit,
+        unitarity_defect=unitary_defect(u),
+        normalization_defect=np.max(np.abs(np.sqrt(totals) - 1.0)),
+        diagnostic=diagnostic)
+    if too_small:
+        raise RabiFitError(f"oscillation amplitude too small to fit: peak population {peak_pop:.6f} "
+                           f"< {min_peak_population}", run)
+    if diagnostic is not None:
+        raise RabiFitError(diagnostic, run)
+    return run
+
+
+def _table_route_comparison(params, n):
+    """compare_effective_models by the earlier route: the pair swap's whole (times, 16)
+    series, its six manifold columns for the fidelity and 26 sampled rows for the
+    pair_exchange check."""
+    omega, (_, energies, hint), times, _, (freqs, parts) = _exact_run(params, n, COMPARISON_POINTS)
+    egeg = np.eye(16, dtype=complex)[TWO_EXCITATION_CONFIGS[0]]
+    cols = list(TWO_EXCITATION_CONFIGS)
+    h_pair_swap = build_h_eff(params, n, include_stark=False)
+    amps_pair_swap = _series(*pair_swap_spectrum(h_pair_swap.matrix), egeg, times)
+    derived = derive_second_order(energies, hint, MANIFOLD_ROWS)
+    amps_derived = _series(*uniform_spectrum(derived), egeg[cols], times)
+    full = np.abs(_evaluate(freqs, parts[:len(MANIFOLD_ROWS)], times))
+    fid_pair_swap = np.sum(np.abs(amps_pair_swap[:, cols]) * full, axis=1) ** 2
+    fid_derived = np.sum(np.abs(amps_derived) * full, axis=1) ** 2
+    sampled = slice(0, COMPARISON_POINTS, COMPARISON_POINTS // 25)
+    closed = pair_exchange(np.broadcast_to(egeg[:, None], (16, 26)), omega * times[sampled])
+    return (fid_pair_swap, fid_derived, float(np.max(np.abs(closed.T - amps_pair_swap[sampled]))))
+
+
+def _outcome(fit, params, n, threshold):
+    """(the RabiFitError message or None, the run) of one fit."""
+    try:
+        return None, fit(params, n, threshold)
+    except RabiFitError as err:
+        return str(err), err.run
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 6])
+@pytest.mark.parametrize("ratio", [5.0, 10.0, 20.0, 40.0, 80.0, -20.0])
+def test_phase_factor_route_matches_the_table_route(ratio, n):
+    # the populations and the Stark phase from the coarse x fine factors against the full
+    # phase table and beat array: every value within 1e-10 relative (1e-14 absolute for
+    # values of order eps), every message, diagnostic and gate outcome the same
+    params = SystemParams(G=1.0, delta=ratio, n_max=16)
+    for threshold in (0.0, 0.5):
+        (message, got), (want_message, want) = (_outcome(fit, params, n, threshold)
+                                                for fit in (extract_rabi, _table_route_fit))
+        assert message == want_message
+        for field in fields(got):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(a, float):
+                np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-14, err_msg=field.name)
+            else:
+                assert a == b, field.name
+    comp = compare_effective_models(params, n)
+    pair_swap, derived, defect = _table_route_comparison(params, n)
+    np.testing.assert_allclose(comp.fidelity_pair_swap_vs_full, pair_swap, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(comp.fidelity_derived_vs_full, derived, rtol=1e-10, atol=0)
+    assert comp.max_infidelity_pair_swap == float(np.max(1.0 - pair_swap))
+    assert comp.max_infidelity_derived == float(np.max(1.0 - derived))
+    assert comp.derived_tracks_full_better == (np.max(1.0 - derived) < np.max(1.0 - pair_swap))
+    np.testing.assert_allclose(comp.internal_consistency_defect, defect, rtol=1e-10, atol=1e-14)
