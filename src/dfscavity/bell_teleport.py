@@ -278,8 +278,10 @@ def teleport(theta: float | np.ndarray, delay: float | np.ndarray = 0.0, encodin
     every branch's probability and fidelity, and the returned average, then
     have the broadcast shape. Each branch's weights conj(C^H psi) * bob/|bob|
     depend on theta alone; its fidelity at every point is |D @ weights^T|^2,
-    D the channel diagonal there, one product per theta row. A call peaks
-    at about 100 B per point, 160 B with dephasing, and keeps 40 B.
+    D the channel diagonal there (the product of the delay and dephasing
+    diagonals), one product per branch and theta row, so each branch's
+    fidelities are one contiguous array. A call peaks at about 50 B per point,
+    115 B with dephasing, and keeps 40 B.
 
     bare: the single-atom comparison channel. An ideally teleported
     (|g> + e^{i theta}|e>)/sqrt2 goes through `collective_phases(., 1)` for
@@ -330,14 +332,19 @@ def teleport(theta: float | np.ndarray, delay: float | np.ndarray = 0.0, encodin
         weights = target * (bob / np.sqrt(p)[..., None])
         channel = collective_phases(atom_splitting * delay, 2)
         if dephase_phi is not None:
-            channel = channel * collective_phases(dephase_phi, 2)
+            # the product of the two diagonals (a summed phase could overflow), written into
+            # the dephasing diagonal when that already has the broadcast shape
+            dephasing = collective_phases(dephase_phi, 2)
+            fits = dephasing.shape == np.broadcast_shapes(channel.shape, dephasing.shape)
+            channel = np.multiply(channel, dephasing, out=dephasing if fits else None)
         shape = np.broadcast_shapes(np.shape(theta), channel.shape[:-1])
-        if np.shape(theta)[-1:] == (1,):  # theta rows: every point of a row in one (n x 4) @ (4 x 4)
+        if np.shape(theta)[-1:] == (1,):  # theta rows: every point of a row in one (n x 4) @ (4 x 1)
             channel, weights = np.atleast_2d(channel), weights[..., 0, :, :]
         else:
             channel = channel[..., None, :]
-        fid = (np.abs(channel @ weights.mT) ** 2).reshape(shape + (4,))
-        branches = tuple(TeleportBranch(label, np.broadcast_to(p[..., k], shape)[()], fid[..., k][()])
+        # one (..., 1) product per branch: each branch's fidelities are one contiguous grid
+        branches = tuple(TeleportBranch(label, np.broadcast_to(p[..., k], shape)[()],
+                                        (np.abs(channel @ weights[..., k, :, None]) ** 2).reshape(shape)[()])
                          for k, label in enumerate(BELL_OUTCOME_MAP.values()))
         avg = sum(b.probability * b.fidelity for b in branches)
     pick = None if seed is None else _sample(branches, seed)

@@ -5,7 +5,8 @@ No runtime path calls LAPACK: every generator a run evolves has a closed-form
 spectrum (w, v), checked by `_checked` against the matrix it diagonalises:
 `block_spectrum` (model.pair_block, from model.bright_ladder),
 `pair_swap_spectrum` (model.build_h_eff) and `uniform_spectrum` (the derived
-second-order operator, c * ones((6, 6))). `_series`, `_evaluate` of `_fold`,
+second-order operator, c * ones((6, 6))); the last two have constant eigenvectors,
+whose unitarity is checked once. `_series`, `_evaluate` of `_fold`,
 evolves a state from a spectrum: `_fold` keeps one part per distinct occupied
 frequency (3 or 4 for the exact block, 2 for the pair swap), and `_evaluate`
 multiplies the parts by the phases e^{-i w t} of `_phases`. On a grid of
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,12 +125,14 @@ def _evaluate(freqs: np.ndarray, parts: np.ndarray, times: np.ndarray) -> np.nda
     return _phases(times, freqs) @ parts.T
 
 
-def _checked(h: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _checked(h: np.ndarray, w: np.ndarray, v: np.ndarray,
+             v_defect: float) -> tuple[np.ndarray, np.ndarray]:
     """(w, v) sorted by w, once they pass as the spectrum of h: raises ValueError unless
-    max|h v - v w| / max(1, max|w|) + unitary_defect(v) < UNITARY_ATOL."""
+    max|h v - v w| / max(1, max|w|) + v_defect < UNITARY_ATOL, v_defect = unitary_defect(v)
+    (a fixed basis passes the value computed once, `_basis_defects`)."""
     order = np.argsort(w)
     w, v = w[order], v[:, order]
-    defect = float(np.abs(h @ v - v * w).max()) / max(1.0, -w[0], w[-1]) + unitary_defect(v)
+    defect = float(np.abs(h @ v - v * w).max()) / max(1.0, -w[0], w[-1]) + v_defect
     if not defect < UNITARY_ATOL:
         raise ValueError(f"the closed-form spectrum misses its generator by {defect:.3g}")
     return w, v
@@ -178,13 +182,14 @@ def block_spectrum(h: np.ndarray, ladder: BrightLadder) -> tuple[np.ndarray, np.
     v[:6, 5:] = _DICKE[:, :1] * x[1]
     v[6, 5:] = x[0]
     v[7:, 5:] = x[2:]
-    return _checked(h, ladder.dark + np.append(np.zeros(5), roots), v)
+    return _checked(h, ladder.dark + np.append(np.zeros(5), roots), v, unitary_defect(v))
 
 
 def pair_swap_spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The checked spectrum (w ascending, v) of `model.build_h_eff`'s pair swap h (no
     Stark term): +-Omega on (|c> +- |c_bar>)/sqrt2, 0 on the ten other configurations."""
-    return _checked(h, float(h[_PARTNERS[0], _ROWS[0]].real) * _SWAP_SIGNS, _SWAP_VECTORS)
+    return _checked(h, float(h[_PARTNERS[0], _ROWS[0]].real) * _SWAP_SIGNS, _SWAP_VECTORS,
+                    _basis_defects()[1])
 
 
 def uniform_spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +197,13 @@ def uniform_spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = c * ones((6, 6)): 6c on |D2>, 0 on the five dark states."""
     w = np.zeros(6)
     w[0] = float(np.sum(h).real) / 6
-    return _checked(h, w, _DICKE)
+    return _checked(h, w, _DICKE, _basis_defects()[0])
+
+
+@lru_cache(maxsize=1)
+def _basis_defects() -> tuple[float, float]:
+    """unitary_defect of the constant bases `_DICKE` and `_SWAP_VECTORS`, on their first use."""
+    return unitary_defect(_DICKE), unitary_defect(_SWAP_VECTORS)
 
 
 def _propagator(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -16,6 +17,7 @@ from dfscavity.bell_teleport import (
     prepare_bell,
     teleport,
 )
+from dfscavity.cli import parse_config, run_experiment
 from dfscavity.dynamics import pair_exchange
 from dfscavity.gates import r_gate_atomic
 from dfscavity.hilbert import StateVector, atomic_index, config_labels
@@ -490,3 +492,39 @@ class TestTeleport:
     def test_unknown_encoding_rejected(self):
         with pytest.raises(ValueError, match="encoding"):
             teleport(0.0, 0.0, "qubit")
+
+    def test_largest_delay_and_dephasing_phases_do_not_overflow(self):
+        # each diagonal is finite at 1e308 and the channel is their product; one diagonal of
+        # the summed phase 2e308 would be inf and every branch NaN
+        for grid in (False, True):
+            shape = (1, 1) if grid else ()
+            avg, report = teleport(np.full(shape, 0.3)[()], np.full(shape, 1e308)[()], "dfs",
+                                   atom_splitting=1.0, dephase_phi=np.full(shape, 1e308)[()])
+            assert np.shape(avg) == shape
+            assert np.all(np.isfinite(avg)) and avg == pytest.approx(1.0, abs=1e-12)
+            for branch in report.branches:
+                assert np.all(np.isfinite(branch.fidelity))
+                assert branch.fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+def _traced_peak(call) -> int:
+    """tracemalloc's peak over a second call, after a first one outside the trace."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the grid peaks at about 642 and 479 KiB; a (..., 4) complex fidelity temporary and a third
+# channel grid would take it to about 799 and 636 KiB
+@pytest.mark.parametrize("call, bound_kib", [
+    (lambda: run_experiment(parse_config("theta_points = 60\ndelay_points = 60\n", "teleport")), 700),
+    (lambda: teleport(np.linspace(0.0, 2 * np.pi, 60, endpoint=False)[:, None],
+                      np.linspace(0.0, 2 * np.pi, 60)[None, :], "dfs",
+                      dephase_phi=np.linspace(0.0, 7.0, 3600).reshape(60, 60)), 560),
+], ids=["experiment", "dephased-grid"])
+def test_teleport_grid_memory_peak(call, bound_kib):
+    assert _traced_peak(call) < bound_kib * 2**10

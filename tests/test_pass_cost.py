@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "pass_cost.py"
 
@@ -48,8 +50,24 @@ def test_openblas_resident_size_shows_a_lapack_call():
     assert before > 0 and after - before >= 512
 
 
-def test_names_the_modules_the_warm_up_pass_imports():
-    run = _pass_cost("--workload", "protocol-sweeps", "--passes", "1")
+@pytest.fixture(scope="module")
+def protocol_sweeps_pass():
+    """One warm-up and one timed protocol-sweeps pass, shared by the tests that read it."""
+    return _pass_cost("--workload", "protocol-sweeps", "--passes", "1")
+
+
+def test_a_warm_protocol_sweeps_pass_faults_no_pages_back_in(protocol_sweeps_pass):
+    run = protocol_sweeps_pass
+    assert run.returncode == 0, run.stdout + run.stderr
+    rows = {line.split()[0]: line.split()[1:] for line in run.stdout.splitlines()[2:8]}
+    assert list(rows) == ["teleport", "thermal", "stagger-sweep", "cnot-verify", "bell", "pass"]
+    # a teleport call that frees a full-grid complex temporary (230 KB at 60 x 60) lets glibc
+    # trim the heap top, and each trimmed page faults back in on the next pass (about 80)
+    assert float(rows["pass"][-1]) < 10
+
+
+def test_names_the_modules_the_warm_up_pass_imports(protocol_sweeps_pass):
+    run = protocol_sweeps_pass
     assert run.returncode == 0, run.stdout + run.stderr
     line = run.stdout.splitlines()[-2]
     count, _, names = line.removeprefix("warm-up imports: ").partition(": ")
