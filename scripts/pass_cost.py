@@ -1,4 +1,5 @@
-"""Per-pass cost of one benchmark workload: wall time, CPU/wall, minor faults, peak RSS.
+"""Per-pass cost of one benchmark workload: wall time, CPU/wall, minor faults, traced
+peak, peak RSS.
 
     python3 scripts/pass_cost.py --workload NAME [--passes N] [--tree DIR]
     python3 scripts/pass_cost.py --workload NAME [--passes N] --against DIR [--runs K]
@@ -12,20 +13,22 @@ from the checkout at --tree (default: the one holding this script).
 
 Prints, per call and for the whole pass, the median and the minimum wall
 time, the process CPU time over the wall time summed over the timed passes
-(children's CPU included), and the median minor page faults; then `ru_maxrss` of this
-process and of its largest child; then the resident KiB of this process's
-mappings of numpy's OpenBLAS and libgfortran from /proc/self/smaps (a LAPACK
-call faults in about 1.2 MiB of their code pages, so a workload that reaches
-one shows it here); then the count and names of the modules
-that the warm-up pass imports beyond those loaded at start-up, so a layer
-that pulls in numpy.random, scipy or numpy.ma shows on one line. A CPU/wall
-well above 1 means a library call ran on more than one thread: OpenBLAS
-hands a large enough product to its thread pool, whose threads keep
-spinning after it returns. The timed
-passes start half a second after the warm-up, once the pool has stopped the
-spin that numpy's import sets off. Faults per pass show memory the pass
-takes from the system and gives back. Exits 1 if any call's checks fail,
-0 otherwise.
+(children's CPU included), the median minor page faults, and the traced peak in
+KiB: the most memory `tracemalloc` traces during the call above what it traced at
+the call's start, over one more pass after the timed ones (untimed, so tracing
+does not move the timings), or `-` for a call that runs as a CLI process and for a
+pass of them; then `ru_maxrss` of this process (read before the traced pass) and of
+its largest child; then the resident KiB of this process's mappings of numpy's
+OpenBLAS and libgfortran from /proc/self/smaps (a LAPACK call faults in about 1.2
+MiB of their code pages, so a workload that reaches one shows it here); then the
+count and names of the modules that the warm-up pass imports beyond those loaded
+at start-up, so a layer that pulls in numpy.random, scipy or numpy.ma shows on one
+line. A CPU/wall well above 1 means a library call ran on more than one thread:
+OpenBLAS hands a large enough product to its thread pool, whose threads keep
+spinning after it returns. The timed passes start half a second after the warm-up,
+once the pool has stopped the spin that numpy's import sets off. Faults per pass
+show memory the pass takes from the system and gives back. Exits 1 if any call's
+checks fail, 0 otherwise.
 
 With --against DIR, runs K pairs (default 5) of fresh processes of this
 script, one on this checkout and one on the checkout at DIR, alternating
@@ -47,6 +50,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -77,8 +81,39 @@ class Meter:
         yield
         wall = time.perf_counter() - start
         cpu, faults = _usage()
-        label = name.partition(".call.")[2] or "pass"  # the worker's span names
-        self.rows.setdefault(label, []).append((wall, cpu - cpu0, faults - faults0))
+        self.rows.setdefault(_label(name), []).append((wall, cpu - cpu0, faults - faults0))
+
+
+class PeakMeter:
+    """Stands in for the tracer of one `Runner.run_pass(spans)` while tracemalloc traces;
+    records each span's traced peak above the traced memory at its start, in bytes. A
+    span resets tracemalloc's peak, so the spans it nests in take the peak so far first."""
+
+    def __init__(self):
+        self.peaks: dict[str, int] = {}
+        self._open: list[list[int]] = []  # [traced at start, highest traced seen] per open span
+
+    def _raise_open(self, peak: int) -> None:
+        for span in self._open:
+            span[1] = max(span[1], peak)
+
+    @contextmanager
+    def span(self, name: str):
+        current, peak = tracemalloc.get_traced_memory()
+        self._raise_open(peak)
+        tracemalloc.reset_peak()
+        mine = [current, current]
+        self._open.append(mine)
+        yield
+        self._open.pop()
+        peak = tracemalloc.get_traced_memory()[1]
+        self._raise_open(peak)
+        self.peaks[_label(name)] = max(mine[1], peak) - mine[0]
+
+
+def _label(span_name: str) -> str:
+    """A call's label or "pass", from the worker's span names."""
+    return span_name.partition(".call.")[2] or "pass"
 
 
 def resident_kib(*names: str) -> list[int | None]:
@@ -129,14 +164,28 @@ def measure(root: Path, workload: str, passes: int) -> int:
         for _ in range(passes):
             result = runner.run_pass(meter)
             problems += [p for call in result["calls"] for p in call["problems"]]
+        self_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        # a CLI process's memory is its own, and a pass of them would trace only their spawning
+        in_child = {call.label for call in runner.calls if call.api == "cli"}
+        peak_meter = PeakMeter()
+        if len(in_child) < len(runner.calls):  # some call runs in this process
+            tracemalloc.start()
+            try:
+                runner.run_pass(peak_meter)
+            finally:
+                tracemalloc.stop()
+        if in_child:
+            in_child.add("pass")
 
     print(f"{workload}: {passes} timed pass(es) after one warm-up")
-    print(f"{'call':<22}{'wall ms (median)':>18}{'(min)':>9}{'CPU/wall':>10}{'minflt (median)':>17}")
+    print(f"{'call':<22}{'wall ms (median)':>18}{'(min)':>9}{'CPU/wall':>10}{'minflt (median)':>17}"
+          f"{'peak KiB':>10}")
     for label, rows in meter.rows.items():
         walls, cpus, faults = zip(*rows)
+        peak = "-" if label in in_child else f"{peak_meter.peaks[label] / 1024:.0f}"
         print(f"{label:<22}{1e3 * statistics.median(walls):>18.3f}{1e3 * min(walls):>9.3f}"
-              f"{sum(cpus) / sum(walls):>10.2f}{statistics.median(faults):>17.0f}")
-    print(f"ru_maxrss: self {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.2f} MiB, "
+              f"{sum(cpus) / sum(walls):>10.2f}{statistics.median(faults):>17.0f}{peak:>10}")
+    print(f"ru_maxrss: self {self_rss_kb / 1024:.2f} MiB, "
           f"largest child {runner.max_child_rss_kb / 1024:.2f} MiB")
     blas, gfortran = resident_kib("openblas", "gfortran")
     print(f"OpenBLAS resident: {blas} KiB, libgfortran {gfortran} KiB (self, /proc/self/smaps)")

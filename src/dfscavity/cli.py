@@ -449,10 +449,10 @@ def _run_teleport(c: ExperimentConfig) -> tuple[dict, dict, dict]:
     # bit for bit, so they never reach the report (and no run loads numpy.random)
     bits = random.Random(c.seed).randbytes(4 * thetas.size * delays.size)
     dephases = np.frombuffer(bits, dtype="<u4").reshape(thetas.size, delays.size) * (2 * np.pi / 2**32)
-    grids = [teleport(thetas[:, None], delays[None, :], "dfs", atom_splitting=c.atom_splitting,
-                      dephase_phi=phi)[1].branches for phi in (None, dephases)]
-    worst = max(_deviation_from_1(b.fidelity) for branches in grids for b in branches)
-    prob_defect = max(_deviation_from_1(sum(b.probability for b in branches)) for branches in grids)
+    branches = teleport(thetas[:, None], delays[None, :], "dfs", atom_splitting=c.atom_splitting,
+                        dephase_phi=dephases)[1].branches
+    worst = max(_deviation_from_1(b.fidelity) for b in branches)
+    prob_defect = _deviation_from_1(sum(b.probability for b in branches))
     bare_fid, _ = teleport(np.pi / 2, np.pi / c.atom_splitting, "bare",
                            atom_splitting=c.atom_splitting)
     fid_single, rep_single = teleport(c.theta, c.delay_T, "dfs",

@@ -5,16 +5,15 @@ No runtime path calls LAPACK: every generator a run evolves has a closed-form
 spectrum (w, v), checked by `_checked` against the matrix it diagonalises:
 `block_spectrum` (model.pair_block, from model.bright_ladder),
 `pair_swap_spectrum` (model.build_h_eff) and `uniform_spectrum` (the derived
-second-order operator, c * ones((6, 6))); the last two have constant eigenvectors,
-whose unitarity is checked once. `_series`, `_evaluate` of `_fold`,
+second-order operator, c * ones((6, 6))). `_series`, `_evaluate` of `_fold`,
 evolves a state from a spectrum: `_fold` keeps one part per distinct occupied
 frequency (3 or 4 for the exact block, 2 for the pair swap), and `_evaluate`
-multiplies the parts by the phases e^{-i w t} of `_phases`. On a grid of
-`even_grid` (every exact run's) the phases separate, e^{-i w t_{aF + b}} =
-coarse[a] fine[b]: `_grid_factors` returns the two factors, about 2
-sqrt(len(times)) exponentials per frequency, which the Rabi fit contracts
-without ever forming the table and `_phases` multiplies out; any other times
-take one cos and one sin per time and frequency.
+multiplies the parts by the phases e^{-i w t} of `_phases`, one cos and one sin
+per time and frequency. On an even grid from 0, np.linspace(0, t_max, points)
+(every exact run's), the phases separate, e^{-i w t_{aF + b}} = coarse[a] fine[b]:
+`_grid_factors` returns the two factors, about 2 sqrt(len(times)) exponentials per
+frequency, which the Rabi fit contracts without ever forming the table and
+`_grid_phases` multiplies out.
 `make_propagator`, `evolve_exact` and `evolve_times` take `numpy.linalg.eigh`
 of any hermitian generator: they are the tests' dense oracles, with scaling
 and squaring and the unfolded sum over every eigenvalue as cross-checks.
@@ -23,8 +22,6 @@ and squaring and the unfolded sum over every eigenvalue as cross-checks.
 from __future__ import annotations
 
 import math
-import weakref
-from functools import lru_cache
 
 import numpy as np
 
@@ -70,49 +67,30 @@ def _fold(w: np.ndarray, v: np.ndarray, amplitudes: np.ndarray) -> tuple[np.ndar
     return freqs, np.add.reduceat(v * c, starts, axis=1)[:, kept]
 
 
-_GRIDS = weakref.WeakValueDictionary()  # id -> each live array `even_grid` returned
+def _grid_factors(times: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coarse x fine factors of exp(-i times y) on times = np.linspace(0, t_max, points).
+
+    With F = ceil(sqrt(points)), e^{-i times[aF + b] y} = coarse[a] fine[b], coarse =
+    e^{-i times[::F] y} (ceil(points/F) rows) and fine = e^{-i times[:F] y} (F rows): each
+    frequency costs F + ceil(points/F) exponentials, and a product is within 1e-12
+    (1 + max|times| max|y|) of the exponential (times[aF] + times[b] is times[aF + b] to a
+    few ulps of max|times|)."""
+    fine = math.ceil(math.sqrt(len(times))) or 1
+    return _phases(times[::fine], y), _phases(times[:fine], y)
 
 
-def even_grid(t_max: float, points: int) -> np.ndarray:
-    """np.linspace(0, t_max, points), read-only, on which `_phases` takes its table."""
-    times = np.linspace(0.0, t_max, points)
-    times.setflags(write=False)
-    _GRIDS[id(times)] = times
-    return times
-
-
-def _grid_factors(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The coarse x fine factors of exp(-i x y) on a grid x of `even_grid` long enough
-    for them to save exponentials, else None.
-
-    With F = ceil(sqrt(len(x))), e^{-i x[aF + b] y} = coarse[a] fine[b], coarse =
-    e^{-i x[::F] y} (ceil(len(x)/F) rows) and fine = e^{-i x[:F] y} (F rows): each
-    frequency costs F + ceil(len(x)/F) exponentials, and a product is within 1e-12
-    (1 + max|x| max|y|) of the exponential (x[aF] + x[b] is x[aF + b] to a few ulps of
-    max|x|). A copy of such a grid, or any other x, gives None."""
-    points = len(x)
-    fine = math.ceil(math.sqrt(points)) or 1
-    if fine + math.ceil(points / fine) < points and _GRIDS.get(id(x)) is x:
-        return _direct_phases(x[::fine], y), _direct_phases(x[:fine], y)
-    return None
+def _grid_phases(times: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """exp(-i times y) over the outer product, shape (len(times), len(y)), on times =
+    np.linspace(0, t_max, points): the table of its `_grid_factors`' products."""
+    # frequency-major, so the product runs along contiguous fine rows
+    coarse, fine = (np.ascontiguousarray(factor.T) for factor in _grid_factors(times, y))
+    table = coarse[:, :, None] * fine[:, None, :]
+    return table.reshape(len(y), -1)[:, :len(times)].T
 
 
 def _phases(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """exp(-i x y) over the outer product, shape (len(x), len(y)): on a grid of
-    `even_grid` the table of its `_grid_factors`' products; any other x, one cos and
-    one sin of -x y per entry, bit for bit np.exp(-1j * np.outer(x, y))."""
-    x = np.asarray(x, dtype=float)
-    factors = _grid_factors(x, y)
-    if factors is None:
-        return _direct_phases(x, y)
-    # frequency-major, so the product runs along contiguous fine rows
-    coarse, fine = (np.ascontiguousarray(factor.T) for factor in factors)
-    table = coarse[:, :, None] * fine[:, None, :]
-    return table.reshape(len(y), -1)[:, :len(x)].T
-
-
-def _direct_phases(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """exp(-i x y) over the outer product from one cos and one sin of -x y per entry."""
+    """exp(-i x y) over the outer product, shape (len(x), len(y)), from one cos and one sin
+    of -x y per entry: bit for bit np.exp(-1j * np.outer(x, y))."""
     angles = np.outer(np.negative(x), y)
     out = np.empty(angles.shape, dtype=complex)
     np.cos(angles, out=out.real)
@@ -125,14 +103,12 @@ def _evaluate(freqs: np.ndarray, parts: np.ndarray, times: np.ndarray) -> np.nda
     return _phases(times, freqs) @ parts.T
 
 
-def _checked(h: np.ndarray, w: np.ndarray, v: np.ndarray,
-             v_defect: float) -> tuple[np.ndarray, np.ndarray]:
+def _checked(h: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(w, v) sorted by w, once they pass as the spectrum of h: raises ValueError unless
-    max|h v - v w| / max(1, max|w|) + v_defect < UNITARY_ATOL, v_defect = unitary_defect(v)
-    (a fixed basis passes the value computed once, `_basis_defects`)."""
+    max|h v - v w| / max(1, max|w|) + unitary_defect(v) < UNITARY_ATOL."""
     order = np.argsort(w)
     w, v = w[order], v[:, order]
-    defect = float(np.abs(h @ v - v * w).max()) / max(1.0, -w[0], w[-1]) + v_defect
+    defect = float(np.abs(h @ v - v * w).max()) / max(1.0, -w[0], w[-1]) + unitary_defect(v)
     if not defect < UNITARY_ATOL:
         raise ValueError(f"the closed-form spectrum misses its generator by {defect:.3g}")
     return w, v
@@ -182,14 +158,13 @@ def block_spectrum(h: np.ndarray, ladder: BrightLadder) -> tuple[np.ndarray, np.
     v[:6, 5:] = _DICKE[:, :1] * x[1]
     v[6, 5:] = x[0]
     v[7:, 5:] = x[2:]
-    return _checked(h, ladder.dark + np.append(np.zeros(5), roots), v, unitary_defect(v))
+    return _checked(h, ladder.dark + np.append(np.zeros(5), roots), v)
 
 
 def pair_swap_spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The checked spectrum (w ascending, v) of `model.build_h_eff`'s pair swap h (no
     Stark term): +-Omega on (|c> +- |c_bar>)/sqrt2, 0 on the ten other configurations."""
-    return _checked(h, float(h[_PARTNERS[0], _ROWS[0]].real) * _SWAP_SIGNS, _SWAP_VECTORS,
-                    _basis_defects()[1])
+    return _checked(h, float(h[_PARTNERS[0], _ROWS[0]].real) * _SWAP_SIGNS, _SWAP_VECTORS)
 
 
 def uniform_spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,13 +172,7 @@ def uniform_spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = c * ones((6, 6)): 6c on |D2>, 0 on the five dark states."""
     w = np.zeros(6)
     w[0] = float(np.sum(h).real) / 6
-    return _checked(h, w, _DICKE, _basis_defects()[0])
-
-
-@lru_cache(maxsize=1)
-def _basis_defects() -> tuple[float, float]:
-    """unitary_defect of the constant bases `_DICKE` and `_SWAP_VECTORS`, on their first use."""
-    return unitary_defect(_DICKE), unitary_defect(_SWAP_VECTORS)
+    return _checked(h, w, _DICKE)
 
 
 def _propagator(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:

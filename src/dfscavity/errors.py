@@ -134,7 +134,10 @@ def fock_averaged_fidelity(nbar: float | np.ndarray,
     fidelity is (1 + cos(4nA))/2. Summing it against the thermal weights
     p_n = nbar^n/(nbar+1)^(n+1) is a geometric series:
 
-        F = 1/2 + 1/2 Re[1 / ((nbar+1) - nbar e^{4iA})].
+        F = 1/2 + 1/2 Re[1 / (1 + nbar (1 - e^{4iA}))],
+
+    its 1 kept at any nbar (at A = 0, F is exactly 1); its real part overflows only above
+    about 9e307, where F rounds to 1/2, the value of the infinite denominator.
 
     `thermal_weights` with `dynamics.dfs_propagate` is the sector-by-sector oracle.
     Broadcasts over `nbar`: an array gives the array of averages. Rejects a
@@ -144,4 +147,5 @@ def fock_averaged_fidelity(nbar: float | np.ndarray,
         raise ValueError("mean photon number must be finite and >= 0")
     if not np.all(np.isfinite(pulse_area_at_n0)):
         raise ValueError("pulse area must be finite")
-    return 0.5 + 0.5 * (1.0 / ((nbar + 1.0) - nbar * np.exp(4j * pulse_area_at_n0))).real
+    with np.errstate(over="ignore"):
+        return 0.5 + 0.5 * (1.0 / (1.0 + nbar * (1.0 - np.exp(4j * pulse_area_at_n0)))).real

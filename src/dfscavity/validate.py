@@ -17,20 +17,22 @@ than (a) is measured, not assumed.
 
 Both get the exact run from one helper: the 7 or 8 states the two-excitation
 manifold reaches (model.pair_block: the six configurations at n as rows 0 to 5,
-|egeg, n> first, then |gggg, n+2> and, for n >= 2, |eeee, n-2>), the grid over
-1.5 exchange periods (RABI_FIT_POINTS or COMPARISON_POINTS times) and the fold
-of |egeg, n> onto its 3 or 4 occupied frequencies w_k (dynamics._fold) from the
-closed-form spectrum of H0 + Hint (dynamics.block_spectrum). The pair-swap and
-derived operators evolve from closed-form spectra too, so no step calls LAPACK,
-and internal_consistency_defect compares the cos/sin pair map with a spectrum
-checked against build_h_eff's matrix. On the grid, e^{-i w t} is a coarse x fine
-product (dynamics._grid_factors), and extract_rabi forms no (times x frequencies)
-array: each population group (rows r), sum_k h_kk + 2 sum_{k<l} Re(h_kl e^{i(w_k -
-w_l)t}) with h_kl = sum_r conj(parts[r, k]) parts[r, l], comes from one real product
-of the weighted coarse beat factors with the fine ones, and the Stark phase of row
-0, sum_k parts[0, k] e^{-i w_k t}, from one (coarse x K)(K x fine) product;
-compare_effective_models evaluates only rows 0 to 5 (all 16 pair-swap amplitudes
-only at the 26 times of its pair_exchange check) and derives the 6x6 second-order
+|egeg, n> first, then |gggg, n+2> and, for n >= 2, |eeee, n-2>), the grid
+np.linspace(0, span, points) over 1.5 exchange periods (RABI_FIT_POINTS or
+COMPARISON_POINTS times) and the fold of |egeg, n> onto its 3 or 4 occupied
+frequencies w_k (dynamics._fold) from the closed-form spectrum of H0 + Hint
+(dynamics.block_spectrum). The pair-swap and derived operators evolve from
+closed-form spectra too, so no step calls LAPACK, and internal_consistency_defect
+compares the cos/sin pair map with a spectrum checked against build_h_eff's
+matrix. On the grid, e^{-i w t} is a coarse x fine product (dynamics._grid_factors),
+and extract_rabi forms no (times x frequencies) array: each population group (rows
+r), sum_k h_kk + 2 sum_{k<l} Re(h_kl e^{i(w_k - w_l)t}) with h_kl = sum_r
+conj(parts[r, k]) parts[r, l], comes from one real product of the weighted coarse
+beat factors with the fine ones, and the Stark phase of row 0, sum_k parts[0, k]
+e^{-i w_k t}, from one (coarse x K)(K x fine) product; compare_effective_models
+evaluates only rows 0 to 5, each model's from the table of the factors' products
+(dynamics._grid_phases; all 16 pair-swap amplitudes only at the 26 times of its
+pair_exchange check, by one cos and one sin each), and derives the 6x6 second-order
 operator once, from the block's energies and hint, for its (row, col, value)
 difference entries. Both need 0 <= n <= n_max - 4, so the block stops at m = n + 2
 <= n_max - 2 and the guard occupation is 0 by construction.
@@ -55,10 +57,9 @@ from .dynamics import (
     _evaluate,
     _fold,
     _grid_factors,
+    _grid_phases,
     _propagator,
-    _series,
     block_spectrum,
-    even_grid,
     pair_exchange,
     pair_swap_spectrum,
     uniform_spectrum,
@@ -221,8 +222,8 @@ def fit_span(params: SystemParams, n: int) -> float:
 
 
 def _exact_run(params: SystemParams, n: int, points: int):
-    """Evolve |egeg, n> exactly on `model.pair_block` over 1.5 exchange periods (`points`
-    times of `dynamics.even_grid`); returns (the pair rate Omega(n), the block (levels,
+    """Evolve |egeg, n> exactly on `model.pair_block` over 1.5 exchange periods, at times =
+    np.linspace(0, span, points); returns (the pair rate Omega(n), the block (levels,
     energies, hint), times, the unitary over the span, the state's fold (freqs, parts)),
     the unitary and the fold from the block's checked closed-form spectrum
     (`dynamics.block_spectrum`). Raises ValueError unless 0 <= n <= n_max - 4 and the rate
@@ -234,7 +235,7 @@ def _exact_run(params: SystemParams, n: int, points: int):
             omega_expected=omega, perturbative_ok=params.perturbative_ok,
             diagnostic="no coupling, no oscillation"))
     t_max = fit_span(params, n)
-    times = even_grid(t_max, points)
+    times = np.linspace(0.0, t_max, points)
     levels, energies, hint = block
     psi0 = np.zeros(len(levels), dtype=complex)
     psi0[0] = 1.0  # |egeg, n>
@@ -243,10 +244,10 @@ def _exact_run(params: SystemParams, n: int, points: int):
 
 
 def _stark_rate(times: np.ndarray, freqs: np.ndarray, amplitudes: np.ndarray) -> float:
-    """Minus the least-squares slope of the phase of sum_k amplitudes[k] e^{-i w_k t} on an
-    `even_grid`, unwrapped as the running sum from 0 of each step's phase in (-pi, pi], the
-    branch np.unwrap picks; the series is one (coarse x K)(K x fine) product of the phase
-    factors, short enough for OpenBLAS to run on one thread."""
+    """Minus the least-squares slope of the phase of sum_k amplitudes[k] e^{-i w_k t} on the
+    grid of `_exact_run`, unwrapped as the running sum from 0 of each step's phase in
+    (-pi, pi], the branch np.unwrap picks; the series is one (coarse x K)(K x fine) product
+    of the phase factors, short enough for OpenBLAS to run on one thread."""
     coarse, fine = _grid_factors(times, freqs)
     steps = ((coarse * amplitudes) @ fine.T).ravel()[:len(times)]
     steps[1:] *= steps[:-1].conj()
@@ -377,11 +378,12 @@ def compare_effective_models(params: SystemParams, n: int = 0) -> EffectiveModel
     h_pair_swap = build_h_eff(params, n, include_stark=False)
     swap_freqs, swap_parts = _fold(*pair_swap_spectrum(h_pair_swap.matrix), egeg)
     # each model's magnitudes on the six configurations, (t, 6)
-    mags_pair_swap = np.abs(_evaluate(swap_freqs, swap_parts[_COLS], times))
+    mags_pair_swap = np.abs(_grid_phases(times, swap_freqs) @ swap_parts[_COLS].T)
     derived = derive_second_order(energies, hint, MANIFOLD_ROWS)
-    mags_derived = np.abs(_series(*uniform_spectrum(derived), egeg[_COLS], times))
+    derived_freqs, derived_parts = _fold(*uniform_spectrum(derived), egeg[_COLS])
+    mags_derived = np.abs(_grid_phases(times, derived_freqs) @ derived_parts.T)
     # the full model's six states at Fock n; weight outside them lowers the fidelity
-    full = np.abs(_evaluate(freqs, parts[:len(MANIFOLD_ROWS)], times))
+    full = np.abs(_grid_phases(times, freqs) @ parts[:len(MANIFOLD_ROWS)].T)
     fid_pair_swap = np.sum(mags_pair_swap * full, axis=1) ** 2
     fid_derived = np.sum(mags_derived * full, axis=1) ** 2
 

@@ -453,8 +453,8 @@ class TestExperiments:
 
         monkeypatch.setattr(cli, "teleport", counting)
         run_experiment(parse_config("theta_points = 6\ndelay_points = 5\n", experiment="teleport"))
-        # the grid without and with dephasing, the bare channel and the single run
-        assert len(calls) == 4
+        # the grid with delay and dephasing, the bare channel and the single run
+        assert len(calls) == 3
 
     def test_stagger_sweep_passes_and_documents_bound(self):
         report = run_experiment(parse_config("", experiment="stagger-sweep"))
@@ -785,6 +785,19 @@ class TestMainEntryPoint:
         payload = json.loads(out.read_text())
         assert payload["results"]["nbar"] == nbar
         assert payload["results"]["fidelity_at_nbar"] == pytest.approx((nbar + 1) / (2 * nbar + 1), abs=1e-12)
+
+    @pytest.mark.parametrize("text", ["pulse_area = 0\nnbar = 1e16\n", "pulse_area = 0\nnbar_max = 1e17\n"])
+    def test_thermal_at_area_zero_reports_one_for_any_nbar(self, text, tmp_path, capsys):
+        # (nbar + 1) - nbar lost the 1 from nbar = 2^53 on: Infinity in the report and exit 0,
+        # or every table row inf and exit 1
+        cfg = tmp_path / "hot.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "thermal.json"
+        assert main(["thermal", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "Infinity" not in out.read_text()
+        results = json.loads(out.read_text())["results"]
+        assert results["fidelity_at_nbar"] == 1.0
+        assert [fidelity for _, fidelity in results["table"]] == [1.0] * len(results["table"])
 
     def test_repeated_runs_byte_identical_on_disk(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from dfscavity.dynamics import (
+    _grid_phases,
     _phases,
     _series,
     dfs_propagate,
-    even_grid,
     evolve_exact,
     evolve_times,
     make_propagator,
@@ -110,7 +110,7 @@ class TestFoldedSeries:
     def test_grid_table_on_the_fit_grids_is_within_the_series_bound(self, delta, n, points):
         # the coarse x fine table on the exact runs' own grids and frequencies
         _, _, times, _, (freqs, _) = _exact_run(SystemParams(G=1.0, delta=delta, n_max=8), n, points)
-        got, want = _phases(times, freqs), np.exp(-1j * np.outer(times, freqs))
+        got, want = _grid_phases(times, freqs), np.exp(-1j * np.outer(times, freqs))
         bound = 1e-12 * (1.0 + np.max(np.abs(freqs)) * np.max(np.abs(times)))
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= bound
@@ -120,21 +120,20 @@ class TestFoldedSeries:
         freqs = np.append(rng.normal(scale=30.0, size=3), 0.0)
         for points in (*range(3, 40), 99, 100, 101, 6000, 6002):
             for t_max in (1.0, -250.0, 3e3):
-                times = even_grid(t_max, points)
-                got, want = _phases(times, freqs), np.exp(-1j * np.outer(times, freqs))
+                times = np.linspace(0.0, t_max, points)
+                got, want = _grid_phases(times, freqs), np.exp(-1j * np.outer(times, freqs))
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(freqs)) * abs(t_max))
 
     def test_only_an_even_grid_takes_the_table(self):
-        # the grid's construction carries the fact: its phases are the coarse x fine products
-        # bit for bit, while an equal plain array or a copy takes the direct path bit for bit
+        # the table of an even grid is the coarse x fine products bit for bit, while `_phases`
+        # of the same grid, a copy or a view is the direct cos/sin bit for bit
         freqs = np.array([-3.1, 0.0, 0.7, 12.5])
-        grid = even_grid(377.0, 6001)
-        assert not grid.flags.writeable
+        grid = np.linspace(0.0, 377.0, 6001)
         fine = 78  # ceil(sqrt(6001))
         coarse = np.exp(-1j * np.outer(grid[::fine], freqs))
         table = (coarse[:, None, :] * np.exp(-1j * np.outer(grid[:fine], freqs))[None, :, :])
-        assert _phases(grid, freqs).tobytes() == table.reshape(-1, 4)[:6001].tobytes()
+        assert _grid_phases(grid, freqs).tobytes() == table.reshape(-1, 4)[:6001].tobytes()
         exact = np.exp(-1j * np.outer(grid, freqs)).tobytes()
         for plain in (np.linspace(0.0, 377.0, 6001), grid.copy(), grid[:]):
             assert _phases(plain, freqs).tobytes() == exact

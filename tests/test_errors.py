@@ -271,6 +271,24 @@ class TestThermalAveraging:
             thermal_weights(1e5)
         assert fock_averaged_fidelity(1e5) == pytest.approx((1e5 + 1) / (2e5 + 1), abs=1e-12)
 
+    @pytest.mark.parametrize("nbar", [2.0**53, 1e16, 1e300, 1.7e308])
+    def test_zero_pulse_area_is_exactly_one_at_huge_nbar(self, nbar):
+        # (nbar + 1) - nbar rounds the 1 away from 2^53 on, and 1/0 gave inf
+        assert fock_averaged_fidelity(nbar, 0.0) == 1.0
+        assert np.array_equal(fock_averaged_fidelity(np.array([0.0, nbar]), 0.0), [1.0, 1.0])
+
+    @pytest.mark.parametrize("nbar", [2.0**53, 1e16, 1e300, 1.7e308])
+    @pytest.mark.parametrize("area", [0.0, 1e-12, np.pi / 4, np.pi / 2, 3 * np.pi / 4])
+    def test_huge_nbar_gives_a_fidelity_without_warnings(self, nbar, area):
+        # the denominator's real part overflows above about 9e307; that must neither warn
+        # nor leave [0, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = fock_averaged_fidelity(np.array([nbar, 1.0]), area)
+            single = fock_averaged_fidelity(nbar, area)
+        assert np.all(np.isfinite(values)) and np.all((0.0 <= values) & (values <= 1.0))
+        assert single == values[0]
+
     @pytest.mark.parametrize("nbar", [0.0, 0.1, 1.0, 10.0])
     @pytest.mark.parametrize("area", [0.0, np.pi / 8, np.pi / 4, 0.37, 3 * np.pi / 4, 2.0])
     def test_closed_form_equals_sector_loop(self, nbar, area):

@@ -9,6 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "pass_cost.py"
+EXPERIMENTS = ("entangle", "cnot-verify", "bell", "teleport", "stagger-sweep", "thermal",
+               "validate-effective", "durations")  # cli-defaults' calls, perfbench/workloads.py
 
 
 def _pass_cost(*args):
@@ -20,11 +22,17 @@ def test_one_exact_scaled_pass_runs_on_one_thread():
     run = _pass_cost("--workload", "exact-scaled", "--passes", "1")
     assert run.returncode == 0, run.stdout + run.stderr
     lines = run.stdout.splitlines()
-    assert lines[1].split() == ["call", "wall", "ms", "(median)", "(min)", "CPU/wall", "minflt", "(median)"]
+    assert lines[1].split() == ["call", "wall", "ms", "(median)", "(min)", "CPU/wall", "minflt", "(median)",
+                                "peak", "KiB"]
     rows = {line.split()[0]: [float(x) for x in line.split()[1:]] for line in lines[2:5]}
     assert list(rows) == ["validate-effective", "forced_rabi_fit", "pass"]
-    wall_ms, wall_min, cpu_per_wall, faults = rows["pass"]
+    wall_ms, wall_min, cpu_per_wall, faults, peak_kib = rows["pass"]
     assert 0 < wall_min <= wall_ms
+    # each call's traced peak; the pass's is its largest call's, give or take what the
+    # worker holds between calls
+    call_peaks = [rows[label][-1] for label in ("validate-effective", "forced_rabi_fit")]
+    assert all(0 < peak < 2048 for peak in call_peaks)
+    assert max(call_peaks) <= peak_kib < max(call_peaks) + 64
     # the Rabi fit and the comparison keep no (times x frequencies) array, so no call pushes
     # glibc's heap top past its trim threshold and a warm pass faults no pages back in; the
     # table route read 432 minor faults per pass
@@ -63,7 +71,7 @@ def test_a_warm_protocol_sweeps_pass_faults_no_pages_back_in(protocol_sweeps_pas
     assert list(rows) == ["teleport", "thermal", "stagger-sweep", "cnot-verify", "bell", "pass"]
     # a teleport call that frees a full-grid complex temporary (230 KB at 60 x 60) lets glibc
     # trim the heap top, and each trimmed page faults back in on the next pass (about 80)
-    assert float(rows["pass"][-1]) < 10
+    assert float(rows["pass"][-2]) < 10
 
 
 def test_names_the_modules_the_warm_up_pass_imports(protocol_sweeps_pass):
@@ -76,6 +84,37 @@ def test_names_the_modules_the_warm_up_pass_imports(protocol_sweeps_pass):
     # the teleport grid draws from the standard library's generator and its branch
     # with the package's own PCG64, so no layer of the pass loads numpy.random
     assert not [name for name in imported if name.startswith(("numpy.random", "scipy", "numpy.ma"))]
+
+
+def test_prints_each_calls_traced_peak(protocol_sweeps_pass):
+    run = protocol_sweeps_pass
+    assert run.returncode == 0, run.stdout + run.stderr
+    rows = {line.split()[0]: line.split()[1:] for line in run.stdout.splitlines()[2:8]}
+    peaks = {label: float(row[-1]) for label, row in rows.items()}
+    # the 60 x 60 teleport grid with both channels sets the pass's peak (about 523 KiB;
+    # tests/test_bell_teleport.py bounds it at 600 KiB)
+    assert 256 < peaks["teleport"] < 600
+    others = [peaks[label] for label in ("thermal", "stagger-sweep", "cnot-verify", "bell")]
+    assert all(0 < peak < peaks["teleport"] for peak in others)
+    assert peaks["teleport"] <= peaks["pass"] < peaks["teleport"] + 64
+
+
+def test_cli_process_calls_have_no_traced_peak():
+    # a cli call runs in its own process, so its traced peak reads "-", as does the pass, and
+    # no pass runs under tracemalloc; canned calls stand in for the eight processes
+    code = ("import sys, tracemalloc; sys.path[:0] = sys.argv[1:]; import pass_cost, worker; traced = []; "
+            "worker.Runner.run_cli = lambda self, call: traced.append(tracemalloc.is_tracing()) or []; "
+            "code = pass_cost.measure(pass_cost.ROOT, 'cli-defaults', 2); "
+            "print(code, traced.count(False), any(traced))")
+    paths = [str(SCRIPT.parent), str(ROOT / "perfbench"), str(ROOT / "src")]
+    run = subprocess.run([sys.executable, "-c", code, *paths], capture_output=True, text=True, cwd=ROOT,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    rows = [line.split() for line in lines[2:11]]
+    assert [row[0] for row in rows] == [*EXPERIMENTS, "pass"]
+    assert all(row[-1] == "-" for row in rows)
+    assert lines[-1] == "0 24 False"  # the warm-up and two timed passes of eight calls
 
 
 def test_rejects_an_unknown_workload_and_no_passes():

@@ -13,7 +13,8 @@ from scipy.signal import find_peaks
 import dfscavity
 from dfscavity.dynamics import (
     _evaluate,
-    _phases,
+    _fold,
+    _grid_phases,
     _series,
     block_spectrum,
     evolve_times,
@@ -509,10 +510,10 @@ def test_import_leaves_scipy_unloaded():
 
 def _table_route_fit(params, n, min_peak_population):
     """extract_rabi by the earlier table-and-beats route: the (times, frequencies) phase
-    table of `_phases`, the (times, beats) array of e^{i(w_k - w_l)t} and the Stark phase
+    table of `_grid_phases`, the (times, beats) array of e^{i(w_k - w_l)t} and the Stark phase
     from an einsum over the table; raises RabiFitError as extract_rabi does."""
     omega, (levels, _, _), times, u, (freqs, parts) = _exact_run(params, n, RABI_FIT_POINTS)
-    waves = _phases(times, freqs)
+    waves = _grid_phases(times, freqs)
     steps = np.einsum("tk,k->t", waves, parts[0])
     steps[1:] *= steps[:-1].conj()
     steps[0] = 1.0
@@ -565,10 +566,12 @@ def _table_route_comparison(params, n):
     egeg = np.eye(16, dtype=complex)[TWO_EXCITATION_CONFIGS[0]]
     cols = list(TWO_EXCITATION_CONFIGS)
     h_pair_swap = build_h_eff(params, n, include_stark=False)
-    amps_pair_swap = _series(*pair_swap_spectrum(h_pair_swap.matrix), egeg, times)
+    swap_freqs, swap_parts = _fold(*pair_swap_spectrum(h_pair_swap.matrix), egeg)
+    amps_pair_swap = _grid_phases(times, swap_freqs) @ swap_parts.T
     derived = derive_second_order(energies, hint, MANIFOLD_ROWS)
-    amps_derived = _series(*uniform_spectrum(derived), egeg[cols], times)
-    full = np.abs(_evaluate(freqs, parts[:len(MANIFOLD_ROWS)], times))
+    derived_freqs, derived_parts = _fold(*uniform_spectrum(derived), egeg[cols])
+    amps_derived = _grid_phases(times, derived_freqs) @ derived_parts.T
+    full = np.abs(_grid_phases(times, freqs) @ parts[:len(MANIFOLD_ROWS)].T)
     fid_pair_swap = np.sum(np.abs(amps_pair_swap[:, cols]) * full, axis=1) ** 2
     fid_derived = np.sum(np.abs(amps_derived) * full, axis=1) ** 2
     sampled = slice(0, COMPARISON_POINTS, COMPARISON_POINTS // 25)
